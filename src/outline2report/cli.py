@@ -21,6 +21,7 @@ from .corpus import (CorpusError, Vocabulary, build_vocabulary,
 from .generation import evaluation_report, generate
 from .gradcheck import run_suite
 from .model import build_model
+from .numerics import NonFiniteLossError
 from .training import (LOSS_LOG_HEADER, CheckpointError, Trainer,
                        load_checkpoint, restore_model, resume_trainer)
 
@@ -177,7 +178,7 @@ def read_generations(path) -> dict:
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise CliError(f"{path}:{lineno}: malformed JSON ({exc.msg})") from None
-            if "id" not in rec or "report" not in rec:
+            if not isinstance(rec, dict) or "id" not in rec or "report" not in rec:
                 raise CliError(f"{path}:{lineno}: record needs 'id' and 'report'")
             out[str(rec["id"])] = [str(t) for t in rec["report"]]
     return out
@@ -283,7 +284,8 @@ def main(argv=None) -> int:
         args.strategy = "beam"
     try:
         return args.func(args)
-    except (CliError, ConfigError, CorpusError, CheckpointError, ValueError) as exc:
+    except (CliError, ConfigError, CorpusError, CheckpointError, NonFiniteLossError,
+            ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

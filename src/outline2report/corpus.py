@@ -7,6 +7,7 @@ vocabulary is persisted as plain text, one token per line, line number = id.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import re
@@ -51,11 +52,17 @@ class NewsReportPair:
             raise CorpusError(f"pair {self.id}: empty report")
 
 
-def pair_from_record(record: dict, where: str = "<record>") -> NewsReportPair:
+def pair_from_record(record, where: str = "<record>") -> NewsReportPair:
+    if not isinstance(record, dict):
+        raise CorpusError(f"{where}: expected a JSON object, got {type(record).__name__}")
     for field in ("id", "news", "report"):
         if field not in record:
             raise CorpusError(f"{where}: missing field {field!r}")
     outline = record.get("outline")
+    for field in ("news", "report") + (("outline",) if outline is not None else ()):
+        if not isinstance(record[field], str):
+            raise CorpusError(f"{where}: field {field!r} must be a string, "
+                              f"got {type(record[field]).__name__}")
     return NewsReportPair(
         id=str(record["id"]),
         news=tuple(tokenize(record["news"])),
@@ -74,10 +81,7 @@ def read_dataset(path) -> list[NewsReportPair]:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise CorpusError(f"{path}:{lineno}: malformed JSON ({exc.msg})") from None
-            try:
-                pairs.append(pair_from_record(record, where=f"{path}:{lineno}"))
-            except CorpusError:
-                raise
+            pairs.append(pair_from_record(record, where=f"{path}:{lineno}"))
     return pairs
 
 
@@ -136,8 +140,6 @@ class Vocabulary:
         return cls(tokens)
 
     def digest(self) -> str:
-        import hashlib
-
         h = hashlib.sha256()
         for tok in self.tokens:
             h.update(tok.encode("utf-8"))

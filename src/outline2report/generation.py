@@ -17,8 +17,9 @@ import numpy as np
 
 from .config import DecodeConfig
 from .corpus import BOS, EOS, PAD, Vocabulary, tokenize, wrap_ids
-from .numerics import FLOAT, log_softmax
+from .numerics import log_softmax, run_lstm
 from .outline_decoder import attend
+from .report_decoder import fuse_news_outline
 
 
 # -- generic search ------------------------------------------------------------
@@ -198,31 +199,21 @@ def generate(news_tokens, model, vocab: Vocabulary,
         logits = (attn.combined @ odec.W_o.value.T)[0]
         return _emission_mask(logits), (s, c)
 
+    outline_init = odec.initial_state(hf_fin)
     outline = run_decode(
-        dcfg.strategy, outline_step, odec.initial_state(hf_fin),
+        dcfg.strategy, outline_step, outline_init,
         dcfg.max_outline_len, width=dcfg.beam_width,
         temperature=dcfg.temperature, rng=rng)
 
-    # replay the chosen outline to collect the decoder states for fusion
-    # (and the attention rows, if asked for)
-    s, c = odec.initial_state(hf_fin)
-    states = []
-    attn_rows = []
-    prev = BOS
-    for tok in outline.tokens:
-        x = emb.lookup(np.array([prev], dtype=np.int64))
-        (s, c), _ = odec.step(x, (s, c))
-        states.append(s[0])
-        if dcfg.record_attention:
-            attn_rows.append(attend(enc_states, s, mask, odec.W_a, odec.W_c).weights[0])
-        prev = tok
-    if states:
-        pool_out = np.mean(np.stack(states), axis=0, keepdims=True)
-    else:
-        pool_out = np.zeros((1, model.cfg.d_hid), dtype=FLOAT)
-    fmask = mask.astype(FLOAT)
-    pool_enc = np.einsum("bt,bte->be", fmask, enc_states) / fmask.sum(axis=1)[:, None]
-    u = np.concatenate([pool_enc, pool_out], axis=1)
+    # replay the chosen outline in one pass to collect the decoder states for
+    # fusion (and the attention rows, if asked for)
+    fed = np.array([(BOS,) + outline.tokens[:-1]], dtype=np.int64)
+    fed_mask = np.ones(fed.shape, dtype=bool)
+    states, _, _ = run_lstm(odec.cell, emb.lookup(fed), fed_mask,
+                            h0=outline_init[0], c0=outline_init[1])
+    u, _ = fuse_news_outline(enc_states, mask, states, fed_mask)
+    attention = (attend(enc_states, states, mask, odec.W_a, odec.W_c).weights[0]
+                 if dcfg.record_attention else None)
 
     rdec = model.report_decoder
     noise = None if dcfg.deterministic_latent else rng.standard_normal((1, model.cfg.d_z))
@@ -239,7 +230,6 @@ def generate(news_tokens, model, vocab: Vocabulary,
         dcfg.strategy, report_step, (h0, c0), dcfg.max_report_len,
         width=dcfg.beam_width, temperature=dcfg.temperature, rng=rng)
 
-    attention = np.stack(attn_rows) if (dcfg.record_attention and attn_rows) else None
     return GenerationResult(
         outline_ids=outline.tokens, report_ids=report.tokens,
         outline_tokens=vocab.decode(outline.tokens),

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .config import TrainingConfig
-from .corpus import NewsReportPair, Vocabulary, encode_batch
+from .corpus import SPECIAL_TOKENS, NewsReportPair, Vocabulary, encode_batch
 from .model import NewsToReportModel, build_model
 from .numerics import (FLOAT, GradientCheckReport, finite_difference_gradient,
                        gradient_check)
@@ -33,8 +33,6 @@ _PAIRS = (
 
 
 def gradcheck_vocabulary() -> Vocabulary:
-    from .corpus import SPECIAL_TOKENS
-
     return Vocabulary(SPECIAL_TOKENS + _WORDS)
 
 

@@ -207,6 +207,20 @@ def run_lstm(cell: LSTMCell, X, mask, reverse=False, h0=None, c0=None):
     return H, (h, c), LSTMRunCache(steps, fmask, reverse)
 
 
+def scheduled_inputs(cell: LSTMCell, embed, gold_in_ids, mask, h0, c0, head, rng, ratio):
+    """Scheduled-sampling inputs (Bengio et al., arXiv 1506.03099): after the
+    first, each is the gold token with probability `ratio`, else the argmax of
+    `head(state)` at the previous step, with one coin per row and step."""
+    input_ids = gold_in_ids.copy()
+    h, c = h0, c0
+    for t in range(input_ids.shape[1]):
+        if t > 0:
+            use_model = rng.random(len(input_ids)) >= ratio
+            input_ids[:, t] = np.where(use_model, np.argmax(head(h), axis=1), gold_in_ids[:, t])
+        _, (h, c), _ = run_lstm(cell, embed(input_ids[:, t:t + 1]), mask[:, t:t + 1], h0=h, c0=c)
+    return input_ids
+
+
 def run_lstm_backward(cell: LSTMCell, run_cache: LSTMRunCache, dH, dh_fin=None, dc_fin=None):
     """Backward through run_lstm. dH carries per-position state grads; returns
     (dX, dh0, dc0) and accumulates the cell's weight grads."""
@@ -306,9 +320,10 @@ def gradient_check(analytic, numeric, tol=1e-4):
 
 
 def clip_global_norm(params, max_norm):
-    """Scale all gradients jointly so the global norm is at most max_norm."""
+    """Scale all gradients jointly so the global norm is at most max_norm;
+    returns the norm before clipping. A non-finite norm scales nothing."""
     total = math.sqrt(sum(float(np.sum(p.grad * p.grad)) for p in params))
-    if total > max_norm > 0:
+    if math.inf > total > max_norm > 0:
         scale = max_norm / total
         for p in params:
             p.grad *= scale

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import FLOAT, LSTMCell, Parameter, uniform_init
+from .numerics import (FLOAT, LSTMCell, Parameter, log_softmax, run_lstm, run_lstm_backward,
+                       scheduled_inputs, uniform_init)
 from .outline_decoder import sequence_nll, sequence_nll_backward
 
 
@@ -95,7 +96,6 @@ class ReportDecoder:
     """Recognition affine maps, latent-to-state bridge, LSTM, output softmax."""
 
     def __init__(self, vocab_size, d_emb, d_hid, d_u, d_z, rng):
-        self.d_hid = d_hid
         self.d_z = d_z
         d_recog = d_u + d_emb
         self.W_mu = Parameter("report.recog.W_mu", uniform_init(rng, (d_z, d_recog)))
@@ -136,49 +136,25 @@ class ReportDecoder:
         return (h_new, c_new), cache
 
     def token_distribution(self, h):
-        from .numerics import log_softmax
-
         return np.exp(log_softmax(h @ self.W_out.value.T, axis=-1))
 
     def forward_teacher(self, embedding, u, pool_lengths, report_summary,
                         gold_in_ids, targets, target_mask, noise, beta,
                         sample_rng=None, teacher_forcing_ratio=1.0) -> ReportForward:
         """Teacher-forced report pass with a freshly sampled latent."""
-        from .numerics import LSTMRunCache
-
         latent, recog_in = self.infer_latent(u, report_summary, noise)
         kl_rows = gaussian_kl(latent.mean, latent.logvar)
-        h, c0, init_in = self.initial_state(latent.z, u)
-        h0 = h.copy()
-        c = c0
-        B, K = gold_in_ids.shape
-        fmask = np.asarray(target_mask, dtype=FLOAT)
-        states = np.zeros((B, K, self.d_hid), dtype=FLOAT)
-        step_caches = [None] * K
-        input_ids = gold_in_ids.copy()
-        sampled = teacher_forcing_ratio < 1.0
-        logits = np.zeros((B, K, self.W_out.value.shape[0]), dtype=FLOAT)
-        prev_argmax = None
-        for t in range(K):
-            if sampled and t > 0:
-                coins = sample_rng.random(B)
-                use_model = coins >= teacher_forcing_ratio
-                input_ids[:, t] = np.where(use_model, prev_argmax, gold_in_ids[:, t])
-            x = embedding.lookup(input_ids[:, t])
-            m = fmask[:, t:t + 1]
-            h_new, c_new, cache = self.cell.step(x, h, c)
-            h = m * h_new + (1.0 - m) * h
-            c = m * c_new + (1.0 - m) * c
-            states[:, t] = h
-            step_caches[t] = cache
-            if sampled:
-                logits[:, t] = h @ self.W_out.value.T
-                prev_argmax = np.argmax(logits[:, t], axis=1)
-        if not sampled:
-            logits = np.einsum("bth,vh->btv", states, self.W_out.value)
+        h0, c0, init_in = self.initial_state(latent.z, u)
+        input_ids = gold_in_ids
+        if teacher_forcing_ratio < 1.0:
+            input_ids = scheduled_inputs(
+                self.cell, embedding.lookup, gold_in_ids, target_mask, h0, c0,
+                lambda h: h @ self.W_out.value.T, sample_rng, teacher_forcing_ratio)
+        states, _, run_cache = run_lstm(self.cell, embedding.lookup(input_ids), target_mask,
+                                        h0=h0, c0=c0)
+        logits = np.einsum("bth,vh->btv", states, self.W_out.value)
         nll, probs, _ = sequence_nll(logits, targets, target_mask)
         loss = nll + beta * float(np.mean(kl_rows))
-        run_cache = LSTMRunCache(step_caches, fmask, reverse=False)
         return ReportForward(
             u=u, pool_lengths=pool_lengths, report_summary=report_summary,
             recog_in=recog_in, latent=latent, kl_rows=kl_rows, init_out=h0,
@@ -190,8 +166,6 @@ class ReportDecoder:
 
         Returns (d_u, d_report_summary, d_input_embeddings).
         """
-        from .numerics import run_lstm_backward
-
         B = fwd.states.shape[0]
         d_logits = sequence_nll_backward(fwd.probs, targets, target_mask)
         self.W_out.grad += np.einsum("btv,bth->vh", d_logits, fwd.states)

@@ -28,6 +28,10 @@ CHECKPOINT_VERSION = 1
 
 LOSS_LOG_HEADER = "epoch,step,L_outline,L_report,L_model"
 
+_HEADER_KEYS = ("config", "step", "adam_t", "rng_state", "vocab_sha256", "vocab_size", "arrays")
+# Array name prefixes of a checkpoint: parameters, then the two Adam moments.
+_ARRAY_PREFIXES = ("", "adam.m.", "adam.v.")
+
 
 class CheckpointError(RuntimeError):
     """Base for unreadable or inconsistent checkpoint files."""
@@ -158,9 +162,9 @@ def save_checkpoint(path, model: NewsToReportModel, optimizer: AdamOptimizer,
 
     for p in params:
         add(p.name, p.value)
-    for kind, store in (("m", optimizer.m), ("v", optimizer.v)):
+    for prefix, store in zip(_ARRAY_PREFIXES[1:], (optimizer.m, optimizer.v)):
         for p in params:
-            add(f"adam.{kind}.{p.name}", store[p.name])
+            add(prefix + p.name, store[p.name])
     header = {
         "version": CHECKPOINT_VERSION,
         "config": asdict(model.cfg),
@@ -197,45 +201,73 @@ def load_checkpoint(path) -> CheckpointState:
         header = json.loads(data[16:header_end].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise BadHeaderError(f"{path}: unparseable header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise BadHeaderError(f"{path}: header is not a JSON object")
     version = header.get("version")
     if version != CHECKPOINT_VERSION:
         raise VersionMismatchError(
             f"{path}: checkpoint version {version!r}, expected {CHECKPOINT_VERSION}")
+    missing = [key for key in _HEADER_KEYS if key not in header]
+    if missing or not isinstance(header["arrays"], list):
+        raise BadHeaderError(f"{path}: header lacks {', '.join(missing) or 'a list of arrays'}")
+    try:
+        TrainingConfig(**header["config"])
+    except TypeError as exc:
+        raise BadHeaderError(f"{path}: config does not fit TrainingConfig: {exc}") from None
     payload = data[header_end:]
-    arrays = {}
-    for entry in header["arrays"]:
-        lo = entry["offset"]
-        hi = lo + entry["nbytes"]
-        if hi > len(payload):
-            raise TruncatedCheckpointError(
-                f"{path}: array {entry['name']!r} extends past end of file")
-        buf = payload[lo:hi]
-        arrays[entry["name"]] = np.frombuffer(buf, dtype="<f8").reshape(
-            entry["shape"]).astype(FLOAT)
+    arrays = dict(_read_array(path, payload, entry) for entry in header["arrays"])
     return CheckpointState(
         config=header["config"], step=header["step"], adam_t=header["adam_t"],
         rng_state=header["rng_state"], vocab_sha256=header["vocab_sha256"],
         vocab_size=header["vocab_size"], arrays=arrays)
 
 
-def apply_checkpoint(state: CheckpointState, model: NewsToReportModel,
-                     optimizer: AdamOptimizer, noise_rng) -> None:
-    """Load arrays, moments, step-independent RNG state into live objects."""
-    for p in model.parameters():
-        for prefix, target in (("", None), ("adam.m.", optimizer.m),
-                               ("adam.v.", optimizer.v)):
+def _read_array(path, payload, entry):
+    """(name, array) for one manifest entry, checked against the payload."""
+    try:
+        name, shape, lo, nbytes = (entry[key] for key in ("name", "shape", "offset", "nbytes"))
+        sizes = [lo, nbytes, *shape]
+    except (KeyError, TypeError):
+        raise BadHeaderError(f"{path}: malformed array entry {entry!r}") from None
+    if not all(isinstance(v, int) and v >= 0 for v in sizes) or nbytes != 8 * math.prod(shape):
+        raise BadHeaderError(f"{path}: array {name!r}: offset {lo!r}, nbytes {nbytes!r} "
+                             f"do not fit shape {shape!r}")
+    if lo + nbytes > len(payload):
+        raise TruncatedCheckpointError(f"{path}: array {name!r} extends past end of file")
+    return name, np.frombuffer(payload[lo:lo + nbytes], dtype="<f8").reshape(shape).astype(FLOAT)
+
+
+def check_compatible(state: CheckpointState, params, prefixes=("",), vocab=None) -> None:
+    """The one compatibility check of a checkpoint: saved for `vocab` (if
+    given), with an array at the right shape per parameter and name prefix."""
+    if vocab is not None:
+        if state.vocab_sha256 != vocab.digest():
+            raise CheckpointError(
+                f"vocabulary digest mismatch (checkpoint {str(state.vocab_sha256)[:12]}..., "
+                f"supplied {vocab.digest()[:12]}...)")
+        if state.vocab_size != len(vocab):
+            raise ShapeMismatchError(
+                f"checkpoint built for vocabulary of {state.vocab_size}, got {len(vocab)}")
+    for p in params:
+        for prefix in prefixes:
             name = prefix + p.name
             if name not in state.arrays:
                 raise ShapeMismatchError(f"checkpoint missing array {name!r}")
-            stored = state.arrays[name]
-            expected = p.value.shape
-            if stored.shape != expected:
-                raise ShapeMismatchError(
-                    f"array {name!r} has shape {stored.shape}, model expects {expected}")
-            if target is None:
-                p.value[...] = stored
-            else:
-                target[p.name][...] = stored
+            if state.arrays[name].shape != p.value.shape:
+                raise ShapeMismatchError(f"array {name!r} has shape {state.arrays[name].shape}, "
+                                         f"model expects {p.value.shape}")
+
+
+def apply_checkpoint(state: CheckpointState, model: NewsToReportModel,
+                     optimizer: AdamOptimizer, noise_rng, vocab=None) -> None:
+    """Load arrays, moments, step-independent RNG state into live objects,
+    once check_compatible passes (with the vocabulary, when given)."""
+    params = model.parameters()
+    check_compatible(state, params, _ARRAY_PREFIXES, vocab)
+    for p in params:
+        p.value[...] = state.arrays[p.name]
+        for prefix, store in zip(_ARRAY_PREFIXES[1:], (optimizer.m, optimizer.v)):
+            store[p.name][...] = state.arrays[prefix + p.name]
     optimizer.t = state.adam_t
     noise_rng.bit_generator.state = state.rng_state
 
@@ -303,7 +335,10 @@ class Trainer:
             raise NonFiniteLossError(
                 f"step {self.step}: loss is not finite; {diagnose_forward(fwd)}")
         self.model.backward(fwd)
-        clip_global_norm(self.model.parameters(), self.cfg.gradient_clip_norm)
+        norm = clip_global_norm(self.model.parameters(), self.cfg.gradient_clip_norm)
+        if not math.isfinite(norm):
+            raise NonFiniteLossError(
+                f"step {self.step}: gradient norm is {norm!r}; parameters left unchanged")
         self.optimizer.step()
         record = StepRecord(epoch, self.step, fwd.loss_outline,
                             fwd.loss_report, fwd.loss_model)
@@ -330,36 +365,19 @@ class Trainer:
 
 def restore_model(state: CheckpointState, vocab: Vocabulary) -> NewsToReportModel:
     """Model with parameters loaded from a checkpoint; no optimizer state."""
-    if state.vocab_sha256 != vocab.digest():
-        raise CheckpointError(
-            f"vocabulary digest mismatch (checkpoint {state.vocab_sha256[:12]}..., "
-            f"supplied {vocab.digest()[:12]}...)")
-    if state.vocab_size != len(vocab):
-        raise ShapeMismatchError(
-            f"checkpoint built for vocabulary of {state.vocab_size}, got {len(vocab)}")
-    cfg = TrainingConfig(**state.config)
-    model = build_model(vocab, cfg)
+    model = build_model(vocab, TrainingConfig(**state.config))
+    check_compatible(state, model.parameters(), vocab=vocab)
     for p in model.parameters():
-        if p.name not in state.arrays:
-            raise ShapeMismatchError(f"checkpoint missing array {p.name!r}")
-        stored = state.arrays[p.name]
-        if stored.shape != p.value.shape:
-            raise ShapeMismatchError(
-                f"array {p.name!r} has shape {stored.shape}, model expects {p.value.shape}")
-        p.value[...] = stored
+        p.value[...] = state.arrays[p.name]
     return model
 
 
 def resume_trainer(path, pairs, vocab: Vocabulary) -> Trainer:
     """Trainer continuing bit-exactly from the checkpoint at `path`."""
     state = load_checkpoint(path)
-    if state.vocab_sha256 != vocab.digest():
-        raise CheckpointError(
-            f"{path}: vocabulary digest mismatch "
-            f"(checkpoint {state.vocab_sha256[:12]}..., supplied {vocab.digest()[:12]}...)")
     cfg = TrainingConfig(**state.config)
     model = build_model(vocab, cfg)
     trainer = Trainer(model, pairs, vocab, cfg)
-    apply_checkpoint(state, model, trainer.optimizer, trainer.noise_rng)
+    apply_checkpoint(state, model, trainer.optimizer, trainer.noise_rng, vocab)
     trainer.step = state.step
     return trainer

@@ -267,6 +267,65 @@ class TestGenerate:
         assert "digest mismatch" in capsys.readouterr().err
 
 
+def rewrite_header(src, dst, edit):
+    """Copy a checkpoint with its JSON header changed in place by edit(header)."""
+    blob = src.read_bytes()
+    end = 16 + int.from_bytes(blob[8:16], "little")
+    header = json.loads(blob[16:end])
+    edit(header)
+    raw = json.dumps(header, sort_keys=True).encode("utf-8")
+    dst.write_bytes(blob[:8] + len(raw).to_bytes(8, "little") + raw + blob[end:])
+    return dst
+
+
+def assert_one_line_error(capsys, *fragments):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    for fragment in fragments:
+        assert fragment in err, err
+
+
+class TestMalformedInput:
+    """Each malformed input ends in exit 1 and one `error:` line."""
+
+    @pytest.mark.parametrize("line,fragment", [
+        ('{"id": "a", "news": 5, "report": "y"}', "'news' must be a string"),
+        ("7", "expected a JSON object"),
+    ], ids=["non-string-field", "non-object-line"])
+    def test_dataset_record(self, tmp_path, capsys, line, fragment):
+        ds = tmp_path / "bad.jsonl"
+        ds.write_text('{"id": "ok", "news": "x", "report": "y"}\n' + line + "\n")
+        code = main(["build-vocab", "--dataset", str(ds), "--out", str(tmp_path / "v.txt")])
+        assert code == 1
+        assert_one_line_error(capsys, f"{ds}:2: ", fragment)
+
+    def test_checkpoint_header_without_arrays(self, trained, tmp_path, capsys):
+        ckpt = rewrite_header(trained["checkpoint"], tmp_path / "ck.o2r",
+                              lambda h: h.pop("arrays"))
+        code = main(["generate", "--checkpoint", str(ckpt), "--vocab", str(trained["vocab"]),
+                     "--news", "storms", "--greedy"])
+        assert code == 1
+        assert_one_line_error(capsys, "header lacks arrays")
+
+    def test_unknown_config_key_in_checkpoint(self, trained, tmp_path, capsys):
+        ckpt = rewrite_header(trained["checkpoint"], tmp_path / "ck.o2r",
+                              lambda h: h["config"].update(bogus_key=1))
+        code = main(["generate", "--checkpoint", str(ckpt), "--vocab", str(trained["vocab"]),
+                     "--news", "storms", "--greedy"])
+        assert code == 1
+        assert_one_line_error(capsys, "bogus_key")
+
+    @pytest.mark.parametrize("field,value", [("offset", -8), ("nbytes", 8)])
+    def test_array_extent_that_does_not_fit_its_shape(self, trained, tmp_path, capsys,
+                                                      field, value):
+        ckpt = rewrite_header(trained["checkpoint"], tmp_path / "ck.o2r",
+                              lambda h: h["arrays"][0].update({field: value}))
+        code = main(["generate", "--checkpoint", str(ckpt), "--vocab", str(trained["vocab"]),
+                     "--news", "storms", "--greedy"])
+        assert code == 1
+        assert_one_line_error(capsys, "array 'embedding.table'")
+
+
 class TestEvaluate:
     def test_gold_candidates_score_one(self, trained, tmp_path, capsys):
         gen = tmp_path / "gen.jsonl"
@@ -314,6 +373,15 @@ class TestEvaluate:
                      "--dataset", str(trained["dataset"])])
         assert code == 1
         assert "'id' and 'report'" in capsys.readouterr().err
+
+
+    def test_non_object_record_fails(self, trained, tmp_path, capsys):
+        gen = tmp_path / "gen.jsonl"
+        gen.write_text("7\n")
+        code = main(["evaluate", "--generated", str(gen),
+                     "--dataset", str(trained["dataset"])])
+        assert code == 1
+        assert_one_line_error(capsys, f"{gen}:1")
 
 
 class TestGradcheck:

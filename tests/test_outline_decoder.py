@@ -1,4 +1,5 @@
 import math
+from unittest.mock import Mock
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from hypothesis import strategies as st
 from outline2report.corpus import BOS, PAD
 from outline2report.encoder import Embedding
 from outline2report.numerics import (
-    Parameter, finite_difference_gradient, gradient_check, lstm_cell_step)
+    LSTMRunCache, Parameter, finite_difference_gradient, gradient_check, lstm_cell_step,
+    run_lstm_backward)
 from outline2report.outline_decoder import (
     OutlineDecoder, attend, attend_backward, outline_loss, sequence_nll,
     sequence_nll_backward)
@@ -339,3 +341,147 @@ class TestTeacherForcedPass:
                                       teacher_forcing_ratio=0.5)
             runs.append(fwd.input_ids.copy())
         np.testing.assert_array_equal(runs[0], runs[1])
+
+
+def scaled_mats(d_enc, d_hid, rng):
+    """W_a, W_c at the init scale, so tanh does not saturate at d_hid = 64."""
+    W_a = Parameter("W_a", rng.normal(size=(d_enc, d_hid)) / math.sqrt(d_hid))
+    W_c = Parameter("W_c", rng.normal(size=(d_hid, d_enc + d_hid)) / math.sqrt(d_enc + d_hid))
+    return W_a, W_c
+
+
+def prefix_mask(rng, B, T, min_len=1):
+    return np.arange(T)[None, :] < rng.integers(min_len, T + 1, size=(B, 1))
+
+
+# (B, K, T_enc, d_hid); the second is the train-hier benchmark's shape, where
+# BLAS sizes differ enough to expose a change of summation order.
+SHAPES = [(2, 3, 4, 3), (16, 11, 40, 64)]
+
+
+class TestStepBatchedAttention:
+    @pytest.mark.parametrize("B,K,T,H", SHAPES)
+    def test_equals_one_call_per_step(self, B, K, T, H):
+        rng = np.random.default_rng(B * K)
+        W_a, W_c = scaled_mats(2 * H, H, rng)
+        enc = rng.normal(size=(B, T, 2 * H))
+        mask = prefix_mask(rng, B, T)
+        states = rng.normal(size=(B, K, H))
+        d_combined = rng.normal(size=(B, K, H))
+
+        batched = attend(enc, states, mask, W_a, W_c)
+        d_enc, d_states = attend_backward(batched, d_combined, W_a, W_c)
+        grads = {"W_a": W_a.grad.copy(), "W_c": W_c.grad.copy()}
+
+        W_a.zero_grad()
+        W_c.zero_grad()
+        ref_enc = np.zeros_like(enc)
+        for k in range(K):
+            step = attend(enc, states[:, k], mask, W_a, W_c)
+            for field in ("query", "weights", "context", "combined"):
+                assert np.array_equal(getattr(batched, field)[:, k], getattr(step, field)), field
+            dH, d_state = attend_backward(step, d_combined[:, k], W_a, W_c)
+            ref_enc += dH
+            assert np.array_equal(d_states[:, k], d_state)
+        assert np.array_equal(d_enc, ref_enc)
+        assert np.array_equal(grads["W_a"], W_a.grad)
+        assert np.array_equal(grads["W_c"], W_c.grad)
+
+
+def step_at_a_time(dec, emb, enc_states, enc_mask, h_fwd_fin, gold_in, targets,
+                   tmask, d_states_extra, loss_scale, sample_rng=None, ratio=1.0):
+    """Reference teacher-forced pass: dec.step and attend once per step, and
+    attend_backward once per step on the way back. Returns the forward values
+    and the input gradients, and leaves the parameter gradients in dec."""
+    for p in dec.parameters():
+        p.zero_grad()
+    B, K = gold_in.shape
+    fmask = tmask.astype(float)
+    s0, c = dec.initial_state(h_fwd_fin)
+    s = s0
+    input_ids = gold_in.copy()
+    states, caches, steps, logits = [], [], [], []
+    for t in range(K):
+        if ratio < 1.0 and t > 0:
+            use_model = sample_rng.random(B) >= ratio
+            input_ids[:, t] = np.where(use_model, np.argmax(logits[-1], axis=1), gold_in[:, t])
+        m = fmask[:, t:t + 1]
+        (s_new, c_new), cache = dec.step(emb.lookup(input_ids[:, t]), (s, c))
+        s = m * s_new + (1.0 - m) * s
+        c = m * c_new + (1.0 - m) * c
+        attn = attend(enc_states, s, enc_mask, dec.W_a, dec.W_c)
+        states.append(s)
+        caches.append(cache)
+        steps.append(attn)
+        logits.append(attn.combined @ dec.W_o.value.T)
+    logits = np.stack(logits, axis=1)
+    loss, probs, _ = sequence_nll(logits, targets, tmask)
+
+    combined = np.stack([a.combined for a in steps], axis=1)
+    d_logits = sequence_nll_backward(probs, targets, tmask, scale=loss_scale)
+    dec.W_o.grad += np.einsum("btv,bth->vh", d_logits, combined)
+    d_combined = np.einsum("btv,vh->bth", d_logits, dec.W_o.value)
+    d_enc = np.zeros_like(enc_states)
+    dS = d_states_extra.copy()
+    for t in range(K):
+        dH, d_state = attend_backward(steps[t], d_combined[:, t], dec.W_a, dec.W_c)
+        d_enc += dH
+        dS[:, t] += d_state
+    dX, ds0, _ = run_lstm_backward(dec.cell, LSTMRunCache(caches, fmask, False), dS)
+    d_pre = ds0 * (1.0 - s0 * s0)
+    dec.bridge_W.grad += d_pre.T @ h_fwd_fin
+    dec.bridge_b.grad += d_pre.sum(axis=0)
+    return {"loss": loss, "logits": logits, "states": np.stack(states, axis=1),
+            "input_ids": input_ids, "d_enc": d_enc, "dX": dX,
+            "d_h_fwd_fin": d_pre @ dec.bridge_W.value}
+
+
+class TestStepBatchedPass:
+    """The decoder runs one recurrence, then one attention call over all
+    steps; every number must equal the step-at-a-time reference bit for bit."""
+
+    def _fixture(self, B, K, T, H, vocab=40):
+        rng = np.random.default_rng(B + K + T + H)
+        emb = Embedding(vocab, H, rng)
+        dec = OutlineDecoder(vocab, H, H, rng)
+        enc_states = rng.normal(size=(B, T, 2 * H))
+        enc_mask = prefix_mask(rng, B, T)
+        h_fwd_fin = rng.normal(size=(B, H))
+        ids = np.full((B, K + 1), PAD)
+        for b, n in enumerate(rng.integers(1, K + 1, size=B)):
+            ids[b, :n + 1] = [BOS, *rng.integers(4, vocab, size=n - 1), 2]
+        targets = ids[:, 1:]
+        extra = rng.normal(size=(B, K, H))
+        return emb, dec, enc_states, enc_mask, h_fwd_fin, ids[:, :-1], targets, targets != PAD, extra
+
+    @pytest.mark.parametrize("ratio", [1.0, 0.5])
+    @pytest.mark.parametrize("B,K,T,H", SHAPES)
+    def test_matches_step_at_a_time(self, B, K, T, H, ratio):
+        emb, dec, enc, enc_mask, h_fin, gold_in, targets, tmask, extra = self._fixture(B, K, T, H)
+        ref = step_at_a_time(dec, emb, enc, enc_mask, h_fin, gold_in, targets, tmask,
+                             extra, 0.7, np.random.default_rng(3), ratio)
+        ref_grads = {p.name: p.grad.copy() for p in dec.parameters()}
+
+        for p in dec.parameters():
+            p.zero_grad()
+        fwd = dec.forward_teacher(emb, enc, enc_mask, h_fin, gold_in, targets, tmask,
+                                  sample_rng=np.random.default_rng(3),
+                                  teacher_forcing_ratio=ratio)
+        d_enc, dX, d_h_fwd_fin = dec.backward(fwd, targets, tmask,
+                                              d_states_extra=extra, loss_scale=0.7)
+        got = {"loss": fwd.loss, "logits": fwd.logits, "states": fwd.states,
+               "input_ids": fwd.input_ids, "d_enc": d_enc, "dX": dX,
+               "d_h_fwd_fin": d_h_fwd_fin}
+        for name, value in ref.items():
+            assert np.array_equal(got[name], value), name
+        for p in dec.parameters():
+            assert np.array_equal(p.grad, ref_grads[p.name]), p.name
+
+    def test_scheduled_sampling_draws_a_coin_per_row_and_later_step(self):
+        B, K = 3, 5
+        emb, dec, enc, enc_mask, h_fin, gold_in, targets, tmask, _ = self._fixture(B, K, 4, 3)
+        coins = Mock(wraps=np.random.default_rng(0))
+        dec.forward_teacher(emb, enc, enc_mask, h_fin, gold_in, targets, tmask,
+                            sample_rng=coins, teacher_forcing_ratio=0.5)
+        assert [call.args for call in coins.random.call_args_list] == [(B,)] * (K - 1)
+        assert [name for name, _, _ in coins.mock_calls] == ["random"] * (K - 1)

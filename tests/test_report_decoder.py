@@ -1,4 +1,5 @@
 import math
+from unittest.mock import Mock
 
 import numpy as np
 import pytest
@@ -291,6 +292,21 @@ class TestReportPathGradients:
                                 noise, 0.5)
         assert a.loss == b.loss
         np.testing.assert_array_equal(a.logits, b.logits)
+
+    def test_scheduled_sampling_draws_a_coin_per_row_and_later_step(self):
+        rng = np.random.default_rng(16)
+        emb = Embedding(7, 3, rng)
+        dec = tiny_decoder(seed=17)
+        gold_in = np.array([[BOS, 4, 5, 6], [BOS, 6, PAD, PAD]])
+        targets = np.array([[4, 5, 6, 2], [6, 2, PAD, PAD]])
+        coins = Mock(wraps=np.random.default_rng(0))
+        fwd = dec.forward_teacher(emb, rng.normal(size=(2, 4)), None, rng.normal(size=(2, 3)),
+                                  gold_in, targets, targets != PAD, rng.normal(size=(2, 2)),
+                                  0.5, sample_rng=coins, teacher_forcing_ratio=0.0)
+        assert [name for name, _, _ in coins.mock_calls] == ["random"] * 3
+        assert [call.args for call in coins.random.call_args_list] == [(2,)] * 3
+        # ratio 0 feeds the model's own argmax at every later step
+        np.testing.assert_array_equal(fwd.input_ids[:, 1:], np.argmax(fwd.logits[:, :-1], axis=2))
 
     def test_loss_dominates_pure_nll(self):
         # NLL + beta*KL >= NLL since KL >= 0

@@ -206,6 +206,27 @@ class TestTrainingLoop:
         with pytest.raises(NonFiniteLossError, match="report"):
             trainer.train_one_step()
 
+    def test_non_finite_gradient_stops_before_the_update(self, monkeypatch):
+        trainer, _, _ = make_trainer()
+        trainer.train_one_step()  # so the Adam moments are not all zero
+        model, opt = trainer.model, trainer.optimizer
+        backward = model.backward
+
+        def backward_with_inf(fwd):
+            backward(fwd)
+            model.report_decoder.W_out.grad[0, 0] = np.inf
+
+        monkeypatch.setattr(model, "backward", backward_with_inf)
+        values = {p.name: p.value.copy() for p in model.parameters()}
+        moments = {name: (opt.m[name].copy(), opt.v[name].copy()) for name in values}
+        with pytest.raises(NonFiniteLossError, match="gradient norm"):
+            trainer.train_one_step()
+        for p in model.parameters():
+            np.testing.assert_array_equal(p.value, values[p.name])
+            np.testing.assert_array_equal(opt.m[p.name], moments[p.name][0])
+            np.testing.assert_array_equal(opt.v[p.name], moments[p.name][1])
+        assert opt.t == 1 and trainer.step == 1
+
     def test_epoch_reshuffles_but_stays_seeded(self):
         trainer, _, _ = make_trainer()
         o0 = trainer._epoch_order(0)
