@@ -64,6 +64,8 @@ class TrainingConfig:
             raise ConfigError("outline_loss_weight must be >= 0")
         if self.outline_k < 0:
             raise ConfigError("outline_k must be >= 0 (0 selects the default rule)")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
 
     def kl_weight(self, step: int) -> float:
         """Linear KL anneal from 0 to 1 over the first kl_anneal_steps updates."""

@@ -1,9 +1,12 @@
 """Inference-time decoding (greedy, beam, sampling) for outlines and reports,
 plus BLEU and repetition metrics.
 
-All decoders share one step contract: step_fn(state, token) feeds `token` to
-the recurrence and returns (log-prob vector over the vocabulary, new state).
-Model-backed step functions mask PAD and BOS out of the emission distribution.
+All decoders share one step contract: step_fn(state, tokens) feeds one token
+to each of the n rows that `state` carries along axis 0 and returns
+(log-probs [n, V], new state). `tokens` is None at the first step when there is
+no BOS id. Greedy and sampling step one row; beam search steps every live
+hypothesis in one call. Model-backed step functions mask PAD and BOS out of
+the emission distribution.
 """
 
 from __future__ import annotations
@@ -16,9 +19,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import DecodeConfig
-from .corpus import BOS, EOS, PAD, Vocabulary, tokenize, wrap_ids
+from .corpus import BOS, EOS, PAD, Vocabulary, wrap_ids
 from .numerics import log_softmax, run_lstm
-from .outline_decoder import attend
+from .outline_decoder import attend, per_step_matmul
 from .report_decoder import fuse_news_outline
 
 
@@ -39,21 +42,29 @@ def _normalized(tokens, logps) -> DecodedSequence:
                            total / n if n else -math.inf)
 
 
-def greedy_decode(step_fn, init_state, max_len, eos_id=EOS, bos_id=BOS):
-    """Argmax at every step; ties go to the smallest token id."""
+def _decode_row(step_fn, init_state, max_len, choose, eos_id, bos_id):
+    """Step one row, feeding back the token `choose(logp)` picks, until EOS
+    or max_len tokens."""
     state = init_state
-    prev = bos_id
+    prev = None if bos_id is None else [bos_id]
     tokens: list[int] = []
     logps: list[float] = []
     for _ in range(max_len):
         logp, state = step_fn(state, prev)
-        tok = int(np.argmax(logp))
+        row = logp[0]
+        tok = choose(row)
         tokens.append(tok)
-        logps.append(float(logp[tok]))
+        logps.append(float(row[tok]))
         if tok == eos_id:
             break
-        prev = tok
+        prev = [tok]
     return _normalized(tokens, logps)
+
+
+def greedy_decode(step_fn, init_state, max_len, eos_id=EOS, bos_id=BOS):
+    """Argmax at every step; ties go to the smallest token id."""
+    return _decode_row(step_fn, init_state, max_len, lambda row: int(np.argmax(row)),
+                       eos_id, bos_id)
 
 
 def sample_decode(step_fn, init_state, max_len, rng, temperature=1.0,
@@ -64,28 +75,19 @@ def sample_decode(step_fn, init_state, max_len, rng, temperature=1.0,
     """
     if temperature <= 0:
         raise ValueError("temperature must be positive")
-    state = init_state
-    prev = bos_id
-    tokens: list[int] = []
-    logps: list[float] = []
-    for _ in range(max_len):
-        logp, state = step_fn(state, prev)
-        scaled = log_softmax(logp / temperature, axis=-1)
-        tok = int(rng.choice(len(logp), p=np.exp(scaled)))
-        tokens.append(tok)
-        logps.append(float(logp[tok]))
-        if tok == eos_id:
-            break
-        prev = tok
-    return _normalized(tokens, logps)
+
+    def draw(row):
+        scaled = log_softmax(row / temperature, axis=-1)
+        return int(rng.choice(len(row), p=np.exp(scaled)))
+
+    return _decode_row(step_fn, init_state, max_len, draw, eos_id, bos_id)
 
 
-@dataclass
-class _Hypothesis:
-    tokens: tuple
-    logps: tuple
-    total: float
-    state: object
+def _take_rows(state, rows):
+    """Rows `rows` (axis 0) of a state array or of each array in a tuple."""
+    if isinstance(state, tuple):
+        return tuple(part[rows] for part in state)
+    return state[rows]
 
 
 def beam_search(step_fn, init_state, width, max_len, eos_id=EOS, bos_id=BOS):
@@ -96,37 +98,51 @@ def beam_search(step_fn, init_state, width, max_len, eos_id=EOS, bos_id=BOS):
     refilled) and are never pruned afterwards. Final ranking is
     sum(logp) / length with EOS counted in both; ties break toward the
     lexicographically smaller token-id sequence.
+
+    One step_fn call per step covers every live hypothesis. All live
+    hypotheses have the same length, so an expansion's place in the order
+    (-total, tokens) is (-total, its parent's place among the live rows, its
+    token). The global top `width` lie within each row's top `width`, which
+    a stable sort on -total orders with the smaller token first.
     """
     if width < 1:
         raise ValueError("beam width must be >= 1")
-    active = [_Hypothesis((), (), 0.0, init_state)]
-    finished: list[_Hypothesis] = []
+    if max_len < 1:
+        return DecodedSequence((), (), -math.inf)
+    state = init_state
+    tokens = np.zeros((1, 0), dtype=np.int64)   # live hypotheses, one per row
+    logps = np.zeros((1, 0))
+    totals = np.zeros(1)
+    rank = np.zeros(1, dtype=np.int64)          # lexicographic rank of each row
+    finished: list[tuple] = []
+    prev = None if bos_id is None else np.full(1, bos_id)
     for _ in range(max_len):
-        if not active:
+        if not len(tokens):
             break
-        expansions: list[_Hypothesis] = []
-        for hyp in active:
-            prev = hyp.tokens[-1] if hyp.tokens else bos_id
-            logp, state = step_fn(hyp.state, prev)
-            for tok in range(len(logp)):
-                lp = float(logp[tok])
-                if lp == -math.inf:
-                    continue
-                expansions.append(_Hypothesis(
-                    hyp.tokens + (tok,), hyp.logps + (lp,),
-                    hyp.total + lp, state))
-        expansions.sort(key=lambda h: (-h.total, h.tokens))
-        active = []
-        for hyp in expansions[:width]:
-            if hyp.tokens[-1] == eos_id:
-                finished.append(hyp)
-            else:
-                active.append(hyp)
-    pool = finished + active
+        logp, state = step_fn(state, prev)
+        cand = totals[:, None] + logp
+        top = np.argsort(-cand, axis=1, kind="stable")[:, :width]
+        parent, tok = np.nonzero(np.take_along_axis(logp, top, axis=1) != -math.inf)
+        tok = top[parent, tok]
+        total = cand[parent, tok]
+        keep = np.lexsort((tok, rank[parent], -total))[:width]
+        parent, tok, total = parent[keep], tok[keep], total[keep]
+        tokens = np.concatenate([tokens[parent], tok[:, None]], axis=1)
+        logps = np.concatenate([logps[parent], logp[parent, tok][:, None]], axis=1)
+        done = tok == eos_id
+        finished.extend(zip(tokens[done].tolist(), logps[done].tolist(), total[done].tolist()))
+        live = ~done
+        tokens, logps, totals = tokens[live], logps[live], total[live]
+        rank = np.argsort(np.lexsort((tok[live], rank[parent[live]])))  # inverse permutation
+        state = _take_rows(state, parent[live])
+        prev = tokens[:, -1]
+    pool = finished + list(zip(tokens.tolist(), logps.tolist(), totals.tolist()))
     if not pool:
         return DecodedSequence((), (), -math.inf)
-    best = min(pool, key=lambda h: (-(h.total / len(h.tokens)), h.tokens))
-    return DecodedSequence(best.tokens, best.logps, best.total / len(best.tokens))
+    best_tokens, best_logps, best_total = min(
+        pool, key=lambda h: (-(h[2] / len(h[0])), h[0]))
+    return DecodedSequence(tuple(best_tokens), tuple(best_logps),
+                           best_total / len(best_tokens))
 
 
 def run_decode(strategy, step_fn, init_state, max_len, *, width=1,
@@ -171,8 +187,8 @@ class GenerationResult:
 
 def _emission_mask(logits):
     logp = log_softmax(logits, axis=-1)
-    logp[PAD] = -math.inf
-    logp[BOS] = -math.inf
+    logp[..., PAD] = -math.inf
+    logp[..., BOS] = -math.inf
     return logp
 
 
@@ -192,16 +208,30 @@ def generate(news_tokens, model, vocab: Vocabulary,
     odec = model.outline_decoder
     rng = np.random.default_rng(np.random.SeedSequence([dcfg.seed, 3]))
 
-    def outline_step(state, token):
-        x = emb.lookup(np.array([token], dtype=np.int64))
-        (s, c), _ = odec.step(x, state)
-        attn = attend(enc_states, s, mask, odec.W_a, odec.W_c)
-        logits = (attn.combined @ odec.W_o.value.T)[0]
+    # Beam rows step as an [n,1,H] stack: x @ W.T on it is one [1,H] product
+    # per row, bit-equal to stepping the row alone, where an [n,H] GEMM may
+    # sum a row in another order. Greedy and sampling step one [1,H] row.
+    stacked = dcfg.strategy == "beam"
+
+    def start(state):
+        return tuple(a[:, None] for a in state) if stacked else state
+
+    def embed(tokens):
+        ids = np.array(tokens, dtype=np.int64)
+        return emb.lookup(ids[:, None] if stacked else ids)
+
+    def outline_step(state, tokens):
+        (s, c), _ = odec.step(embed(tokens), state)
+        if stacked:  # the n rows attend as n queries of the one news row
+            attn = attend(enc_states, s[:, 0][None], mask, odec.W_a, odec.W_c)
+            logits = per_step_matmul(attn.combined, odec.W_o.value.T)[0]
+        else:
+            logits = attend(enc_states, s, mask, odec.W_a, odec.W_c).combined @ odec.W_o.value.T
         return _emission_mask(logits), (s, c)
 
     outline_init = odec.initial_state(hf_fin)
     outline = run_decode(
-        dcfg.strategy, outline_step, outline_init,
+        dcfg.strategy, outline_step, start(outline_init),
         dcfg.max_outline_len, width=dcfg.beam_width,
         temperature=dcfg.temperature, rng=rng)
 
@@ -220,14 +250,13 @@ def generate(news_tokens, model, vocab: Vocabulary,
     latent = rdec.prior_latent(1, noise)
     h0, c0, _ = rdec.initial_state(latent.z, u)
 
-    def report_step(state, token):
-        x = emb.lookup(np.array([token], dtype=np.int64))
-        (h, c2), _ = rdec.step(x, state)
-        logits = (h @ rdec.W_out.value.T)[0]
-        return _emission_mask(logits), (h, c2)
+    def report_step(state, tokens):
+        (h, c), _ = rdec.step(embed(tokens), state)
+        logits = h @ rdec.W_out.value.T
+        return _emission_mask(logits[:, 0] if stacked else logits), (h, c)
 
     report = run_decode(
-        dcfg.strategy, report_step, (h0, c0), dcfg.max_report_len,
+        dcfg.strategy, report_step, start((h0, c0)), dcfg.max_report_len,
         width=dcfg.beam_width, temperature=dcfg.temperature, rng=rng)
 
     return GenerationResult(
@@ -237,10 +266,6 @@ def generate(news_tokens, model, vocab: Vocabulary,
         outline_logps=outline.logps, report_logps=report.logps,
         logprob=float(sum(outline.logps) + sum(report.logps)),
         attention=attention)
-
-
-def generate_from_text(news_text: str, model, vocab, dcfg) -> GenerationResult:
-    return generate(tokenize(news_text), model, vocab, dcfg)
 
 
 # -- metrics -------------------------------------------------------------------

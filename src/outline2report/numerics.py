@@ -135,16 +135,17 @@ class LSTMCell:
         return [self.W_x, self.W_h, self.b]
 
     def step(self, x, h_prev, c_prev):
-        """x [B,d_in], h_prev/c_prev [B,d_hid] -> (h, c, cache)."""
+        """x [B,d_in], h_prev/c_prev [B,d_hid] -> (h, c, cache). Stacks of
+        rows [n,1,*] step too, each row as one [1,*] product."""
         if x.shape[-1] != self.d_in or h_prev.shape[-1] != self.d_hid:
             raise ValueError(
                 f"LSTM step dims: x {x.shape} (want *,{self.d_in}), h {h_prev.shape} (want *,{self.d_hid})")
         H = self.d_hid
         a = x @ self.W_x.value.T + h_prev @ self.W_h.value.T + self.b.value
-        i = sigmoid(a[:, :H])
-        f = sigmoid(a[:, H:2 * H])
-        o = sigmoid(a[:, 2 * H:3 * H])
-        g = np.tanh(a[:, 3 * H:])
+        i = sigmoid(a[..., :H])
+        f = sigmoid(a[..., H:2 * H])
+        o = sigmoid(a[..., 2 * H:3 * H])
+        g = np.tanh(a[..., 3 * H:])
         c = f * c_prev + i * g
         h = o * np.tanh(c)
         cache = (x, h_prev, c_prev, i, f, o, g, c)

@@ -174,12 +174,6 @@ class OutlineDecoder:
         s_new, c_new, cache = self.cell.step(x_emb, s, c)
         return (s_new, c_new), cache
 
-    def token_distribution(self, combined):
-        """softmax(W_o . combined) over the vocabulary, per row."""
-        logits = combined @ self.W_o.value.T
-        logp = log_softmax(logits, axis=-1)
-        return np.exp(logp)
-
     def forward_teacher(self, embedding, enc_states, enc_mask, h_fwd_fin,
                         gold_in_ids, targets, target_mask,
                         sample_rng=None, teacher_forcing_ratio=1.0) -> OutlineForward:

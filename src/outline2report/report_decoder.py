@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import (FLOAT, LSTMCell, Parameter, log_softmax, run_lstm, run_lstm_backward,
+from .numerics import (FLOAT, LSTMCell, Parameter, run_lstm, run_lstm_backward,
                        scheduled_inputs, uniform_init)
 from .outline_decoder import sequence_nll, sequence_nll_backward
 
@@ -134,9 +134,6 @@ class ReportDecoder:
         h, c = state
         h_new, c_new, cache = self.cell.step(x_emb, h, c)
         return (h_new, c_new), cache
-
-    def token_distribution(self, h):
-        return np.exp(log_softmax(h @ self.W_out.value.T, axis=-1))
 
     def forward_teacher(self, embedding, u, pool_lengths, report_summary,
                         gold_in_ids, targets, target_mask, noise, beta,

@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .config import TrainingConfig
+from .config import ConfigError, TrainingConfig
 from .corpus import LengthCaps, Vocabulary, encode_batch
 from .model import ModelForward, NewsToReportModel, build_model
 from .numerics import FLOAT, NonFiniteLossError, clip_global_norm
@@ -212,7 +212,7 @@ def load_checkpoint(path) -> CheckpointState:
         raise BadHeaderError(f"{path}: header lacks {', '.join(missing) or 'a list of arrays'}")
     try:
         TrainingConfig(**header["config"])
-    except TypeError as exc:
+    except (TypeError, ConfigError) as exc:
         raise BadHeaderError(f"{path}: config does not fit TrainingConfig: {exc}") from None
     payload = data[header_end:]
     arrays = dict(_read_array(path, payload, entry) for entry in header["arrays"])
@@ -264,12 +264,15 @@ def apply_checkpoint(state: CheckpointState, model: NewsToReportModel,
     once check_compatible passes (with the vocabulary, when given)."""
     params = model.parameters()
     check_compatible(state, params, _ARRAY_PREFIXES, vocab)
+    try:
+        noise_rng.bit_generator.state = state.rng_state
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise BadHeaderError(f"rng_state does not fit the noise generator: {exc!r}") from None
     for p in params:
         p.value[...] = state.arrays[p.name]
         for prefix, store in zip(_ARRAY_PREFIXES[1:], (optimizer.m, optimizer.v)):
             store[p.name][...] = state.arrays[prefix + p.name]
     optimizer.t = state.adam_t
-    noise_rng.bit_generator.state = state.rng_state
 
 
 # -- the loop ------------------------------------------------------------------
@@ -298,6 +301,9 @@ class Trainer:
             model.parameters(), learning_rate=cfg.learning_rate,
             beta1=cfg.adam_beta1, beta2=cfg.adam_beta2,
             epsilon=cfg.adam_epsilon, skip=skip)
+        # frozen gradients stay out of the clip norm, or they would shrink
+        # the steps of the stages that train
+        self.trained = [p for p in model.parameters() if p.name not in skip]
         self.noise_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 1]))
         self.step = 0
         self.history: list[StepRecord] = []
@@ -335,7 +341,7 @@ class Trainer:
             raise NonFiniteLossError(
                 f"step {self.step}: loss is not finite; {diagnose_forward(fwd)}")
         self.model.backward(fwd)
-        norm = clip_global_norm(self.model.parameters(), self.cfg.gradient_clip_norm)
+        norm = clip_global_norm(self.trained, self.cfg.gradient_clip_norm)
         if not math.isfinite(norm):
             raise NonFiniteLossError(
                 f"step {self.step}: gradient norm is {norm!r}; parameters left unchanged")

@@ -26,11 +26,15 @@ def random_table(seed):
     return table, V, max_len, eos
 
 
+# The search state for make_step: one row per prefix, starting from the empty one.
+ROOT = np.zeros((1, 0), dtype=np.int64)
+
+
 def make_step(table):
-    """step_fn over a prefix table; the search state is the prefix itself."""
-    def step_fn(state, token):
-        prefix = state if token is None else state + (token,)
-        return table[prefix], prefix
+    """step_fn over a prefix table; each row of the search state is a prefix."""
+    def step_fn(state, tokens):
+        prefixes = state if tokens is None else np.column_stack([state, tokens])
+        return np.stack([table[tuple(p)] for p in prefixes.tolist()]), prefixes
     return step_fn
 
 

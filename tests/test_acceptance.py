@@ -24,7 +24,7 @@ from outline2report.outline_decoder import attend
 from outline2report.report_decoder import gaussian_kl
 from outline2report.training import Trainer, resume_trainer
 
-from table_oracles import exhaustive_best, make_step, random_table
+from table_oracles import ROOT, exhaustive_best, make_step, random_table
 
 TOY_PATH = "data/toy_corpus.jsonl"
 
@@ -192,7 +192,7 @@ def test_criterion_7_metric_oracles(capsys):
     for seed in range(250):
         table, V, max_len, eos = random_table(seed)
         want_tokens, want_score = exhaustive_best(table, V, max_len, eos)
-        got = beam_search(make_step(table), (), V ** max_len + 1, max_len,
+        got = beam_search(make_step(table), ROOT, V ** max_len + 1, max_len,
                           eos_id=eos, bos_id=None)
         if got.tokens != tuple(want_tokens) or abs(got.score - want_score) > 1e-12:
             beam_ok = False

@@ -269,3 +269,25 @@ class TestDataset:
         path = tmp_path / "data.jsonl"
         path.write_text('{"id": "1", "news": "a", "report": "b"}\n\n')
         assert len(read_dataset(path)) == 1
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=20),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12)
+# records with the dataset's field names, holding any JSON value
+json_records = st.fixed_dictionaries(
+    {}, optional={key: json_values | token_text for key in ("id", "news", "report", "outline")})
+
+
+class TestDatasetFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(record=json_values | json_records)
+    def test_random_record_parses_or_raises_corpus_error(self, tmp_path_factory, record):
+        path = tmp_path_factory.getbasetemp() / "fuzz.jsonl"
+        path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        try:
+            pairs = read_dataset(path)
+        except CorpusError:
+            return
+        assert len(pairs) == 1 and pairs[0].news and pairs[0].report

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -6,14 +7,17 @@ import pytest
 
 from outline2report.config import DecodeConfig, TrainingConfig
 from outline2report.corpus import (
-    BOS, EOS, PAD, NewsReportPair, build_vocabulary, derive_outlines)
+    BOS, EOS, PAD, NewsReportPair, build_vocabulary, derive_outlines, tokenize)
 from outline2report.generation import (
     beam_search, bleu, corpus_bleu, evaluation_report, generate,
-    generate_from_text, greedy_decode, length_stats, repetition_rate,
-    run_decode, sample_decode)
+    greedy_decode, length_stats, repetition_rate, run_decode, sample_decode)
 from outline2report.model import build_model
+from outline2report.numerics import LSTMCell, Parameter
+from outline2report.outline_decoder import attend, per_step_matmul
+from outline2report.training import Trainer
 
-from table_oracles import exhaustive_best, make_step, random_table
+from decode_oracles import prefix_step, reference_beam_generate, reference_beam_search
+from table_oracles import ROOT, exhaustive_best, make_step, random_table
 
 NEG = -math.inf
 
@@ -26,7 +30,7 @@ class TestBeamSearch:
             (1, 2): np.array([NEG, NEG, NEG, 0.0]),
         }
         for width in (1, 2, 5):
-            out = beam_search(make_step(table), (), width, 3, eos_id=3, bos_id=None)
+            out = beam_search(make_step(table), ROOT, width, 3, eos_id=3, bos_id=None)
             assert out.tokens == (1, 2, 3)
             assert out.score == 0.0
 
@@ -39,8 +43,8 @@ class TestBeamSearch:
             (1,): np.log(np.array([0.01, 0.99])),
         }
         step = make_step(table)
-        greedy = beam_search(step, (), 1, 2, eos_id=9, bos_id=None)
-        wide = beam_search(step, (), 2, 2, eos_id=9, bos_id=None)
+        greedy = beam_search(step, ROOT, 1, 2, eos_id=9, bos_id=None)
+        wide = beam_search(step, ROOT, 2, 2, eos_id=9, bos_id=None)
         assert greedy.tokens == (0, 0)
         assert wide.tokens == (1, 1)
         assert wide.score > greedy.score
@@ -52,15 +56,15 @@ class TestBeamSearch:
             (0,): np.array([NEG, NEG, 0.0]),
             (1,): np.array([NEG, NEG, 0.0]),
         }
-        out = beam_search(make_step(table), (), 4, 2, eos_id=2, bos_id=None)
+        out = beam_search(make_step(table), ROOT, 4, 2, eos_id=2, bos_id=None)
         assert out.tokens == (0, 2)
 
     def test_width_one_equals_greedy_on_random_instances(self):
         for seed in range(60):
             table, V, max_len, eos = random_table(seed)
             step = make_step(table)
-            g = greedy_decode(step, (), max_len, eos_id=eos, bos_id=None)
-            b = beam_search(step, (), 1, max_len, eos_id=eos, bos_id=None)
+            g = greedy_decode(step, ROOT, max_len, eos_id=eos, bos_id=None)
+            b = beam_search(step, ROOT, 1, max_len, eos_id=eos, bos_id=None)
             assert g.tokens == b.tokens, f"seed {seed}"
             assert g.score == b.score, f"seed {seed}"
 
@@ -68,7 +72,7 @@ class TestBeamSearch:
         for seed in range(120):
             table, V, max_len, eos = random_table(seed)
             want_tokens, want_score = exhaustive_best(table, V, max_len, eos)
-            got = beam_search(make_step(table), (), V ** max_len + 1, max_len,
+            got = beam_search(make_step(table), ROOT, V ** max_len + 1, max_len,
                               eos_id=eos, bos_id=None)
             assert got.tokens == tuple(want_tokens), f"seed {seed}"
             assert abs(got.score - want_score) < 1e-12, f"seed {seed}"
@@ -79,21 +83,107 @@ class TestBeamSearch:
             step = make_step(table)
             prev = -math.inf
             for width in range(1, 9):
-                out = beam_search(step, (), width, max_len, eos_id=eos, bos_id=None)
+                out = beam_search(step, ROOT, width, max_len, eos_id=eos, bos_id=None)
                 assert out.score >= prev - 1e-12, f"seed {seed} width {width}"
                 prev = out.score
 
     def test_eos_only_terminal(self):
         for seed in range(40):
             table, V, max_len, eos = random_table(seed)
-            out = beam_search(make_step(table), (), 3, max_len,
+            out = beam_search(make_step(table), ROOT, 3, max_len,
                               eos_id=eos, bos_id=None)
             assert len(out.tokens) <= max_len
             assert eos not in out.tokens[:-1]
 
+    def test_zero_length_cap_decodes_nothing(self):
+        table, V, max_len, eos = random_table(1)
+        step = make_step(table)
+        for out in (greedy_decode(step, ROOT, 0, eos_id=eos, bos_id=None),
+                    beam_search(step, ROOT, 3, 0, eos_id=eos, bos_id=None)):
+            assert (out.tokens, out.logps, out.score) == ((), (), -math.inf)
+
     def test_width_zero_rejected(self):
         with pytest.raises(ValueError):
             beam_search(lambda s, t: (np.zeros(2), s), (), 0, 3)
+
+
+def tied_table(seed):
+    """Random prefix table whose log-probs come from a few dyadic levels, so
+    totals tie exactly; some entries and whole rows are -inf."""
+    rng = np.random.default_rng(seed)
+    V = int(rng.integers(2, 6))
+    max_len = int(rng.integers(1, 5))
+    levels = np.array([NEG, -2.0, -1.0, -0.5, -0.25])
+    table = {}
+    for length in range(max_len):
+        for prefix in itertools.product(range(V), repeat=length):
+            if 0 in prefix:
+                continue
+            row = levels[rng.integers(0, len(levels), size=V)]
+            table[prefix] = np.full(V, NEG) if rng.random() < 0.1 else row
+    return table, V, max_len, 0
+
+
+class TestBatchedBeam:
+    """beam_search against the per-hypothesis reference in decode_oracles."""
+
+    def _assert_same(self, table, max_len, eos, width, where):
+        got = beam_search(make_step(table), ROOT, width, max_len, eos_id=eos, bos_id=None)
+        want = reference_beam_search(prefix_step(table), (), width, max_len,
+                                     eos_id=eos, bos_id=None)
+        assert got.tokens == want.tokens, where
+        assert got.logps == want.logps, where
+        assert got.score == want.score, where
+        assert all(type(t) is int for t in got.tokens), where
+        assert all(type(lp) is float for lp in got.logps), where
+
+    def test_equals_reference_on_random_tables(self):
+        for seed in range(80):
+            table, V, max_len, eos = random_table(seed)
+            for width in range(1, 9):
+                self._assert_same(table, max_len, eos, width, f"seed {seed} width {width}")
+
+    def test_equals_reference_with_ties_and_dead_rows(self):
+        dead_roots = 0
+        for seed in range(300):
+            table, V, max_len, eos = tied_table(seed)
+            dead_roots += bool(np.all(table[()] == NEG))
+            for width in range(1, 9):
+                self._assert_same(table, max_len, eos, width, f"seed {seed} width {width}")
+        assert dead_roots  # the empty result is among the cases
+
+    def test_one_step_call_per_step_covers_every_live_row(self):
+        for seed in range(40):
+            table, V, max_len, eos = random_table(seed)
+            rows, ref_calls = [], []
+            step, ref_step = make_step(table), prefix_step(table)
+
+            def counting(state, tokens):
+                rows.append(len(state))
+                return step(state, tokens)
+
+            def ref_counting(prefix, token):
+                ref_calls.append(prefix)
+                return ref_step(prefix, token)
+
+            beam_search(counting, ROOT, 3, max_len, eos_id=eos, bos_id=None)
+            reference_beam_search(ref_counting, (), 3, max_len, eos_id=eos, bos_id=None)
+            assert len(rows) <= max_len and max(rows) <= 3, f"seed {seed}"
+            assert sum(rows) == len(ref_calls), f"seed {seed}"
+
+    def test_generate_equals_per_hypothesis_reference(self):
+        model, vocab, pairs = trained_fixture()
+        for width, latent in ((2, True), (3, False), (5, True)):
+            dcfg = DecodeConfig(strategy="beam", beam_width=width, max_outline_len=5,
+                                max_report_len=9, deterministic_latent=latent, seed=4)
+            for pair in pairs:
+                got = generate(pair.news, model, vocab, dcfg)
+                outline, report = reference_beam_generate(pair.news, model, vocab, dcfg)
+                assert got.outline_ids == outline.tokens
+                assert got.outline_logps == outline.logps
+                assert got.report_ids == report.tokens
+                assert got.report_logps == report.logps
+                assert got.logprob == float(sum(outline.logps) + sum(report.logps))
 
 
 class TestGreedyDecode:
@@ -103,7 +193,7 @@ class TestGreedyDecode:
             (1,): np.log(np.array([0.8, 0.1, 0.1])),
             (1, 0): np.log(np.array([0.05, 0.05, 0.9])),
         }
-        out = greedy_decode(make_step(table), (), 10, eos_id=2, bos_id=None)
+        out = greedy_decode(make_step(table), ROOT, 10, eos_id=2, bos_id=None)
         assert out.tokens == (1, 0, 2)
         want = (math.log(0.7), math.log(0.8), math.log(0.9))
         np.testing.assert_allclose(out.logps, want, atol=1e-12)
@@ -113,7 +203,7 @@ class TestGreedyDecode:
         table = {prefix: np.log(np.array([0.9, 0.1]))
                  for length in range(4)
                  for prefix in [tuple([0] * length)]}
-        out = greedy_decode(make_step(table), (), 4, eos_id=9, bos_id=None)
+        out = greedy_decode(make_step(table), ROOT, 4, eos_id=9, bos_id=None)
         assert out.tokens == (0, 0, 0, 0)
 
 
@@ -132,16 +222,16 @@ class TestSampleDecode:
 
     def test_seeded_reproducibility(self):
         table = self._table()
-        a = sample_decode(make_step(table), (), 3, np.random.default_rng(5),
+        a = sample_decode(make_step(table), ROOT, 3, np.random.default_rng(5),
                           eos_id=0, bos_id=None)
-        b = sample_decode(make_step(table), (), 3, np.random.default_rng(5),
+        b = sample_decode(make_step(table), ROOT, 3, np.random.default_rng(5),
                           eos_id=0, bos_id=None)
         assert a.tokens == b.tokens
         assert a.logps == b.logps
 
     def test_recorded_logps_are_unscaled(self):
         table = self._table()
-        out = sample_decode(make_step(table), (), 3, np.random.default_rng(3),
+        out = sample_decode(make_step(table), ROOT, 3, np.random.default_rng(3),
                             temperature=50.0, eos_id=0, bos_id=None)
         prefix = ()
         for tok, lp in zip(out.tokens, out.logps):
@@ -156,8 +246,8 @@ class TestSampleDecode:
     def test_run_decode_dispatch(self):
         table = self._table()
         step = make_step(table)
-        g = run_decode("greedy", step, (), 3, eos_id=0, bos_id=None)
-        assert g.tokens == greedy_decode(step, (), 3, eos_id=0, bos_id=None).tokens
+        g = run_decode("greedy", step, ROOT, 3, eos_id=0, bos_id=None)
+        assert g.tokens == greedy_decode(step, ROOT, 3, eos_id=0, bos_id=None).tokens
         with pytest.raises(ValueError, match="strategy"):
             run_decode("widest", step, (), 3)
         with pytest.raises(ValueError):
@@ -302,6 +392,42 @@ def pipeline_fixture():
     return build_model(vocab, cfg), vocab, pairs
 
 
+def trained_fixture(steps=40):
+    model, vocab, pairs = pipeline_fixture()
+    cfg = TrainingConfig(d_emb=6, d_hid=5, d_z=3, batch_size=2, seed=3, learning_rate=2e-2)
+    trainer = Trainer(model, pairs, vocab, cfg)
+    for _ in range(steps):
+        trainer.train_one_step()
+    return model, vocab, pairs
+
+
+class TestStackedRows:
+    """A model step gives a row the same bits alone as in an [n,1,H] stack."""
+
+    def test_cell_attention_and_logits(self):
+        rng = np.random.default_rng(0)
+        for trial in range(40):
+            n = int(rng.integers(1, 9))
+            d_in, H, T, V = (int(v) for v in rng.integers(1, 70, size=4))
+            cell = LSTMCell("c", d_in, H, rng)
+            x, h, c = rng.normal(size=(n, d_in)), rng.normal(size=(n, H)), rng.normal(size=(n, H))
+            hs, cs, _ = cell.step(x[:, None], h[:, None], c[:, None])
+            enc = rng.normal(size=(1, T, 2 * H))
+            mask = np.arange(T)[None] < rng.integers(1, T + 1)
+            W_a = Parameter("W_a", rng.normal(size=(2 * H, H)))
+            W_c = Parameter("W_c", rng.normal(size=(H, 3 * H)))
+            W_o = rng.normal(size=(V, H))
+            attn = attend(enc, hs[:, 0][None], mask, W_a, W_c)
+            logits = per_step_matmul(attn.combined, W_o.T)[0]
+            for i in range(n):
+                h1, c1, _ = cell.step(x[i:i + 1], h[i:i + 1], c[i:i + 1])
+                assert np.array_equal(hs[i], h1) and np.array_equal(cs[i], c1), trial
+                one = attend(enc, h1, mask, W_a, W_c)
+                assert np.array_equal(attn.combined[0, i], one.combined[0]), trial
+                assert np.array_equal(logits[i], (one.combined @ W_o.T)[0]), trial
+                assert np.array_equal((hs @ W_o.T)[i, 0], (h1 @ W_o.T)[0]), trial
+
+
 class TestGenerate:
     def _dcfg(self, **kw):
         base = dict(strategy="greedy", max_outline_len=4, max_report_len=6, seed=0)
@@ -361,7 +487,7 @@ class TestGenerate:
         with pytest.raises(ValueError, match="empty"):
             generate([], model, vocab, self._dcfg())
         with pytest.raises(ValueError, match="empty"):
-            generate_from_text("", model, vocab, self._dcfg())
+            generate(tokenize(""), model, vocab, self._dcfg())
 
     def test_attention_recorded_on_request(self):
         model, vocab, _ = pipeline_fixture()

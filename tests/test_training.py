@@ -1,14 +1,18 @@
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from outline2report.config import ConfigError, TrainingConfig
 from outline2report.corpus import (
     NewsReportPair, build_vocabulary, derive_outlines)
 from outline2report.model import build_model
-from outline2report.numerics import NonFiniteLossError, Parameter
+from outline2report import training
+from outline2report.numerics import NonFiniteLossError, Parameter, clip_global_norm
 from outline2report.training import (
     CHECKPOINT_MAGIC, LOSS_LOG_HEADER, AdamOptimizer, BadHeaderError,
     CheckpointError, ShapeMismatchError, StepRecord, Trainer,
@@ -194,6 +198,40 @@ class TestTrainingLoop:
                  if not np.array_equal(p.value, before[p.name])]
         assert moved
 
+    def _clip_calls(self, monkeypatch):
+        calls = []
+
+        def spy(params, max_norm):
+            grads = {p.name: p.grad.copy() for p in params}
+            calls.append((params, grads, clip_global_norm(params, max_norm)))
+            return calls[-1][2]
+
+        monkeypatch.setattr(training, "clip_global_norm", spy)
+        return calls
+
+    def test_freeze_outline_keeps_frozen_grads_out_of_the_clip(self, monkeypatch):
+        trainer, _, _ = make_trainer(freeze_outline=True, gradient_clip_norm=1e-3)
+        calls = self._clip_calls(monkeypatch)
+        outline = {p.name for p in trainer.model.param_groups()["outline"]}
+        trainer.train_one_step()
+        (params, grads, norm), = calls
+        trained = [p for p in trainer.model.parameters() if p.name not in outline]
+        assert [p.name for p in params] == [p.name for p in trained]
+        assert norm == math.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+        assert norm > 1e-3  # the clip binds
+        for p in trainer.model.parameters():
+            if p.name in outline:
+                assert p.grad.any()  # computed, yet left out of the norm
+            else:
+                np.testing.assert_array_equal(p.grad, grads[p.name] * (1e-3 / norm))
+
+    def test_unfrozen_training_clips_every_parameter(self, monkeypatch):
+        trainer, _, _ = make_trainer(gradient_clip_norm=1e-3)
+        calls = self._clip_calls(monkeypatch)
+        trainer.train_one_step()
+        (params, _, _), = calls
+        assert [p.name for p in params] == [p.name for p in trainer.model.parameters()]
+
     def test_non_finite_loss_names_first_bad_stage(self):
         trainer, _, _ = make_trainer()
         trainer.model.embedding.table.value[5:] = np.nan
@@ -357,3 +395,62 @@ class TestCheckpointing:
         header = json.loads(blob[16:16 + hlen].decode("utf-8"))
         assert header["version"] == 1
         assert list(header) == sorted(header)
+
+
+@pytest.fixture(scope="module")
+def saved_checkpoint(tmp_path_factory):
+    """(scratch path, bytes, pairs, vocabulary) of a one-step micro checkpoint."""
+    trainer, pairs, vocab = make_trainer()
+    trainer.train_one_step()
+    path = tmp_path_factory.mktemp("fuzz") / "ck.o2r"
+    trainer.save(path)
+    return path, path.read_bytes(), pairs, vocab
+
+
+def load_both_ways(path, pairs, vocab):
+    restore_model(load_checkpoint(path), vocab)
+    resume_trainer(path, pairs, vocab)
+
+
+class TestCheckpointFuzz:
+    """Damaged checkpoints end in CheckpointError, never in another exception."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_truncated(self, saved_checkpoint, data):
+        path, blob, pairs, vocab = saved_checkpoint
+        path.write_bytes(blob[:data.draw(st.integers(0, len(blob) - 1))])
+        with pytest.raises(CheckpointError):
+            restore_model(load_checkpoint(path), vocab)
+        with pytest.raises(CheckpointError):
+            resume_trainer(path, pairs, vocab)
+
+    @pytest.mark.parametrize("old, new", [
+        (b'"teacher_forcing_ratio": 1.0', b'"teacher_forcing_ratio": 9.0'),  # ConfigError
+        (b'"seed": 1,', b'"seed":-1,'),                  # a seed no generator takes
+        (b'"uinteger"', b'"uintegex"'),                  # KeyError in the rng state
+        (b'"PCG64"', b'"PCG65"'),                        # ValueError
+        (b'"has_uint32": 0', b'"has_uint32":""'),        # TypeError
+    ])
+    def test_header_values_that_do_not_fit(self, saved_checkpoint, old, new):
+        path, blob, pairs, vocab = saved_checkpoint
+        assert blob.count(old) == 1 and len(new) == len(old)
+        path.write_bytes(blob.replace(old, new))
+        with pytest.raises(CheckpointError):
+            load_both_ways(path, pairs, vocab)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_one_byte_mutated(self, saved_checkpoint, data):
+        path, blob, pairs, vocab = saved_checkpoint
+        header_end = 16 + struct.unpack("<Q", blob[8:16])[0]
+        # half the draws land in the magic, length and JSON header, where a
+        # byte changes more than one array value
+        pos = data.draw(st.one_of(st.integers(0, header_end - 1),
+                                  st.integers(0, len(blob) - 1)))
+        byte = data.draw(st.integers(0, 255).filter(lambda b: b != blob[pos]))
+        path.write_bytes(blob[:pos] + bytes([byte]) + blob[pos + 1:])
+        try:
+            load_both_ways(path, pairs, vocab)
+        except CheckpointError:
+            pass
