@@ -180,7 +180,10 @@ def read_generations(path) -> dict:
                 raise CliError(f"{path}:{lineno}: malformed JSON ({exc.msg})") from None
             if not isinstance(rec, dict) or "id" not in rec or "report" not in rec:
                 raise CliError(f"{path}:{lineno}: record needs 'id' and 'report'")
-            out[str(rec["id"])] = [str(t) for t in rec["report"]]
+            report = rec["report"]
+            if not (isinstance(report, list) and all(isinstance(t, str) for t in report)):
+                raise CliError(f"{path}:{lineno}: 'report' must be a list of token strings")
+            out[str(rec["id"])] = report
     return out
 
 

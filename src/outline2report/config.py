@@ -48,20 +48,18 @@ class TrainingConfig:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.max_epochs < 0:
             raise ConfigError("max_epochs must be >= 0")
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be > 0")
+        # chained comparisons against inf: NaN fails every one of them
+        for name in ("learning_rate", "adam_epsilon", "gradient_clip_norm"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be finite and > 0, got {getattr(self, name)}")
         if not (0.0 <= self.adam_beta1 < 1.0 and 0.0 <= self.adam_beta2 < 1.0):
             raise ConfigError("adam betas must lie in [0, 1)")
-        if self.adam_epsilon <= 0:
-            raise ConfigError("adam_epsilon must be > 0")
-        if self.gradient_clip_norm <= 0:
-            raise ConfigError("gradient_clip_norm must be > 0")
         if not (0.0 <= self.teacher_forcing_ratio <= 1.0):
             raise ConfigError("teacher_forcing_ratio must lie in [0, 1]")
         if self.kl_anneal_steps < 0:
             raise ConfigError("kl_anneal_steps must be >= 0")
-        if self.outline_loss_weight < 0:
-            raise ConfigError("outline_loss_weight must be >= 0")
+        if not 0 <= self.outline_loss_weight < math.inf:
+            raise ConfigError("outline_loss_weight must be finite and >= 0")
         if self.outline_k < 0:
             raise ConfigError("outline_k must be >= 0 (0 selects the default rule)")
         if self.seed < 0:
@@ -72,11 +70,6 @@ class TrainingConfig:
         if self.kl_anneal_steps <= 0:
             return 1.0
         return min(1.0, step / self.kl_anneal_steps)
-
-    def outline_k_for(self, report_len: int) -> int:
-        if self.outline_k > 0:
-            return self.outline_k
-        return max(3, math.ceil(report_len / 8))
 
 
 @dataclass
@@ -95,8 +88,8 @@ class DecodeConfig:
             raise ConfigError(f"unknown decode strategy {self.strategy!r}")
         if self.beam_width < 1:
             raise ConfigError("beam_width must be >= 1")
-        if self.temperature <= 0:
-            raise ConfigError("temperature must be > 0")
+        if not 0 < self.temperature < math.inf:
+            raise ConfigError("temperature must be finite and > 0")
         if self.max_outline_len < 1 or self.max_report_len < 1:
             raise ConfigError("max decode lengths must be >= 1")
 

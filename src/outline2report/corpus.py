@@ -47,9 +47,9 @@ class NewsReportPair:
 
     def __post_init__(self):
         if len(self.news) < 1:
-            raise CorpusError(f"pair {self.id}: empty news")
+            raise CorpusError(f"pair {self.id!r}: empty news")
         if len(self.report) < 1:
-            raise CorpusError(f"pair {self.id}: empty report")
+            raise CorpusError(f"pair {self.id!r}: empty report")
 
 
 def pair_from_record(record, where: str = "<record>") -> NewsReportPair:
@@ -105,12 +105,6 @@ class Vocabulary:
 
     def __len__(self):
         return len(self.tokens)
-
-    def __contains__(self, token):
-        return token in self.index
-
-    def id_of(self, token: str) -> int:
-        return self.index.get(token, UNK)
 
     def encode(self, tokens) -> list[int]:
         return [self.index.get(tok, UNK) for tok in tokens]
@@ -276,7 +270,7 @@ def encode_batch(pairs, vocab: Vocabulary, caps: LengthCaps = LengthCaps()) -> B
         raise CorpusError("encode_batch needs at least one pair")
     for pair in pairs:
         if pair.outline is None:
-            raise CorpusError(f"pair {pair.id}: outline not derived yet")
+            raise CorpusError(f"pair {pair.id!r}: outline not derived yet")
     news = [wrap_ids(p.news, vocab, caps.news) for p in pairs]
     outline = [wrap_ids(p.outline, vocab, caps.outline) for p in pairs]
     report = [wrap_ids(p.report, vocab, caps.report) for p in pairs]

@@ -11,8 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import PAD
-from .numerics import (FLOAT, LSTMCell, Parameter, run_lstm, run_lstm_backward,
-                       uniform_init)
+from .numerics import LSTMCell, Parameter, run_lstm, run_lstm_backward, uniform_init
 
 
 class Embedding:
@@ -49,22 +48,9 @@ class Embedding:
 
 
 @dataclass
-class EncoderStates:
-    """Per-example view of the encoder output: one 2*d_hid state per token."""
-
-    states: np.ndarray          # [m, 2*d_hid], forward half then backward half
-    final_forward: np.ndarray   # [d_hid]
-    final_backward: np.ndarray  # [d_hid]
-
-    def __len__(self):
-        return self.states.shape[0]
-
-
-@dataclass
 class EncoderCache:
     fwd_run: object
     bwd_run: object
-    d_hid: int
 
 
 class BiLSTMEncoder:
@@ -87,22 +73,12 @@ class BiLSTMEncoder:
         Hf, (hf_fin, _), fwd_run = run_lstm(self.fwd, X, mask, reverse=False)
         Hb, (hb_fin, _), bwd_run = run_lstm(self.bwd, X, mask, reverse=True)
         H = np.concatenate([Hf, Hb], axis=2)
-        return H, hf_fin, hb_fin, EncoderCache(fwd_run, bwd_run, self.d_hid)
+        return H, hf_fin, hb_fin, EncoderCache(fwd_run, bwd_run)
 
     def backward(self, cache: EncoderCache, dH, dh_fwd_fin=None, dh_bwd_fin=None):
         """dH [B,T,2*d_hid] plus optional grads on the final states -> dX."""
-        d = cache.d_hid
+        d = self.d_hid
         dXf, _, _ = run_lstm_backward(self.fwd, cache.fwd_run, dH[:, :, :d], dh_fin=dh_fwd_fin)
         dXb, _, _ = run_lstm_backward(self.bwd, cache.bwd_run, dH[:, :, d:], dh_fin=dh_bwd_fin)
         return dXf + dXb
 
-
-def encode_bilstm(embedded, encoder: BiLSTMEncoder) -> EncoderStates:
-    """Encode a single already-embedded sequence [m, d_emb] into EncoderStates."""
-    embedded = np.asarray(embedded, dtype=FLOAT)
-    if embedded.ndim != 2 or embedded.shape[0] == 0:
-        raise ValueError("encode_bilstm expects a non-empty [m, d_emb] sequence")
-    m = embedded.shape[0]
-    mask = np.ones((1, m), dtype=bool)
-    H, hf_fin, hb_fin, _ = encoder.forward(embedded[None, :, :], mask)
-    return EncoderStates(states=H[0], final_forward=hf_fin[0], final_backward=hb_fin[0])

@@ -5,8 +5,8 @@ All decoders share one step contract: step_fn(state, tokens) feeds one token
 to each of the n rows that `state` carries along axis 0 and returns
 (log-probs [n, V], new state). `tokens` is None at the first step when there is
 no BOS id. Greedy and sampling step one row; beam search steps every live
-hypothesis in one call. Model-backed step functions mask PAD and BOS out of
-the emission distribution.
+hypothesis in one call. Model-backed step functions carry their rows as
+[n, 1, H] stacks and mask PAD and BOS out of the emission distribution.
 """
 
 from __future__ import annotations
@@ -208,25 +208,19 @@ def generate(news_tokens, model, vocab: Vocabulary,
     odec = model.outline_decoder
     rng = np.random.default_rng(np.random.SeedSequence([dcfg.seed, 3]))
 
-    # Beam rows step as an [n,1,H] stack: x @ W.T on it is one [1,H] product
-    # per row, bit-equal to stepping the row alone, where an [n,H] GEMM may
-    # sum a row in another order. Greedy and sampling step one [1,H] row.
-    stacked = dcfg.strategy == "beam"
-
+    # Rows step as [n,1,H] stacks: x @ W.T on one is a [1,H] product per row,
+    # bit-equal to stepping the row alone, where an [n,H] GEMM may sum a row
+    # in another order. The n rows attend as n queries of the one news row.
     def start(state):
-        return tuple(a[:, None] for a in state) if stacked else state
+        return tuple(a[:, None] for a in state)
 
     def embed(tokens):
-        ids = np.array(tokens, dtype=np.int64)
-        return emb.lookup(ids[:, None] if stacked else ids)
+        return emb.lookup(np.array(tokens, dtype=np.int64)[:, None])
 
     def outline_step(state, tokens):
         (s, c), _ = odec.step(embed(tokens), state)
-        if stacked:  # the n rows attend as n queries of the one news row
-            attn = attend(enc_states, s[:, 0][None], mask, odec.W_a, odec.W_c)
-            logits = per_step_matmul(attn.combined, odec.W_o.value.T)[0]
-        else:
-            logits = attend(enc_states, s, mask, odec.W_a, odec.W_c).combined @ odec.W_o.value.T
+        attn = attend(enc_states, s[:, 0][None], mask, odec.W_a, odec.W_c)
+        logits = per_step_matmul(attn.combined, odec.W_o.value.T)[0]
         return _emission_mask(logits), (s, c)
 
     outline_init = odec.initial_state(hf_fin)
@@ -253,7 +247,7 @@ def generate(news_tokens, model, vocab: Vocabulary,
     def report_step(state, tokens):
         (h, c), _ = rdec.step(embed(tokens), state)
         logits = h @ rdec.W_out.value.T
-        return _emission_mask(logits[:, 0] if stacked else logits), (h, c)
+        return _emission_mask(logits[:, 0]), (h, c)
 
     report = run_decode(
         dcfg.strategy, report_step, start((h0, c0)), dcfg.max_report_len,

@@ -12,8 +12,7 @@ import numpy as np
 from .config import TrainingConfig
 from .corpus import SPECIAL_TOKENS, NewsReportPair, Vocabulary, encode_batch
 from .model import NewsToReportModel, build_model
-from .numerics import (FLOAT, GradientCheckReport, finite_difference_gradient,
-                       gradient_check)
+from .numerics import GradientCheckReport, finite_difference_gradient, gradient_check
 
 _WORDS = ("alpha", "beta", "gamma", "delta", "eps", "zeta", "eta", "theta",
           "iota", "kappa", "lam", "mu", "nu", "xi", "omicron", "pi")

@@ -37,7 +37,6 @@ class ModelForward:
     outline: OutlineForward
     outline_targets: np.ndarray
     outline_tmask: np.ndarray
-    report_summary: np.ndarray
     summary_weights: np.ndarray     # [B, T_rep], rows sum to 1
     u: np.ndarray
     pool_lengths: tuple
@@ -70,14 +69,6 @@ class NewsToReportModel:
         return ([self.embedding.table] + self.encoder.parameters()
                 + self.outline_decoder.parameters()
                 + self.report_decoder.parameters())
-
-    def param_groups(self):
-        """Parameters by stage: embedding+encoder, outline, report."""
-        return {
-            "encoder": [self.embedding.table] + self.encoder.parameters(),
-            "outline": self.outline_decoder.parameters(),
-            "report": self.report_decoder.parameters(),
-        }
 
     def zero_grad(self):
         for p in self.parameters():
@@ -114,7 +105,7 @@ class NewsToReportModel:
 
         r_in, r_tgt, r_tmask = shifted_targets(batch.report_ids)
         rep_fwd = self.report_decoder.forward_teacher(
-            self.embedding, u, pool_lengths, report_summary,
+            self.embedding, u, report_summary,
             r_in, r_tgt, r_tmask, noise, beta,
             sample_rng=sample_rng, teacher_forcing_ratio=teacher_forcing_ratio)
 
@@ -125,10 +116,9 @@ class NewsToReportModel:
         return ModelForward(
             batch=batch, news_emb=news_emb, enc_states=enc_states,
             enc_cache=enc_cache, outline=out_fwd, outline_targets=o_tgt,
-            outline_tmask=o_tmask, report_summary=report_summary,
-            summary_weights=summary_weights, u=u, pool_lengths=pool_lengths,
-            report=rep_fwd, report_targets=r_tgt, report_tmask=r_tmask,
-            loss_outline=loss_outline, loss_report=loss_report,
+            outline_tmask=o_tmask, summary_weights=summary_weights, u=u,
+            pool_lengths=pool_lengths, report=rep_fwd, report_targets=r_tgt,
+            report_tmask=r_tmask, loss_outline=loss_outline, loss_report=loss_report,
             loss_model=loss_model, kl=float(np.mean(rep_fwd.kl_rows)),
             beta=beta)
 

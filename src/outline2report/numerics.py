@@ -11,7 +11,7 @@ epsilon = 1e-5 needs the extra precision.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,18 +24,6 @@ class NonFiniteLossError(RuntimeError):
 
 def sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
-
-
-def softmax(v):
-    """Probability vector from a 1-D score vector, max-subtracted for stability."""
-    v = np.asarray(v, dtype=FLOAT)
-    if v.ndim != 1:
-        raise ValueError(f"softmax expects a vector, got shape {v.shape}")
-    if v.size == 0:
-        raise ValueError("softmax of an empty vector")
-    shifted = v - np.max(v)
-    e = np.exp(shifted)
-    return e / e.sum()
 
 
 def log_softmax(x, axis=-1):
@@ -76,47 +64,14 @@ class Parameter:
 
     name: str
     value: np.ndarray
-    grad: np.ndarray = None
+    grad: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.value = np.asarray(self.value, dtype=FLOAT)
-        if self.grad is None:
-            self.grad = np.zeros_like(self.value)
-        if self.grad.shape != self.value.shape:
-            raise ValueError(f"{self.name}: grad shape {self.grad.shape} != value shape {self.value.shape}")
+        self.grad = np.zeros_like(self.value)
 
     def zero_grad(self):
         self.grad[...] = 0.0
-
-
-def lstm_cell_step(x, h_prev, c_prev, W_x, W_h, b):
-    """One step of a standard four-gate LSTM for a single example.
-
-    Gate order along the fused weight rows is input, forget, output,
-    candidate:
-
-        i, f, o = sigmoid(W x + U h + b),  g = tanh(...)
-        c = f * c_prev + i * g
-        h = o * tanh(c)
-    """
-    x = np.asarray(x, dtype=FLOAT)
-    h_prev = np.asarray(h_prev, dtype=FLOAT)
-    c_prev = np.asarray(c_prev, dtype=FLOAT)
-    H = h_prev.shape[-1]
-    if W_x.shape != (4 * H, x.shape[-1]) or W_h.shape != (4 * H, H) or b.shape != (4 * H,):
-        raise ValueError(
-            f"inconsistent LSTM shapes: x {x.shape}, h {h_prev.shape}, "
-            f"W_x {W_x.shape}, W_h {W_h.shape}, b {b.shape}")
-    if c_prev.shape != h_prev.shape:
-        raise ValueError(f"c_prev shape {c_prev.shape} != h_prev shape {h_prev.shape}")
-    a = W_x @ x + W_h @ h_prev + b
-    i = sigmoid(a[:H])
-    f = sigmoid(a[H:2 * H])
-    o = sigmoid(a[2 * H:3 * H])
-    g = np.tanh(a[3 * H:])
-    c = f * c_prev + i * g
-    h = o * np.tanh(c)
-    return h, c
 
 
 class LSTMCell:

@@ -102,7 +102,7 @@ def sequence_nll(logits, targets, mask):
     """Batch-mean of per-row summed negative log-likelihoods.
 
     logits [B,T,V], targets [B,T] int, mask [B,T] bool. Uses log-softmax
-    internally; returns (loss, probs, logp) with probs cached for backward.
+    internally; returns (loss, probs) with probs cached for backward.
     """
     logits = np.asarray(logits, dtype=FLOAT)
     targets = np.asarray(targets)
@@ -113,7 +113,7 @@ def sequence_nll(logits, targets, mask):
     rows = np.arange(B)[:, None], np.arange(T)[None, :]
     gold_logp = logp[rows[0], rows[1], targets]
     loss = float(-(gold_logp * mask).sum() / B)
-    return loss, np.exp(logp), logp
+    return loss, np.exp(logp)
 
 
 def sequence_nll_backward(probs, targets, mask, scale=1.0):
@@ -124,13 +124,6 @@ def sequence_nll_backward(probs, targets, mask, scale=1.0):
     d[rows[0], rows[1], targets] -= 1.0
     d *= (np.asarray(mask, dtype=FLOAT) * (scale / B))[:, :, None]
     return d
-
-
-def outline_loss(logits, targets, mask):
-    """Sum of gold-token negative log-probabilities over unmasked steps,
-    averaged over the batch."""
-    loss, _, _ = sequence_nll(logits, targets, mask)
-    return loss
 
 
 @dataclass
@@ -195,7 +188,7 @@ class OutlineDecoder:
                                         h0=s0, c0=c0)
         attn = attend(enc_states, states, enc_mask, self.W_a, self.W_c)
         logits = per_step_matmul(attn.combined, self.W_o.value.T)
-        loss, probs, _ = sequence_nll(logits, targets, target_mask)
+        loss, probs = sequence_nll(logits, targets, target_mask)
         return OutlineForward(
             states=states, logits=logits, probs=probs, loss=loss,
             input_ids=input_ids, attention=attn, run_cache=run_cache,

@@ -64,19 +64,8 @@ def gaussian_kl(mean, logvar):
     return float(kl) if kl.ndim == 0 else kl
 
 
-def report_loss(logits, targets, mask, kl, beta):
-    """Token-level NLL over unmasked steps plus beta * KL (batch means)."""
-    if beta < 0:
-        raise ValueError("beta must be >= 0")
-    nll, _, _ = sequence_nll(logits, targets, mask)
-    return nll + beta * float(np.mean(kl))
-
-
 @dataclass
 class ReportForward:
-    u: np.ndarray
-    pool_lengths: tuple
-    report_summary: np.ndarray
     recog_in: np.ndarray
     latent: LatentSample
     kl_rows: np.ndarray
@@ -135,7 +124,7 @@ class ReportDecoder:
         h_new, c_new, cache = self.cell.step(x_emb, h, c)
         return (h_new, c_new), cache
 
-    def forward_teacher(self, embedding, u, pool_lengths, report_summary,
+    def forward_teacher(self, embedding, u, report_summary,
                         gold_in_ids, targets, target_mask, noise, beta,
                         sample_rng=None, teacher_forcing_ratio=1.0) -> ReportForward:
         """Teacher-forced report pass with a freshly sampled latent."""
@@ -150,10 +139,9 @@ class ReportDecoder:
         states, _, run_cache = run_lstm(self.cell, embedding.lookup(input_ids), target_mask,
                                         h0=h0, c0=c0)
         logits = np.einsum("bth,vh->btv", states, self.W_out.value)
-        nll, probs, _ = sequence_nll(logits, targets, target_mask)
+        nll, probs = sequence_nll(logits, targets, target_mask)
         loss = nll + beta * float(np.mean(kl_rows))
         return ReportForward(
-            u=u, pool_lengths=pool_lengths, report_summary=report_summary,
             recog_in=recog_in, latent=latent, kl_rows=kl_rows, init_out=h0,
             init_in=init_in, states=states, logits=logits, probs=probs,
             nll=nll, loss=loss, beta=beta, input_ids=input_ids, run_cache=run_cache)

@@ -53,14 +53,6 @@ class ShapeMismatchError(CheckpointError):
     pass
 
 
-def joint_loss(l_outline: float, l_report: float) -> float:
-    """Plain sum of the two stage losses; the reported model objective."""
-    if not (math.isfinite(l_outline) and math.isfinite(l_report)):
-        raise NonFiniteLossError(
-            f"non-finite stage loss: outline={l_outline!r} report={l_report!r}")
-    return l_outline + l_report
-
-
 class AdamOptimizer:
     """Bias-corrected Adam; epsilon added outside the square root."""
 

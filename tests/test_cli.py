@@ -1,8 +1,14 @@
 """End-to-end checks of the command line: each subcommand run in process."""
 
+import io
 import json
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from outline2report.cli import main
 
@@ -153,6 +159,12 @@ class TestTrain:
         assert code == 1
         assert "learning_rate" in capsys.readouterr().err
 
+    def test_non_finite_config_value_fails(self, dataset, vocab, tmp_path, capsys):
+        code = run_train(dataset, vocab, tmp_path / "run",
+                         "--set", "training.gradient_clip_norm=nan")
+        assert code == 1
+        assert_one_line_error(capsys, "gradient_clip_norm")
+
     def test_config_file_sets_values(self, dataset, vocab, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("# two tiny epochs\ntraining.max_epochs = 1\n")
@@ -299,6 +311,13 @@ class TestMalformedInput:
         assert code == 1
         assert_one_line_error(capsys, f"{ds}:2: ", fragment)
 
+    def test_record_id_with_a_line_break(self, tmp_path, capsys):
+        ds = tmp_path / "bad.jsonl"
+        ds.write_text(json.dumps({"id": "a\nb", "news": "", "report": "y"}) + "\n")
+        code = main(["build-vocab", "--dataset", str(ds), "--out", str(tmp_path / "v.txt")])
+        assert code == 1
+        assert_one_line_error(capsys, "'a\\nb': empty news")
+
     def test_checkpoint_header_without_arrays(self, trained, tmp_path, capsys):
         ckpt = rewrite_header(trained["checkpoint"], tmp_path / "ck.o2r",
                               lambda h: h.pop("arrays"))
@@ -374,6 +393,14 @@ class TestEvaluate:
         assert code == 1
         assert "'id' and 'report'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("report", [5, "the mine in andes"], ids=["number", "string"])
+    def test_report_that_is_not_a_token_list_fails(self, trained, tmp_path, capsys, report):
+        gen = tmp_path / "gen.jsonl"
+        gen.write_text(json.dumps({"id": "p1", "report": report}) + "\n")
+        code = main(["evaluate", "--generated", str(gen),
+                     "--dataset", str(trained["dataset"])])
+        assert code == 1
+        assert_one_line_error(capsys, f"{gen}:1: ", "list of token strings")
 
     def test_non_object_record_fails(self, trained, tmp_path, capsys):
         gen = tmp_path / "gen.jsonl"
@@ -392,3 +419,71 @@ class TestGradcheck:
         assert "worst relative error" in stdout
         # one table row per parameter block
         assert stdout.count("pass") >= 10
+
+
+# -- fuzz: malformed input never escapes as a traceback ------------------------
+
+_text = st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)
+_words = st.lists(st.sampled_from(["storms", "flood", "the", "coast", "vote"]),
+                  min_size=1, max_size=5).map(" ".join)
+_scalar = st.none() | st.booleans() | st.integers(-3, 3) | st.floats() | _text
+_json = st.recursive(
+    _scalar,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_text, inner, max_size=3),
+    max_leaves=6)
+_ids = st.sampled_from(["p1", "p2", "p\n3"]) | _json  # ids are echoed in diagnostics
+
+
+def _lines(valid, fields):
+    """JSON-lines text. A line is a well-formed record drawn from `valid`, an
+    object with every one or some of `fields` (name -> value strategy), or
+    any text at all."""
+    objects = (valid, st.fixed_dictionaries(fields), st.fixed_dictionaries({}, optional=fields))
+    line = st.one_of(*(o.map(json.dumps) for o in objects), _text)
+    return st.lists(line, min_size=1, max_size=3).map("\n".join)
+
+
+_generation_file = _lines(
+    st.fixed_dictionaries({"id": st.sampled_from(["p1", "p2"]), "report": _words.map(str.split)}),
+    {"id": _ids, "report": st.lists(_text, max_size=4) | _scalar | _json})
+_dataset_file = _lines(
+    st.fixed_dictionaries({"id": st.sampled_from(["p1", "p2"]), "news": _words,
+                           "report": _words}),
+    {"id": _ids, "news": _words | _json, "report": _words | _json, "outline": _words | _json})
+_keys = st.sampled_from(["data.min_freq", "data.max_size", "training.seed", "decode.temperature"])
+_config_line = st.one_of(
+    st.tuples(_keys, st.integers(1, 9).map(str)).map(" = ".join),
+    st.tuples(_keys | _text, st.sampled_from(["=", " = ", ""]),
+              st.integers(-2, 9).map(str) | _text).map("".join),
+    _text)
+_config_file = st.lists(_config_line, max_size=3).map("\n".join)
+
+
+def run_quietly(argv):
+    """(exit code, stderr) of one in-process CLI run."""
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+class TestCliFuzz:
+    """Random generation, dataset and config files fed to evaluate and
+    build-vocab: exit 0, or exit 1 with exactly one `error:` line."""
+
+    @pytest.mark.filterwarnings("ignore:.*(scores|is) 0")  # BLEU of an empty report
+    @settings(max_examples=150, deadline=None)
+    @given(generated=_generation_file, dataset=_dataset_file, config=_config_file)
+    def test_no_traceback(self, generated, dataset, config):
+        with tempfile.TemporaryDirectory() as tmp:
+            gen, ds, cfg, out = (Path(tmp) / name
+                                 for name in ("gen.jsonl", "ds.jsonl", "run.cfg", "v.txt"))
+            for path, text in ((gen, generated), (ds, dataset), (cfg, config)):
+                path.write_text(text, encoding="utf-8")
+            for argv in (["evaluate", "--generated", str(gen), "--dataset", str(ds)],
+                         ["build-vocab", "--dataset", str(ds), "--config", str(cfg),
+                          "--out", str(out)]):
+                code, err = run_quietly(argv)
+                assert code in (0, 1), argv
+                if code == 1:
+                    assert err.startswith("error: ") and len(err.splitlines()) == 1, err

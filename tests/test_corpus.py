@@ -85,8 +85,7 @@ class TestBuildVocabulary:
 class TestVocabulary:
     def test_specials_lead(self):
         v = Vocabulary(("<pad>", "<bos>", "<eos>", "<unk>", "word"))
-        assert (v.id_of("<pad>"), v.id_of("<bos>"), v.id_of("<eos>"),
-                v.id_of("<unk>")) == (PAD, BOS, EOS, UNK)
+        assert v.encode(["<pad>", "<bos>", "<eos>", "<unk>"]) == [PAD, BOS, EOS, UNK]
 
     def test_bad_specials_rejected(self):
         with pytest.raises(CorpusError):
@@ -94,7 +93,7 @@ class TestVocabulary:
 
     def test_oov_maps_to_unk(self):
         v = build_vocabulary([make_pair("1", ["a"], ["b"])])
-        assert v.id_of("zzz") == UNK
+        assert v.encode(["zzz"]) == [UNK]
 
     def test_encode_decode_round_trip(self):
         v = build_vocabulary([make_pair("1", ["a", "b"], ["c"])])
@@ -103,7 +102,7 @@ class TestVocabulary:
 
     def test_decode_keeps_specials_when_asked(self):
         v = build_vocabulary([make_pair("1", ["a"], ["a"])])
-        assert v.decode([BOS, v.id_of("a"), EOS], strip_specials=False) == [
+        assert v.decode([BOS, v.index["a"], EOS], strip_specials=False) == [
             "<bos>", "a", "<eos>"]
 
     def test_save_load_digest(self, tmp_path):
@@ -198,7 +197,7 @@ class TestEncodeBatch:
         v = self._vocab()
         pair = make_pair("1", ["a"], ["c"], outline=["c"])
         batch = encode_batch([pair], v)
-        assert batch.news_ids[0, :3].tolist() == [BOS, v.id_of("a"), EOS]
+        assert batch.news_ids[0, :3].tolist() == [BOS, v.index["a"], EOS]
         assert batch.news_lengths[0] == 3
         assert batch.news_mask[0, :3].all()
 

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from outline2report.corpus import PAD
-from outline2report.encoder import BiLSTMEncoder, Embedding, encode_bilstm
+from outline2report.encoder import BiLSTMEncoder, Embedding
 from outline2report.numerics import (
     Parameter, finite_difference_gradient, gradient_check)
+
+from model_oracles import encode_bilstm
 
 
 def make_embedding(vocab=11, d_emb=5, seed=0):

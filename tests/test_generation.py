@@ -185,6 +185,21 @@ class TestBatchedBeam:
                 assert got.report_logps == report.logps
                 assert got.logprob == float(sum(outline.logps) + sum(report.logps))
 
+    def test_greedy_generate_equals_lone_row_reference(self):
+        # width 1 keeps the argmax, smallest id on ties, as greedy does; the
+        # reference steps a lone [1,H] row where generate steps a stack of one
+        model, vocab, pairs = trained_fixture()
+        for latent in (True, False):
+            greedy = DecodeConfig(max_outline_len=5, max_report_len=9,
+                                  deterministic_latent=latent, seed=4)
+            width_one = DecodeConfig(strategy="beam", beam_width=1, max_outline_len=5,
+                                     max_report_len=9, deterministic_latent=latent, seed=4)
+            for pair in pairs:
+                got = generate(pair.news, model, vocab, greedy)
+                outline, report = reference_beam_generate(pair.news, model, vocab, width_one)
+                assert (got.outline_ids, got.outline_logps) == (outline.tokens, outline.logps)
+                assert (got.report_ids, got.report_logps) == (report.tokens, report.logps)
+
 
 class TestGreedyDecode:
     def test_follows_argmax_and_stops_at_eos(self):

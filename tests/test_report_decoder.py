@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 from outline2report.corpus import BOS, PAD
 from outline2report.encoder import Embedding
 from outline2report.numerics import (
-    Parameter, finite_difference_gradient, gradient_check, lstm_cell_step)
-from outline2report.outline_decoder import outline_loss
+    Parameter, finite_difference_gradient, gradient_check)
 from outline2report.report_decoder import (
     ReportDecoder, fuse_news_outline, gaussian_kl, masked_mean_pool,
-    reparameterize, report_loss)
+    reparameterize)
+
+from model_oracles import lstm_cell_step, outline_loss, report_loss
 
 LN20 = math.log(20.0)
 
@@ -252,10 +253,9 @@ class TestReportPathGradients:
         gold_in = np.array([[BOS, 4, 5], [BOS, 6, PAD]])
         targets = np.array([[4, 5, 2], [6, 2, PAD]])
         tmask = targets != PAD
-        pool_lengths = None
 
         def loss():
-            fwd = dec.forward_teacher(emb, u.value, pool_lengths, summary.value,
+            fwd = dec.forward_teacher(emb, u.value, summary.value,
                                       gold_in, targets, tmask, noise, beta)
             return fwd.loss
 
@@ -264,7 +264,7 @@ class TestReportPathGradients:
 
         for p in params:
             p.zero_grad()
-        fwd = dec.forward_teacher(emb, u.value, pool_lengths, summary.value,
+        fwd = dec.forward_teacher(emb, u.value, summary.value,
                                   gold_in, targets, tmask, noise, beta)
         du, d_summary, dX = dec.backward(fwd, targets, tmask)
         emb.accumulate_grad(fwd.input_ids, dX)
@@ -286,10 +286,8 @@ class TestReportPathGradients:
         gold_in = np.array([[BOS, 4]])
         targets = np.array([[4, 2]])
         tmask = targets != PAD
-        a = dec.forward_teacher(emb, u, None, summary, gold_in, targets, tmask,
-                                noise, 0.5)
-        b = dec.forward_teacher(emb, u, None, summary, gold_in, targets, tmask,
-                                noise, 0.5)
+        a = dec.forward_teacher(emb, u, summary, gold_in, targets, tmask, noise, 0.5)
+        b = dec.forward_teacher(emb, u, summary, gold_in, targets, tmask, noise, 0.5)
         assert a.loss == b.loss
         np.testing.assert_array_equal(a.logits, b.logits)
 
@@ -300,7 +298,7 @@ class TestReportPathGradients:
         gold_in = np.array([[BOS, 4, 5, 6], [BOS, 6, PAD, PAD]])
         targets = np.array([[4, 5, 6, 2], [6, 2, PAD, PAD]])
         coins = Mock(wraps=np.random.default_rng(0))
-        fwd = dec.forward_teacher(emb, rng.normal(size=(2, 4)), None, rng.normal(size=(2, 3)),
+        fwd = dec.forward_teacher(emb, rng.normal(size=(2, 4)), rng.normal(size=(2, 3)),
                                   gold_in, targets, targets != PAD, rng.normal(size=(2, 2)),
                                   0.5, sample_rng=coins, teacher_forcing_ratio=0.0)
         assert [name for name, _, _ in coins.mock_calls] == ["random"] * 3
@@ -319,6 +317,5 @@ class TestReportPathGradients:
         gold_in = np.array([[BOS, 4]])
         targets = np.array([[4, 2]])
         tmask = targets != PAD
-        with_kl = dec.forward_teacher(emb, u, None, summary, gold_in, targets,
-                                      tmask, noise, 1.0)
+        with_kl = dec.forward_teacher(emb, u, summary, gold_in, targets, tmask, noise, 1.0)
         assert with_kl.loss >= with_kl.nll

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from outline2report.config import ConfigError, TrainingConfig
+from outline2report.config import ConfigError, DecodeConfig, TrainingConfig
 from outline2report.corpus import (
     NewsReportPair, build_vocabulary, derive_outlines)
 from outline2report.model import build_model
@@ -17,7 +17,9 @@ from outline2report.training import (
     CHECKPOINT_MAGIC, LOSS_LOG_HEADER, AdamOptimizer, BadHeaderError,
     CheckpointError, ShapeMismatchError, StepRecord, Trainer,
     TruncatedCheckpointError, VersionMismatchError, apply_checkpoint,
-    joint_loss, load_checkpoint, restore_model, resume_trainer)
+    load_checkpoint, restore_model, resume_trainer)
+
+from model_oracles import joint_loss
 
 
 def micro_corpus():
@@ -144,6 +146,18 @@ class TestKlAnneal:
         with pytest.raises(ConfigError):
             micro_cfg(teacher_forcing_ratio=1.5)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("name", ["learning_rate", "gradient_clip_norm", "adam_epsilon",
+                                      "outline_loss_weight"])
+    def test_non_finite_values_rejected(self, name, value):
+        with pytest.raises(ConfigError, match=name):
+            micro_cfg(**{name: value})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_non_finite_temperature_rejected(self, value):
+        with pytest.raises(ConfigError, match="temperature"):
+            DecodeConfig(temperature=value)
+
 
 class TestTrainingLoop:
     def test_loss_trace_deterministic(self):
@@ -189,13 +203,14 @@ class TestTrainingLoop:
 
     def test_freeze_outline_pins_outline_params(self):
         trainer, _, _ = make_trainer(freeze_outline=True)
-        groups = trainer.model.param_groups()
-        before = {p.name: p.value.copy() for p in trainer.model.parameters()}
+        model = trainer.model
+        before = {p.name: p.value.copy() for p in model.parameters()}
         trainer.run(max_epochs=1)
-        for p in groups["outline"]:
+        for p in model.outline_decoder.parameters():
             np.testing.assert_array_equal(p.value, before[p.name])
-        moved = [p.name for p in groups["encoder"] + groups["report"]
-                 if not np.array_equal(p.value, before[p.name])]
+        others = ([model.embedding.table] + model.encoder.parameters()
+                  + model.report_decoder.parameters())
+        moved = [p.name for p in others if not np.array_equal(p.value, before[p.name])]
         assert moved
 
     def _clip_calls(self, monkeypatch):
@@ -212,7 +227,7 @@ class TestTrainingLoop:
     def test_freeze_outline_keeps_frozen_grads_out_of_the_clip(self, monkeypatch):
         trainer, _, _ = make_trainer(freeze_outline=True, gradient_clip_norm=1e-3)
         calls = self._clip_calls(monkeypatch)
-        outline = {p.name for p in trainer.model.param_groups()["outline"]}
+        outline = {p.name for p in trainer.model.outline_decoder.parameters()}
         trainer.train_one_step()
         (params, grads, norm), = calls
         trained = [p for p in trainer.model.parameters() if p.name not in outline]
@@ -438,6 +453,14 @@ class TestCheckpointFuzz:
         path.write_bytes(blob.replace(old, new))
         with pytest.raises(CheckpointError):
             load_both_ways(path, pairs, vocab)
+
+    def test_nan_in_header_config(self, saved_checkpoint):
+        path, blob, _, _ = saved_checkpoint
+        old, new = b'"gradient_clip_norm": 5.0', b'"gradient_clip_norm": NaN'
+        assert blob.count(old) == 1 and len(new) == len(old)
+        path.write_bytes(blob.replace(old, new))
+        with pytest.raises(BadHeaderError, match="gradient_clip_norm"):
+            load_checkpoint(path)
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
