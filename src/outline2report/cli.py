@@ -1,9 +1,9 @@
 """Command-line pipeline: build-vocab, train, generate, evaluate, gradcheck.
 
-Config values come from an optional flat file of ``section.key = value``
-lines; ``--set key=value`` overrides win over the file, and the few direct
-flags (dataset, vocabulary, output paths) win over both. All diagnostics go
-to stderr; exit code 0 means success.
+Settings have one precedence rule: the optional flat file of
+``section.key = value`` lines, then ``--set key=value`` items, then the flags
+that stand for a config key (each flag's argparse ``dest`` is its key). All
+diagnostics go to stderr; exit code 0 means success.
 """
 
 from __future__ import annotations
@@ -14,8 +14,8 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-from .config import (ConfigError, apply_overrides, decode_config_from,
-                     load_config_file, training_config_from)
+from .config import (ConfigError, DecodeConfig, TrainingConfig, load_config_file,
+                     parse_config_lines, section_config)
 from .corpus import (CorpusError, Vocabulary, build_vocabulary,
                      derive_outlines, read_dataset, tokenize)
 from .generation import evaluation_report, generate
@@ -31,8 +31,16 @@ class CliError(RuntimeError):
 
 
 def _load_values(args) -> dict:
-    values = load_config_file(args.config) if getattr(args, "config", None) else {}
-    return apply_overrides(values, getattr(args, "set", None))
+    """The config file, then --set items, then config-key flags, each laid
+    over the last. --beam implies the beam strategy unless a flag names one."""
+    values = load_config_file(args.config) if args.config else {}
+    values.update(parse_config_lines(args.set or (), source="--set"))
+    flags = {key: value for key, value in vars(args).items()
+             if "." in key and value is not None}
+    if "decode.beam_width" in flags:
+        flags.setdefault("decode.strategy", "beam")
+    values.update(flags)
+    return values
 
 
 def _require(value, what: str):
@@ -43,13 +51,10 @@ def _require(value, what: str):
 
 def cmd_build_vocab(args) -> int:
     values = _load_values(args)
-    dataset = _require(args.dataset or values.get("data.dataset"), "dataset path")
-    out = _require(args.out, "output path")
-    min_freq = args.min_freq if args.min_freq is not None else int(values.get("data.min_freq", 1))
-    max_size = args.max_size if args.max_size is not None else int(values.get("data.max_size", 50000))
-    pairs = read_dataset(dataset)
-    vocab = build_vocabulary(pairs, min_freq=min_freq, max_size=max_size)
-    vocab.save(out)
+    pairs = read_dataset(_require(values.get("data.dataset"), "dataset path"))
+    vocab = build_vocabulary(pairs, min_freq=values.get("data.min_freq", 1),
+                             max_size=values.get("data.max_size", 50000))
+    vocab.save(args.out)
     counts = Counter(tok for p in pairs for tok in p.news + p.report)
     total = sum(counts.values())
     oov = sum(c for tok, c in counts.items() if tok not in vocab.index)
@@ -57,22 +62,23 @@ def cmd_build_vocab(args) -> int:
     print(f"distinct tokens seen: {len(counts)}")
     print(f"OOV occurrences: {oov} / {total} "
           f"({(oov / total if total else 0.0):.4%} mapped to <unk>)")
-    print(f"wrote {out}")
+    print(f"wrote {args.out}")
     return 0
 
 
 def cmd_train(args) -> int:
     values = _load_values(args)
-    dataset = _require(args.dataset or values.get("data.dataset"), "dataset path")
-    vocab_path = _require(args.vocab or values.get("data.vocab"), "vocabulary path")
-    out_dir = Path(_require(args.out or values.get("output.dir"), "output directory"))
-    cfg = training_config_from(values)
-    if args.epochs is not None:
-        if args.epochs < 0:
-            raise CliError("--epochs must be >= 0")
-        epochs = args.epochs
+    dataset = _require(values.get("data.dataset"), "dataset path")
+    vocab_path = _require(values.get("data.vocab"), "vocabulary path")
+    out_dir = Path(_require(values.get("output.dir"), "output directory"))
+    if args.epochs is not None and args.epochs < 0:
+        raise CliError("--epochs must be >= 0")
+    if args.resume:  # a resumed run keeps the settings it was started with
+        state = load_checkpoint(args.resume)
+        cfg = TrainingConfig(**state.config)
     else:
-        epochs = cfg.max_epochs
+        cfg = section_config(TrainingConfig, "training", values)
+    epochs = cfg.max_epochs if args.epochs is None else args.epochs
 
     pairs = read_dataset(dataset)
     if not pairs:
@@ -83,8 +89,7 @@ def cmd_train(args) -> int:
 
     out_dir.mkdir(parents=True, exist_ok=True)
     if args.resume:
-        trainer = resume_trainer(args.resume, pairs, vocab)
-        cfg = trainer.cfg
+        trainer = resume_trainer(state, pairs, vocab)
         print(f"resumed from {args.resume} at step {trainer.step}", file=sys.stderr)
     else:
         trainer = Trainer(build_model(vocab, cfg), pairs, vocab, cfg)
@@ -117,35 +122,11 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _decode_flags_to_values(args, values) -> dict:
-    flag_map = {
-        "strategy": "decode.strategy",
-        "beam_width": "decode.beam_width",
-        "temperature": "decode.temperature",
-        "max_outline_len": "decode.max_outline_len",
-        "max_report_len": "decode.max_report_len",
-        "seed": "decode.seed",
-    }
-    out = dict(values)
-    for attr, key in flag_map.items():
-        val = getattr(args, attr, None)
-        if val is not None:
-            out[key] = val
-    if getattr(args, "greedy", False):
-        out["decode.strategy"] = "greedy"
-    if getattr(args, "sample_latent", False):
-        out["decode.deterministic_latent"] = False
-    if getattr(args, "record_attention", False):
-        out["decode.record_attention"] = True
-    return out
-
-
 def cmd_generate(args) -> int:
-    values = _decode_flags_to_values(args, _load_values(args))
-    dcfg = decode_config_from(values)
-    vocab = Vocabulary.load(_require(args.vocab, "vocabulary path"))
-    state = load_checkpoint(_require(args.checkpoint, "checkpoint path"))
-    model = restore_model(state, vocab)
+    values = _load_values(args)
+    dcfg = section_config(DecodeConfig, "decode", values)
+    vocab = Vocabulary.load(_require(values.get("data.vocab"), "vocabulary path"))
+    model = restore_model(load_checkpoint(args.checkpoint), vocab)
 
     if (args.input is None) == (args.news is None):
         raise CliError("pass exactly one of --input or --news")
@@ -183,13 +164,20 @@ def read_generations(path) -> dict:
             report = rec["report"]
             if not (isinstance(report, list) and all(isinstance(t, str) for t in report)):
                 raise CliError(f"{path}:{lineno}: 'report' must be a list of token strings")
-            out[str(rec["id"])] = report
+            pair_id = str(rec["id"])
+            if pair_id in out:
+                raise CliError(f"{path}:{lineno}: duplicate id {pair_id!r}")
+            out[pair_id] = report
     return out
 
 
 def cmd_evaluate(args) -> int:
     candidates = read_generations(args.generated)
-    references = {p.id: list(p.report) for p in read_dataset(args.dataset)}
+    references = {}
+    for p in read_dataset(args.dataset):
+        if p.id in references:
+            raise CliError(f"{args.dataset}: duplicate id {p.id!r}")
+        references[p.id] = list(p.report)
     try:
         metrics = evaluation_report(candidates, references)
     except ValueError as exc:
@@ -228,41 +216,49 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override one config key (repeatable)")
 
+    # a flag that stands for a config key stores under that key (see _load_values)
     p = sub.add_parser("build-vocab", help="build a vocabulary file from a dataset")
     add_config_args(p)
-    p.add_argument("--dataset", help="JSON-lines dataset")
+    p.add_argument("--dataset", dest="data.dataset", help="JSON-lines dataset")
     p.add_argument("--out", required=True, help="vocabulary file to write")
-    p.add_argument("--min-freq", type=int, dest="min_freq")
-    p.add_argument("--max-size", type=int, dest="max_size")
+    p.add_argument("--min-freq", type=int, dest="data.min_freq")
+    p.add_argument("--max-size", type=int, dest="data.max_size")
     p.set_defaults(func=cmd_build_vocab)
 
     p = sub.add_parser("train", help="train from a dataset and vocabulary")
     add_config_args(p)
-    p.add_argument("--dataset")
-    p.add_argument("--vocab")
-    p.add_argument("--out", help="output directory for checkpoints and the loss log")
-    p.add_argument("--epochs", type=int, help="override training.max_epochs")
-    p.add_argument("--resume", help="checkpoint to continue from")
+    p.add_argument("--dataset", dest="data.dataset")
+    p.add_argument("--vocab", dest="data.vocab")
+    p.add_argument("--out", dest="output.dir",
+                   help="output directory for checkpoints and the loss log")
+    p.add_argument("--epochs", type=int,
+                   help="epochs to train to (default training.max_epochs); not saved")
+    p.add_argument("--resume", help="checkpoint to continue from, with its training.* settings")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("generate", help="decode outlines and reports from news")
     add_config_args(p)
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--vocab", required=True)
+    p.add_argument("--vocab", dest="data.vocab")
     p.add_argument("--input", help="JSON-lines dataset of news items")
     p.add_argument("--news", help="a single news text")
     p.add_argument("--out", help="output JSON-lines file (default stdout)")
-    p.add_argument("--strategy", choices=("greedy", "beam", "sample"))
-    p.add_argument("--greedy", action="store_true", help="shorthand for --strategy greedy")
-    p.add_argument("--beam", type=int, dest="beam_width", metavar="WIDTH",
+    strategy = p.add_mutually_exclusive_group()
+    strategy.add_argument("--strategy", dest="decode.strategy",
+                          choices=("greedy", "beam", "sample"))
+    strategy.add_argument("--greedy", action="store_const", const="greedy",
+                          dest="decode.strategy", help="shorthand for --strategy greedy")
+    p.add_argument("--beam", type=int, dest="decode.beam_width", metavar="WIDTH",
                    help="beam width (implies --strategy beam unless set)")
-    p.add_argument("--temperature", type=float)
-    p.add_argument("--max-outline-len", type=int, dest="max_outline_len")
-    p.add_argument("--max-report-len", type=int, dest="max_report_len")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--sample-latent", action="store_true", dest="sample_latent",
+    p.add_argument("--temperature", type=float, dest="decode.temperature")
+    p.add_argument("--max-outline-len", type=int, dest="decode.max_outline_len")
+    p.add_argument("--max-report-len", type=int, dest="decode.max_report_len")
+    p.add_argument("--seed", type=int, dest="decode.seed")
+    p.add_argument("--sample-latent", action="store_const", const=False,
+                   dest="decode.deterministic_latent",
                    help="draw the latent from the prior instead of using zero")
-    p.add_argument("--record-attention", action="store_true", dest="record_attention")
+    p.add_argument("--record-attention", action="store_const", const=True,
+                   dest="decode.record_attention")
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("evaluate", help="score a generation file against gold reports")
@@ -282,16 +278,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "beam_width", None) is not None and not args.strategy \
-            and not getattr(args, "greedy", False):
-        args.strategy = "beam"
     try:
         return args.func(args)
     except (CliError, ConfigError, CorpusError, CheckpointError, NonFiniteLossError,
-            ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+            ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

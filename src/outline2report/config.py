@@ -94,36 +94,33 @@ class DecodeConfig:
             raise ConfigError("max decode lengths must be >= 1")
 
 
-# Keys understood by config files and --set overrides. Paths live under data./output.;
-# the rest mirror the two dataclasses above, field for field.
+# Keys understood by config files, --set items and CLI flags. Paths live under
+# data./output.; the rest mirror the two dataclasses above, field for field.
+# Types are spelled as strings, as dataclasses.fields reports them here.
 _DATA_KEYS = {
-    "data.dataset": str,
-    "data.vocab": str,
-    "data.min_freq": int,
-    "data.max_size": int,
-    "output.dir": str,
+    "data.dataset": "str",
+    "data.vocab": "str",
+    "data.min_freq": "int",
+    "data.max_size": "int",
+    "output.dir": "str",
 }
 
 
-def _field_types(cls):
-    return {f.name: f.type for f in dataclasses.fields(cls)}
-
-
-def _coerce(key: str, raw: str, typ) -> object:
+def _coerce(key: str, raw: str, typ: str) -> object:
     raw = raw.strip()
-    if typ in (bool, "bool"):
+    if typ == "bool":
         low = raw.lower()
         if low in ("true", "1", "yes", "on"):
             return True
         if low in ("false", "0", "no", "off"):
             return False
         raise ConfigError(f"{key}: expected a boolean, got {raw!r}")
-    if typ in (int, "int"):
+    if typ == "int":
         try:
             return int(raw)
         except ValueError:
             raise ConfigError(f"{key}: expected an integer, got {raw!r}") from None
-    if typ in (float, "float"):
+    if typ == "float":
         try:
             return float(raw)
         except ValueError:
@@ -131,17 +128,16 @@ def _coerce(key: str, raw: str, typ) -> object:
     return raw
 
 
-def known_keys() -> dict[str, object]:
-    keys: dict[str, object] = dict(_DATA_KEYS)
-    for name, typ in _field_types(TrainingConfig).items():
-        keys[f"training.{name}"] = typ
-    for name, typ in _field_types(DecodeConfig).items():
-        keys[f"decode.{name}"] = typ
+def known_keys() -> dict[str, str]:
+    keys = dict(_DATA_KEYS)
+    for section, cls in (("training", TrainingConfig), ("decode", DecodeConfig)):
+        keys.update({f"{section}.{f.name}": f.type for f in dataclasses.fields(cls)})
     return keys
 
 
 def parse_config_lines(lines, source: str = "<config>") -> dict[str, object]:
-    """Parse ``section.key = value`` lines into a typed flat dict."""
+    """Parse ``section.key = value`` lines into a typed flat dict; errors
+    name ``source:line``."""
     keys = known_keys()
     values: dict[str, object] = {}
     for lineno, line in enumerate(lines, start=1):
@@ -163,34 +159,8 @@ def load_config_file(path) -> dict[str, object]:
         return parse_config_lines(fh, source=str(path))
 
 
-def apply_overrides(values: dict[str, object], assignments) -> dict[str, object]:
-    """Apply ``key=value`` strings (CLI --set) on top of file values."""
-    keys = known_keys()
-    out = dict(values)
-    for item in assignments or ():
-        if "=" not in item:
-            raise ConfigError(f"--set expects key=value, got {item!r}")
-        key, _, raw = item.partition("=")
-        key = key.strip()
-        if key not in keys:
-            raise ConfigError(f"unknown config key {key!r}")
-        out[key] = _coerce(key, raw, keys[key])
-    return out
-
-
-def training_config_from(values: dict[str, object]) -> TrainingConfig:
-    kwargs = {}
-    for name in _field_types(TrainingConfig):
-        key = f"training.{name}"
-        if key in values:
-            kwargs[name] = values[key]
-    return TrainingConfig(**kwargs)
-
-
-def decode_config_from(values: dict[str, object]) -> DecodeConfig:
-    kwargs = {}
-    for name in _field_types(DecodeConfig):
-        key = f"decode.{name}"
-        if key in values:
-            kwargs[name] = values[key]
-    return DecodeConfig(**kwargs)
+def section_config(cls, section: str, values: dict[str, object]):
+    """An instance of `cls` from the ``section.*`` entries of a flat dict."""
+    prefix = section + "."
+    return cls(**{key[len(prefix):]: value for key, value in values.items()
+                  if key.startswith(prefix)})

@@ -63,12 +63,15 @@ def pair_from_record(record, where: str = "<record>") -> NewsReportPair:
         if not isinstance(record[field], str):
             raise CorpusError(f"{where}: field {field!r} must be a string, "
                               f"got {type(record[field]).__name__}")
-    return NewsReportPair(
-        id=str(record["id"]),
-        news=tuple(tokenize(record["news"])),
-        report=tuple(tokenize(record["report"])),
-        outline=tuple(tokenize(outline)) if outline is not None else None,
-    )
+    try:
+        return NewsReportPair(
+            id=str(record["id"]),
+            news=tuple(tokenize(record["news"])),
+            report=tuple(tokenize(record["report"])),
+            outline=tuple(tokenize(outline)) if outline is not None else None,
+        )
+    except CorpusError as exc:
+        raise CorpusError(f"{where}: {exc}") from None
 
 
 def read_dataset(path) -> list[NewsReportPair]:

@@ -289,18 +289,7 @@ def bleu(candidate, reference, max_n: int = 4) -> float:
     if not candidate:
         warnings.warn("empty candidate scores 0", stacklevel=2)
         return 0.0
-    log_sum = 0.0
-    for n in range(1, max_n + 1):
-        clipped, total = clipped_counts(candidate, reference, n)
-        if n >= 2:
-            clipped += 1
-            total += 1
-        if clipped == 0:
-            return 0.0
-        log_sum += math.log(clipped / total)
-    bp = 1.0 if len(candidate) > len(reference) else math.exp(
-        1.0 - len(reference) / len(candidate))
-    return bp * math.exp(log_sum / max_n)
+    return corpus_bleu([(candidate, reference)], max_n)
 
 
 def corpus_bleu(pairs, max_n: int = 4) -> float:

@@ -370,9 +370,8 @@ def restore_model(state: CheckpointState, vocab: Vocabulary) -> NewsToReportMode
     return model
 
 
-def resume_trainer(path, pairs, vocab: Vocabulary) -> Trainer:
-    """Trainer continuing bit-exactly from the checkpoint at `path`."""
-    state = load_checkpoint(path)
+def resume_trainer(state: CheckpointState, pairs, vocab: Vocabulary) -> Trainer:
+    """Trainer continuing bit-exactly from a loaded checkpoint."""
     cfg = TrainingConfig(**state.config)
     model = build_model(vocab, cfg)
     trainer = Trainer(model, pairs, vocab, cfg)

@@ -22,7 +22,7 @@ from outline2report.model import build_model
 from outline2report.numerics import Parameter
 from outline2report.outline_decoder import attend
 from outline2report.report_decoder import gaussian_kl
-from outline2report.training import Trainer, resume_trainer
+from outline2report.training import Trainer, load_checkpoint, resume_trainer
 
 from table_oracles import ROOT, exhaustive_best, make_step, random_table
 
@@ -169,7 +169,7 @@ def test_criterion_6_determinism_and_resume(capsys):
         first = Trainer(build_model(vocab, cfg), pairs, vocab, cfg)
         head = first.run(max_epochs=1)
         first.save(ckpt)
-        resumed = resume_trainer(ckpt, pairs, vocab)
+        resumed = resume_trainer(load_checkpoint(ckpt), pairs, vocab)
         tail = resumed.run(max_epochs=3)
     stitched = trace(head) + trace(tail)
     resumable = stitched == trace(run_a)

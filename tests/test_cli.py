@@ -1,5 +1,6 @@
 """End-to-end checks of the command line: each subcommand run in process."""
 
+import argparse
 import io
 import json
 import tempfile
@@ -10,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from outline2report.cli import main
+from outline2report.cli import build_parser, main
+from outline2report.config import known_keys
 
 DATASET = [
     {"id": "p1", "news": "storms flood the coast today",
@@ -139,6 +141,16 @@ class TestTrain:
                 == (split / "loss_log.csv").read_bytes())
         assert ((full / "checkpoint.o2r").read_bytes()
                 == (split / "checkpoint.o2r").read_bytes())
+
+    def test_bare_resume_takes_the_checkpoint_settings(self, dataset, vocab, tmp_path):
+        settings = ("--set", "training.outline_k=2", "--set", "training.max_epochs=3")
+        full, split = tmp_path / "full", tmp_path / "split"
+        assert run_train(dataset, vocab, full, *settings) == 0
+        assert run_train(dataset, vocab, split, *settings, "--epochs", "1") == 0
+        assert main(["train", "--dataset", str(dataset), "--vocab", str(vocab),
+                     "--out", str(split), "--resume", str(split / "checkpoint.o2r")]) == 0
+        for name in ("loss_log.csv", "checkpoint.o2r"):
+            assert (full / name).read_bytes() == (split / name).read_bytes(), name
 
     def test_periodic_checkpoints(self, dataset, vocab, tmp_path):
         out = tmp_path / "run"
@@ -303,7 +315,8 @@ class TestMalformedInput:
     @pytest.mark.parametrize("line,fragment", [
         ('{"id": "a", "news": 5, "report": "y"}', "'news' must be a string"),
         ("7", "expected a JSON object"),
-    ], ids=["non-string-field", "non-object-line"])
+        ('{"id": "e2", "news": "", "report": "y"}', "pair 'e2': empty news"),
+    ], ids=["non-string-field", "non-object-line", "empty-news"])
     def test_dataset_record(self, tmp_path, capsys, line, fragment):
         ds = tmp_path / "bad.jsonl"
         ds.write_text('{"id": "ok", "news": "x", "report": "y"}\n' + line + "\n")
@@ -402,6 +415,24 @@ class TestEvaluate:
         assert code == 1
         assert_one_line_error(capsys, f"{gen}:1: ", "list of token strings")
 
+    def test_duplicate_generation_id_fails(self, trained, tmp_path, capsys):
+        gen = tmp_path / "gen.jsonl"
+        gen.write_text('{"id": "p1", "report": ["the"]}\n'
+                       '{"id": "p2", "report": ["the"]}\n'
+                       '{"id": "p1", "report": ["a"]}\n')
+        code = main(["evaluate", "--generated", str(gen),
+                     "--dataset", str(trained["dataset"])])
+        assert code == 1
+        assert_one_line_error(capsys, f"{gen}:3: ", "duplicate id 'p1'")
+
+    def test_duplicate_dataset_id_fails(self, tmp_path, capsys):
+        ds = write_dataset(tmp_path / "ds.jsonl", DATASET + DATASET[:1])
+        gen = tmp_path / "gen.jsonl"
+        gen.write_text('{"id": "p1", "report": ["the"]}\n')
+        code = main(["evaluate", "--generated", str(gen), "--dataset", str(ds)])
+        assert code == 1
+        assert_one_line_error(capsys, f"{ds}: ", "duplicate id 'p1'")
+
     def test_non_object_record_fails(self, trained, tmp_path, capsys):
         gen = tmp_path / "gen.jsonl"
         gen.write_text("7\n")
@@ -409,6 +440,108 @@ class TestEvaluate:
                      "--dataset", str(trained["dataset"])])
         assert code == 1
         assert_one_line_error(capsys, f"{gen}:1")
+
+
+def vocab_size(*argv):
+    """Entries of the vocabulary that one build-vocab run writes (its --out
+    must be the last two arguments)."""
+    assert main(["build-vocab", *argv]) == 0
+    return len(Path(argv[-1]).read_text().splitlines())
+
+
+def generated(trained, tmp_path, *extra):
+    out = tmp_path / "gen.jsonl"
+    assert run_generate(trained, out, "--input", str(trained["dataset"]), *extra) == 0
+    return out.read_text()
+
+
+class TestSettings:
+    """One precedence rule for every subcommand: the config file, then
+    --set items, then the flags that stand for a config key."""
+
+    def test_build_vocab_min_freq(self, dataset, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("data.min_freq = 99\n")
+        out = str(tmp_path / "v.txt")
+        base = ("--dataset", str(dataset), "--config", str(cfg))
+        everything = vocab_size("--dataset", str(dataset), "--out", out)
+        frequent = vocab_size("--dataset", str(dataset), "--min-freq", "2", "--out", out)
+        assert frequent < everything
+        assert vocab_size(*base, "--set", "data.min_freq=2", "--out", out) == frequent
+        assert vocab_size(*base, "--set", "data.min_freq=2", "--min-freq", "1",
+                          "--out", out) == everything
+        cfg.write_text("data.min_freq = 2\n")
+        assert vocab_size(*base, "--out", out) == frequent
+
+    def test_train_output_dir(self, dataset, vocab, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"output.dir = {tmp_path / 'file'}\n")
+        base = ["train", "--dataset", str(dataset), "--vocab", str(vocab),
+                "--config", str(cfg), "--epochs", "0", *TINY]
+        assert main(base) == 0
+        assert main([*base, "--set", f"output.dir={tmp_path / 'set'}"]) == 0
+        assert main([*base, "--set", f"output.dir={tmp_path / 'set2'}",
+                     "--out", str(tmp_path / "flag")]) == 0
+        written = sorted(p.parent.name for p in tmp_path.glob("*/checkpoint.o2r"))
+        assert written == ["file", "flag", "set"]
+
+    def test_generate_decode_settings(self, trained, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("decode.strategy = sample\ndecode.seed = 1\n")
+        by_seed = [generated(trained, tmp_path, "--strategy", "sample", "--seed", seed)
+                   for seed in ("1", "2", "3")]
+        assert len(set(by_seed)) == 3
+        base = ("--config", str(cfg))
+        assert generated(trained, tmp_path, *base) == by_seed[0]
+        assert generated(trained, tmp_path, *base, "--set", "decode.seed=2") == by_seed[1]
+        assert generated(trained, tmp_path, *base, "--set", "decode.seed=2",
+                         "--seed", "3") == by_seed[2]
+
+    def test_generate_reads_the_vocabulary_from_the_config(self, trained, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"data.vocab = {trained['vocab']}\n")
+        expected = generated(trained, tmp_path, "--greedy")
+        out = tmp_path / "cfg.jsonl"
+        assert main(["generate", "--checkpoint", str(trained["checkpoint"]),
+                     "--config", str(cfg), "--input", str(trained["dataset"]),
+                     "--out", str(out), "--greedy"]) == 0
+        assert out.read_text() == expected
+        capsys.readouterr()
+        code = main(["generate", "--checkpoint", str(trained["checkpoint"]),
+                     "--news", "storms", "--greedy"])
+        assert code == 1
+        assert_one_line_error(capsys, "missing vocabulary path")
+
+    def test_beam_width_implies_beam(self, trained, tmp_path):
+        beam = generated(trained, tmp_path, "--strategy", "beam", "--beam", "3")
+        greedy = generated(trained, tmp_path, "--greedy")
+        assert beam != greedy
+        assert generated(trained, tmp_path, "--beam", "3") == beam
+        assert generated(trained, tmp_path, "--set", "decode.strategy=greedy",
+                         "--beam", "3") == beam
+        assert generated(trained, tmp_path, "--greedy", "--beam", "3") == greedy
+
+    def test_greedy_and_strategy_are_exclusive(self, trained, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            run_generate(trained, None, "--news", "storms", "--greedy", "--strategy", "beam")
+        assert exit_info.value.code == 2
+        assert "not allowed with" in capsys.readouterr().err
+
+    def test_set_errors_name_the_item(self, dataset, vocab, tmp_path, capsys):
+        code = main(["train", "--dataset", str(dataset), "--vocab", str(vocab),
+                     "--out", str(tmp_path / "run"), "--set", "training.seed=2",
+                     "--set", "training.d_emb"])
+        assert code == 1
+        assert_one_line_error(capsys, "--set:2: ", "expected 'key = value'")
+
+    def test_every_config_flag_stores_under_a_known_key(self):
+        parser = build_parser()
+        subcommands = next(a for a in parser._actions
+                           if isinstance(a, argparse._SubParsersAction)).choices
+        dests = {action.dest for sub in subcommands.values() for action in sub._actions}
+        dotted = {dest for dest in dests if "." in dest}
+        assert {"data.dataset", "decode.beam_width", "decode.deterministic_latent"} <= dotted
+        assert dotted <= set(known_keys())
 
 
 class TestGradcheck:
@@ -473,8 +606,9 @@ class TestCliFuzz:
 
     @pytest.mark.filterwarnings("ignore:.*(scores|is) 0")  # BLEU of an empty report
     @settings(max_examples=150, deadline=None)
-    @given(generated=_generation_file, dataset=_dataset_file, config=_config_file)
-    def test_no_traceback(self, generated, dataset, config):
+    @given(generated=_generation_file, dataset=_dataset_file, config=_config_file,
+           setting=_config_line)
+    def test_no_traceback(self, generated, dataset, config, setting):
         with tempfile.TemporaryDirectory() as tmp:
             gen, ds, cfg, out = (Path(tmp) / name
                                  for name in ("gen.jsonl", "ds.jsonl", "run.cfg", "v.txt"))
@@ -482,7 +616,7 @@ class TestCliFuzz:
                 path.write_text(text, encoding="utf-8")
             for argv in (["evaluate", "--generated", str(gen), "--dataset", str(ds)],
                          ["build-vocab", "--dataset", str(ds), "--config", str(cfg),
-                          "--out", str(out)]):
+                          f"--set={setting}", "--out", str(out)]):
                 code, err = run_quietly(argv)
                 assert code in (0, 1), argv
                 if code == 1:

@@ -330,7 +330,7 @@ class TestCheckpointing:
         path = tmp_path / "mid.o2r"
         partial.save(path)
 
-        resumed = resume_trainer(path, pairs, vocab)
+        resumed = resume_trainer(load_checkpoint(path), pairs, vocab)
         assert resumed.step == 3
         tail = []
         while resumed.step < len(full):
@@ -397,7 +397,7 @@ class TestCheckpointing:
             NewsReportPair(id="x", news=("other", "words"),
                            report=("entirely", "different", "text"))], k=1))
         with pytest.raises(CheckpointError, match="digest"):
-            resume_trainer(path, pairs, stranger)
+            resume_trainer(load_checkpoint(path), pairs, stranger)
         with pytest.raises(CheckpointError, match="digest"):
             restore_model(load_checkpoint(path), stranger)
 
@@ -424,7 +424,7 @@ def saved_checkpoint(tmp_path_factory):
 
 def load_both_ways(path, pairs, vocab):
     restore_model(load_checkpoint(path), vocab)
-    resume_trainer(path, pairs, vocab)
+    resume_trainer(load_checkpoint(path), pairs, vocab)
 
 
 class TestCheckpointFuzz:
@@ -438,7 +438,7 @@ class TestCheckpointFuzz:
         with pytest.raises(CheckpointError):
             restore_model(load_checkpoint(path), vocab)
         with pytest.raises(CheckpointError):
-            resume_trainer(path, pairs, vocab)
+            resume_trainer(load_checkpoint(path), pairs, vocab)
 
     @pytest.mark.parametrize("old, new", [
         (b'"teacher_forcing_ratio": 1.0', b'"teacher_forcing_ratio": 9.0'),  # ConfigError
