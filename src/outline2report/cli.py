@@ -74,6 +74,10 @@ def cmd_train(args) -> int:
     if args.epochs is not None and args.epochs < 0:
         raise CliError("--epochs must be >= 0")
     if args.resume:  # a resumed run keeps the settings it was started with
+        given = sorted(key for key in values if key.startswith("training."))
+        if given:
+            raise CliError(f"--resume takes training.* from the checkpoint; "
+                           f"remove {', '.join(given)}")
         state = load_checkpoint(args.resume)
         cfg = TrainingConfig(**state.config)
     else:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import (FLOAT, LSTMCell, Parameter, log_softmax, masked_row_softmax, run_lstm,
+from .numerics import (FLOAT, LSTMCell, Parameter, masked_row_softmax, run_lstm,
                        run_lstm_backward, scheduled_inputs, uniform_init)
 
 
@@ -67,9 +67,10 @@ def attend(enc_states, state, mask, W_a: Parameter, W_c: Parameter) -> Attention
     return AttentionStep(enc_states, state, query, weights, context, combined)
 
 
-def attend_backward(step: AttentionStep, d_combined, W_a: Parameter, W_c: Parameter):
-    """Backward through attend; accumulates W_a/W_c grads, returns
-    (d_enc_states, d_state) with d_state shaped like step.state."""
+def attend_backward(step: AttentionStep, d_combined, W_a: Parameter, W_c: Parameter,
+                    param_grads=True):
+    """Backward through attend; accumulates W_a/W_c grads (unless param_grads
+    is false), returns (d_enc_states, d_state) with d_state shaped like step.state."""
     single = step.state.ndim == 2
     enc = step.enc_states
     state, query, weights, context, combined, d_combined = (
@@ -77,7 +78,8 @@ def attend_backward(step: AttentionStep, d_combined, W_a: Parameter, W_c: Parame
             step.state, step.query, step.weights, step.context, step.combined, d_combined))
     E = enc.shape[-1]
     d_pre = d_combined * (1.0 - combined * combined)
-    W_c.grad += per_step_outer_sum(d_pre, np.concatenate([context, state], axis=2))
+    if param_grads:
+        W_c.grad += per_step_outer_sum(d_pre, np.concatenate([context, state], axis=2))
     d_combo_in = per_step_matmul(d_pre, W_c.value)
     d_context = d_combo_in[:, :, :E]
     d_state = d_combo_in[:, :, E:]
@@ -87,7 +89,8 @@ def attend_backward(step: AttentionStep, d_combined, W_a: Parameter, W_c: Parame
     inner = (d_weights * weights).sum(axis=2, keepdims=True)
     d_scores = weights * (d_weights - inner)
     d_query = np.einsum("bkt,bte->bke", d_scores, enc)
-    W_a.grad += per_step_outer_sum(d_query, state)
+    if param_grads:
+        W_a.grad += per_step_outer_sum(d_query, state)
     d_state += per_step_matmul(d_query, W_a.value)
     # step by step: a [B,K,T,E] temporary would hold K copies of enc
     d_enc = np.zeros_like(enc)
@@ -98,39 +101,74 @@ def attend_backward(step: AttentionStep, d_combined, W_a: Parameter, W_c: Parame
     return d_enc, (d_state[:, 0] if single else d_state)
 
 
-def sequence_nll(logits, targets, mask):
-    """Batch-mean of per-row summed negative log-likelihoods.
+# Valid rows projected onto the vocabulary at once: one [XENT_CHUNK, V] block
+# of logits is the only vocabulary-sized array the loss ever holds.
+XENT_CHUNK = 128
 
-    logits [B,T,V], targets [B,T] int, mask [B,T] bool. Uses log-softmax
-    internally; returns (loss, probs) with probs cached for backward.
-    """
-    logits = np.asarray(logits, dtype=FLOAT)
+
+def _valid_rows(hidden, W, targets, mask):
+    """(hidden as [B*T, H], flat indices of the valid rows, their gold ids)."""
+    hidden = np.asarray(hidden, dtype=FLOAT)
     targets = np.asarray(targets)
-    B, T, V = logits.shape
+    V = W.shape[0]
     if targets.size and (targets.min() < 0 or targets.max() >= V):
         raise ValueError(f"target id out of range [0, {V})")
-    logp = log_softmax(logits, axis=-1)
-    rows = np.arange(B)[:, None], np.arange(T)[None, :]
-    gold_logp = logp[rows[0], rows[1], targets]
-    loss = float(-(gold_logp * mask).sum() / B)
-    return loss, np.exp(logp)
+    rows = np.flatnonzero(mask)
+    return hidden.reshape(-1, hidden.shape[-1]), rows, targets.reshape(-1)[rows]
 
 
-def sequence_nll_backward(probs, targets, mask, scale=1.0):
-    """d loss / d logits for sequence_nll; scale folds in any loss weight."""
-    B, T, V = probs.shape
-    d = probs.copy()
-    rows = np.arange(B)[:, None], np.arange(T)[None, :]
-    d[rows[0], rows[1], targets] -= 1.0
-    d *= (np.asarray(mask, dtype=FLOAT) * (scale / B))[:, :, None]
-    return d
+def sequence_nll(hidden, W, targets, mask):
+    """Batch-mean of per-row summed negative log-likelihoods under
+    softmax(hidden @ W.T).
+
+    hidden [B,T,H], W [V,H], targets [B,T] int, mask [B,T] bool. Only the
+    valid rows are projected, XENT_CHUNK at a time; returns (loss, lse) with
+    lse the log-sum-exp of each valid row's logits, all that backward keeps.
+    """
+    X, rows, gold = _valid_rows(hidden, W, targets, mask)
+    peak, log_sum, gold_shifted = (np.empty(rows.size, dtype=FLOAT) for _ in range(3))
+    for lo in range(0, rows.size, XENT_CHUNK):
+        part = slice(lo, lo + XENT_CHUNK)
+        z = X[rows[part]] @ W.T
+        peak[part] = z.max(axis=1)
+        z -= peak[part, None]
+        gold_shifted[part] = z[np.arange(len(z)), gold[part]]
+        np.exp(z, out=z)
+        log_sum[part] = np.log(z.sum(axis=1))
+    # -log p(gold) = log_sum - (z_gold - peak): no cancellation against a large peak
+    loss = float((log_sum - gold_shifted).sum() / len(hidden))
+    return loss, peak + log_sum
+
+
+def sequence_nll_backward(hidden, W, targets, mask, lse, scale=1.0, param_grads=True):
+    """Gradients of scale * sequence_nll: (d_hidden [B,T,H], dW [V,H]).
+
+    Recomputes each chunk's softmax from lse rather than keeping it from the
+    forward pass. Masked rows of d_hidden are 0; dW is None when param_grads
+    is false, for a caller that does not train W.
+    """
+    X, rows, gold = _valid_rows(hidden, W, targets, mask)
+    d_hidden = np.zeros_like(X)
+    dW = np.zeros_like(W) if param_grads else None
+    factor = scale / len(hidden)
+    for lo in range(0, rows.size, XENT_CHUNK):
+        part = slice(lo, lo + XENT_CHUNK)
+        X_c = X[rows[part]]
+        p = X_c @ W.T
+        p -= lse[part, None]
+        np.exp(p, out=p)
+        p[np.arange(len(p)), gold[part]] -= 1.0
+        p *= factor
+        if param_grads:
+            dW += p.T @ X_c
+        d_hidden[rows[part]] = p @ W
+    return d_hidden.reshape(np.shape(hidden)), dW
 
 
 @dataclass
 class OutlineForward:
     states: np.ndarray        # [B, K, H] decoder LSTM states
-    logits: np.ndarray        # [B, K, V]
-    probs: np.ndarray         # [B, K, V]
+    lse: np.ndarray           # log-sum-exp of each valid step's logits
     loss: float
     input_ids: np.ndarray     # [B, K] ids actually fed (teacher forcing or sampled)
     attention: AttentionStep  # all K steps, combined [B, K, H]
@@ -187,32 +225,36 @@ class OutlineDecoder:
         states, _, run_cache = run_lstm(self.cell, embedding.lookup(input_ids), target_mask,
                                         h0=s0, c0=c0)
         attn = attend(enc_states, states, enc_mask, self.W_a, self.W_c)
-        logits = per_step_matmul(attn.combined, self.W_o.value.T)
-        loss, probs = sequence_nll(logits, targets, target_mask)
+        loss, lse = sequence_nll(attn.combined, self.W_o.value, targets, target_mask)
         return OutlineForward(
-            states=states, logits=logits, probs=probs, loss=loss,
+            states=states, lse=lse, loss=loss,
             input_ids=input_ids, attention=attn, run_cache=run_cache,
             bridge_out=s0, bridge_input=h_fwd_fin)
 
     def backward(self, fwd: OutlineForward, targets, target_mask,
-                 d_states_extra=None, loss_scale=1.0):
+                 d_states_extra=None, loss_scale=1.0, param_grads=True):
         """Backward through the whole teacher-forced pass.
 
         d_states_extra [B,K,H] carries gradients flowing into the decoder
         states from elsewhere (the fusion pooling). Returns (d_enc_states,
-        d_input_embeddings, d_h_fwd_fin); accumulates parameter grads.
+        d_input_embeddings, d_h_fwd_fin); accumulates parameter grads unless
+        param_grads is false (a frozen outline stage), which leaves them as
+        they were and returns the same input gradients.
         """
-        d_logits = sequence_nll_backward(fwd.probs, targets, target_mask, scale=loss_scale)
-        self.W_o.grad += np.einsum("btv,bth->vh", d_logits, fwd.attention.combined)
-        d_combined = np.einsum("btv,vh->bth", d_logits, self.W_o.value)
-        d_enc, dS = attend_backward(fwd.attention, d_combined, self.W_a, self.W_c)
+        d_combined, dW_o = sequence_nll_backward(
+            fwd.attention.combined, self.W_o.value, targets, target_mask, fwd.lse,
+            scale=loss_scale, param_grads=param_grads)
+        if param_grads:
+            self.W_o.grad += dW_o
+        d_enc, dS = attend_backward(fwd.attention, d_combined, self.W_a, self.W_c, param_grads)
         if d_states_extra is not None:
             dS += d_states_extra
-        dX, ds0, _ = run_lstm_backward(self.cell, fwd.run_cache, dS)
+        dX, ds0, _ = run_lstm_backward(self.cell, fwd.run_cache, dS, param_grads=param_grads)
 
         s0 = fwd.bridge_out
         d_pre = ds0 * (1.0 - s0 * s0)
-        self.bridge_W.grad += d_pre.T @ fwd.bridge_input
-        self.bridge_b.grad += d_pre.sum(axis=0)
+        if param_grads:
+            self.bridge_W.grad += d_pre.T @ fwd.bridge_input
+            self.bridge_b.grad += d_pre.sum(axis=0)
         d_h_fwd_fin = d_pre @ self.bridge_W.value
         return d_enc, dX, d_h_fwd_fin

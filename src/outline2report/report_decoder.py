@@ -72,8 +72,7 @@ class ReportForward:
     init_out: np.ndarray      # h0 [B, H], post-tanh
     init_in: np.ndarray       # [z ; u]
     states: np.ndarray        # [B, K, H]
-    logits: np.ndarray
-    probs: np.ndarray
+    lse: np.ndarray           # log-sum-exp of each valid step's logits
     nll: float
     loss: float               # nll + beta * mean KL
     beta: float
@@ -138,13 +137,12 @@ class ReportDecoder:
                 lambda h: h @ self.W_out.value.T, sample_rng, teacher_forcing_ratio)
         states, _, run_cache = run_lstm(self.cell, embedding.lookup(input_ids), target_mask,
                                         h0=h0, c0=c0)
-        logits = np.einsum("bth,vh->btv", states, self.W_out.value)
-        nll, probs = sequence_nll(logits, targets, target_mask)
+        nll, lse = sequence_nll(states, self.W_out.value, targets, target_mask)
         loss = nll + beta * float(np.mean(kl_rows))
         return ReportForward(
             recog_in=recog_in, latent=latent, kl_rows=kl_rows, init_out=h0,
-            init_in=init_in, states=states, logits=logits, probs=probs,
-            nll=nll, loss=loss, beta=beta, input_ids=input_ids, run_cache=run_cache)
+            init_in=init_in, states=states, lse=lse, nll=nll, loss=loss, beta=beta,
+            input_ids=input_ids, run_cache=run_cache)
 
     def backward(self, fwd: ReportForward, targets, target_mask):
         """Backward through NLL + beta*KL; accumulates parameter grads.
@@ -152,9 +150,9 @@ class ReportDecoder:
         Returns (d_u, d_report_summary, d_input_embeddings).
         """
         B = fwd.states.shape[0]
-        d_logits = sequence_nll_backward(fwd.probs, targets, target_mask)
-        self.W_out.grad += np.einsum("btv,bth->vh", d_logits, fwd.states)
-        dS = np.einsum("btv,vh->bth", d_logits, self.W_out.value)
+        dS, dW_out = sequence_nll_backward(fwd.states, self.W_out.value, targets, target_mask,
+                                           fwd.lse)
+        self.W_out.grad += dW_out
         dX, dh0, _ = run_lstm_backward(self.cell, fwd.run_cache, dS)
 
         h0 = fwd.init_out

@@ -93,14 +93,14 @@ def diagnose_forward(fwd: ModelForward) -> str:
     stages = [
         ("news embeddings", fwd.news_emb),
         ("encoder states", fwd.enc_states),
-        ("outline logits", fwd.outline.logits),
+        ("outline log-sum-exp", fwd.outline.lse),
         ("outline loss", fwd.loss_outline),
         ("fusion vector", fwd.u),
         ("latent mean", fwd.report.latent.mean),
         ("latent logvar", fwd.report.latent.logvar),
         ("latent sample", fwd.report.latent.z),
         ("KL term", fwd.report.kl_rows),
-        ("report logits", fwd.report.logits),
+        ("report log-sum-exp", fwd.report.lse),
         ("report loss", fwd.loss_report),
     ]
     for name, value in stages:

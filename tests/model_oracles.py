@@ -2,8 +2,9 @@
 
 None of these runs in training or generation. Each restates one piece of the
 model in its plainest form, so the tests can hold the batched code to it:
-a 1-D softmax, one LSTM step on vectors, the two stage losses as scalars,
-their sum, and the encoder run on one unpadded sequence.
+a 1-D softmax, one LSTM step on vectors, the softmax cross-entropy over a
+full [B,T,V] logit array, the two stage losses as scalars, their sum, and
+the encoder run on one unpadded sequence.
 """
 
 import math
@@ -11,8 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from outline2report.numerics import FLOAT, NonFiniteLossError, sigmoid
-from outline2report.outline_decoder import sequence_nll
+from outline2report.numerics import FLOAT, NonFiniteLossError, log_softmax, sigmoid
 
 
 def softmax(v):
@@ -57,10 +57,50 @@ def lstm_cell_step(x, h_prev, c_prev, W_x, W_h, b):
     return h, c
 
 
+def reference_sequence_nll(logits, targets, mask):
+    """Batch-mean of per-row summed negative log-likelihoods.
+
+    logits [B,T,V], targets [B,T] int, mask [B,T] bool. Uses log-softmax
+    over every row, masked or not; returns (loss, probs).
+    """
+    logits = np.asarray(logits, dtype=FLOAT)
+    targets = np.asarray(targets)
+    B, T, V = logits.shape
+    if targets.size and (targets.min() < 0 or targets.max() >= V):
+        raise ValueError(f"target id out of range [0, {V})")
+    logp = log_softmax(logits, axis=-1)
+    rows = np.arange(B)[:, None], np.arange(T)[None, :]
+    gold_logp = logp[rows[0], rows[1], targets]
+    loss = float(-(gold_logp * mask).sum() / B)
+    return loss, np.exp(logp)
+
+
+def reference_sequence_nll_backward(probs, targets, mask, scale=1.0):
+    """d loss / d logits for reference_sequence_nll; scale folds in a loss weight."""
+    B, T, V = probs.shape
+    d = probs.copy()
+    rows = np.arange(B)[:, None], np.arange(T)[None, :]
+    d[rows[0], rows[1], targets] -= 1.0
+    d *= (np.asarray(mask, dtype=FLOAT) * (scale / B))[:, :, None]
+    return d
+
+
+def reference_xent(hidden, W, targets, mask, scale=1.0):
+    """The softmax cross-entropy of logits hidden @ W.T with its gradients, through
+    the whole [B,T,V] logit array: (loss, lse [n_valid], d_hidden, dW)."""
+    logits = np.einsum("bth,vh->btv", hidden, W)
+    loss, probs = reference_sequence_nll(logits, targets, mask)
+    d_logits = reference_sequence_nll_backward(probs, targets, mask, scale)
+    peak = logits.max(axis=2)
+    lse = peak + np.log(np.exp(logits - peak[:, :, None]).sum(axis=2))
+    return (loss, lse[np.asarray(mask, dtype=bool)],
+            np.einsum("btv,vh->bth", d_logits, W), np.einsum("btv,bth->vh", d_logits, hidden))
+
+
 def outline_loss(logits, targets, mask):
     """Sum of gold-token negative log-probabilities over unmasked steps,
     averaged over the batch."""
-    loss, _ = sequence_nll(logits, targets, mask)
+    loss, _ = reference_sequence_nll(logits, targets, mask)
     return loss
 
 
@@ -68,7 +108,7 @@ def report_loss(logits, targets, mask, kl, beta):
     """Token-level NLL over unmasked steps plus beta * KL (batch means)."""
     if beta < 0:
         raise ValueError("beta must be >= 0")
-    nll, _ = sequence_nll(logits, targets, mask)
+    nll, _ = reference_sequence_nll(logits, targets, mask)
     return nll + beta * float(np.mean(kl))
 
 

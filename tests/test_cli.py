@@ -135,8 +135,9 @@ class TestTrain:
         full, split = tmp_path / "full", tmp_path / "split"
         assert run_train(dataset, vocab, full, "--epochs", "3") == 0
         assert run_train(dataset, vocab, split, "--epochs", "1") == 0
-        assert run_train(dataset, vocab, split, "--epochs", "3",
-                         "--resume", str(split / "checkpoint.o2r")) == 0
+        assert main(["train", "--dataset", str(dataset), "--vocab", str(vocab),
+                     "--out", str(split), "--epochs", "3",
+                     "--resume", str(split / "checkpoint.o2r")]) == 0
         assert ((full / "loss_log.csv").read_bytes()
                 == (split / "loss_log.csv").read_bytes())
         assert ((full / "checkpoint.o2r").read_bytes()
@@ -151,6 +152,26 @@ class TestTrain:
                      "--out", str(split), "--resume", str(split / "checkpoint.o2r")]) == 0
         for name in ("loss_log.csv", "checkpoint.o2r"):
             assert (full / name).read_bytes() == (split / name).read_bytes(), name
+
+    @pytest.mark.parametrize("source", ["--set", "--config"])
+    def test_resume_rejects_training_settings(self, dataset, vocab, tmp_path, capsys, source):
+        out = tmp_path / "run"
+        assert run_train(dataset, vocab, out, "--epochs", "1") == 0
+        before = {name: (out / name).read_bytes() for name in ("loss_log.csv", "checkpoint.o2r")}
+        capsys.readouterr()
+        if source == "--set":
+            extra = ["--set", "training.max_epochs=4", "--set", "training.learning_rate=5"]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("training.max_epochs = 4\ntraining.learning_rate = 5\n")
+            extra = ["--config", str(cfg)]
+        code = main(["train", "--dataset", str(dataset), "--vocab", str(vocab),
+                     "--out", str(out), "--epochs", "2", *extra,
+                     "--resume", str(out / "checkpoint.o2r")])
+        assert code == 1
+        assert_one_line_error(capsys, "training.learning_rate, training.max_epochs")
+        for name, data in before.items():
+            assert (out / name).read_bytes() == data, name
 
     def test_periodic_checkpoints(self, dataset, vocab, tmp_path):
         out = tmp_path / "run"

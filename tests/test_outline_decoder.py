@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from outline2report import outline_decoder
 from outline2report.corpus import BOS, PAD
 from outline2report.encoder import Embedding
 from outline2report.numerics import (
@@ -14,7 +15,7 @@ from outline2report.numerics import (
 from outline2report.outline_decoder import (
     OutlineDecoder, attend, attend_backward, sequence_nll, sequence_nll_backward)
 
-from model_oracles import lstm_cell_step, outline_loss
+from model_oracles import lstm_cell_step, outline_loss, reference_xent
 
 LN20 = math.log(20.0)
 
@@ -160,77 +161,200 @@ class TestTokenDistribution:
         assert np.argmax(shifted) == np.argmax(base)
 
 
+def fused_loss(logits, targets, mask):
+    """sequence_nll on states whose projection through W = I is exactly
+    `logits` (each logit is x * 1 plus zeros), so closed forms apply."""
+    logits = np.asarray(logits, dtype=float)
+    loss, _ = sequence_nll(logits, np.eye(logits.shape[-1]), targets, mask)
+    return loss
+
+
 class TestOutlineLoss:
+    """Closed forms for the chunked kernel and for the full-logit oracle."""
+
+    LOSSES = (fused_loss, outline_loss)
+
     def test_uniform_three_steps(self):
         logits = np.zeros((1, 3, 20))
         targets = np.array([[4, 0, 19]])
         mask = np.ones((1, 3), dtype=bool)
-        assert abs(outline_loss(logits, targets, mask) - 3 * LN20) < 1e-12
+        for loss in self.LOSSES:
+            assert abs(loss(logits, targets, mask) - 3 * LN20) < 1e-12
 
     def test_certain_gold_token_zero_loss(self):
         logits = np.zeros((1, 2, 6))
         targets = np.array([[3, 1]])
         logits[0, 0, 3] = 1000.0
         logits[0, 1, 1] = 1000.0
-        assert outline_loss(logits, targets, np.ones((1, 2), dtype=bool)) == 0.0
+        for loss in self.LOSSES:
+            assert loss(logits, targets, np.ones((1, 2), dtype=bool)) == 0.0
 
     def test_hand_half_quarter(self):
         # softmax([ln 2, 0, 0]) = (0.5, 0.25, 0.25)
         logits = np.zeros((1, 2, 3))
         logits[:, :, 0] = math.log(2.0)
         targets = np.array([[0, 1]])
-        loss = outline_loss(logits, targets, np.ones((1, 2), dtype=bool))
-        assert abs(loss - (-math.log(0.5) - math.log(0.25))) < 1e-12
-        assert abs(loss - math.log(8.0)) < 1e-12
+        for loss_fn in self.LOSSES:
+            loss = loss_fn(logits, targets, np.ones((1, 2), dtype=bool))
+            assert abs(loss - (-math.log(0.5) - math.log(0.25))) < 1e-12
+            assert abs(loss - math.log(8.0)) < 1e-12
 
     def test_out_of_range_target_rejected(self):
-        with pytest.raises(ValueError, match="out of range"):
-            outline_loss(np.zeros((1, 1, 5)), np.array([[5]]),
-                         np.ones((1, 1), dtype=bool))
+        for loss in self.LOSSES:
+            with pytest.raises(ValueError, match="out of range"):
+                loss(np.zeros((1, 1, 5)), np.array([[5]]), np.ones((1, 1), dtype=bool))
 
     def test_mask_excludes_steps(self):
         rng = np.random.default_rng(7)
         logits = rng.normal(size=(1, 3, 8))
         targets = np.array([[1, 2, 3]])
         m_full = np.array([[True, True, False]])
-        both = outline_loss(logits, targets, m_full)
-        first_two = outline_loss(logits[:, :2], targets[:, :2],
-                                 np.ones((1, 2), dtype=bool))
-        assert abs(both - first_two) < 1e-12
+        for loss in self.LOSSES:
+            both = loss(logits, targets, m_full)
+            first_two = loss(logits[:, :2], targets[:, :2], np.ones((1, 2), dtype=bool))
+            assert abs(both - first_two) < 1e-12
 
     def test_batch_mean_reduction(self):
         rng = np.random.default_rng(8)
         logits = rng.normal(size=(2, 2, 5))
         targets = np.array([[0, 1], [2, 3]])
         mask = np.ones((2, 2), dtype=bool)
-        together = outline_loss(logits, targets, mask)
-        separate = [outline_loss(logits[b:b + 1], targets[b:b + 1], mask[b:b + 1])
-                    for b in range(2)]
-        assert abs(together - sum(separate) / 2) < 1e-12
+        for loss in self.LOSSES:
+            together = loss(logits, targets, mask)
+            separate = [loss(logits[b:b + 1], targets[b:b + 1], mask[b:b + 1])
+                        for b in range(2)]
+            assert abs(together - sum(separate) / 2) < 1e-12
 
     @given(st.integers(min_value=0, max_value=10 ** 6))
     @settings(max_examples=40, deadline=None)
     def test_nonnegative(self, seed):
         rng = np.random.default_rng(seed)
-        logits = rng.normal(size=(2, 3, 6)) * 5
+        hidden = rng.normal(size=(2, 3, 4)) * 5
+        W = rng.normal(size=(6, 4))
         targets = rng.integers(0, 6, size=(2, 3))
         mask = rng.random((2, 3)) < 0.8
-        assert outline_loss(logits, targets, mask) >= 0.0
+        assert sequence_nll(hidden, W, targets, mask)[0] >= 0.0
+        assert outline_loss(hidden @ W.T, targets, mask) >= 0.0
 
     def test_backward_matches_finite_differences(self):
         rng = np.random.default_rng(9)
-        logits = Parameter("logits", rng.normal(size=(2, 3, 5)))
+        hidden = Parameter("hidden", rng.normal(size=(2, 3, 4)))
+        W = Parameter("W", rng.normal(size=(5, 4)))
         targets = np.array([[0, 4, 2], [1, 1, 3]])
         mask = np.array([[True, True, True], [True, False, False]])
 
         def loss():
-            return outline_loss(logits.value, targets, mask)
+            return sequence_nll(hidden.value, W.value, targets, mask)[0]
 
-        numeric = finite_difference_gradient(loss, [logits])
-        _, probs = sequence_nll(logits.value, targets, mask)
-        analytic = sequence_nll_backward(probs, targets, mask)
-        report = gradient_check({"logits": analytic}, numeric, tol=1e-6)
+        numeric = finite_difference_gradient(loss, [hidden, W])
+        _, lse = sequence_nll(hidden.value, W.value, targets, mask)
+        d_hidden, dW = sequence_nll_backward(hidden.value, W.value, targets, mask, lse)
+        report = gradient_check({"hidden": d_hidden, "W": dW}, numeric, tol=1e-6)
         assert report.passed, report.format_table()
+
+
+def relative_error(got, want):
+    if np.shape(got) != np.shape(want):
+        return math.inf
+    return float(np.linalg.norm(np.subtract(got, want)) / np.linalg.norm(want))
+
+
+def xent_case(rng, B, T, n_valid, H=6, V=13):
+    """A problem with exactly n_valid valid rows at random places, so small
+    counts leave whole rows of the batch masked."""
+    mask = np.zeros(B * T, dtype=bool)
+    mask[rng.choice(B * T, size=n_valid, replace=False)] = True
+    return (rng.normal(size=(B, T, H)), rng.normal(size=(V, H)),
+            rng.integers(0, V, size=(B, T)), mask.reshape(B, T))
+
+
+def xent_errors(hidden, W, targets, mask, forward=sequence_nll,
+                backward=sequence_nll_backward, scale=0.7):
+    """Relative errors of the chunked pair against the full-logit reference:
+    loss, lse, d_hidden, dW."""
+    loss, lse = forward(hidden, W, targets, mask)
+    d_hidden, dW = backward(hidden, W, targets, mask, lse, scale)
+    ref_loss, ref_lse, ref_d_hidden, ref_dW = reference_xent(hidden, W, targets, mask, scale)
+    return {"loss": abs(loss - ref_loss) / abs(ref_loss), "lse": relative_error(lse, ref_lse),
+            "d_hidden": relative_error(d_hidden, ref_d_hidden),
+            "dW": relative_error(dW, ref_dW)}
+
+
+class TestChunkedXent:
+    """The chunked, fused softmax cross-entropy equals the full-logit
+    log-softmax reference to rel 1e-12: float64 rounding of a V-term sum
+    and a different summation order, nothing more."""
+
+    TOL = 1e-12
+
+    # with 4-row chunks: one partial chunk, exactly one, one plus a row,
+    # several with a remainder, an exact multiple
+    @pytest.mark.parametrize("n_valid", [1, 3, 4, 5, 13, 16])
+    def test_matches_reference_at_small_chunks(self, monkeypatch, n_valid):
+        monkeypatch.setattr(outline_decoder, "XENT_CHUNK", 4)
+        case = xent_case(np.random.default_rng(n_valid), B=4, T=6, n_valid=n_valid)
+        errors = xent_errors(*case)
+        assert max(errors.values()) <= self.TOL, errors
+
+    def test_matches_reference_at_the_module_chunk(self):
+        # about 210 valid rows: one full 128-row chunk and a partial one
+        rng = np.random.default_rng(21)
+        hidden, W = rng.normal(size=(3, 100, 8)), rng.normal(size=(50, 8))
+        targets = rng.integers(0, 50, size=(3, 100))
+        mask = rng.random((3, 100)) < 0.7
+        assert outline_decoder.XENT_CHUNK < mask.sum() < 2 * outline_decoder.XENT_CHUNK
+        errors = xent_errors(hidden, W, targets, mask)
+        assert max(errors.values()) <= self.TOL, errors
+
+    def test_one_chunk_equals_many(self, monkeypatch):
+        case = xent_case(np.random.default_rng(5), B=3, T=7, n_valid=17)
+        one = xent_errors(*case)
+        monkeypatch.setattr(outline_decoder, "XENT_CHUNK", 2)
+        many = xent_errors(*case)
+        assert max(one.values()) <= self.TOL and max(many.values()) <= self.TOL, (one, many)
+
+    def test_masked_rows_get_exactly_zero_gradient(self):
+        rng = np.random.default_rng(6)
+        hidden, W, targets, mask = xent_case(rng, B=4, T=5, n_valid=7)
+        mask[1] = False
+        mask[3] = True
+        _, lse = sequence_nll(hidden, W, targets, mask)
+        d_hidden, _ = sequence_nll_backward(hidden, W, targets, mask, lse)
+        assert lse.shape == (mask.sum(),)
+        assert not d_hidden[~mask].any()
+        assert d_hidden[mask].all()
+        assert max(xent_errors(hidden, W, targets, mask).values()) <= self.TOL
+
+    def test_out_of_range_target_rejected(self):
+        hidden, W, targets, mask = xent_case(np.random.default_rng(7), B=2, T=3, n_valid=4)
+        for bad in (W.shape[0], -1):
+            targets[0, 0] = bad
+            with pytest.raises(ValueError, match="out of range"):
+                sequence_nll(hidden, W, targets, mask)
+            with pytest.raises(ValueError, match="out of range"):
+                sequence_nll_backward(hidden, W, targets, mask, np.zeros(mask.sum()))
+
+    def test_dropped_mask_fails_the_comparison(self):
+        case = xent_case(np.random.default_rng(8), B=3, T=4, n_valid=6)
+
+        def forward(hidden, W, targets, mask):
+            return sequence_nll(hidden, W, targets, np.ones_like(mask))
+
+        def backward(hidden, W, targets, mask, lse, scale):
+            return sequence_nll_backward(hidden, W, targets, np.ones_like(mask), lse, scale)
+
+        assert xent_errors(*case, forward=forward, backward=backward)["loss"] > 1e-3
+
+    def test_stale_lse_fails_the_comparison(self):
+        case = xent_case(np.random.default_rng(9), B=3, T=4, n_valid=6)
+        hidden, W, targets, mask = case
+        _, stale = sequence_nll(hidden, W * 1.01, targets, mask)
+
+        def backward(hidden, W, targets, mask, lse, scale):
+            return sequence_nll_backward(hidden, W, targets, mask, stale, scale)
+
+        errors = xent_errors(*case, backward=backward)
+        assert errors["d_hidden"] > 1e-4 and errors["dW"] > 1e-4, errors
 
 
 class TestDecoderSteps:
@@ -333,8 +457,8 @@ class TestTeacherForcedPass:
                                   sample_rng=rng, teacher_forcing_ratio=0.0)
         np.testing.assert_array_equal(fwd.input_ids[:, 0], gold_in[:, 0])
         for t in range(1, gold_in.shape[1]):
-            np.testing.assert_array_equal(
-                fwd.input_ids[:, t], np.argmax(fwd.logits[:, t - 1], axis=1))
+            logits = fwd.attention.combined[:, t - 1] @ dec.W_o.value.T
+            np.testing.assert_array_equal(fwd.input_ids[:, t], np.argmax(logits, axis=1))
 
     def test_scheduled_sampling_is_seed_deterministic(self):
         (emb, dec, enc_states, h_fwd_fin, enc_mask,
@@ -406,7 +530,7 @@ def step_at_a_time(dec, emb, enc_states, enc_mask, h_fwd_fin, gold_in, targets,
     s0, c = dec.initial_state(h_fwd_fin)
     s = s0
     input_ids = gold_in.copy()
-    states, caches, steps, logits = [], [], [], []
+    states, caches, steps, logits = [], [], [], []  # logits feed the sampled inputs
     for t in range(K):
         if ratio < 1.0 and t > 0:
             use_model = sample_rng.random(B) >= ratio
@@ -420,13 +544,10 @@ def step_at_a_time(dec, emb, enc_states, enc_mask, h_fwd_fin, gold_in, targets,
         caches.append(cache)
         steps.append(attn)
         logits.append(attn.combined @ dec.W_o.value.T)
-    logits = np.stack(logits, axis=1)
-    loss, probs = sequence_nll(logits, targets, tmask)
-
     combined = np.stack([a.combined for a in steps], axis=1)
-    d_logits = sequence_nll_backward(probs, targets, tmask, scale=loss_scale)
-    dec.W_o.grad += np.einsum("btv,bth->vh", d_logits, combined)
-    d_combined = np.einsum("btv,vh->bth", d_logits, dec.W_o.value)
+    loss, lse, d_combined, dW_o = reference_xent(combined, dec.W_o.value, targets, tmask,
+                                                 loss_scale)
+    dec.W_o.grad += dW_o
     d_enc = np.zeros_like(enc_states)
     dS = d_states_extra.copy()
     for t in range(K):
@@ -437,14 +558,20 @@ def step_at_a_time(dec, emb, enc_states, enc_mask, h_fwd_fin, gold_in, targets,
     d_pre = ds0 * (1.0 - s0 * s0)
     dec.bridge_W.grad += d_pre.T @ h_fwd_fin
     dec.bridge_b.grad += d_pre.sum(axis=0)
-    return {"loss": loss, "logits": logits, "states": np.stack(states, axis=1),
+    return {"loss": loss, "lse": lse, "states": np.stack(states, axis=1),
             "input_ids": input_ids, "d_enc": d_enc, "dX": dX,
             "d_h_fwd_fin": d_pre @ dec.bridge_W.value}
 
 
 class TestStepBatchedPass:
     """The decoder runs one recurrence, then one attention call over all
-    steps; every number must equal the step-at-a-time reference bit for bit."""
+    steps, then the chunked softmax cross-entropy. The states and the fed
+    inputs equal the step-at-a-time reference bit for bit. The loss, lse and
+    every gradient equal it to rel 1e-12: the chunked GEMMs sum in another
+    order than the full-logit einsums, which moves each array by about 1e-15
+    of its norm, and the attention and LSTM backward passes keep it there."""
+
+    TOL = 1e-12
 
     def _fixture(self, B, K, T, H, vocab=40):
         rng = np.random.default_rng(B + K + T + H)
@@ -475,13 +602,15 @@ class TestStepBatchedPass:
                                   teacher_forcing_ratio=ratio)
         d_enc, dX, d_h_fwd_fin = dec.backward(fwd, targets, tmask,
                                               d_states_extra=extra, loss_scale=0.7)
-        got = {"loss": fwd.loss, "logits": fwd.logits, "states": fwd.states,
+        got = {"loss": fwd.loss, "lse": fwd.lse, "states": fwd.states,
                "input_ids": fwd.input_ids, "d_enc": d_enc, "dX": dX,
                "d_h_fwd_fin": d_h_fwd_fin}
-        for name, value in ref.items():
-            assert np.array_equal(got[name], value), name
+        for name in ("states", "input_ids"):
+            assert np.array_equal(got[name], ref[name]), name
+        for name in ("loss", "lse", "d_enc", "dX", "d_h_fwd_fin"):
+            assert relative_error(got[name], ref[name]) <= self.TOL, name
         for p in dec.parameters():
-            assert np.array_equal(p.grad, ref_grads[p.name]), p.name
+            assert relative_error(p.grad, ref_grads[p.name]) <= self.TOL, p.name
 
     def test_scheduled_sampling_draws_a_coin_per_row_and_later_step(self):
         B, K = 3, 5

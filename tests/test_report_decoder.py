@@ -10,6 +10,7 @@ from outline2report.corpus import BOS, PAD
 from outline2report.encoder import Embedding
 from outline2report.numerics import (
     Parameter, finite_difference_gradient, gradient_check)
+from outline2report.outline_decoder import sequence_nll
 from outline2report.report_decoder import (
     ReportDecoder, fuse_news_outline, gaussian_kl, masked_mean_pool,
     reparameterize)
@@ -113,41 +114,62 @@ class TestGaussianKl:
             assert not mu.any() and not lv.any()
 
 
+def fused_report_loss(logits, targets, mask, kl, beta):
+    """report_loss with the chunked NLL that ReportDecoder runs, on states
+    whose projection through W = I is exactly `logits`."""
+    if beta < 0:
+        raise ValueError("beta must be >= 0")
+    logits = np.asarray(logits, dtype=float)
+    nll, _ = sequence_nll(logits, np.eye(logits.shape[-1]), targets, mask)
+    return nll + beta * float(np.mean(kl))
+
+
 class TestReportLoss:
+    """Closed forms for the chunked NLL plus KL and for the full-logit oracle."""
+
+    LOSSES = (fused_report_loss, report_loss)
+
     def test_perfect_predictions_leave_weighted_kl(self):
         logits = np.zeros((1, 2, 6))
         targets = np.array([[3, 1]])
         logits[0, 0, 3] = 1000.0
         logits[0, 1, 1] = 1000.0
         mask = np.ones((1, 2), dtype=bool)
-        loss = report_loss(logits, targets, mask, kl=0.5, beta=0.6)
-        assert abs(loss - 0.3) < 1e-15
+        for loss_fn in self.LOSSES:
+            loss = loss_fn(logits, targets, mask, kl=0.5, beta=0.6)
+            assert abs(loss - 0.3) < 1e-15
 
     def test_uniform_two_steps(self):
         logits = np.zeros((1, 2, 20))
-        loss = report_loss(logits, np.array([[7, 0]]), np.ones((1, 2), dtype=bool),
+        for loss_fn in self.LOSSES:
+            loss = loss_fn(logits, np.array([[7, 0]]), np.ones((1, 2), dtype=bool),
                            kl=0.0, beta=1.0)
-        assert abs(loss - 2 * LN20) < 1e-12
+            assert abs(loss - 2 * LN20) < 1e-12
 
     def test_beta_zero_is_pure_nll(self):
         rng = np.random.default_rng(3)
         logits = rng.normal(size=(2, 3, 9))
         targets = rng.integers(0, 9, size=(2, 3))
         mask = rng.random((2, 3)) < 0.8
-        with_term = report_loss(logits, targets, mask, kl=123.0, beta=0.0)
-        assert with_term == outline_loss(logits, targets, mask)
+        with_term = fused_report_loss(logits, targets, mask, kl=123.0, beta=0.0)
+        assert with_term == sequence_nll(logits, np.eye(9), targets, mask)[0]
+        assert report_loss(logits, targets, mask, kl=123.0, beta=0.0) == outline_loss(
+            logits, targets, mask)
+        assert abs(with_term - outline_loss(logits, targets, mask)) <= 1e-12 * with_term
 
     def test_negative_beta_rejected(self):
-        with pytest.raises(ValueError):
-            report_loss(np.zeros((1, 1, 4)), np.array([[0]]),
+        for loss_fn in self.LOSSES:
+            with pytest.raises(ValueError):
+                loss_fn(np.zeros((1, 1, 4)), np.array([[0]]),
                         np.ones((1, 1), dtype=bool), kl=0.0, beta=-0.1)
 
     def test_kl_term_is_batch_mean(self):
         logits = np.zeros((2, 1, 4))
         targets = np.array([[0], [0]])
         mask = np.ones((2, 1), dtype=bool)
-        loss = report_loss(logits, targets, mask, kl=np.array([1.0, 3.0]), beta=1.0)
-        assert abs(loss - (math.log(4.0) + 2.0)) < 1e-12
+        for loss_fn in self.LOSSES:
+            loss = loss_fn(logits, targets, mask, kl=np.array([1.0, 3.0]), beta=1.0)
+            assert abs(loss - (math.log(4.0) + 2.0)) < 1e-12
 
 
 def tiny_decoder(vocab=7, d_emb=3, d_hid=2, d_u=4, d_z=2, seed=0):
@@ -289,7 +311,10 @@ class TestReportPathGradients:
         a = dec.forward_teacher(emb, u, summary, gold_in, targets, tmask, noise, 0.5)
         b = dec.forward_teacher(emb, u, summary, gold_in, targets, tmask, noise, 0.5)
         assert a.loss == b.loss
-        np.testing.assert_array_equal(a.logits, b.logits)
+        np.testing.assert_array_equal(a.lse, b.lse)
+        # and it is the loss of the logits the states give, to float64 rounding
+        want = report_loss(a.states @ dec.W_out.value.T, targets, tmask, a.kl_rows, 0.5)
+        assert abs(a.loss - want) <= 1e-12 * abs(want)
 
     def test_scheduled_sampling_draws_a_coin_per_row_and_later_step(self):
         rng = np.random.default_rng(16)
@@ -304,7 +329,9 @@ class TestReportPathGradients:
         assert [name for name, _, _ in coins.mock_calls] == ["random"] * 3
         assert [call.args for call in coins.random.call_args_list] == [(2,)] * 3
         # ratio 0 feeds the model's own argmax at every later step
-        np.testing.assert_array_equal(fwd.input_ids[:, 1:], np.argmax(fwd.logits[:, :-1], axis=2))
+        for t in range(1, gold_in.shape[1]):
+            logits = fwd.states[:, t - 1] @ dec.W_out.value.T
+            np.testing.assert_array_equal(fwd.input_ids[:, t], np.argmax(logits, axis=1))
 
     def test_loss_dominates_pure_nll(self):
         # NLL + beta*KL >= NLL since KL >= 0

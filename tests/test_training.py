@@ -236,9 +236,29 @@ class TestTrainingLoop:
         assert norm > 1e-3  # the clip binds
         for p in trainer.model.parameters():
             if p.name in outline:
-                assert p.grad.any()  # computed, yet left out of the norm
+                assert not p.grad.any()  # never computed, so nothing to leave out
             else:
                 np.testing.assert_array_equal(p.grad, grads[p.name] * (1e-3 / norm))
+
+    def test_freeze_outline_leaves_the_other_gradients_bit_identical(self):
+        pairs, vocab = micro_corpus()
+        trainers = [Trainer(build_model(vocab, cfg), pairs, vocab, cfg)
+                    for cfg in (micro_cfg(), micro_cfg(freeze_outline=True))]
+        grads = []
+        for trainer in trainers:
+            model = trainer.model
+            batch = trainer._batch_at(0, 0)
+            model.zero_grad()
+            model.backward(model.forward(batch, np.full((batch.size, 3), 0.3), 0.5))
+            grads.append({p.name: p.grad.copy() for p in model.parameters()})
+        live, frozen = grads
+        outline = {p.name for p in trainers[0].model.outline_decoder.parameters()}
+        assert outline < set(live)
+        for name in live:
+            if name in outline:
+                assert live[name].any() and not frozen[name].any(), name
+            else:
+                np.testing.assert_array_equal(frozen[name], live[name], err_msg=name)
 
     def test_unfrozen_training_clips_every_parameter(self, monkeypatch):
         trainer, _, _ = make_trainer(gradient_clip_norm=1e-3)
@@ -257,6 +277,12 @@ class TestTrainingLoop:
         trainer, _, _ = make_trainer()
         trainer.model.report_decoder.W_out.value[:] = np.nan
         with pytest.raises(NonFiniteLossError, match="report"):
+            trainer.train_one_step()
+
+    def test_non_finite_outline_projection_names_the_outline(self):
+        trainer, _, _ = make_trainer()
+        trainer.model.outline_decoder.W_o.value[3, 0] = np.inf
+        with pytest.raises(NonFiniteLossError, match="outline log-sum-exp"):
             trainer.train_one_step()
 
     def test_non_finite_gradient_stops_before_the_update(self, monkeypatch):
