@@ -74,11 +74,13 @@ def cmd_train(args) -> int:
     if args.epochs is not None and args.epochs < 0:
         raise CliError("--epochs must be >= 0")
     if args.resume:  # a resumed run keeps the settings it was started with
-        given = sorted(key for key in values if key.startswith("training."))
-        if given:
-            raise CliError(f"--resume takes training.* from the checkpoint; "
-                           f"remove {', '.join(given)}")
         state = load_checkpoint(args.resume)
+        prefix = "training."
+        differ = sorted(key for key, value in values.items() if key.startswith(prefix)
+                        and value != state.config[key[len(prefix):]])
+        if differ:
+            raise CliError(f"--resume takes training.* from the checkpoint; "
+                           f"{', '.join(differ)} differ from it")
         cfg = TrainingConfig(**state.config)
     else:
         cfg = section_config(TrainingConfig, "training", values)

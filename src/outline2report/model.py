@@ -143,8 +143,7 @@ class NewsToReportModel:
 
         d_enc, dX_out, dh_fwd_fin = self.outline_decoder.backward(
             fwd.outline, fwd.outline_targets, fwd.outline_tmask,
-            d_states_extra=dS_fusion, loss_scale=self.cfg.outline_loss_weight,
-            param_grads=not self.cfg.freeze_outline)
+            d_states_extra=dS_fusion, loss_scale=self.cfg.outline_loss_weight)
         self.embedding.accumulate_grad(fwd.outline.input_ids, dX_out)
 
         dX_news = self.encoder.backward(

@@ -106,9 +106,9 @@ class LSTMCell:
         cache = (x, h_prev, c_prev, i, f, o, g, c)
         return h, c, cache
 
-    def step_backward(self, cache, dh, dc, param_grads=True):
-        """Backward through one step; accumulates weight grads (unless
-        param_grads is false), returns (dx, dh_prev, dc_prev)."""
+    def step_backward(self, cache, dh, dc):
+        """Backward through one step; accumulates weight grads, returns
+        (dx, dh_prev, dc_prev)."""
         x, h_prev, c_prev, i, f, o, g, c = cache
         tc = np.tanh(c)
         do = dh * tc
@@ -120,10 +120,9 @@ class LSTMCell:
         da = np.concatenate(
             [di * i * (1.0 - i), df * f * (1.0 - f), do * o * (1.0 - o), dg * (1.0 - g * g)],
             axis=1)
-        if param_grads:
-            self.W_x.grad += da.T @ x
-            self.W_h.grad += da.T @ h_prev
-            self.b.grad += da.sum(axis=0)
+        self.W_x.grad += da.T @ x
+        self.W_h.grad += da.T @ h_prev
+        self.b.grad += da.sum(axis=0)
         dx = da @ self.W_x.value
         dh_prev = da @ self.W_h.value
         return dx, dh_prev, dc_prev
@@ -178,11 +177,9 @@ def scheduled_inputs(cell: LSTMCell, embed, gold_in_ids, mask, h0, c0, head, rng
     return input_ids
 
 
-def run_lstm_backward(cell: LSTMCell, run_cache: LSTMRunCache, dH, dh_fin=None, dc_fin=None,
-                      param_grads=True):
+def run_lstm_backward(cell: LSTMCell, run_cache: LSTMRunCache, dH, dh_fin=None, dc_fin=None):
     """Backward through run_lstm. dH carries per-position state grads; returns
-    (dX, dh0, dc0) and accumulates the cell's weight grads unless param_grads
-    is false."""
+    (dX, dh0, dc0) and accumulates the cell's weight grads."""
     fmask = run_cache.fmask
     B, T = fmask.shape
     dh = np.zeros((B, cell.d_hid), dtype=FLOAT) if dh_fin is None else dh_fin.copy()
@@ -193,8 +190,7 @@ def run_lstm_backward(cell: LSTMCell, run_cache: LSTMRunCache, dH, dh_fin=None, 
         m = fmask[:, t:t + 1]
         dh_tot = dh + dH[:, t]
         dc_tot = dc
-        dx, dh_prev, dc_prev = cell.step_backward(run_cache.step_caches[t], m * dh_tot,
-                                                  m * dc_tot, param_grads)
+        dx, dh_prev, dc_prev = cell.step_backward(run_cache.step_caches[t], m * dh_tot, m * dc_tot)
         dh = (1.0 - m) * dh_tot + dh_prev
         dc = (1.0 - m) * dc_tot + dc_prev
         dX[:, t] = dx

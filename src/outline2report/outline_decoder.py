@@ -67,10 +67,9 @@ def attend(enc_states, state, mask, W_a: Parameter, W_c: Parameter) -> Attention
     return AttentionStep(enc_states, state, query, weights, context, combined)
 
 
-def attend_backward(step: AttentionStep, d_combined, W_a: Parameter, W_c: Parameter,
-                    param_grads=True):
-    """Backward through attend; accumulates W_a/W_c grads (unless param_grads
-    is false), returns (d_enc_states, d_state) with d_state shaped like step.state."""
+def attend_backward(step: AttentionStep, d_combined, W_a: Parameter, W_c: Parameter):
+    """Backward through attend; accumulates W_a/W_c grads, returns
+    (d_enc_states, d_state) with d_state shaped like step.state."""
     single = step.state.ndim == 2
     enc = step.enc_states
     state, query, weights, context, combined, d_combined = (
@@ -78,8 +77,7 @@ def attend_backward(step: AttentionStep, d_combined, W_a: Parameter, W_c: Parame
             step.state, step.query, step.weights, step.context, step.combined, d_combined))
     E = enc.shape[-1]
     d_pre = d_combined * (1.0 - combined * combined)
-    if param_grads:
-        W_c.grad += per_step_outer_sum(d_pre, np.concatenate([context, state], axis=2))
+    W_c.grad += per_step_outer_sum(d_pre, np.concatenate([context, state], axis=2))
     d_combo_in = per_step_matmul(d_pre, W_c.value)
     d_context = d_combo_in[:, :, :E]
     d_state = d_combo_in[:, :, E:]
@@ -89,8 +87,7 @@ def attend_backward(step: AttentionStep, d_combined, W_a: Parameter, W_c: Parame
     inner = (d_weights * weights).sum(axis=2, keepdims=True)
     d_scores = weights * (d_weights - inner)
     d_query = np.einsum("bkt,bte->bke", d_scores, enc)
-    if param_grads:
-        W_a.grad += per_step_outer_sum(d_query, state)
+    W_a.grad += per_step_outer_sum(d_query, state)
     d_state += per_step_matmul(d_query, W_a.value)
     # step by step: a [B,K,T,E] temporary would hold K copies of enc
     d_enc = np.zeros_like(enc)
@@ -140,16 +137,15 @@ def sequence_nll(hidden, W, targets, mask):
     return loss, peak + log_sum
 
 
-def sequence_nll_backward(hidden, W, targets, mask, lse, scale=1.0, param_grads=True):
+def sequence_nll_backward(hidden, W, targets, mask, lse, scale=1.0):
     """Gradients of scale * sequence_nll: (d_hidden [B,T,H], dW [V,H]).
 
     Recomputes each chunk's softmax from lse rather than keeping it from the
-    forward pass. Masked rows of d_hidden are 0; dW is None when param_grads
-    is false, for a caller that does not train W.
+    forward pass. Masked rows of d_hidden are 0.
     """
     X, rows, gold = _valid_rows(hidden, W, targets, mask)
     d_hidden = np.zeros_like(X)
-    dW = np.zeros_like(W) if param_grads else None
+    dW = np.zeros_like(W)
     factor = scale / len(hidden)
     for lo in range(0, rows.size, XENT_CHUNK):
         part = slice(lo, lo + XENT_CHUNK)
@@ -159,8 +155,7 @@ def sequence_nll_backward(hidden, W, targets, mask, lse, scale=1.0, param_grads=
         np.exp(p, out=p)
         p[np.arange(len(p)), gold[part]] -= 1.0
         p *= factor
-        if param_grads:
-            dW += p.T @ X_c
+        dW += p.T @ X_c
         d_hidden[rows[part]] = p @ W
     return d_hidden.reshape(np.shape(hidden)), dW
 
@@ -232,29 +227,25 @@ class OutlineDecoder:
             bridge_out=s0, bridge_input=h_fwd_fin)
 
     def backward(self, fwd: OutlineForward, targets, target_mask,
-                 d_states_extra=None, loss_scale=1.0, param_grads=True):
+                 d_states_extra=None, loss_scale=1.0):
         """Backward through the whole teacher-forced pass.
 
         d_states_extra [B,K,H] carries gradients flowing into the decoder
         states from elsewhere (the fusion pooling). Returns (d_enc_states,
-        d_input_embeddings, d_h_fwd_fin); accumulates parameter grads unless
-        param_grads is false (a frozen outline stage), which leaves them as
-        they were and returns the same input gradients.
+        d_input_embeddings, d_h_fwd_fin); accumulates parameter grads.
         """
         d_combined, dW_o = sequence_nll_backward(
             fwd.attention.combined, self.W_o.value, targets, target_mask, fwd.lse,
-            scale=loss_scale, param_grads=param_grads)
-        if param_grads:
-            self.W_o.grad += dW_o
-        d_enc, dS = attend_backward(fwd.attention, d_combined, self.W_a, self.W_c, param_grads)
+            scale=loss_scale)
+        self.W_o.grad += dW_o
+        d_enc, dS = attend_backward(fwd.attention, d_combined, self.W_a, self.W_c)
         if d_states_extra is not None:
             dS += d_states_extra
-        dX, ds0, _ = run_lstm_backward(self.cell, fwd.run_cache, dS, param_grads=param_grads)
+        dX, ds0, _ = run_lstm_backward(self.cell, fwd.run_cache, dS)
 
         s0 = fwd.bridge_out
         d_pre = ds0 * (1.0 - s0 * s0)
-        if param_grads:
-            self.bridge_W.grad += d_pre.T @ fwd.bridge_input
-            self.bridge_b.grad += d_pre.sum(axis=0)
+        self.bridge_W.grad += d_pre.T @ fwd.bridge_input
+        self.bridge_b.grad += d_pre.sum(axis=0)
         d_h_fwd_fin = d_pre @ self.bridge_W.value
         return d_enc, dX, d_h_fwd_fin

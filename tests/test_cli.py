@@ -135,9 +135,8 @@ class TestTrain:
         full, split = tmp_path / "full", tmp_path / "split"
         assert run_train(dataset, vocab, full, "--epochs", "3") == 0
         assert run_train(dataset, vocab, split, "--epochs", "1") == 0
-        assert main(["train", "--dataset", str(dataset), "--vocab", str(vocab),
-                     "--out", str(split), "--epochs", "3",
-                     "--resume", str(split / "checkpoint.o2r")]) == 0
+        assert run_train(dataset, vocab, split, "--epochs", "3",
+                         "--resume", str(split / "checkpoint.o2r")) == 0
         assert ((full / "loss_log.csv").read_bytes()
                 == (split / "loss_log.csv").read_bytes())
         assert ((full / "checkpoint.o2r").read_bytes()
@@ -153,23 +152,42 @@ class TestTrain:
         for name in ("loss_log.csv", "checkpoint.o2r"):
             assert (full / name).read_bytes() == (split / name).read_bytes(), name
 
+    def test_resume_accepts_the_config_it_was_started_with(self, dataset, vocab, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{item}\n" for item in TINY[1::2])
+                       + "training.max_epochs = 3\ntraining.learning_rate = 0.001\n")
+        full, split = tmp_path / "full", tmp_path / "split"
+        assert main(["train", "--dataset", str(dataset), "--vocab", str(vocab),
+                     "--out", str(full), "--config", str(cfg)]) == 0
+        assert main(["train", "--dataset", str(dataset), "--vocab", str(vocab),
+                     "--out", str(split), "--config", str(cfg), "--epochs", "1"]) == 0
+        assert main(["train", "--dataset", str(dataset), "--vocab", str(vocab),
+                     "--out", str(split), "--config", str(cfg),
+                     "--resume", str(split / "checkpoint.o2r")]) == 0
+        for name in ("loss_log.csv", "checkpoint.o2r"):
+            assert (full / name).read_bytes() == (split / name).read_bytes(), name
+
     @pytest.mark.parametrize("source", ["--set", "--config"])
     def test_resume_rejects_training_settings(self, dataset, vocab, tmp_path, capsys, source):
         out = tmp_path / "run"
         assert run_train(dataset, vocab, out, "--epochs", "1") == 0
         before = {name: (out / name).read_bytes() for name in ("loss_log.csv", "checkpoint.o2r")}
         capsys.readouterr()
+        # training.seed=1 matches the checkpoint and is not named
+        items = ["training.max_epochs=4", "training.seed=1", "training.learning_rate=5"]
         if source == "--set":
-            extra = ["--set", "training.max_epochs=4", "--set", "training.learning_rate=5"]
+            extra = [arg for item in items for arg in ("--set", item)]
         else:
             cfg = tmp_path / "run.cfg"
-            cfg.write_text("training.max_epochs = 4\ntraining.learning_rate = 5\n")
+            cfg.write_text("".join(f"{item}\n" for item in items))
             extra = ["--config", str(cfg)]
         code = main(["train", "--dataset", str(dataset), "--vocab", str(vocab),
                      "--out", str(out), "--epochs", "2", *extra,
                      "--resume", str(out / "checkpoint.o2r")])
         assert code == 1
-        assert_one_line_error(capsys, "training.learning_rate, training.max_epochs")
+        assert capsys.readouterr().err == (
+            "error: --resume takes training.* from the checkpoint; "
+            "training.learning_rate, training.max_epochs differ from it\n")
         for name, data in before.items():
             assert (out / name).read_bytes() == data, name
 

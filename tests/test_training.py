@@ -236,29 +236,9 @@ class TestTrainingLoop:
         assert norm > 1e-3  # the clip binds
         for p in trainer.model.parameters():
             if p.name in outline:
-                assert not p.grad.any()  # never computed, so nothing to leave out
+                assert p.grad.any()  # computed, yet left out of the norm
             else:
                 np.testing.assert_array_equal(p.grad, grads[p.name] * (1e-3 / norm))
-
-    def test_freeze_outline_leaves_the_other_gradients_bit_identical(self):
-        pairs, vocab = micro_corpus()
-        trainers = [Trainer(build_model(vocab, cfg), pairs, vocab, cfg)
-                    for cfg in (micro_cfg(), micro_cfg(freeze_outline=True))]
-        grads = []
-        for trainer in trainers:
-            model = trainer.model
-            batch = trainer._batch_at(0, 0)
-            model.zero_grad()
-            model.backward(model.forward(batch, np.full((batch.size, 3), 0.3), 0.5))
-            grads.append({p.name: p.grad.copy() for p in model.parameters()})
-        live, frozen = grads
-        outline = {p.name for p in trainers[0].model.outline_decoder.parameters()}
-        assert outline < set(live)
-        for name in live:
-            if name in outline:
-                assert live[name].any() and not frozen[name].any(), name
-            else:
-                np.testing.assert_array_equal(frozen[name], live[name], err_msg=name)
 
     def test_unfrozen_training_clips_every_parameter(self, monkeypatch):
         trainer, _, _ = make_trainer(gradient_clip_norm=1e-3)
