@@ -11,6 +11,8 @@ import dataclasses
 import math
 from dataclasses import dataclass
 
+from .corpus import read_text_lines
+
 
 class ConfigError(ValueError):
     pass
@@ -155,8 +157,7 @@ def parse_config_lines(lines, source: str = "<config>") -> dict[str, object]:
 
 
 def load_config_file(path) -> dict[str, object]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_lines(fh, source=str(path))
+    return parse_config_lines(read_text_lines(path), source=str(path))
 
 
 def section_config(cls, section: str, values: dict[str, object]):

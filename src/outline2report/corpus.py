@@ -8,6 +8,7 @@ vocabulary is persisted as plain text, one token per line, line number = id.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import math
 import re
@@ -74,17 +75,27 @@ def pair_from_record(record, where: str = "<record>") -> NewsReportPair:
         raise CorpusError(f"{where}: {exc}") from None
 
 
+def read_text_lines(path) -> list[str]:
+    """A UTF-8 text file's lines as text mode splits them; a bad byte names path:line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return io.StringIO(data.decode("utf-8"), newline=None).readlines()
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise CorpusError(f"{path}:{line}: not UTF-8 text (byte 0x{data[exc.start]:02x})") from None
+
+
 def read_dataset(path) -> list[NewsReportPair]:
     pairs = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusError(f"{path}:{lineno}: malformed JSON ({exc.msg})") from None
-            pairs.append(pair_from_record(record, where=f"{path}:{lineno}"))
+    for lineno, line in enumerate(read_text_lines(path), start=1):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise CorpusError(f"{path}:{lineno}: malformed JSON ({exc.msg})") from None
+        pairs.append(pair_from_record(record, where=f"{path}:{lineno}"))
     return pairs
 
 
@@ -97,14 +108,15 @@ def write_dataset(path, records) -> None:
 class Vocabulary:
     """Bijective token<->id map with the four reserved ids fixed up front."""
 
-    def __init__(self, tokens):
+    def __init__(self, tokens, source="vocabulary"):
         tokens = list(tokens)
         if tokens[:4] != list(SPECIAL_TOKENS):
-            raise CorpusError("vocabulary must start with the four special tokens")
+            raise CorpusError(f"{source}: must start with the special tokens {' '.join(SPECIAL_TOKENS)}")
         self.tokens = tokens
         self.index = {tok: i for i, tok in enumerate(tokens)}
         if len(self.index) != len(tokens):
-            raise CorpusError("vocabulary contains duplicate tokens")
+            i, tok = next((i, tok) for i, tok in enumerate(tokens) if self.index[tok] != i)
+            raise CorpusError(f"{source}: duplicate token {tok!r} (ids {i} and {self.index[tok]})")
 
     def __len__(self):
         return len(self.tokens)
@@ -130,11 +142,10 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path) -> "Vocabulary":
-        with open(path, "r", encoding="utf-8") as fh:
-            tokens = [line.rstrip("\n") for line in fh]
+        tokens = [line.rstrip("\n") for line in read_text_lines(path)]
         while tokens and tokens[-1] == "":
             tokens.pop()
-        return cls(tokens)
+        return cls(tokens, source=str(path))
 
     def digest(self) -> str:
         h = hashlib.sha256()

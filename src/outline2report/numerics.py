@@ -22,10 +22,6 @@ class NonFiniteLossError(RuntimeError):
     pass
 
 
-def sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-x))
-
-
 def log_softmax(x, axis=-1):
     """Row-wise log-probabilities; never computes log of a softmax output."""
     x = np.asarray(x, dtype=FLOAT)
@@ -96,21 +92,23 @@ class LSTMCell:
             raise ValueError(
                 f"LSTM step dims: x {x.shape} (want *,{self.d_in}), h {h_prev.shape} (want *,{self.d_hid})")
         H = self.d_hid
-        a = x @ self.W_x.value.T + h_prev @ self.W_h.value.T + self.b.value
-        i = sigmoid(a[..., :H])
-        f = sigmoid(a[..., H:2 * H])
-        o = sigmoid(a[..., 2 * H:3 * H])
+        a = x @ self.W_x.value.T  # the plain formula's IEEE ops in its order: the same bits
+        a += h_prev @ self.W_h.value.T
+        a += self.b.value
+        s = np.negative(a[..., :3 * H])  # sigmoid of i, f, o; a copy beats in place on a view
+        np.reciprocal(np.add(np.exp(s, out=s), 1.0, out=s), out=s)
+        i, f, o = s[..., :H], s[..., H:2 * H], s[..., 2 * H:]
         g = np.tanh(a[..., 3 * H:])
-        c = f * c_prev + i * g
-        h = o * np.tanh(c)
-        cache = (x, h_prev, c_prev, i, f, o, g, c)
-        return h, c, cache
+        c = f * c_prev
+        c += i * g
+        tc = np.tanh(c)
+        h = o * tc
+        return h, c, (x, h_prev, c_prev, i, f, o, g, tc)
 
     def step_backward(self, cache, dh, dc):
         """Backward through one step; accumulates weight grads, returns
         (dx, dh_prev, dc_prev)."""
-        x, h_prev, c_prev, i, f, o, g, c = cache
-        tc = np.tanh(c)
+        x, h_prev, c_prev, i, f, o, g, tc = cache
         do = dh * tc
         dc_tot = dc + dh * o * (1.0 - tc * tc)
         di = dc_tot * g
@@ -153,11 +151,13 @@ def run_lstm(cell: LSTMCell, X, mask, reverse=False, h0=None, c0=None):
     H = np.zeros((B, T, cell.d_hid), dtype=FLOAT)
     steps = [None] * T
     order = range(T - 1, -1, -1) if reverse else range(T)
+    full = fmask.all(axis=0)  # on these columns the blend below is the identity
     for t in order:
-        m = fmask[:, t:t + 1]
         h_new, c_new, cache = cell.step(X[:, t], h, c)
-        h = m * h_new + (1.0 - m) * h
-        c = m * c_new + (1.0 - m) * c
+        if not full[t]:
+            m = fmask[:, t:t + 1]
+            h_new, c_new = m * h_new + (1.0 - m) * h, m * c_new + (1.0 - m) * c
+        h, c = h_new, c_new
         H[:, t] = h
         steps[t] = cache
     return H, (h, c), LSTMRunCache(steps, fmask, reverse)
@@ -186,14 +186,17 @@ def run_lstm_backward(cell: LSTMCell, run_cache: LSTMRunCache, dH, dh_fin=None, 
     dc = np.zeros((B, cell.d_hid), dtype=FLOAT) if dc_fin is None else dc_fin.copy()
     dX = np.zeros((B, T, cell.d_in), dtype=FLOAT)
     order = range(T - 1, -1, -1) if run_cache.reverse else range(T)
+    full = fmask.all(axis=0)
     for t in reversed(order):
-        m = fmask[:, t:t + 1]
         dh_tot = dh + dH[:, t]
-        dc_tot = dc
-        dx, dh_prev, dc_prev = cell.step_backward(run_cache.step_caches[t], m * dh_tot, m * dc_tot)
+        if full[t]:
+            dX[:, t], dh, dc = cell.step_backward(run_cache.step_caches[t], dh_tot, dc)
+            continue
+        m = fmask[:, t:t + 1]
+        dX[:, t], dh_prev, dc_prev = cell.step_backward(
+            run_cache.step_caches[t], m * dh_tot, m * dc)
         dh = (1.0 - m) * dh_tot + dh_prev
-        dc = (1.0 - m) * dc_tot + dc_prev
-        dX[:, t] = dx
+        dc = (1.0 - m) * dc + dc_prev
     return dX, dh, dc
 
 

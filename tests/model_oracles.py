@@ -2,9 +2,10 @@
 
 None of these runs in training or generation. Each restates one piece of the
 model in its plainest form, so the tests can hold the batched code to it:
-a 1-D softmax, one LSTM step on vectors, the softmax cross-entropy over a
-full [B,T,V] logit array, the two stage losses as scalars, their sum, and
-the encoder run on one unpadded sequence.
+a 1-D softmax, one LSTM step on vectors, the batched LSTM step as its plain
+formula, the masked recurrence blending every step, the softmax
+cross-entropy over a full [B,T,V] logit array, the two stage losses as
+scalars, their sum, and the encoder run on one unpadded sequence.
 """
 
 import math
@@ -12,7 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from outline2report.numerics import FLOAT, NonFiniteLossError, log_softmax, sigmoid
+from outline2report.numerics import FLOAT, LSTMRunCache, NonFiniteLossError, log_softmax
+
+
+def sigmoid(x):
+    return 1.0 / (1.0 + np.exp(-x))
 
 
 def softmax(v):
@@ -55,6 +60,54 @@ def lstm_cell_step(x, h_prev, c_prev, W_x, W_h, b):
     c = f * c_prev + i * g
     h = o * np.tanh(c)
     return h, c
+
+
+def reference_lstm_step(cell, x, h_prev, c_prev):
+    """LSTMCell.step as the plain formula, one allocating call per gate:
+    (h, c, cache) with the cache the cell keeps, tanh(c) last."""
+    H = cell.d_hid
+    a = x @ cell.W_x.value.T + h_prev @ cell.W_h.value.T + cell.b.value
+    i = sigmoid(a[..., :H])
+    f = sigmoid(a[..., H:2 * H])
+    o = sigmoid(a[..., 2 * H:3 * H])
+    g = np.tanh(a[..., 3 * H:])
+    c = f * c_prev + i * g
+    tc = np.tanh(c)
+    return o * tc, c, (x, h_prev, c_prev, i, f, o, g, tc)
+
+
+def reference_run_lstm(cell, X, mask, reverse, h0, c0):
+    """run_lstm with the carry-through blend m*new + (1-m)*old at every
+    step, on fully valid columns too: (H, (h, c), run cache)."""
+    B, T, _ = X.shape
+    fmask = np.asarray(mask, dtype=FLOAT).reshape(B, T)
+    h, c = h0, c0
+    H = np.zeros((B, T, cell.d_hid), dtype=FLOAT)
+    steps = [None] * T
+    for t in (range(T - 1, -1, -1) if reverse else range(T)):
+        m = fmask[:, t:t + 1]
+        h_new, c_new, steps[t] = cell.step(X[:, t], h, c)
+        h = m * h_new + (1.0 - m) * h
+        c = m * c_new + (1.0 - m) * c
+        H[:, t] = h
+    return H, (h, c), LSTMRunCache(steps, fmask, reverse)
+
+
+def reference_run_lstm_backward(cell, run_cache, dH, dh_fin, dc_fin):
+    """run_lstm_backward masking and blending the gradients at every step:
+    (dX, dh0, dc0), accumulating the cell's weight grads."""
+    fmask = run_cache.fmask
+    B, T = fmask.shape
+    dh, dc = dh_fin, dc_fin
+    dX = np.zeros((B, T, cell.d_in), dtype=FLOAT)
+    for t in (range(T) if run_cache.reverse else range(T - 1, -1, -1)):
+        m = fmask[:, t:t + 1]
+        dh_tot = dh + dH[:, t]
+        dX[:, t], dh_prev, dc_prev = cell.step_backward(
+            run_cache.step_caches[t], m * dh_tot, m * dc)
+        dh = (1.0 - m) * dh_tot + dh_prev
+        dc = (1.0 - m) * dc + dc_prev
+    return dX, dh, dc
 
 
 def reference_sequence_nll(logits, targets, mask):

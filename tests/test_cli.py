@@ -396,6 +396,43 @@ class TestMalformedInput:
         assert code == 1
         assert_one_line_error(capsys, "array 'embedding.table'")
 
+    @pytest.mark.parametrize("kind", ["dataset", "vocabulary", "config", "generations"])
+    def test_bytes_that_are_not_utf8(self, trained, tmp_path, capsys, kind):
+        bad = tmp_path / f"bad-{kind}"
+        first_line, argv = {
+            "dataset": (json.dumps(DATASET[0]), ["build-vocab", "--dataset", str(bad),
+                                                 "--out", str(tmp_path / "v.txt")]),
+            "vocabulary": ("<pad>", ["generate", "--checkpoint", str(trained["checkpoint"]),
+                                     "--vocab", str(bad), "--news", "storms", "--greedy"]),
+            "config": ("# settings", ["build-vocab", "--config", str(bad), "--dataset",
+                                      str(trained["dataset"]), "--out", str(tmp_path / "v.txt")]),
+            "generations": (json.dumps({"id": "p1", "report": ["storms"]}),
+                            ["evaluate", "--generated", str(bad),
+                             "--dataset", str(trained["dataset"])]),
+        }[kind]
+        bad.write_bytes(first_line.encode() + b"\n\xff\xfe\n")
+        assert main(argv) == 1
+        assert_one_line_error(capsys, f"{bad}:2: not UTF-8 text (byte 0xff)")
+
+    def test_vocabulary_without_the_special_tokens(self, trained, tmp_path, capsys):
+        vocab = tmp_path / "vocab.txt"
+        vocab.write_text("storms\nflood\n")
+        code = main(["generate", "--checkpoint", str(trained["checkpoint"]),
+                     "--vocab", str(vocab), "--news", "storms", "--greedy"])
+        assert code == 1
+        assert_one_line_error(capsys, f"{vocab}: must start with the special tokens "
+                                      "<pad> <bos> <eos> <unk>")
+
+    def test_vocabulary_with_a_duplicate_token(self, trained, tmp_path, capsys):
+        tokens = trained["vocab"].read_text().splitlines()
+        vocab = tmp_path / "vocab.txt"
+        vocab.write_text("\n".join(tokens + [tokens[5]]) + "\n")
+        code = main(["generate", "--checkpoint", str(trained["checkpoint"]),
+                     "--vocab", str(vocab), "--news", "storms", "--greedy"])
+        assert code == 1
+        assert_one_line_error(capsys, f"{vocab}: duplicate token {tokens[5]!r} "
+                                      f"(ids 5 and {len(tokens)})")
+
 
 class TestEvaluate:
     def test_gold_candidates_score_one(self, trained, tmp_path, capsys):

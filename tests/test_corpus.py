@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from outline2report.corpus import (
     BOS, EOS, PAD, UNK, Batch, CorpusError, DocumentFrequencies, LengthCaps,
     NewsReportPair, Vocabulary, build_vocabulary, derive_outlines,
-    derive_silver_outline, encode_batch, read_dataset, tokenize, wrap_ids,
+    derive_silver_outline, encode_batch, read_dataset, read_text_lines, tokenize, wrap_ids,
     write_dataset)
 
 
@@ -112,6 +112,10 @@ class TestVocabulary:
         w = Vocabulary.load(p)
         assert w.tokens == v.tokens
         assert w.digest() == v.digest()
+
+    def test_duplicate_token_named(self):
+        with pytest.raises(CorpusError, match=r"^vocabulary: duplicate token 'a' \(ids 4 and 8\)$"):
+            Vocabulary(("<pad>", "<bos>", "<eos>", "<unk>", "a", "b", "c", "b", "a"))
 
     def test_digest_sensitive_to_content(self):
         v1 = build_vocabulary([make_pair("1", ["a"], ["b"])])
@@ -263,6 +267,21 @@ class TestDataset:
         path.write_text('{"id": "1", "news": "a"}\n')
         with pytest.raises(CorpusError, match=r"bad\.jsonl:1"):
             read_dataset(path)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.text(st.sampled_from("ab\r\n\x85\u2028é"), max_size=30).map(str.encode)
+           | st.text(max_size=30).map(str.encode) | st.binary(max_size=30))
+    def test_lines_split_as_text_mode_splits_them(self, tmp_path_factory, data):
+        path = tmp_path_factory.getbasetemp() / "lines.txt"
+        path.write_bytes(data)
+        try:
+            with open(path, encoding="utf-8") as fh:
+                want = fh.readlines()
+        except UnicodeDecodeError:
+            with pytest.raises(CorpusError, match=r"lines\.txt:\d+: not UTF-8 text"):
+                read_text_lines(path)
+            return
+        assert read_text_lines(path) == want
 
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "data.jsonl"

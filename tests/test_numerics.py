@@ -6,11 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from outline2report.numerics import (
-    FLOAT, NonFiniteLossError, Parameter, clip_global_norm,
+    FLOAT, LSTMCell, NonFiniteLossError, Parameter, clip_global_norm,
     finite_difference_gradient, gradient_check, log_softmax,
-    masked_row_softmax, sigmoid, uniform_init)
+    masked_row_softmax, run_lstm, run_lstm_backward, uniform_init)
 
-from model_oracles import lstm_cell_step, softmax
+from model_oracles import (lstm_cell_step, reference_lstm_step, reference_run_lstm,
+                           reference_run_lstm_backward, sigmoid, softmax)
 
 
 finite_floats = st.floats(min_value=-50, max_value=50, allow_nan=False)
@@ -123,6 +124,126 @@ class TestLstmCellStep:
         with pytest.raises(ValueError, match="shape"):
             lstm_cell_step(np.zeros(2), np.zeros(3), np.zeros(3),
                            np.zeros((12, 5)), np.zeros((12, 3)), np.zeros(12))
+
+
+def random_cell(rng, d_in, d_hid, scale=1.0):
+    cell = LSTMCell("cell", d_in, d_hid, rng)
+    for p in cell.parameters():
+        p.value[...] = scale * rng.normal(size=p.value.shape)
+    return cell
+
+
+def assert_same_step(got, want):
+    """Outputs and every cached array equal to the bit, shapes included."""
+    (h, c, cache), (h_ref, c_ref, cache_ref) = got, want
+    assert len(cache) == len(cache_ref)
+    for a, b in zip((h, c, *cache), (h_ref, c_ref, *cache_ref)):
+        assert a.shape == b.shape and np.array_equal(a, b)
+
+
+class TestInPlaceLstmStep:
+    """LSTMCell.step computes its gates with fewer numpy calls, partly in
+    place; each result must equal the plain formula's (reference_lstm_step)
+    to the bit."""
+
+    @pytest.mark.parametrize("H", [1, 3, 32, 64])
+    def test_rows(self, H):
+        rng = np.random.default_rng(100 + H)
+        for B in range(1, 18):
+            D = int(rng.integers(1, 40))
+            cell = random_cell(rng, D, H, scale=float(rng.choice([0.1, 1.0, 4.0])))
+            x, h, c = (rng.normal(size=(B, n)) for n in (D, H, H))
+            assert_same_step(cell.step(x, h, c), reference_lstm_step(cell, x, h, c))
+
+    @pytest.mark.parametrize("H", [1, 3, 32, 64])
+    def test_row_stacks(self, H):
+        rng = np.random.default_rng(200 + H)
+        for n in (1, 2, 4, 9, 16):
+            cell = random_cell(rng, 7, H)
+            x, h, c = (rng.normal(size=(n, 1, d)) for d in (7, H, H))
+            assert_same_step(cell.step(x, h, c), reference_lstm_step(cell, x, h, c))
+
+    def test_saturated_gates(self):
+        # pre-activations far beyond +-40: exp overflows to inf, sigmoid to 0
+        rng = np.random.default_rng(3)
+        cell = random_cell(rng, 5, 8, scale=300.0)
+        x, h, c = (rng.normal(size=(6, d)) for d in (5, 8, 8))
+        with np.errstate(over="ignore"):
+            got, want = cell.step(x, h, c), reference_lstm_step(cell, x, h, c)
+        assert_same_step(got, want)
+        assert {0.0, 1.0} <= set(np.unique(got[2][3]))  # saturated input gate
+
+
+def lstm_masks(B, T, rng):
+    """Masks whose time columns are all valid, mix valid and padded rows
+    (left-aligned or scattered), or are valid only in column 0."""
+    lengths = rng.integers(1, T + 1, size=B)
+    lengths[0], lengths[1] = T, 1  # at least one full row and one short one
+    return {
+        "all-valid": np.ones((B, T), dtype=bool),
+        "mixed": np.arange(T)[None, :] < lengths[:, None],
+        "column-0": np.tile(np.arange(T) == 0, (B, 1)),
+        "scattered": rng.random((B, T)) < 0.5,
+    }
+
+
+def forward_and_backward(run, run_backward, cell, X, mask, reverse, seed):
+    """Outputs of one forward and backward pass, the weight grads included."""
+    rng = np.random.default_rng(seed)
+    B, T, _ = X.shape
+    H = cell.d_hid
+    h0, c0, dh_fin, dc_fin = (rng.normal(size=(B, H)) for _ in range(4))
+    dH = rng.normal(size=(B, T, H))
+    for p in cell.parameters():
+        p.zero_grad()
+    states, (h, c), cache = run(cell, X, mask, reverse=reverse, h0=h0, c0=c0)
+    grads = run_backward(cell, cache, dH, dh_fin, dc_fin)
+    return (states, h, c, *grads) + tuple(p.grad.copy() for p in cell.parameters())
+
+
+def runs_equal(got, want):
+    return all(a.shape == b.shape and np.array_equal(a, b) for a, b in zip(got, want))
+
+
+class TestMaskedRecurrence:
+    """run_lstm and run_lstm_backward take fully valid columns without the
+    blend; they must equal the blend-every-step references to the bit."""
+
+    B, T, D, H = 6, 9, 5, 4
+
+    def cell_inputs_masks(self, seed):
+        rng = np.random.default_rng(seed)
+        cell = random_cell(rng, self.D, self.H)
+        X = rng.normal(size=(self.B, self.T, self.D))
+        return cell, X, lstm_masks(self.B, self.T, rng)
+
+    @pytest.mark.parametrize("kind", ["all-valid", "mixed", "column-0", "scattered"])
+    @pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reverse"])
+    def test_matches_blend_every_step(self, kind, reverse):
+        for seed in range(3):
+            cell, X, masks = self.cell_inputs_masks(seed)
+            got = forward_and_backward(run_lstm, run_lstm_backward,
+                                       cell, X, masks[kind], reverse, seed)
+            want = forward_and_backward(reference_run_lstm, reference_run_lstm_backward,
+                                        cell, X, masks[kind], reverse, seed)
+            assert runs_equal(got, want)
+
+    @pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reverse"])
+    def test_skipping_the_blend_on_a_mixed_column_is_caught(self, reverse):
+        # Skipping the blend on column t computes what run_lstm computes when
+        # the mask marks every row of column t valid; that planted fault must
+        # fail the comparison above, on each mixed column in turn.
+        cell, X, masks = self.cell_inputs_masks(0)
+        mask = masks["mixed"]
+        want = forward_and_backward(reference_run_lstm, reference_run_lstm_backward,
+                                    cell, X, mask, reverse, 0)
+        mixed = [t for t in range(self.T) if not mask[:, t].all()]
+        assert mixed
+        for t in mixed:
+            planted = mask.copy()
+            planted[:, t] = True
+            got = forward_and_backward(run_lstm, run_lstm_backward, cell, X, planted, reverse, 0)
+            assert not runs_equal(got, want), t
 
 
 class TestFiniteDifference:
