@@ -39,9 +39,13 @@ class Embedding:
         return self.table.value[ids]
 
     def accumulate_grad(self, ids, dvecs):
+        """Segment sums of dvecs over the stably sorted ids, one per id."""
         ids = np.asarray(ids).reshape(-1)
-        dvecs = np.asarray(dvecs).reshape(-1, self.d_emb)
-        np.add.at(self.table.grad, ids, dvecs)
+        order = np.argsort(ids, kind="stable")
+        ids = ids[order]
+        starts = np.flatnonzero(np.diff(ids, prepend=ids[:1] - 1))
+        dvecs = np.asarray(dvecs).reshape(-1, self.d_emb)[order]
+        self.table.grad[ids[starts]] += np.add.reduceat(dvecs, starts, axis=0)
 
     def freeze_pad_row(self):
         self.table.grad[self.pad_id] = 0.0
@@ -72,8 +76,7 @@ class BiLSTMEncoder:
         """
         Hf, (hf_fin, _), fwd_run = run_lstm(self.fwd, X, mask, reverse=False)
         Hb, (hb_fin, _), bwd_run = run_lstm(self.bwd, X, mask, reverse=True)
-        H = np.concatenate([Hf, Hb], axis=2)
-        return H, hf_fin, hb_fin, EncoderCache(fwd_run, bwd_run)
+        return np.concatenate([Hf, Hb], axis=2), hf_fin, hb_fin, EncoderCache(fwd_run, bwd_run)
 
     def backward(self, cache: EncoderCache, dH, dh_fwd_fin=None, dh_bwd_fin=None):
         """dH [B,T,2*d_hid] plus optional grads on the final states -> dX."""

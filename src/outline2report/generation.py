@@ -21,7 +21,7 @@ import numpy as np
 from .config import DecodeConfig
 from .corpus import BOS, EOS, PAD, Vocabulary, wrap_ids
 from .numerics import log_softmax, run_lstm
-from .outline_decoder import attend, per_step_matmul
+from .outline_decoder import attend
 from .report_decoder import fuse_news_outline
 
 
@@ -209,8 +209,8 @@ def generate(news_tokens, model, vocab: Vocabulary,
     rng = np.random.default_rng(np.random.SeedSequence([dcfg.seed, 3]))
 
     # Rows step as [n,1,H] stacks: x @ W.T on one is a [1,H] product per row,
-    # bit-equal to stepping the row alone, where an [n,H] GEMM may sum a row
-    # in another order. The n rows attend as n queries of the one news row.
+    # bit-equal to stepping the row alone, where an [n,H] GEMM may sum a row in
+    # another order. They attend as n batch rows over the news row broadcast.
     def start(state):
         return tuple(a[:, None] for a in state)
 
@@ -219,9 +219,9 @@ def generate(news_tokens, model, vocab: Vocabulary,
 
     def outline_step(state, tokens):
         (s, c), _ = odec.step(embed(tokens), state)
-        attn = attend(enc_states, s[:, 0][None], mask, odec.W_a, odec.W_c)
-        logits = per_step_matmul(attn.combined, odec.W_o.value.T)[0]
-        return _emission_mask(logits), (s, c)
+        news = np.broadcast_to(enc_states, (len(s),) + enc_states.shape[1:])
+        logits = attend(news, s, mask, odec.W_a, odec.W_c).combined @ odec.W_o.value.T
+        return _emission_mask(logits[:, 0]), (s, c)
 
     outline_init = odec.initial_state(hf_fin)
     outline = run_decode(

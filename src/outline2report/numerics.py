@@ -85,16 +85,20 @@ class LSTMCell:
     def parameters(self):
         return [self.W_x, self.W_h, self.b]
 
-    def step(self, x, h_prev, c_prev):
-        """x [B,d_in], h_prev/c_prev [B,d_hid] -> (h, c, cache). Stacks of
-        rows [n,1,*] step too, each row as one [1,*] product."""
-        if x.shape[-1] != self.d_in or h_prev.shape[-1] != self.d_hid:
-            raise ValueError(
-                f"LSTM step dims: x {x.shape} (want *,{self.d_in}), h {h_prev.shape} (want *,{self.d_hid})")
+    def step(self, x, h_prev, c_prev, x_gates=None, W_hT=None):
+        """x [B,d_in], h_prev/c_prev [B,d_hid] -> (h, c, cache). Stacks of rows
+        [n,1,*] step too, each row as one [1,*] product. run_lstm passes instead
+        x_gates, this step's rows of X @ W_xᵀ + b, and W_hT, a contiguous W_hᵀ."""
+        if x_gates is None:
+            if x.shape[-1] != self.d_in or h_prev.shape[-1] != self.d_hid:
+                raise ValueError(f"LSTM step dims: x {x.shape}, h {h_prev.shape}")
+            a = x @ self.W_x.value.T  # the plain formula's IEEE ops in its order: the same bits
+            a += h_prev @ self.W_h.value.T
+            a += self.b.value
+        else:
+            a = h_prev @ W_hT
+            a += x_gates
         H = self.d_hid
-        a = x @ self.W_x.value.T  # the plain formula's IEEE ops in its order: the same bits
-        a += h_prev @ self.W_h.value.T
-        a += self.b.value
         s = np.negative(a[..., :3 * H])  # sigmoid of i, f, o; a copy beats in place on a view
         np.reciprocal(np.add(np.exp(s, out=s), 1.0, out=s), out=s)
         i, f, o = s[..., :H], s[..., H:2 * H], s[..., 2 * H:]
@@ -103,34 +107,31 @@ class LSTMCell:
         c += i * g
         tc = np.tanh(c)
         h = o * tc
-        return h, c, (x, h_prev, c_prev, i, f, o, g, tc)
+        return h, c, (c_prev, i, f, o, g, tc)
 
-    def step_backward(self, cache, dh, dc):
-        """Backward through one step; accumulates weight grads, returns
-        (dx, dh_prev, dc_prev)."""
-        x, h_prev, c_prev, i, f, o, g, tc = cache
+    def step_backward(self, cache, dh, dc, da):
+        """Backward through one step's gates: writes the pre-activation grad
+        into da [B,4H]; returns (dh_prev, dc_prev). No weight grads or dx."""
+        c_prev, i, f, o, g, tc = cache
         do = dh * tc
         dc_tot = dc + dh * o * (1.0 - tc * tc)
         di = dc_tot * g
         df = dc_tot * c_prev
         dg = dc_tot * i
         dc_prev = dc_tot * f
-        da = np.concatenate(
+        np.concatenate(
             [di * i * (1.0 - i), df * f * (1.0 - f), do * o * (1.0 - o), dg * (1.0 - g * g)],
-            axis=1)
-        self.W_x.grad += da.T @ x
-        self.W_h.grad += da.T @ h_prev
-        self.b.grad += da.sum(axis=0)
-        dx = da @ self.W_x.value
-        dh_prev = da @ self.W_h.value
-        return dx, dh_prev, dc_prev
+            axis=1, out=da)
+        return da @ self.W_h.value, dc_prev
 
 
 @dataclass
 class LSTMRunCache:
     step_caches: list
-    fmask: np.ndarray  # [B, T] float 0/1
+    fmask: np.ndarray   # [B, T] float 0/1
     reverse: bool
+    inputs: np.ndarray  # [T, B, d_in], time-major
+    h_prev: np.ndarray  # [T, B, d_hid], the state each step read
 
 
 def run_lstm(cell: LSTMCell, X, mask, reverse=False, h0=None, c0=None):
@@ -139,28 +140,35 @@ def run_lstm(cell: LSTMCell, X, mask, reverse=False, h0=None, c0=None):
     At masked steps the state is carried unchanged, so padding never leaks
     into a shorter row's states. H[:, t] holds the state after step t; the
     returned final state is the state at each row's last valid position
-    (forward) or first position (reverse).
+    (forward) or first position (reverse). X @ W_xᵀ + b is one time-major
+    GEMM; H is a view of a [T+1,B,H] buffer that also holds each h_prev.
     """
     X = np.asarray(X, dtype=FLOAT)
-    B, T, _ = X.shape
-    if T == 0:
-        raise ValueError("run_lstm over an empty sequence")
+    B, T, D = X.shape
+    if T == 0 or D != cell.d_in:
+        raise ValueError(f"run_lstm over inputs {X.shape}: empty, or not {cell.d_in} wide")
     fmask = np.asarray(mask, dtype=FLOAT).reshape(B, T)
     h = np.zeros((B, cell.d_hid), dtype=FLOAT) if h0 is None else h0
     c = np.zeros((B, cell.d_hid), dtype=FLOAT) if c0 is None else c0
-    H = np.zeros((B, T, cell.d_hid), dtype=FLOAT)
+    inputs = np.ascontiguousarray(X.transpose(1, 0, 2))
+    x_gates = (inputs.reshape(T * B, D) @ cell.W_x.value.T).reshape(T, B, -1)
+    x_gates += cell.b.value
+    W_hT = np.ascontiguousarray(cell.W_h.value.T)
+    held = np.empty((T + 1, B, cell.d_hid), dtype=FLOAT)
+    held[T if reverse else 0] = h
+    states, h_prev = (held[:T], held[1:]) if reverse else (held[1:], held[:T])
     steps = [None] * T
     order = range(T - 1, -1, -1) if reverse else range(T)
     full = fmask.all(axis=0)  # on these columns the blend below is the identity
     for t in order:
-        h_new, c_new, cache = cell.step(X[:, t], h, c)
+        h_new, c_new, steps[t] = cell.step(None, h, c, x_gates[t], W_hT)
         if not full[t]:
             m = fmask[:, t:t + 1]
             h_new, c_new = m * h_new + (1.0 - m) * h, m * c_new + (1.0 - m) * c
         h, c = h_new, c_new
-        H[:, t] = h
-        steps[t] = cache
-    return H, (h, c), LSTMRunCache(steps, fmask, reverse)
+        states[t] = h
+    return (states.transpose(1, 0, 2), (h, c),
+            LSTMRunCache(steps, fmask, reverse, inputs, h_prev))
 
 
 def scheduled_inputs(cell: LSTMCell, embed, gold_in_ids, mask, h0, c0, head, rng, ratio):
@@ -179,25 +187,29 @@ def scheduled_inputs(cell: LSTMCell, embed, gold_in_ids, mask, h0, c0, head, rng
 
 def run_lstm_backward(cell: LSTMCell, run_cache: LSTMRunCache, dH, dh_fin=None, dc_fin=None):
     """Backward through run_lstm. dH carries per-position state grads; returns
-    (dX, dh0, dc0) and accumulates the cell's weight grads."""
+    (dX, dh0, dc0) and accumulates the cell's weight grads, each as one GEMM
+    over all T*B rows after the steps."""
     fmask = run_cache.fmask
     B, T = fmask.shape
-    dh = np.zeros((B, cell.d_hid), dtype=FLOAT) if dh_fin is None else dh_fin.copy()
-    dc = np.zeros((B, cell.d_hid), dtype=FLOAT) if dc_fin is None else dc_fin.copy()
-    dX = np.zeros((B, T, cell.d_in), dtype=FLOAT)
+    dh = np.zeros((B, cell.d_hid), dtype=FLOAT) if dh_fin is None else dh_fin
+    dc = np.zeros((B, cell.d_hid), dtype=FLOAT) if dc_fin is None else dc_fin
+    da = np.empty((T, B, 4 * cell.d_hid), dtype=FLOAT)
     order = range(T - 1, -1, -1) if run_cache.reverse else range(T)
     full = fmask.all(axis=0)
     for t in reversed(order):
         dh_tot = dh + dH[:, t]
         if full[t]:
-            dX[:, t], dh, dc = cell.step_backward(run_cache.step_caches[t], dh_tot, dc)
+            dh, dc = cell.step_backward(run_cache.step_caches[t], dh_tot, dc, da[t])
             continue
         m = fmask[:, t:t + 1]
-        dX[:, t], dh_prev, dc_prev = cell.step_backward(
-            run_cache.step_caches[t], m * dh_tot, m * dc)
+        dh_prev, dc_prev = cell.step_backward(run_cache.step_caches[t], m * dh_tot, m * dc, da[t])
         dh = (1.0 - m) * dh_tot + dh_prev
         dc = (1.0 - m) * dc + dc_prev
-    return dX, dh, dc
+    da = da.reshape(T * B, -1)
+    cell.W_x.grad += (run_cache.inputs.reshape(T * B, -1).T @ da).T  # BLAS runs x.T @ da faster
+    cell.W_h.grad += (run_cache.h_prev.reshape(T * B, -1).T @ da).T
+    cell.b.grad += da.sum(axis=0)
+    return (da @ cell.W_x.value).reshape(T, B, -1).transpose(1, 0, 2), dh, dc
 
 
 def finite_difference_gradient(loss_fn, params, epsilon=1e-5):

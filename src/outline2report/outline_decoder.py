@@ -30,18 +30,6 @@ class AttentionStep:
     combined: np.ndarray    # [B, (K,) H], tanh output
 
 
-def per_step_matmul(X, W):
-    """X [B,K,n] @ W [n,m] as one [B,n] x [n,m] product per step, so each
-    row is summed as in a step-at-a-time loop; BLAS may sum a row differently
-    in the per-batch-row products of a plain X @ W."""
-    return np.ascontiguousarray((X.transpose(1, 0, 2) @ W).transpose(1, 0, 2))
-
-
-def per_step_outer_sum(A, X):
-    """sum_k A[:, k].T @ X[:, k], one product per step, added in step order."""
-    return np.matmul(A.transpose(1, 2, 0), X.transpose(1, 0, 2)).sum(axis=0)
-
-
 def attend(enc_states, state, mask, W_a: Parameter, W_c: Parameter) -> AttentionStep:
     """Score, normalize, mix, combine: attention over a batch.
 
@@ -49,6 +37,7 @@ def attend(enc_states, state, mask, W_a: Parameter, W_c: Parameter) -> Attention
     context = sum_j weights_j h_j; combined = tanh(W_c [context; s]).
     state is one query per row [B,H] or K of them [B,K,H] (all steps of a
     teacher-forced pass: without input feeding, attention is off the recurrence).
+    Products run per batch row, so [n,1,H] rows are each bit-equal to a lone row.
     """
     enc_states = np.asarray(enc_states, dtype=FLOAT)
     state = np.asarray(state, dtype=FLOAT)
@@ -57,11 +46,11 @@ def attend(enc_states, state, mask, W_a: Parameter, W_c: Parameter) -> Attention
             f"encoder dim {enc_states.shape[-1]} != score projection rows {W_a.value.shape[0]}")
     single = state.ndim == 2
     S = state[:, None] if single else state
-    query = per_step_matmul(S, W_a.value.T)                      # [B, K, E]
-    scores = np.einsum("bte,bke->bkt", enc_states, query)        # [B, K, T]
+    query = S @ W_a.value.T                                      # [B, K, E]
+    scores = query @ enc_states.transpose(0, 2, 1)               # [B, K, T]
     weights = masked_row_softmax(scores, np.asarray(mask)[:, None])
-    context = np.einsum("bkt,bte->bke", weights, enc_states)
-    combined = np.tanh(per_step_matmul(np.concatenate([context, S], axis=2), W_c.value.T))
+    context = weights @ enc_states
+    combined = np.tanh(np.concatenate([context, S], axis=2) @ W_c.value.T)
     if single:
         query, weights, context, combined = (a[:, 0] for a in (query, weights, context, combined))
     return AttentionStep(enc_states, state, query, weights, context, combined)
@@ -75,26 +64,22 @@ def attend_backward(step: AttentionStep, d_combined, W_a: Parameter, W_c: Parame
     state, query, weights, context, combined, d_combined = (
         a[:, None] if single else a for a in (
             step.state, step.query, step.weights, step.context, step.combined, d_combined))
-    E = enc.shape[-1]
-    d_pre = d_combined * (1.0 - combined * combined)
-    W_c.grad += per_step_outer_sum(d_pre, np.concatenate([context, state], axis=2))
-    d_combo_in = per_step_matmul(d_pre, W_c.value)
+    B, K, E = query.shape
+    d_pre = (d_combined * (1.0 - combined * combined)).reshape(B * K, -1)  # a row per query
+    W_c.grad += d_pre.T @ np.concatenate([context, state], axis=2).reshape(B * K, -1)
+    d_combo_in = (d_pre @ W_c.value).reshape(B, K, -1)
     d_context = d_combo_in[:, :, :E]
     d_state = d_combo_in[:, :, E:]
 
-    d_weights = np.einsum("bke,bte->bkt", d_context, enc)
+    d_weights = d_context @ enc.transpose(0, 2, 1)
     # softmax backward; masked weights are exactly 0 so those scores get 0.
     inner = (d_weights * weights).sum(axis=2, keepdims=True)
     d_scores = weights * (d_weights - inner)
-    d_query = np.einsum("bkt,bte->bke", d_scores, enc)
-    W_a.grad += per_step_outer_sum(d_query, state)
-    d_state += per_step_matmul(d_query, W_a.value)
-    # step by step: a [B,K,T,E] temporary would hold K copies of enc
-    d_enc = np.zeros_like(enc)
-    for k in range(weights.shape[1]):
-        dH = weights[:, k, :, None] * d_context[:, k, None, :]
-        dH += d_scores[:, k, :, None] * query[:, k, None, :]
-        d_enc += dH
+    d_query = (d_scores @ enc).reshape(B * K, E)
+    W_a.grad += d_query.T @ state.reshape(B * K, -1)
+    d_state += (d_query @ W_a.value).reshape(B, K, -1)
+    d_enc = weights.transpose(0, 2, 1) @ d_context
+    d_enc += d_scores.transpose(0, 2, 1) @ query
     return d_enc, (d_state[:, 0] if single else d_state)
 
 
@@ -191,8 +176,7 @@ class OutlineDecoder:
     def initial_state(self, h_fwd_fin):
         """Project the final forward encoder state into the decoder space."""
         s0 = np.tanh(h_fwd_fin @ self.bridge_W.value.T + self.bridge_b.value)
-        c0 = np.zeros_like(s0)
-        return s0, c0
+        return s0, np.zeros_like(s0)
 
     def step(self, x_emb, state):
         """One recurrence step; state is an (s, c) pair of [B, H] arrays."""

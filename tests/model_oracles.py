@@ -3,9 +3,15 @@
 None of these runs in training or generation. Each restates one piece of the
 model in its plainest form, so the tests can hold the batched code to it:
 a 1-D softmax, one LSTM step on vectors, the batched LSTM step as its plain
-formula, the masked recurrence blending every step, the softmax
-cross-entropy over a full [B,T,V] logit array, the two stage losses as
-scalars, their sum, and the encoder run on one unpadded sequence.
+formula, the masked recurrence one step at a time (its products and weight
+gradients formed step by step, blending every step), attention one decoder
+step at a time, the softmax cross-entropy over a full [B,T,V] logit array,
+the two stage losses as scalars, their sum, and the encoder run on one
+unpadded sequence.
+
+The step-at-a-time references sum in another order than the library, which
+forms each product once over all steps, so the tests hold the library to
+them at REL_TOL, not to the bit.
 """
 
 import math
@@ -13,7 +19,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from outline2report.numerics import FLOAT, LSTMRunCache, NonFiniteLossError, log_softmax
+from outline2report.numerics import (FLOAT, NonFiniteLossError, log_softmax,
+                                     masked_row_softmax)
+
+# Relative error allowed between the library and a reference that sums in
+# another order: a few hundred float64 ulps of an array's norm.
+REL_TOL = 1e-12
+
+
+def relative_error(got, want):
+    """|got - want| / |want| over the whole array; inf on a shape mismatch."""
+    if np.shape(got) != np.shape(want):
+        return math.inf
+    return float(np.linalg.norm(np.subtract(got, want)) / np.linalg.norm(want))
 
 
 def sigmoid(x):
@@ -73,12 +91,33 @@ def reference_lstm_step(cell, x, h_prev, c_prev):
     g = np.tanh(a[..., 3 * H:])
     c = f * c_prev + i * g
     tc = np.tanh(c)
-    return o * tc, c, (x, h_prev, c_prev, i, f, o, g, tc)
+    return o * tc, c, (c_prev, i, f, o, g, tc)
+
+
+def reference_lstm_step_backward(cell, x, h_prev, cache, dh, dc):
+    """Backward through one step with its own weight-gradient products:
+    (dx, dh_prev, dc_prev), adding this step's share to the cell's grads."""
+    c_prev, i, f, o, g, tc = cache
+    do = dh * tc
+    dc_tot = dc + dh * o * (1.0 - tc * tc)
+    da = np.concatenate([dc_tot * g * i * (1.0 - i), dc_tot * c_prev * f * (1.0 - f),
+                         do * o * (1.0 - o), dc_tot * i * (1.0 - g * g)], axis=1)
+    cell.W_x.grad += da.T @ x
+    cell.W_h.grad += da.T @ h_prev
+    cell.b.grad += da.sum(axis=0)
+    return da @ cell.W_x.value, da @ cell.W_h.value, dc_tot * f
+
+
+@dataclass
+class ReferenceRun:
+    steps: list             # per position t: (x, h_prev, step cache)
+    fmask: np.ndarray       # [B, T] float 0/1
+    reverse: bool
 
 
 def reference_run_lstm(cell, X, mask, reverse, h0, c0):
-    """run_lstm with the carry-through blend m*new + (1-m)*old at every
-    step, on fully valid columns too: (H, (h, c), run cache)."""
+    """run_lstm one step at a time with the carry-through blend
+    m*new + (1-m)*old at every step: (H, (h, c), ReferenceRun)."""
     B, T, _ = X.shape
     fmask = np.asarray(mask, dtype=FLOAT).reshape(B, T)
     h, c = h0, c0
@@ -86,28 +125,62 @@ def reference_run_lstm(cell, X, mask, reverse, h0, c0):
     steps = [None] * T
     for t in (range(T - 1, -1, -1) if reverse else range(T)):
         m = fmask[:, t:t + 1]
-        h_new, c_new, steps[t] = cell.step(X[:, t], h, c)
+        h_new, c_new, cache = reference_lstm_step(cell, X[:, t], h, c)
+        steps[t] = (X[:, t], h, cache)
         h = m * h_new + (1.0 - m) * h
         c = m * c_new + (1.0 - m) * c
         H[:, t] = h
-    return H, (h, c), LSTMRunCache(steps, fmask, reverse)
+    return H, (h, c), ReferenceRun(steps, fmask, reverse)
 
 
-def reference_run_lstm_backward(cell, run_cache, dH, dh_fin, dc_fin):
-    """run_lstm_backward masking and blending the gradients at every step:
-    (dX, dh0, dc0), accumulating the cell's weight grads."""
-    fmask = run_cache.fmask
-    B, T = fmask.shape
+def reference_run_lstm_backward(cell, run, dH, dh_fin, dc_fin):
+    """run_lstm_backward one step at a time, masking and blending the
+    gradients at every step: (dX, dh0, dc0), accumulating the cell's grads."""
+    B, T = run.fmask.shape
     dh, dc = dh_fin, dc_fin
     dX = np.zeros((B, T, cell.d_in), dtype=FLOAT)
-    for t in (range(T) if run_cache.reverse else range(T - 1, -1, -1)):
-        m = fmask[:, t:t + 1]
+    for t in (range(T) if run.reverse else range(T - 1, -1, -1)):
+        m = run.fmask[:, t:t + 1]
         dh_tot = dh + dH[:, t]
-        dX[:, t], dh_prev, dc_prev = cell.step_backward(
-            run_cache.step_caches[t], m * dh_tot, m * dc)
+        dX[:, t], dh_prev, dc_prev = reference_lstm_step_backward(
+            cell, *run.steps[t], m * dh_tot, m * dc)
         dh = (1.0 - m) * dh_tot + dh_prev
         dc = (1.0 - m) * dc + dc_prev
     return dX, dh, dc
+
+
+def reference_attend_steps(enc, states, mask, W_a, W_c, d_combined):
+    """Attention for each decoder step k on its own ([B,H] products), then its
+    backward one step at a time, adding each step's d_enc and weight grads.
+
+    enc [B,T,E], states [B,K,H], d_combined [B,K,H]. Returns (forward fields
+    query, weights, context and combined, each [B,K,*]; d_enc; d_states)."""
+    E = enc.shape[-1]
+    fields = {name: [] for name in ("query", "weights", "context", "combined")}
+    d_enc = np.zeros_like(enc)
+    d_states = np.zeros_like(states)
+    for k in range(states.shape[1]):
+        s = states[:, k]
+        query = s @ W_a.value.T
+        weights = masked_row_softmax(np.einsum("bte,be->bt", enc, query), mask)
+        context = np.einsum("bt,bte->be", weights, enc)
+        combo_in = np.concatenate([context, s], axis=1)
+        combined = np.tanh(combo_in @ W_c.value.T)
+        for name, value in zip(fields, (query, weights, context, combined)):
+            fields[name].append(value)
+
+        d_pre = d_combined[:, k] * (1.0 - combined * combined)
+        W_c.grad += d_pre.T @ combo_in
+        d_combo_in = d_pre @ W_c.value
+        d_context, d_states[:, k] = d_combo_in[:, :E], d_combo_in[:, E:]
+        d_weights = np.einsum("be,bte->bt", d_context, enc)
+        d_scores = weights * (d_weights - (d_weights * weights).sum(axis=1, keepdims=True))
+        d_query = np.einsum("bt,bte->be", d_scores, enc)
+        W_a.grad += d_query.T @ s
+        d_states[:, k] += d_query @ W_a.value
+        d_enc += weights[:, :, None] * d_context[:, None, :]
+        d_enc += d_scores[:, :, None] * query[:, None, :]
+    return {name: np.stack(v, axis=1) for name, v in fields.items()}, d_enc, d_states
 
 
 def reference_sequence_nll(logits, targets, mask):

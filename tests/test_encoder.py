@@ -6,7 +6,7 @@ from outline2report.encoder import BiLSTMEncoder, Embedding
 from outline2report.numerics import (
     Parameter, finite_difference_gradient, gradient_check)
 
-from model_oracles import encode_bilstm
+from model_oracles import REL_TOL, encode_bilstm, relative_error
 
 
 def make_embedding(vocab=11, d_emb=5, seed=0):
@@ -44,6 +44,28 @@ class TestEmbedding:
         np.testing.assert_array_equal(emb.table.grad[3], [3.0, 0.0])
         np.testing.assert_array_equal(emb.table.grad[1], [5.0, 5.0])
         assert not emb.table.grad[0].any()
+
+    @pytest.mark.parametrize("shape", [(37,), (4, 9), (3, 1), (1,)])
+    def test_accumulate_grad_matches_a_row_loop(self, shape):
+        # unsorted ids, many repeats and PAD rows, added onto a non-zero grad
+        rng = np.random.default_rng(len(shape) * 10 + shape[0])
+        emb = make_embedding(vocab=7, d_emb=3)
+        emb.table.grad[...] = rng.normal(size=emb.table.grad.shape)
+        ids = rng.choice([PAD, 2, 5, 5, 5, 6, 3], size=shape)
+        dvecs = rng.normal(size=shape + (3,))
+        want = emb.table.grad.copy()
+        for i, d in zip(ids.reshape(-1), dvecs.reshape(-1, 3)):
+            want[i] += d
+        emb.accumulate_grad(ids, dvecs)
+        assert relative_error(emb.table.grad, want) <= REL_TOL
+        untouched = np.setdiff1d(np.arange(7), ids)
+        np.testing.assert_array_equal(emb.table.grad[untouched], want[untouched])
+
+    def test_accumulate_grad_of_no_ids_is_a_no_op(self):
+        emb = make_embedding(vocab=4, d_emb=2)
+        emb.table.grad[...] = 1.5
+        emb.accumulate_grad(np.zeros((2, 0), dtype=np.int64), np.zeros((2, 0, 2)))
+        assert (emb.table.grad == 1.5).all()
 
     def test_freeze_pad_row(self):
         emb = make_embedding(vocab=5, d_emb=2)

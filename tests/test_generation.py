@@ -13,7 +13,7 @@ from outline2report.generation import (
     greedy_decode, length_stats, repetition_rate, run_decode, sample_decode)
 from outline2report.model import build_model
 from outline2report.numerics import LSTMCell, Parameter
-from outline2report.outline_decoder import attend, per_step_matmul
+from outline2report.outline_decoder import attend
 from outline2report.training import Trainer
 
 from decode_oracles import prefix_step, reference_beam_generate, reference_beam_search
@@ -432,13 +432,15 @@ class TestStackedRows:
             W_a = Parameter("W_a", rng.normal(size=(2 * H, H)))
             W_c = Parameter("W_c", rng.normal(size=(H, 3 * H)))
             W_o = rng.normal(size=(V, H))
-            attn = attend(enc, hs[:, 0][None], mask, W_a, W_c)
-            logits = per_step_matmul(attn.combined, W_o.T)[0]
+            # as generate attends: n batch rows over the one news row broadcast
+            attn = attend(np.broadcast_to(enc, (n, T, 2 * H)), hs, mask, W_a, W_c)
+            logits = (attn.combined @ W_o.T)[:, 0]
             for i in range(n):
                 h1, c1, _ = cell.step(x[i:i + 1], h[i:i + 1], c[i:i + 1])
                 assert np.array_equal(hs[i], h1) and np.array_equal(cs[i], c1), trial
                 one = attend(enc, h1, mask, W_a, W_c)
-                assert np.array_equal(attn.combined[0, i], one.combined[0]), trial
+                for name in ("weights", "combined"):
+                    assert np.array_equal(getattr(attn, name)[i], getattr(one, name)), trial
                 assert np.array_equal(logits[i], (one.combined @ W_o.T)[0]), trial
                 assert np.array_equal((hs @ W_o.T)[i, 0], (h1 @ W_o.T)[0]), trial
 

@@ -10,8 +10,9 @@ from outline2report.numerics import (
     finite_difference_gradient, gradient_check, log_softmax,
     masked_row_softmax, run_lstm, run_lstm_backward, uniform_init)
 
-from model_oracles import (lstm_cell_step, reference_lstm_step, reference_run_lstm,
-                           reference_run_lstm_backward, sigmoid, softmax)
+from model_oracles import (REL_TOL, lstm_cell_step, reference_lstm_step,
+                           reference_run_lstm, reference_run_lstm_backward, relative_error,
+                           sigmoid, softmax)
 
 
 finite_floats = st.floats(min_value=-50, max_value=50, allow_nan=False)
@@ -143,8 +144,9 @@ def assert_same_step(got, want):
 
 class TestInPlaceLstmStep:
     """LSTMCell.step computes its gates with fewer numpy calls, partly in
-    place; each result must equal the plain formula's (reference_lstm_step)
-    to the bit."""
+    place. On the decoders' path (x given) each result must equal the plain
+    formula's (reference_lstm_step) to the bit; on run_lstm's path (the input
+    product and bias passed in, W_hᵀ contiguous) it must equal it at REL_TOL."""
 
     @pytest.mark.parametrize("H", [1, 3, 32, 64])
     def test_rows(self, H):
@@ -171,7 +173,35 @@ class TestInPlaceLstmStep:
         with np.errstate(over="ignore"):
             got, want = cell.step(x, h, c), reference_lstm_step(cell, x, h, c)
         assert_same_step(got, want)
-        assert {0.0, 1.0} <= set(np.unique(got[2][3]))  # saturated input gate
+        assert {0.0, 1.0} <= set(np.unique(got[2][1]))  # saturated input gate
+
+    @staticmethod
+    def hoisted_step(cell, x, h, c, bias=True):
+        x_gates = x @ cell.W_x.value.T + (cell.b.value if bias else 0.0)
+        return cell.step(None, h, c, x_gates, np.ascontiguousarray(cell.W_h.value.T))
+
+    @staticmethod
+    def steps_close(got, want):
+        (h, c, cache), (h_ref, c_ref, cache_ref) = got, want
+        return all(relative_error(a, b) <= REL_TOL
+                   for a, b in zip((h, c, *cache), (h_ref, c_ref, *cache_ref)))
+
+    @pytest.mark.parametrize("H", [1, 3, 32, 64])
+    def test_hoisted_input_product(self, H):
+        rng = np.random.default_rng(300 + H)
+        for B in (1, 2, 8, 16):
+            D = int(rng.integers(1, 40))
+            cell = random_cell(rng, D, H)
+            x, h, c = (rng.normal(size=(B, n)) for n in (D, H, H))
+            assert self.steps_close(self.hoisted_step(cell, x, h, c),
+                                    reference_lstm_step(cell, x, h, c))
+
+    def test_hoisted_input_product_without_its_bias_is_caught(self):
+        rng = np.random.default_rng(4)
+        cell = random_cell(rng, 6, 5)
+        x, h, c = (rng.normal(size=(4, n)) for n in (6, 5, 5))
+        assert not self.steps_close(self.hoisted_step(cell, x, h, c, bias=False),
+                                    reference_lstm_step(cell, x, h, c))
 
 
 def lstm_masks(B, T, rng):
@@ -185,6 +215,9 @@ def lstm_masks(B, T, rng):
         "column-0": np.tile(np.arange(T) == 0, (B, 1)),
         "scattered": rng.random((B, T)) < 0.5,
     }
+
+
+MASK_KINDS = ["all-valid", "mixed", "column-0", "scattered"]
 
 
 def forward_and_backward(run, run_backward, cell, X, mask, reverse, seed):
@@ -201,13 +234,15 @@ def forward_and_backward(run, run_backward, cell, X, mask, reverse, seed):
     return (states, h, c, *grads) + tuple(p.grad.copy() for p in cell.parameters())
 
 
-def runs_equal(got, want):
-    return all(a.shape == b.shape and np.array_equal(a, b) for a, b in zip(got, want))
+def runs_close(got, want):
+    return all(relative_error(a, b) <= REL_TOL for a, b in zip(got, want))
 
 
 class TestMaskedRecurrence:
-    """run_lstm and run_lstm_backward take fully valid columns without the
-    blend; they must equal the blend-every-step references to the bit."""
+    """run_lstm forms the input product, and run_lstm_backward the weight
+    gradients and dX, once over all steps, and both skip the blend on fully
+    valid columns. They must equal the step-at-a-time references that blend
+    every step at REL_TOL: the sums run in another order."""
 
     B, T, D, H = 6, 9, 5, 4
 
@@ -217,7 +252,7 @@ class TestMaskedRecurrence:
         X = rng.normal(size=(self.B, self.T, self.D))
         return cell, X, lstm_masks(self.B, self.T, rng)
 
-    @pytest.mark.parametrize("kind", ["all-valid", "mixed", "column-0", "scattered"])
+    @pytest.mark.parametrize("kind", MASK_KINDS)
     @pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reverse"])
     def test_matches_blend_every_step(self, kind, reverse):
         for seed in range(3):
@@ -226,7 +261,7 @@ class TestMaskedRecurrence:
                                        cell, X, masks[kind], reverse, seed)
             want = forward_and_backward(reference_run_lstm, reference_run_lstm_backward,
                                         cell, X, masks[kind], reverse, seed)
-            assert runs_equal(got, want)
+            assert runs_close(got, want)
 
     @pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reverse"])
     def test_skipping_the_blend_on_a_mixed_column_is_caught(self, reverse):
@@ -243,7 +278,55 @@ class TestMaskedRecurrence:
             planted = mask.copy()
             planted[:, t] = True
             got = forward_and_backward(run_lstm, run_lstm_backward, cell, X, planted, reverse, 0)
-            assert not runs_equal(got, want), t
+            assert not runs_close(got, want), t
+
+    def test_swapped_gate_weights_are_caught(self):
+        # The input and forget rows of W_h swapped in the reference only: a
+        # fault of the order of one gate must fail the comparison.
+        cell, X, masks = self.cell_inputs_masks(1)
+        got = forward_and_backward(run_lstm, run_lstm_backward,
+                                   cell, X, masks["mixed"], False, 1)
+        H = self.H
+        W_h = cell.W_h.value
+        W_h[:2 * H] = np.concatenate([W_h[H:2 * H], W_h[:H]])
+        want = forward_and_backward(reference_run_lstm, reference_run_lstm_backward,
+                                    cell, X, masks["mixed"], False, 1)
+        assert not runs_close(got, want)
+
+
+class TestRecurrenceGradients:
+    """Finite differences through run_lstm for the inputs, both initial
+    states and the three weight blocks, with gradients arriving on every
+    state, the final h and the final c."""
+
+    B, T, D, H = 3, 4, 3, 2
+
+    @pytest.mark.parametrize("kind", MASK_KINDS)
+    @pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reverse"])
+    def test_gradcheck(self, kind, reverse):
+        rng = np.random.default_rng(7)
+        cell = random_cell(rng, self.D, self.H, scale=0.5)
+        mask = lstm_masks(self.B, self.T, rng)[kind]
+        X = Parameter("X", rng.normal(size=(self.B, self.T, self.D)))
+        h0 = Parameter("h0", rng.normal(size=(self.B, self.H)))
+        c0 = Parameter("c0", rng.normal(size=(self.B, self.H)))
+        dH = rng.normal(size=(self.B, self.T, self.H))
+        dh_fin, dc_fin = rng.normal(size=(2, self.B, self.H))
+
+        def loss():
+            states, (h, c), _ = run_lstm(cell, X.value, mask, reverse, h0.value, c0.value)
+            return float((states * dH).sum() + (h * dh_fin).sum() + (c * dc_fin).sum())
+
+        blocks = cell.parameters() + [X, h0, c0]
+        numeric = finite_difference_gradient(loss, blocks)
+        for p in cell.parameters():
+            p.zero_grad()
+        _, _, cache = run_lstm(cell, X.value, mask, reverse, h0.value, c0.value)
+        dX, dh0, dc0 = run_lstm_backward(cell, cache, dH, dh_fin, dc_fin)
+        analytic = {p.name: p.grad.copy() for p in cell.parameters()}
+        analytic.update(X=dX, h0=dh0, c0=dc0)
+        report = gradient_check(analytic, numeric, tol=1e-7)
+        assert report.passed, report.format_table()
 
 
 class TestFiniteDifference:
