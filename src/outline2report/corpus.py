@@ -238,21 +238,14 @@ class LengthCaps:
 
 @dataclass
 class Batch:
-    """Padded id matrices with per-row lengths and non-PAD masks.
-
-    Every row is BOS ... EOS PAD...; length counts BOS through EOS, so the
-    EOS of row b sits at column length[b] - 1.
-    """
+    """Padded id matrices, each row BOS ... EOS PAD..., and the non-PAD masks
+    of news and report; the model masks the outline by its shifted targets."""
 
     pair_ids: list
     news_ids: np.ndarray
-    news_lengths: np.ndarray
     news_mask: np.ndarray
     outline_ids: np.ndarray
-    outline_lengths: np.ndarray
-    outline_mask: np.ndarray
     report_ids: np.ndarray
-    report_lengths: np.ndarray
     report_mask: np.ndarray
 
     @property
@@ -268,15 +261,12 @@ def wrap_ids(tokens, vocab: Vocabulary, cap: int) -> list[int]:
     return row
 
 
-def _pad_rows(rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _pad_rows(rows) -> tuple[np.ndarray, np.ndarray]:
     width = max(len(r) for r in rows)
     ids = np.full((len(rows), width), PAD, dtype=np.int64)
-    lengths = np.zeros(len(rows), dtype=np.int64)
     for b, row in enumerate(rows):
         ids[b, : len(row)] = row
-        lengths[b] = len(row)
-    mask = ids != PAD
-    return ids, lengths, mask
+    return ids, ids != PAD
 
 
 def encode_batch(pairs, vocab: Vocabulary, caps: LengthCaps = LengthCaps()) -> Batch:
@@ -288,12 +278,11 @@ def encode_batch(pairs, vocab: Vocabulary, caps: LengthCaps = LengthCaps()) -> B
     news = [wrap_ids(p.news, vocab, caps.news) for p in pairs]
     outline = [wrap_ids(p.outline, vocab, caps.outline) for p in pairs]
     report = [wrap_ids(p.report, vocab, caps.report) for p in pairs]
-    n_ids, n_len, n_mask = _pad_rows(news)
-    o_ids, o_len, o_mask = _pad_rows(outline)
-    r_ids, r_len, r_mask = _pad_rows(report)
+    n_ids, n_mask = _pad_rows(news)
+    o_ids, _ = _pad_rows(outline)
+    r_ids, r_mask = _pad_rows(report)
     return Batch(
         pair_ids=[p.id for p in pairs],
-        news_ids=n_ids, news_lengths=n_len, news_mask=n_mask,
-        outline_ids=o_ids, outline_lengths=o_len, outline_mask=o_mask,
-        report_ids=r_ids, report_lengths=r_len, report_mask=r_mask,
+        news_ids=n_ids, news_mask=n_mask, outline_ids=o_ids,
+        report_ids=r_ids, report_mask=r_mask,
     )

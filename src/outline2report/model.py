@@ -16,9 +16,8 @@ import numpy as np
 from .config import TrainingConfig
 from .corpus import PAD, Batch, Vocabulary
 from .encoder import BiLSTMEncoder, Embedding
-from .numerics import FLOAT
 from .outline_decoder import OutlineDecoder, OutlineForward
-from .report_decoder import ReportDecoder, ReportForward, fuse_news_outline
+from .report_decoder import ReportDecoder, ReportForward, fuse_news_outline, masked_mean_pool
 
 
 def shifted_targets(ids):
@@ -39,7 +38,7 @@ class ModelForward:
     outline_tmask: np.ndarray
     summary_weights: np.ndarray     # [B, T_rep], rows sum to 1
     u: np.ndarray
-    pool_lengths: tuple
+    pool_weights: tuple             # ([B, T], [B, K]): the fusion pools' weights
     report: ReportForward
     report_targets: np.ndarray
     report_tmask: np.ndarray
@@ -76,16 +75,6 @@ class NewsToReportModel:
 
     # -- forward / backward ----------------------------------------------------
 
-    def summarize_report(self, report_ids, report_mask):
-        """Mean-pooled embeddings of the gold report tokens (PAD excluded)."""
-        emb = self.embedding.lookup(report_ids)
-        fmask = np.asarray(report_mask, dtype=FLOAT)
-        lengths = fmask.sum(axis=1)
-        if np.any(lengths == 0):
-            raise ValueError("cannot summarize an empty report row")
-        weights = fmask / lengths[:, None]
-        return np.einsum("bt,btd->bd", weights, emb), weights
-
     def forward(self, batch: Batch, noise, beta, sample_rng=None,
                 teacher_forcing_ratio=1.0) -> ModelForward:
         news_emb = self.embedding.lookup(batch.news_ids)
@@ -98,9 +87,9 @@ class NewsToReportModel:
             o_in, o_tgt, o_tmask,
             sample_rng=sample_rng, teacher_forcing_ratio=teacher_forcing_ratio)
 
-        report_summary, summary_weights = self.summarize_report(
-            batch.report_ids, batch.report_mask)
-        u, pool_lengths = fuse_news_outline(
+        report_summary, summary_weights = masked_mean_pool(
+            self.embedding.lookup(batch.report_ids), batch.report_mask)
+        u, pool_weights = fuse_news_outline(
             enc_states, batch.news_mask, out_fwd.states, o_tmask)
 
         r_in, r_tgt, r_tmask = shifted_targets(batch.report_ids)
@@ -117,7 +106,7 @@ class NewsToReportModel:
             batch=batch, news_emb=news_emb, enc_states=enc_states,
             enc_cache=enc_cache, outline=out_fwd, outline_targets=o_tgt,
             outline_tmask=o_tmask, summary_weights=summary_weights, u=u,
-            pool_lengths=pool_lengths, report=rep_fwd, report_targets=r_tgt,
+            pool_weights=pool_weights, report=rep_fwd, report_targets=r_tgt,
             report_tmask=r_tmask, loss_outline=loss_outline, loss_report=loss_report,
             loss_model=loss_model, kl=float(np.mean(rep_fwd.kl_rows)),
             beta=beta)
@@ -135,11 +124,9 @@ class NewsToReportModel:
         d_enc_dim = fwd.enc_states.shape[2]
         dpool_enc = du[:, :d_enc_dim]
         dpool_out = du[:, d_enc_dim:]
-        len_enc, len_out = fwd.pool_lengths
-        news_fmask = np.asarray(batch.news_mask, dtype=FLOAT)
-        out_fmask = np.asarray(fwd.outline_tmask, dtype=FLOAT)
-        dH_fusion = (news_fmask / len_enc[:, None])[:, :, None] * dpool_enc[:, None, :]
-        dS_fusion = (out_fmask / len_out[:, None])[:, :, None] * dpool_out[:, None, :]
+        w_enc, w_out = fwd.pool_weights
+        dH_fusion = w_enc[:, :, None] * dpool_enc[:, None, :]
+        dS_fusion = w_out[:, :, None] * dpool_out[:, None, :]
 
         d_enc, dX_out, dh_fwd_fin = self.outline_decoder.backward(
             fwd.outline, fwd.outline_targets, fwd.outline_tmask,

@@ -85,19 +85,18 @@ class LSTMCell:
     def parameters(self):
         return [self.W_x, self.W_h, self.b]
 
-    def step(self, x, h_prev, c_prev, x_gates=None, W_hT=None):
-        """x [B,d_in], h_prev/c_prev [B,d_hid] -> (h, c, cache). Stacks of rows
-        [n,1,*] step too, each row as one [1,*] product. run_lstm passes instead
-        x_gates, this step's rows of X @ W_xᵀ + b, and W_hT, a contiguous W_hᵀ."""
-        if x_gates is None:
-            if x.shape[-1] != self.d_in or h_prev.shape[-1] != self.d_hid:
-                raise ValueError(f"LSTM step dims: x {x.shape}, h {h_prev.shape}")
-            a = x @ self.W_x.value.T  # the plain formula's IEEE ops in its order: the same bits
-            a += h_prev @ self.W_h.value.T
-            a += self.b.value
-        else:
-            a = h_prev @ W_hT
-            a += x_gates
+    def input_gates(self, x):
+        """x [..., d_in] -> x @ W_xᵀ + b [..., 4H], the gates' input side."""
+        a = x @ self.W_x.value.T
+        a += self.b.value
+        return a
+
+    def step(self, x_gates, h_prev, c_prev, W_hT):
+        """x_gates = input_gates(x) [B,4H], h_prev/c_prev [B,d_hid], W_hT = W_hᵀ
+        -> (h, c, cache). Stacks of rows [n,1,*] step too, each row as one
+        [1,*] product."""
+        a = h_prev @ W_hT
+        a += x_gates
         H = self.d_hid
         s = np.negative(a[..., :3 * H])  # sigmoid of i, f, o; a copy beats in place on a view
         np.reciprocal(np.add(np.exp(s, out=s), 1.0, out=s), out=s)
@@ -151,8 +150,7 @@ def run_lstm(cell: LSTMCell, X, mask, reverse=False, h0=None, c0=None):
     h = np.zeros((B, cell.d_hid), dtype=FLOAT) if h0 is None else h0
     c = np.zeros((B, cell.d_hid), dtype=FLOAT) if c0 is None else c0
     inputs = np.ascontiguousarray(X.transpose(1, 0, 2))
-    x_gates = (inputs.reshape(T * B, D) @ cell.W_x.value.T).reshape(T, B, -1)
-    x_gates += cell.b.value
+    x_gates = cell.input_gates(inputs.reshape(T * B, D)).reshape(T, B, -1)
     W_hT = np.ascontiguousarray(cell.W_h.value.T)
     held = np.empty((T + 1, B, cell.d_hid), dtype=FLOAT)
     held[T if reverse else 0] = h
@@ -161,7 +159,7 @@ def run_lstm(cell: LSTMCell, X, mask, reverse=False, h0=None, c0=None):
     order = range(T - 1, -1, -1) if reverse else range(T)
     full = fmask.all(axis=0)  # on these columns the blend below is the identity
     for t in order:
-        h_new, c_new, steps[t] = cell.step(None, h, c, x_gates[t], W_hT)
+        h_new, c_new, steps[t] = cell.step(x_gates[t], h, c, W_hT)
         if not full[t]:
             m = fmask[:, t:t + 1]
             h_new, c_new = m * h_new + (1.0 - m) * h, m * c_new + (1.0 - m) * c

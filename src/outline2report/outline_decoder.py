@@ -181,7 +181,8 @@ class OutlineDecoder:
     def step(self, x_emb, state):
         """One recurrence step; state is an (s, c) pair of [B, H] arrays."""
         s, c = state
-        s_new, c_new, cache = self.cell.step(x_emb, s, c)
+        s_new, c_new, cache = self.cell.step(self.cell.input_gates(x_emb), s, c,
+                                             self.cell.W_h.value.T)
         return (s_new, c_new), cache
 
     def forward_teacher(self, embedding, enc_states, enc_mask, h_fwd_fin,

@@ -20,22 +20,23 @@ from .outline_decoder import sequence_nll, sequence_nll_backward
 
 
 def masked_mean_pool(X, mask):
-    """Mean over unmasked positions of X [B,T,D]; returns ([B,D], lengths)."""
+    """Mean over unmasked positions of X [B,T,D]; returns ([B,D], weights [B,T]),
+    each weight row the mask over its length, which is also d(pool)/d(X)."""
     fmask = np.asarray(mask, dtype=FLOAT)
-    lengths = fmask.sum(axis=1)
+    lengths = fmask.sum(axis=1, keepdims=True)
     if np.any(lengths == 0):
         raise ValueError("mean pool over a fully masked row")
-    pooled = np.einsum("bt,btd->bd", fmask, X) / lengths[:, None]
-    return pooled, lengths
+    return np.einsum("bt,btd->bd", fmask, X) / lengths, fmask / lengths
 
 
 def fuse_news_outline(enc_states, enc_mask, outline_states, outline_mask):
-    """u = [mean-pool(encoder states) ; mean-pool(outline states)]."""
+    """u = [mean-pool(encoder states) ; mean-pool(outline states)], with the
+    two pools' weights."""
     if enc_states.shape[1] == 0 or outline_states.shape[1] == 0:
         raise ValueError("fusion needs non-empty encoder and outline state sequences")
-    pool_enc, len_enc = masked_mean_pool(enc_states, enc_mask)
-    pool_out, len_out = masked_mean_pool(outline_states, outline_mask)
-    return np.concatenate([pool_enc, pool_out], axis=1), (len_enc, len_out)
+    pool_enc, w_enc = masked_mean_pool(enc_states, enc_mask)
+    pool_out, w_out = masked_mean_pool(outline_states, outline_mask)
+    return np.concatenate([pool_enc, pool_out], axis=1), (w_enc, w_out)
 
 
 @dataclass
@@ -120,7 +121,8 @@ class ReportDecoder:
 
     def step(self, x_emb, state):
         h, c = state
-        h_new, c_new, cache = self.cell.step(x_emb, h, c)
+        h_new, c_new, cache = self.cell.step(self.cell.input_gates(x_emb), h, c,
+                                             self.cell.W_h.value.T)
         return (h_new, c_new), cache
 
     def forward_teacher(self, embedding, u, report_summary,

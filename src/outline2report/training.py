@@ -299,19 +299,14 @@ class Trainer:
         self.noise_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 1]))
         self.step = 0
         self.history: list[StepRecord] = []
-        self._order_cache: tuple[int, np.ndarray] | None = None
 
     @property
     def epoch(self) -> int:
         return self.step // self.num_batches
 
     def _epoch_order(self, epoch: int) -> np.ndarray:
-        if self._order_cache is not None and self._order_cache[0] == epoch:
-            return self._order_cache[1]
         rng = np.random.default_rng(np.random.SeedSequence([self.cfg.seed, 2, epoch]))
-        order = rng.permutation(len(self.pairs))
-        self._order_cache = (epoch, order)
-        return order
+        return rng.permutation(len(self.pairs))
 
     def _batch_at(self, epoch: int, batch_idx: int):
         order = self._epoch_order(epoch)

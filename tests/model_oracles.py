@@ -80,11 +80,11 @@ def lstm_cell_step(x, h_prev, c_prev, W_x, W_h, b):
     return h, c
 
 
-def reference_lstm_step(cell, x, h_prev, c_prev):
-    """LSTMCell.step as the plain formula, one allocating call per gate:
-    (h, c, cache) with the cache the cell keeps, tanh(c) last."""
+def reference_gates(cell, a, c_prev):
+    """LSTMCell.step's gate arithmetic as the plain formula on the
+    pre-activation a [..., 4H], one allocating call per gate: (h, c, cache)
+    with the cache the cell keeps, tanh(c) last."""
     H = cell.d_hid
-    a = x @ cell.W_x.value.T + h_prev @ cell.W_h.value.T + cell.b.value
     i = sigmoid(a[..., :H])
     f = sigmoid(a[..., H:2 * H])
     o = sigmoid(a[..., 2 * H:3 * H])
@@ -92,6 +92,12 @@ def reference_lstm_step(cell, x, h_prev, c_prev):
     c = f * c_prev + i * g
     tc = np.tanh(c)
     return o * tc, c, (c_prev, i, f, o, g, tc)
+
+
+def reference_lstm_step(cell, x, h_prev, c_prev):
+    """One LSTM step as the plain formula x @ W_xᵀ + h @ W_hᵀ + b, then the gates."""
+    a = x @ cell.W_x.value.T + h_prev @ cell.W_h.value.T + cell.b.value
+    return reference_gates(cell, a, c_prev)
 
 
 def reference_lstm_step_backward(cell, x, h_prev, cache, dh, dc):

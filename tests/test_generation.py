@@ -426,7 +426,8 @@ class TestStackedRows:
             d_in, H, T, V = (int(v) for v in rng.integers(1, 70, size=4))
             cell = LSTMCell("c", d_in, H, rng)
             x, h, c = rng.normal(size=(n, d_in)), rng.normal(size=(n, H)), rng.normal(size=(n, H))
-            hs, cs, _ = cell.step(x[:, None], h[:, None], c[:, None])
+            hs, cs, _ = cell.step(cell.input_gates(x[:, None]), h[:, None], c[:, None],
+                                  cell.W_h.value.T)
             enc = rng.normal(size=(1, T, 2 * H))
             mask = np.arange(T)[None] < rng.integers(1, T + 1)
             W_a = Parameter("W_a", rng.normal(size=(2 * H, H)))
@@ -436,7 +437,8 @@ class TestStackedRows:
             attn = attend(np.broadcast_to(enc, (n, T, 2 * H)), hs, mask, W_a, W_c)
             logits = (attn.combined @ W_o.T)[:, 0]
             for i in range(n):
-                h1, c1, _ = cell.step(x[i:i + 1], h[i:i + 1], c[i:i + 1])
+                h1, c1, _ = cell.step(cell.input_gates(x[i:i + 1]), h[i:i + 1], c[i:i + 1],
+                                      cell.W_h.value.T)
                 assert np.array_equal(hs[i], h1) and np.array_equal(cs[i], c1), trial
                 one = attend(enc, h1, mask, W_a, W_c)
                 for name in ("weights", "combined"):

@@ -10,7 +10,7 @@ from outline2report.numerics import (
     finite_difference_gradient, gradient_check, log_softmax,
     masked_row_softmax, run_lstm, run_lstm_backward, uniform_init)
 
-from model_oracles import (REL_TOL, lstm_cell_step, reference_lstm_step,
+from model_oracles import (REL_TOL, lstm_cell_step, reference_gates, reference_lstm_step,
                            reference_run_lstm, reference_run_lstm_backward, relative_error,
                            sigmoid, softmax)
 
@@ -143,48 +143,73 @@ def assert_same_step(got, want):
 
 
 class TestInPlaceLstmStep:
-    """LSTMCell.step computes its gates with fewer numpy calls, partly in
-    place. On the decoders' path (x given) each result must equal the plain
-    formula's (reference_lstm_step) to the bit; on run_lstm's path (the input
-    product and bias passed in, W_hᵀ contiguous) it must equal it at REL_TOL."""
-
-    @pytest.mark.parametrize("H", [1, 3, 32, 64])
-    def test_rows(self, H):
-        rng = np.random.default_rng(100 + H)
-        for B in range(1, 18):
-            D = int(rng.integers(1, 40))
-            cell = random_cell(rng, D, H, scale=float(rng.choice([0.1, 1.0, 4.0])))
-            x, h, c = (rng.normal(size=(B, n)) for n in (D, H, H))
-            assert_same_step(cell.step(x, h, c), reference_lstm_step(cell, x, h, c))
-
-    @pytest.mark.parametrize("H", [1, 3, 32, 64])
-    def test_row_stacks(self, H):
-        rng = np.random.default_rng(200 + H)
-        for n in (1, 2, 4, 9, 16):
-            cell = random_cell(rng, 7, H)
-            x, h, c = (rng.normal(size=(n, 1, d)) for d in (7, H, H))
-            assert_same_step(cell.step(x, h, c), reference_lstm_step(cell, x, h, c))
-
-    def test_saturated_gates(self):
-        # pre-activations far beyond +-40: exp overflows to inf, sigmoid to 0
-        rng = np.random.default_rng(3)
-        cell = random_cell(rng, 5, 8, scale=300.0)
-        x, h, c = (rng.normal(size=(6, d)) for d in (5, 8, 8))
-        with np.errstate(over="ignore"):
-            got, want = cell.step(x, h, c), reference_lstm_step(cell, x, h, c)
-        assert_same_step(got, want)
-        assert {0.0, 1.0} <= set(np.unique(got[2][1]))  # saturated input gate
+    """LSTMCell has one gate formula: input_gates(x) = x @ W_xᵀ + b, then step
+    adds h @ W_hᵀ and runs its gate kernel, partly in place. Given the same
+    pre-activation the kernel equals the plain gates (reference_gates) to the
+    bit; the whole step equals the plain formula (reference_lstm_step), which
+    sums in another order, at REL_TOL."""
 
     @staticmethod
-    def hoisted_step(cell, x, h, c, bias=True):
-        x_gates = x @ cell.W_x.value.T + (cell.b.value if bias else 0.0)
-        return cell.step(None, h, c, x_gates, np.ascontiguousarray(cell.W_h.value.T))
+    def kernel(cell, a, c):
+        """The gate kernel alone: with a zero W_hᵀ its pre-activation is a."""
+        h = np.ones(a.shape[:-1] + (cell.d_hid,))
+        return cell.step(a, h, c, np.zeros((cell.d_hid, 4 * cell.d_hid)))
+
+    @staticmethod
+    def hoisted_step(cell, x, h, c):
+        return cell.step(cell.input_gates(x), h, c, cell.W_h.value.T)
 
     @staticmethod
     def steps_close(got, want):
         (h, c, cache), (h_ref, c_ref, cache_ref) = got, want
         return all(relative_error(a, b) <= REL_TOL
                    for a, b in zip((h, c, *cache), (h_ref, c_ref, *cache_ref)))
+
+    @pytest.mark.parametrize("H", [1, 3, 32, 64])
+    def test_rows(self, H):
+        rng = np.random.default_rng(100 + H)
+        for B in range(1, 18):
+            cell = random_cell(rng, 1, H)
+            a = float(rng.choice([0.1, 1.0, 4.0])) * rng.normal(size=(B, 4 * H))
+            c = rng.normal(size=(B, H))
+            assert_same_step(self.kernel(cell, a, c), reference_gates(cell, a, c))
+
+    @pytest.mark.parametrize("H", [1, 3, 32, 64])
+    def test_row_stacks(self, H):
+        rng = np.random.default_rng(200 + H)
+        for n in (1, 2, 4, 9, 16):
+            cell = random_cell(rng, 1, H)
+            a, c = rng.normal(size=(n, 1, 4 * H)), rng.normal(size=(n, 1, H))
+            assert_same_step(self.kernel(cell, a, c), reference_gates(cell, a, c))
+
+    def test_saturated_gates(self):
+        # pre-activations far beyond +-709: exp overflows to inf, sigmoid to 0
+        rng = np.random.default_rng(3)
+        cell = random_cell(rng, 1, 8)
+        a, c = 3000.0 * rng.normal(size=(6, 32)), rng.normal(size=(6, 8))
+        with np.errstate(over="ignore"):
+            got, want = self.kernel(cell, a, c), reference_gates(cell, a, c)
+        assert_same_step(got, want)
+        assert {0.0, 1.0} <= set(np.unique(got[2][1]))  # saturated input gate
+
+    def test_swapped_i_and_f_are_caught(self):
+        rng = np.random.default_rng(5)
+        cell = random_cell(rng, 1, 4)
+        a, c = rng.normal(size=(3, 16)), rng.normal(size=(3, 4))
+        swapped = np.concatenate([a[:, 4:8], a[:, :4], a[:, 8:]], axis=1)
+        got, want = self.kernel(cell, swapped, c), reference_gates(cell, a, c)
+        assert not np.array_equal(got[1], want[1])
+
+    @pytest.mark.parametrize("H", [1, 3, 32, 64])
+    def test_input_gates_over_all_rows(self, H):
+        rng = np.random.default_rng(400 + H)
+        for T, B in ((1, 1), (3, 2), (20, 16)):
+            D = int(rng.integers(1, 40))
+            cell = random_cell(rng, D, H)
+            X = rng.normal(size=(T * B, D))
+            want = np.concatenate([X[r:r + 1] @ cell.W_x.value.T + cell.b.value
+                                   for r in range(T * B)])
+            assert relative_error(cell.input_gates(X), want) <= REL_TOL
 
     @pytest.mark.parametrize("H", [1, 3, 32, 64])
     def test_hoisted_input_product(self, H):
@@ -200,8 +225,8 @@ class TestInPlaceLstmStep:
         rng = np.random.default_rng(4)
         cell = random_cell(rng, 6, 5)
         x, h, c = (rng.normal(size=(4, n)) for n in (6, 5, 5))
-        assert not self.steps_close(self.hoisted_step(cell, x, h, c, bias=False),
-                                    reference_lstm_step(cell, x, h, c))
+        no_bias = cell.step(x @ cell.W_x.value.T, h, c, cell.W_h.value.T)
+        assert not self.steps_close(no_bias, reference_lstm_step(cell, x, h, c))
 
 
 def lstm_masks(B, T, rng):

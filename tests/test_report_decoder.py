@@ -24,9 +24,11 @@ class TestMaskedMeanPool:
     def test_averages_only_unmasked(self):
         X = np.array([[[2.0, 4.0], [6.0, 8.0], [99.0, 99.0]]])
         mask = np.array([[True, True, False]])
-        pooled, lengths = masked_mean_pool(X, mask)
+        pooled, weights = masked_mean_pool(X, mask)
         np.testing.assert_allclose(pooled[0], [4.0, 6.0], atol=1e-15)
-        assert lengths[0] == 2.0
+        assert weights[0, 2] == 0.0
+        np.testing.assert_allclose(weights.sum(axis=1), 1.0, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(pooled, np.einsum("bt,btd->bd", weights, X), atol=1e-15)
 
     def test_fully_masked_rejected(self):
         with pytest.raises(ValueError, match="masked"):
@@ -224,7 +226,7 @@ class TestReportSteps:
         dec = tiny_decoder()
         for p in dec.cell.parameters():
             p.value[:] = 0.0
-        s, c, _ = dec.cell.step(np.ones((1, 3)), np.zeros((1, 2)), np.zeros((1, 2)))
+        (s, c), _ = dec.step(np.ones((1, 3)), (np.zeros((1, 2)), np.zeros((1, 2))))
         assert not s.any() and not c.any()
 
     def test_purity(self):
@@ -232,8 +234,8 @@ class TestReportSteps:
         rng = np.random.default_rng(6)
         x = rng.normal(size=(1, 3))
         s0, c0 = rng.normal(size=(1, 2)), rng.normal(size=(1, 2))
-        a = dec.cell.step(x, s0, c0)
-        b = dec.cell.step(x, s0, c0)
+        a, _ = dec.step(x, (s0, c0))
+        b, _ = dec.step(x, (s0, c0))
         np.testing.assert_array_equal(a[0], b[0])
         np.testing.assert_array_equal(a[1], b[1])
 
@@ -242,7 +244,7 @@ class TestReportSteps:
         rng = np.random.default_rng(8)
         x = rng.normal(size=(1, 3))
         s0, c0 = rng.normal(size=(1, 2)), rng.normal(size=(1, 2))
-        s, c, _ = dec.cell.step(x, s0, c0)
+        (s, c), _ = dec.step(x, (s0, c0))
         h_ref, c_ref = lstm_cell_step(x[0], s0[0], c0[0], dec.cell.W_x.value,
                                       dec.cell.W_h.value, dec.cell.b.value)
         np.testing.assert_allclose(s[0], h_ref, atol=1e-12)
