@@ -18,6 +18,15 @@ class ConfigError(ValueError):
     pass
 
 
+# What each annotated field type accepts; a bool is accepted only as "bool".
+_FIELD_TYPES = {"int": int, "float": (int, float), "bool": bool}
+# Least values of TrainingConfig's int fields; outline_k = 0 selects the
+# default rule, and a decoder row holds at least BOS and EOS.
+_LEAST = {"d_emb": 1, "d_hid": 1, "d_z": 1, "batch_size": 1, "max_epochs": 0,
+          "kl_anneal_steps": 0, "outline_k": 0, "seed": 0, "max_news_len": 1,
+          "max_outline_len": 2, "max_report_len": 2, "checkpoint_every_epochs": 0}
+
+
 @dataclass
 class TrainingConfig:
     """Everything that determines a training run; the seed pins it exactly."""
@@ -44,12 +53,14 @@ class TrainingConfig:
     checkpoint_every_epochs: int = 0  # 0 means final checkpoint only
 
     def __post_init__(self):
-        for name in ("d_emb", "d_hid", "d_z", "batch_size",
-                     "max_news_len", "max_outline_len", "max_report_len"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.max_epochs < 0:
-            raise ConfigError("max_epochs must be >= 0")
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if not isinstance(value, _FIELD_TYPES[f.type]) or (
+                    isinstance(value, bool) and f.type != "bool"):
+                raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
+        for name, least in _LEAST.items():
+            if getattr(self, name) < least:
+                raise ConfigError(f"{name} must be >= {least}, got {getattr(self, name)}")
         # chained comparisons against inf: NaN fails every one of them
         for name in ("learning_rate", "adam_epsilon", "gradient_clip_norm"):
             if not 0 < getattr(self, name) < math.inf:
@@ -58,14 +69,8 @@ class TrainingConfig:
             raise ConfigError("adam betas must lie in [0, 1)")
         if not (0.0 <= self.teacher_forcing_ratio <= 1.0):
             raise ConfigError("teacher_forcing_ratio must lie in [0, 1]")
-        if self.kl_anneal_steps < 0:
-            raise ConfigError("kl_anneal_steps must be >= 0")
         if not 0 <= self.outline_loss_weight < math.inf:
             raise ConfigError("outline_loss_weight must be finite and >= 0")
-        if self.outline_k < 0:
-            raise ConfigError("outline_k must be >= 0 (0 selects the default rule)")
-        if self.seed < 0:
-            raise ConfigError("seed must be >= 0")
 
     def kl_weight(self, step: int) -> float:
         """Linear KL anneal from 0 to 1 over the first kl_anneal_steps updates."""

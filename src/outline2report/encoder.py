@@ -69,19 +69,19 @@ class BiLSTMEncoder:
         return self.fwd.parameters() + self.bwd.parameters()
 
     def forward(self, X, mask):
-        """X [B,T,d_emb], mask [B,T] -> (H [B,T,2*d_hid], h_fwd_fin, h_bwd_fin, cache).
+        """X [B,T,d_emb], mask [B,T] -> (H [B,T,2*d_hid], h_fwd_fin, cache).
 
         Padded positions are carried, never computed into downstream values;
-        consumers must apply the same mask.
+        consumers must apply the same mask. The backward direction's final
+        state is H[:, 0, d_hid:].
         """
         Hf, (hf_fin, _), fwd_run = run_lstm(self.fwd, X, mask, reverse=False)
-        Hb, (hb_fin, _), bwd_run = run_lstm(self.bwd, X, mask, reverse=True)
-        return np.concatenate([Hf, Hb], axis=2), hf_fin, hb_fin, EncoderCache(fwd_run, bwd_run)
+        Hb, _, bwd_run = run_lstm(self.bwd, X, mask, reverse=True)
+        return np.concatenate([Hf, Hb], axis=2), hf_fin, EncoderCache(fwd_run, bwd_run)
 
-    def backward(self, cache: EncoderCache, dH, dh_fwd_fin=None, dh_bwd_fin=None):
-        """dH [B,T,2*d_hid] plus optional grads on the final states -> dX."""
+    def backward(self, cache: EncoderCache, dH, dh_fwd_fin):
+        """dH [B,T,2*d_hid] and the grad on the forward final state -> dX."""
         d = self.d_hid
-        dXf, _, _ = run_lstm_backward(self.fwd, cache.fwd_run, dH[:, :, :d], dh_fin=dh_fwd_fin)
-        dXb, _, _ = run_lstm_backward(self.bwd, cache.bwd_run, dH[:, :, d:], dh_fin=dh_bwd_fin)
+        dXf, _ = run_lstm_backward(self.fwd, cache.fwd_run, dH[:, :, :d], dh_fin=dh_fwd_fin)
+        dXb, _ = run_lstm_backward(self.bwd, cache.bwd_run, dH[:, :, d:])
         return dXf + dXb
-

@@ -203,7 +203,7 @@ def generate(news_tokens, model, vocab: Vocabulary,
                    dtype=np.int64)
     mask = ids != PAD
     emb = model.embedding
-    enc_states, hf_fin, _, _ = model.encoder.forward(emb.lookup(ids), mask)
+    enc_states, hf_fin, _ = model.encoder.forward(emb.lookup(ids), mask)
 
     odec = model.outline_decoder
     rng = np.random.default_rng(np.random.SeedSequence([dcfg.seed, 3]))
@@ -218,7 +218,7 @@ def generate(news_tokens, model, vocab: Vocabulary,
         return emb.lookup(np.array(tokens, dtype=np.int64)[:, None])
 
     def outline_step(state, tokens):
-        (s, c), _ = odec.step(embed(tokens), state)
+        s, c = odec.step(embed(tokens), state)
         news = np.broadcast_to(enc_states, (len(s),) + enc_states.shape[1:])
         logits = attend(news, s, mask, odec.W_a, odec.W_c).combined @ odec.W_o.value.T
         return _emission_mask(logits[:, 0]), (s, c)
@@ -245,7 +245,7 @@ def generate(news_tokens, model, vocab: Vocabulary,
     h0, c0, _ = rdec.initial_state(latent.z, u)
 
     def report_step(state, tokens):
-        (h, c), _ = rdec.step(embed(tokens), state)
+        h, c = rdec.step(embed(tokens), state)
         logits = h @ rdec.W_out.value.T
         return _emission_mask(logits[:, 0]), (h, c)
 

@@ -34,19 +34,13 @@ class ModelForward:
     enc_states: np.ndarray          # [B, T, 2H]
     enc_cache: object
     outline: OutlineForward
-    outline_targets: np.ndarray
-    outline_tmask: np.ndarray
     summary_weights: np.ndarray     # [B, T_rep], rows sum to 1
     u: np.ndarray
     pool_weights: tuple             # ([B, T], [B, K]): the fusion pools' weights
     report: ReportForward
-    report_targets: np.ndarray
-    report_tmask: np.ndarray
     loss_outline: float
     loss_report: float
     loss_model: float
-    kl: float
-    beta: float
 
 
 class NewsToReportModel:
@@ -78,8 +72,7 @@ class NewsToReportModel:
     def forward(self, batch: Batch, noise, beta, sample_rng=None,
                 teacher_forcing_ratio=1.0) -> ModelForward:
         news_emb = self.embedding.lookup(batch.news_ids)
-        enc_states, hf_fin, hb_fin, enc_cache = self.encoder.forward(
-            news_emb, batch.news_mask)
+        enc_states, hf_fin, enc_cache = self.encoder.forward(news_emb, batch.news_mask)
 
         o_in, o_tgt, o_tmask = shifted_targets(batch.outline_ids)
         out_fwd = self.outline_decoder.forward_teacher(
@@ -98,24 +91,17 @@ class NewsToReportModel:
             r_in, r_tgt, r_tmask, noise, beta,
             sample_rng=sample_rng, teacher_forcing_ratio=teacher_forcing_ratio)
 
-        w = self.cfg.outline_loss_weight
-        loss_outline = out_fwd.loss
-        loss_report = rep_fwd.loss
-        loss_model = w * loss_outline + loss_report
         return ModelForward(
             batch=batch, news_emb=news_emb, enc_states=enc_states,
-            enc_cache=enc_cache, outline=out_fwd, outline_targets=o_tgt,
-            outline_tmask=o_tmask, summary_weights=summary_weights, u=u,
-            pool_weights=pool_weights, report=rep_fwd, report_targets=r_tgt,
-            report_tmask=r_tmask, loss_outline=loss_outline, loss_report=loss_report,
-            loss_model=loss_model, kl=float(np.mean(rep_fwd.kl_rows)),
-            beta=beta)
+            enc_cache=enc_cache, outline=out_fwd, summary_weights=summary_weights, u=u,
+            pool_weights=pool_weights, report=rep_fwd,
+            loss_outline=out_fwd.loss, loss_report=rep_fwd.loss,
+            loss_model=self.cfg.outline_loss_weight * out_fwd.loss + rep_fwd.loss)
 
     def backward(self, fwd: ModelForward):
         """Gradients of loss_model into every parameter's .grad."""
         batch = fwd.batch
-        du, d_rep_summary, dX_rep = self.report_decoder.backward(
-            fwd.report, fwd.report_targets, fwd.report_tmask)
+        du, d_rep_summary, dX_rep = self.report_decoder.backward(fwd.report)
         self.embedding.accumulate_grad(fwd.report.input_ids, dX_rep)
         # report summary is a weighted sum of report-token embeddings
         d_sum_emb = fwd.summary_weights[:, :, None] * d_rep_summary[:, None, :]
@@ -129,12 +115,10 @@ class NewsToReportModel:
         dS_fusion = w_out[:, :, None] * dpool_out[:, None, :]
 
         d_enc, dX_out, dh_fwd_fin = self.outline_decoder.backward(
-            fwd.outline, fwd.outline_targets, fwd.outline_tmask,
-            d_states_extra=dS_fusion, loss_scale=self.cfg.outline_loss_weight)
+            fwd.outline, dS_fusion, self.cfg.outline_loss_weight)
         self.embedding.accumulate_grad(fwd.outline.input_ids, dX_out)
 
-        dX_news = self.encoder.backward(
-            fwd.enc_cache, d_enc + dH_fusion, dh_fwd_fin=dh_fwd_fin)
+        dX_news = self.encoder.backward(fwd.enc_cache, d_enc + dH_fusion, dh_fwd_fin)
         self.embedding.accumulate_grad(batch.news_ids, dX_news)
         self.embedding.freeze_pad_row()
 

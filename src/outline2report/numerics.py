@@ -183,14 +183,14 @@ def scheduled_inputs(cell: LSTMCell, embed, gold_in_ids, mask, h0, c0, head, rng
     return input_ids
 
 
-def run_lstm_backward(cell: LSTMCell, run_cache: LSTMRunCache, dH, dh_fin=None, dc_fin=None):
-    """Backward through run_lstm. dH carries per-position state grads; returns
-    (dX, dh0, dc0) and accumulates the cell's weight grads, each as one GEMM
-    over all T*B rows after the steps."""
+def run_lstm_backward(cell: LSTMCell, run_cache: LSTMRunCache, dH, dh_fin=None):
+    """Backward through run_lstm. dH carries per-position state grads, dh_fin
+    the final state's; returns (dX, dh0) and accumulates the cell's weight
+    grads, each as one GEMM over all T*B rows after the steps."""
     fmask = run_cache.fmask
     B, T = fmask.shape
     dh = np.zeros((B, cell.d_hid), dtype=FLOAT) if dh_fin is None else dh_fin
-    dc = np.zeros((B, cell.d_hid), dtype=FLOAT) if dc_fin is None else dc_fin
+    dc = np.zeros((B, cell.d_hid), dtype=FLOAT)
     da = np.empty((T, B, 4 * cell.d_hid), dtype=FLOAT)
     order = range(T - 1, -1, -1) if run_cache.reverse else range(T)
     full = fmask.all(axis=0)
@@ -207,7 +207,7 @@ def run_lstm_backward(cell: LSTMCell, run_cache: LSTMRunCache, dH, dh_fin=None, 
     cell.W_x.grad += (run_cache.inputs.reshape(T * B, -1).T @ da).T  # BLAS runs x.T @ da faster
     cell.W_h.grad += (run_cache.h_prev.reshape(T * B, -1).T @ da).T
     cell.b.grad += da.sum(axis=0)
-    return (da @ cell.W_x.value).reshape(T, B, -1).transpose(1, 0, 2), dh, dc
+    return (da @ cell.W_x.value).reshape(T, B, -1).transpose(1, 0, 2), dh
 
 
 def finite_difference_gradient(loss_fn, params, epsilon=1e-5):

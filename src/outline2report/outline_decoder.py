@@ -151,6 +151,8 @@ class OutlineForward:
     lse: np.ndarray           # log-sum-exp of each valid step's logits
     loss: float
     input_ids: np.ndarray     # [B, K] ids actually fed (teacher forcing or sampled)
+    targets: np.ndarray       # [B, K] gold ids
+    target_mask: np.ndarray   # [B, K] bool, False at padding
     attention: AttentionStep  # all K steps, combined [B, K, H]
     run_cache: object
     bridge_out: np.ndarray    # s0 [B, H], post-tanh
@@ -179,11 +181,10 @@ class OutlineDecoder:
         return s0, np.zeros_like(s0)
 
     def step(self, x_emb, state):
-        """One recurrence step; state is an (s, c) pair of [B, H] arrays."""
+        """One recurrence step from state, an (s, c) pair of [B, H] arrays, to
+        the next such pair."""
         s, c = state
-        s_new, c_new, cache = self.cell.step(self.cell.input_gates(x_emb), s, c,
-                                             self.cell.W_h.value.T)
-        return (s_new, c_new), cache
+        return self.cell.step(self.cell.input_gates(x_emb), s, c, self.cell.W_h.value.T)[:2]
 
     def forward_teacher(self, embedding, enc_states, enc_mask, h_fwd_fin,
                         gold_in_ids, targets, target_mask,
@@ -207,26 +208,24 @@ class OutlineDecoder:
         attn = attend(enc_states, states, enc_mask, self.W_a, self.W_c)
         loss, lse = sequence_nll(attn.combined, self.W_o.value, targets, target_mask)
         return OutlineForward(
-            states=states, lse=lse, loss=loss,
-            input_ids=input_ids, attention=attn, run_cache=run_cache,
+            states=states, lse=lse, loss=loss, input_ids=input_ids,
+            targets=targets, target_mask=target_mask, attention=attn, run_cache=run_cache,
             bridge_out=s0, bridge_input=h_fwd_fin)
 
-    def backward(self, fwd: OutlineForward, targets, target_mask,
-                 d_states_extra=None, loss_scale=1.0):
-        """Backward through the whole teacher-forced pass.
+    def backward(self, fwd: OutlineForward, d_states_extra, loss_scale):
+        """Backward through the whole teacher-forced pass, of loss_scale * loss.
 
         d_states_extra [B,K,H] carries gradients flowing into the decoder
         states from elsewhere (the fusion pooling). Returns (d_enc_states,
         d_input_embeddings, d_h_fwd_fin); accumulates parameter grads.
         """
         d_combined, dW_o = sequence_nll_backward(
-            fwd.attention.combined, self.W_o.value, targets, target_mask, fwd.lse,
+            fwd.attention.combined, self.W_o.value, fwd.targets, fwd.target_mask, fwd.lse,
             scale=loss_scale)
         self.W_o.grad += dW_o
         d_enc, dS = attend_backward(fwd.attention, d_combined, self.W_a, self.W_c)
-        if d_states_extra is not None:
-            dS += d_states_extra
-        dX, ds0, _ = run_lstm_backward(self.cell, fwd.run_cache, dS)
+        dS += d_states_extra
+        dX, ds0 = run_lstm_backward(self.cell, fwd.run_cache, dS)
 
         s0 = fwd.bridge_out
         d_pre = ds0 * (1.0 - s0 * s0)

@@ -74,10 +74,11 @@ class ReportForward:
     init_in: np.ndarray       # [z ; u]
     states: np.ndarray        # [B, K, H]
     lse: np.ndarray           # log-sum-exp of each valid step's logits
-    nll: float
-    loss: float               # nll + beta * mean KL
+    loss: float               # NLL + beta * mean KL
     beta: float
     input_ids: np.ndarray
+    targets: np.ndarray       # [B, K] gold ids
+    target_mask: np.ndarray   # [B, K] bool, False at padding
     run_cache: object
 
 
@@ -121,9 +122,7 @@ class ReportDecoder:
 
     def step(self, x_emb, state):
         h, c = state
-        h_new, c_new, cache = self.cell.step(self.cell.input_gates(x_emb), h, c,
-                                             self.cell.W_h.value.T)
-        return (h_new, c_new), cache
+        return self.cell.step(self.cell.input_gates(x_emb), h, c, self.cell.W_h.value.T)[:2]
 
     def forward_teacher(self, embedding, u, report_summary,
                         gold_in_ids, targets, target_mask, noise, beta,
@@ -143,19 +142,20 @@ class ReportDecoder:
         loss = nll + beta * float(np.mean(kl_rows))
         return ReportForward(
             recog_in=recog_in, latent=latent, kl_rows=kl_rows, init_out=h0,
-            init_in=init_in, states=states, lse=lse, nll=nll, loss=loss, beta=beta,
-            input_ids=input_ids, run_cache=run_cache)
+            init_in=init_in, states=states, lse=lse, loss=loss, beta=beta,
+            input_ids=input_ids, targets=targets, target_mask=target_mask,
+            run_cache=run_cache)
 
-    def backward(self, fwd: ReportForward, targets, target_mask):
+    def backward(self, fwd: ReportForward):
         """Backward through NLL + beta*KL; accumulates parameter grads.
 
         Returns (d_u, d_report_summary, d_input_embeddings).
         """
         B = fwd.states.shape[0]
-        dS, dW_out = sequence_nll_backward(fwd.states, self.W_out.value, targets, target_mask,
-                                           fwd.lse)
+        dS, dW_out = sequence_nll_backward(fwd.states, self.W_out.value, fwd.targets,
+                                           fwd.target_mask, fwd.lse)
         self.W_out.grad += dW_out
-        dX, dh0, _ = run_lstm_backward(self.cell, fwd.run_cache, dS)
+        dX, dh0 = run_lstm_backward(self.cell, fwd.run_cache, dS)
 
         h0 = fwd.init_out
         d_init_pre = dh0 * (1.0 - h0 * h0)

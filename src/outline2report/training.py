@@ -57,7 +57,7 @@ class AdamOptimizer:
     """Bias-corrected Adam; epsilon added outside the square root."""
 
     def __init__(self, params, learning_rate=1e-3, beta1=0.9, beta2=0.999,
-                 epsilon=1e-8, skip=()):
+                 epsilon=1e-8):
         self.params = list(params)
         names = [p.name for p in self.params]
         if len(set(names)) != len(names):
@@ -66,7 +66,6 @@ class AdamOptimizer:
         self.beta1 = beta1
         self.beta2 = beta2
         self.epsilon = epsilon
-        self.skip = frozenset(skip)
         self.m = {p.name: np.zeros_like(p.value) for p in self.params}
         self.v = {p.name: np.zeros_like(p.value) for p in self.params}
         self.t = 0
@@ -76,8 +75,6 @@ class AdamOptimizer:
         corr1 = 1.0 - self.beta1 ** self.t
         corr2 = 1.0 - self.beta2 ** self.t
         for p in self.params:
-            if p.name in self.skip:
-                continue
             g = p.grad
             m = self.m[p.name]
             v = self.v[p.name]
@@ -202,6 +199,12 @@ def load_checkpoint(path) -> CheckpointState:
     missing = [key for key in _HEADER_KEYS if key not in header]
     if missing or not isinstance(header["arrays"], list):
         raise BadHeaderError(f"{path}: header lacks {', '.join(missing) or 'a list of arrays'}")
+    for key in ("step", "adam_t", "vocab_size"):
+        if not (type(header[key]) is int and header[key] >= 0):
+            raise BadHeaderError(f"{path}: {key} must be a non-negative int, got {header[key]!r}")
+    if not isinstance(header["vocab_sha256"], str):
+        raise BadHeaderError(f"{path}: vocab_sha256 must be a string, "
+                             f"got {header['vocab_sha256']!r}")
     try:
         TrainingConfig(**header["config"])
     except (TypeError, ConfigError) as exc:
@@ -287,15 +290,9 @@ class Trainer:
         self.caps = LengthCaps(news=cfg.max_news_len, outline=cfg.max_outline_len,
                                report=cfg.max_report_len)
         self.num_batches = math.ceil(len(self.pairs) / cfg.batch_size)
-        skip = ({p.name for p in model.outline_decoder.parameters()}
-                if cfg.freeze_outline else ())
         self.optimizer = AdamOptimizer(
             model.parameters(), learning_rate=cfg.learning_rate,
-            beta1=cfg.adam_beta1, beta2=cfg.adam_beta2,
-            epsilon=cfg.adam_epsilon, skip=skip)
-        # frozen gradients stay out of the clip norm, or they would shrink
-        # the steps of the stages that train
-        self.trained = [p for p in model.parameters() if p.name not in skip]
+            beta1=cfg.adam_beta1, beta2=cfg.adam_beta2, epsilon=cfg.adam_epsilon)
         self.noise_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 1]))
         self.step = 0
         self.history: list[StepRecord] = []
@@ -328,7 +325,12 @@ class Trainer:
             raise NonFiniteLossError(
                 f"step {self.step}: loss is not finite; {diagnose_forward(fwd)}")
         self.model.backward(fwd)
-        norm = clip_global_norm(self.trained, self.cfg.gradient_clip_norm)
+        if self.cfg.freeze_outline:
+            # zero gradients add nothing to the clip norm and keep Adam's
+            # moments at 0, so the frozen parameters move by exactly 0.0
+            for p in self.model.outline_decoder.parameters():
+                p.zero_grad()
+        norm = clip_global_norm(self.model.parameters(), self.cfg.gradient_clip_norm)
         if not math.isfinite(norm):
             raise NonFiniteLossError(
                 f"step {self.step}: gradient norm is {norm!r}; parameters left unchanged")

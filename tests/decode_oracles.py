@@ -77,17 +77,17 @@ def reference_beam_generate(news_tokens, model, vocab, dcfg):
     ids = np.array([wrap_ids(list(news_tokens), vocab, model.cfg.max_news_len)], dtype=np.int64)
     mask = ids != PAD
     emb = model.embedding
-    enc_states, hf_fin, _, _ = model.encoder.forward(emb.lookup(ids), mask)
+    enc_states, hf_fin, _ = model.encoder.forward(emb.lookup(ids), mask)
     odec = model.outline_decoder
     rdec = model.report_decoder
 
     def outline_step(state, token):
-        (s, c), _ = odec.step(emb.lookup(np.array([token], dtype=np.int64)), state)
+        s, c = odec.step(emb.lookup(np.array([token], dtype=np.int64)), state)
         attn = attend(enc_states, s, mask, odec.W_a, odec.W_c)
         return _emission_mask((attn.combined @ odec.W_o.value.T)[0]), (s, c)
 
     def report_step(state, token):
-        (h, c), _ = rdec.step(emb.lookup(np.array([token], dtype=np.int64)), state)
+        h, c = rdec.step(emb.lookup(np.array([token], dtype=np.int64)), state)
         return _emission_mask((h @ rdec.W_out.value.T)[0]), (h, c)
 
     s0, c0 = odec.initial_state(hf_fin)

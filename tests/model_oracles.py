@@ -139,11 +139,11 @@ def reference_run_lstm(cell, X, mask, reverse, h0, c0):
     return H, (h, c), ReferenceRun(steps, fmask, reverse)
 
 
-def reference_run_lstm_backward(cell, run, dH, dh_fin, dc_fin):
+def reference_run_lstm_backward(cell, run, dH, dh_fin):
     """run_lstm_backward one step at a time, masking and blending the
-    gradients at every step: (dX, dh0, dc0), accumulating the cell's grads."""
+    gradients at every step: (dX, dh0), accumulating the cell's grads."""
     B, T = run.fmask.shape
-    dh, dc = dh_fin, dc_fin
+    dh, dc = dh_fin, np.zeros_like(dh_fin)
     dX = np.zeros((B, T, cell.d_in), dtype=FLOAT)
     for t in (range(T) if run.reverse else range(T - 1, -1, -1)):
         m = run.fmask[:, t:t + 1]
@@ -152,7 +152,7 @@ def reference_run_lstm_backward(cell, run, dH, dh_fin, dc_fin):
             cell, *run.steps[t], m * dh_tot, m * dc)
         dh = (1.0 - m) * dh_tot + dh_prev
         dc = (1.0 - m) * dc + dc_prev
-    return dX, dh, dc
+    return dX, dh
 
 
 def reference_attend_steps(enc, states, mask, W_a, W_c, d_combined):
@@ -258,7 +258,7 @@ class EncoderStates:
 
     states: np.ndarray          # [m, 2*d_hid], forward half then backward half
     final_forward: np.ndarray   # [d_hid]
-    final_backward: np.ndarray  # [d_hid]
+    final_backward: np.ndarray  # [d_hid], the backward half of the first state
 
     def __len__(self):
         return self.states.shape[0]
@@ -271,5 +271,6 @@ def encode_bilstm(embedded, encoder) -> EncoderStates:
         raise ValueError("encode_bilstm expects a non-empty [m, d_emb] sequence")
     m = embedded.shape[0]
     mask = np.ones((1, m), dtype=bool)
-    H, hf_fin, hb_fin, _ = encoder.forward(embedded[None, :, :], mask)
-    return EncoderStates(states=H[0], final_forward=hf_fin[0], final_backward=hb_fin[0])
+    H, hf_fin, _ = encoder.forward(embedded[None, :, :], mask)
+    return EncoderStates(states=H[0], final_forward=hf_fin[0],
+                         final_backward=H[0, 0, encoder.d_hid:])

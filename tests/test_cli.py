@@ -210,6 +210,13 @@ class TestTrain:
         assert code == 1
         assert "learning_rate" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["max_outline_len", "max_report_len"])
+    def test_decoder_length_cap_of_one_fails(self, dataset, vocab, tmp_path, capsys, key):
+        # a decoder row needs room for BOS and EOS
+        code = run_train(dataset, vocab, tmp_path / "run", "--set", f"training.{key}=1")
+        assert code == 1
+        assert_one_line_error(capsys, f"{key} must be >= 2")
+
     def test_non_finite_config_value_fails(self, dataset, vocab, tmp_path, capsys):
         code = run_train(dataset, vocab, tmp_path / "run",
                          "--set", "training.gradient_clip_norm=nan")
@@ -385,6 +392,20 @@ class TestMalformedInput:
                      "--news", "storms", "--greedy"])
         assert code == 1
         assert_one_line_error(capsys, "bogus_key")
+
+    @pytest.mark.parametrize("edit,fragment", [
+        (lambda h: h.update(step="abc"), "step must be a non-negative int"),
+        (lambda h: h.update(adam_t=1.5), "adam_t must be a non-negative int"),
+        (lambda h: h.update(vocab_sha256=7), "vocab_sha256 must be a string"),
+        (lambda h: h["config"].update(d_hid=8.5), "d_hid must be int"),
+    ], ids=["step", "adam-t", "vocab-digest", "config-field"])
+    def test_header_value_of_the_wrong_type(self, trained, tmp_path, capsys, edit, fragment):
+        ckpt = rewrite_header(trained["checkpoint"], tmp_path / "ck.o2r", edit)
+        code = main(["train", "--dataset", str(trained["dataset"]),
+                     "--vocab", str(trained["vocab"]), "--out", str(tmp_path / "run"),
+                     "--resume", str(ckpt)])
+        assert code == 1
+        assert_one_line_error(capsys, fragment)
 
     @pytest.mark.parametrize("field,value", [("offset", -8), ("nbytes", 8)])
     def test_array_extent_that_does_not_fit_its_shape(self, trained, tmp_path, capsys,

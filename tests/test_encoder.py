@@ -4,7 +4,7 @@ import pytest
 from outline2report.corpus import PAD
 from outline2report.encoder import BiLSTMEncoder, Embedding
 from outline2report.numerics import (
-    Parameter, finite_difference_gradient, gradient_check)
+    Parameter, finite_difference_gradient, gradient_check, run_lstm)
 
 from model_oracles import REL_TOL, encode_bilstm, relative_error
 
@@ -121,11 +121,16 @@ class TestEncodeBilstm:
             assert out.states.shape == (m, 10)
 
     def test_final_states_match_sequence_ends(self):
+        # the forward final state is each row's last valid state, and the
+        # backward direction's final state is the backward half at position 0
         rng = np.random.default_rng(4)
         enc = BiLSTMEncoder(3, 4, rng)
-        out = encode_bilstm(rng.normal(size=(5, 3)), enc)
-        np.testing.assert_array_equal(out.final_forward, out.states[-1, :4])
-        np.testing.assert_array_equal(out.final_backward, out.states[0, 4:])
+        X = rng.normal(size=(2, 5, 3))
+        mask = np.array([[True] * 5, [True, True, True, False, False]])
+        H, hf, _ = enc.forward(X, mask)
+        _, (hb, _), _ = run_lstm(enc.bwd, X, mask, reverse=True)
+        np.testing.assert_array_equal(hf, H[[0, 1], [4, 2], :4])
+        np.testing.assert_array_equal(hb, H[:, 0, 4:])
 
 
 class TestBatchIndependence:
@@ -138,14 +143,14 @@ class TestBatchIndependence:
         X[0] = x0
         X[1, :2] = x1
         mask = np.array([[True] * 5, [True, True, False, False, False]])
-        H, hf, hb, _ = enc.forward(X, mask)
+        H, hf, _ = enc.forward(X, mask)
         solo0 = encode_bilstm(x0, enc)
         solo1 = encode_bilstm(x1, enc)
         np.testing.assert_allclose(H[0], solo0.states, atol=1e-12)
         np.testing.assert_allclose(H[1, :2], solo1.states, atol=1e-12)
         np.testing.assert_allclose(hf[0], solo0.final_forward, atol=1e-12)
         np.testing.assert_allclose(hf[1], solo1.final_forward, atol=1e-12)
-        np.testing.assert_allclose(hb[1], solo1.final_backward, atol=1e-12)
+        np.testing.assert_allclose(H[1, 0, 4:], solo1.final_backward, atol=1e-12)
 
 
 class TestEncoderGradients:
@@ -162,7 +167,8 @@ class TestEncoderGradients:
         wb = rng.normal(size=(B, d_hid))
 
         def loss():
-            H, hf, hb, _ = enc.forward(x_param.value, mask)
+            H, hf, _ = enc.forward(x_param.value, mask)
+            hb = H[:, 0, d_hid:]  # the backward direction's final state
             return float((H * W).sum() + (hf * wf).sum() + (hb * wb).sum())
 
         params = enc.parameters() + [x_param]
@@ -170,8 +176,10 @@ class TestEncoderGradients:
 
         for p in params:
             p.zero_grad()
-        _, _, _, cache = enc.forward(x_param.value, mask)
-        dX = enc.backward(cache, W.copy(), dh_fwd_fin=wf.copy(), dh_bwd_fin=wb.copy())
+        _, _, cache = enc.forward(x_param.value, mask)
+        dH = W.copy()
+        dH[:, 0, d_hid:] += wb
+        dX = enc.backward(cache, dH, wf.copy())
         analytic = {p.name: p.grad for p in enc.parameters()}
         analytic["X"] = dX
         report = gradient_check(analytic, numeric, tol=1e-6)

@@ -250,12 +250,12 @@ def forward_and_backward(run, run_backward, cell, X, mask, reverse, seed):
     rng = np.random.default_rng(seed)
     B, T, _ = X.shape
     H = cell.d_hid
-    h0, c0, dh_fin, dc_fin = (rng.normal(size=(B, H)) for _ in range(4))
+    h0, c0, dh_fin = (rng.normal(size=(B, H)) for _ in range(3))
     dH = rng.normal(size=(B, T, H))
     for p in cell.parameters():
         p.zero_grad()
     states, (h, c), cache = run(cell, X, mask, reverse=reverse, h0=h0, c0=c0)
-    grads = run_backward(cell, cache, dH, dh_fin, dc_fin)
+    grads = run_backward(cell, cache, dH, dh_fin)
     return (states, h, c, *grads) + tuple(p.grad.copy() for p in cell.parameters())
 
 
@@ -320,9 +320,9 @@ class TestMaskedRecurrence:
 
 
 class TestRecurrenceGradients:
-    """Finite differences through run_lstm for the inputs, both initial
-    states and the three weight blocks, with gradients arriving on every
-    state, the final h and the final c."""
+    """Finite differences through run_lstm for the inputs, the initial h
+    and the three weight blocks, from a random initial c, with gradients
+    arriving on every state and the final h."""
 
     B, T, D, H = 3, 4, 3, 2
 
@@ -334,22 +334,22 @@ class TestRecurrenceGradients:
         mask = lstm_masks(self.B, self.T, rng)[kind]
         X = Parameter("X", rng.normal(size=(self.B, self.T, self.D)))
         h0 = Parameter("h0", rng.normal(size=(self.B, self.H)))
-        c0 = Parameter("c0", rng.normal(size=(self.B, self.H)))
+        c0 = rng.normal(size=(self.B, self.H))
         dH = rng.normal(size=(self.B, self.T, self.H))
-        dh_fin, dc_fin = rng.normal(size=(2, self.B, self.H))
+        dh_fin = rng.normal(size=(self.B, self.H))
 
         def loss():
-            states, (h, c), _ = run_lstm(cell, X.value, mask, reverse, h0.value, c0.value)
-            return float((states * dH).sum() + (h * dh_fin).sum() + (c * dc_fin).sum())
+            states, (h, _), _ = run_lstm(cell, X.value, mask, reverse, h0.value, c0)
+            return float((states * dH).sum() + (h * dh_fin).sum())
 
-        blocks = cell.parameters() + [X, h0, c0]
+        blocks = cell.parameters() + [X, h0]
         numeric = finite_difference_gradient(loss, blocks)
         for p in cell.parameters():
             p.zero_grad()
-        _, _, cache = run_lstm(cell, X.value, mask, reverse, h0.value, c0.value)
-        dX, dh0, dc0 = run_lstm_backward(cell, cache, dH, dh_fin, dc_fin)
+        _, _, cache = run_lstm(cell, X.value, mask, reverse, h0.value, c0)
+        dX, dh0 = run_lstm_backward(cell, cache, dH, dh_fin)
         analytic = {p.name: p.grad.copy() for p in cell.parameters()}
-        analytic.update(X=dX, h0=dh0, c0=dc0)
+        analytic.update(X=dX, h0=dh0)
         report = gradient_check(analytic, numeric, tol=1e-7)
         assert report.passed, report.format_table()
 

@@ -380,7 +380,7 @@ class TestDecoderSteps:
         dec = OutlineDecoder(5, 3, 2, np.random.default_rng(0))
         for p in dec.cell.parameters():
             p.value[:] = 0.0
-        (s, c), _ = dec.step(np.ones((1, 3)), (np.zeros((1, 2)), np.zeros((1, 2))))
+        s, c = dec.step(np.ones((1, 3)), (np.zeros((1, 2)), np.zeros((1, 2))))
         assert not s.any() and not c.any()
 
     def test_step_matches_functional_cell(self):
@@ -388,7 +388,7 @@ class TestDecoderSteps:
         dec = OutlineDecoder(5, 3, 2, rng)
         x = rng.normal(size=(1, 3))
         s0, c0 = rng.normal(size=(1, 2)), rng.normal(size=(1, 2))
-        (s, c), _ = dec.step(x, (s0, c0))
+        s, c = dec.step(x, (s0, c0))
         h_ref, c_ref = lstm_cell_step(
             x[0], s0[0], c0[0], dec.cell.W_x.value, dec.cell.W_h.value,
             dec.cell.b.value)
@@ -421,11 +421,13 @@ class TestTeacherForcedPass:
     def test_full_pass_gradients(self):
         (emb, dec, enc_states, h_fwd_fin, enc_mask,
          gold_in, targets, tmask) = self._fixture()
+        # a weight on every state stands in for the fusion pool's gradient
+        extra = np.random.default_rng(9).normal(size=(2, 3, 2))
 
         def loss():
             fwd = dec.forward_teacher(emb, enc_states.value, enc_mask,
                                       h_fwd_fin.value, gold_in, targets, tmask)
-            return fwd.loss
+            return fwd.loss + float((fwd.states * extra).sum())
 
         params = dec.parameters() + [emb.table, enc_states, h_fwd_fin]
         numeric = finite_difference_gradient(loss, params)
@@ -434,7 +436,7 @@ class TestTeacherForcedPass:
             p.zero_grad()
         fwd = dec.forward_teacher(emb, enc_states.value, enc_mask,
                                   h_fwd_fin.value, gold_in, targets, tmask)
-        d_enc, d_in_emb, d_h_fin = dec.backward(fwd, targets, tmask)
+        d_enc, d_in_emb, d_h_fin = dec.backward(fwd, extra, 1.0)
         emb.accumulate_grad(fwd.input_ids, d_in_emb)
         emb.freeze_pad_row()
         analytic = {p.name: p.grad for p in dec.parameters()}
@@ -453,7 +455,7 @@ class TestTeacherForcedPass:
                 p.zero_grad()
             fwd = dec.forward_teacher(emb, enc_states.value, enc_mask,
                                       h_fwd_fin.value, gold_in, targets, tmask)
-            dec.backward(fwd, targets, tmask, loss_scale=scale)
+            dec.backward(fwd, np.zeros_like(fwd.states), scale)
             grads[scale] = {p.name: p.grad.copy() for p in dec.parameters()}
         for name in grads[1.0]:
             np.testing.assert_allclose(grads[2.0][name], 2.0 * grads[1.0][name],
@@ -585,8 +587,8 @@ def step_at_a_time(dec, emb, enc_states, enc_mask, h_fwd_fin, gold_in, targets,
     _, d_enc, dS = reference_attend_steps(enc_states, states, enc_mask, dec.W_a, dec.W_c,
                                           d_combined)
     dS += d_states_extra
-    dX, ds0, _ = reference_run_lstm_backward(dec.cell, ReferenceRun(steps, fmask, False), dS,
-                                             np.zeros_like(s0), np.zeros_like(s0))
+    dX, ds0 = reference_run_lstm_backward(dec.cell, ReferenceRun(steps, fmask, False), dS,
+                                          np.zeros_like(s0))
     d_pre = ds0 * (1.0 - s0 * s0)
     dec.bridge_W.grad += d_pre.T @ h_fwd_fin
     dec.bridge_b.grad += d_pre.sum(axis=0)
@@ -631,8 +633,7 @@ class TestStepBatchedPass:
         fwd = dec.forward_teacher(emb, enc, enc_mask, h_fin, gold_in, targets, tmask,
                                   sample_rng=np.random.default_rng(3),
                                   teacher_forcing_ratio=ratio)
-        d_enc, dX, d_h_fwd_fin = dec.backward(fwd, targets, tmask,
-                                              d_states_extra=extra, loss_scale=0.7)
+        d_enc, dX, d_h_fwd_fin = dec.backward(fwd, extra, 0.7)
         got = {"loss": fwd.loss, "lse": fwd.lse, "states": fwd.states,
                "input_ids": fwd.input_ids, "d_enc": d_enc, "dX": dX,
                "d_h_fwd_fin": d_h_fwd_fin}
@@ -647,7 +648,7 @@ class TestStepBatchedPass:
         # every state and gradient must move beyond REL_TOL.
         emb, dec, enc, enc_mask, h_fin, gold_in, targets, tmask, extra = self._fixture(2, 3, 4, 3)
         fwd = dec.forward_teacher(emb, enc, enc_mask, h_fin, gold_in, targets, tmask)
-        d_enc, dX, _ = dec.backward(fwd, targets, tmask, d_states_extra=extra, loss_scale=0.7)
+        d_enc, dX, _ = dec.backward(fwd, extra, 0.7)
         dec.bridge_W.value[...] = dec.bridge_W.value.T.copy()
         ref = step_at_a_time(dec, emb, enc, enc_mask, h_fin, gold_in, targets, tmask, extra, 0.7)
         for name, value in (("states", fwd.states), ("d_enc", d_enc), ("dX", dX)):

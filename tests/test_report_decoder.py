@@ -226,7 +226,7 @@ class TestReportSteps:
         dec = tiny_decoder()
         for p in dec.cell.parameters():
             p.value[:] = 0.0
-        (s, c), _ = dec.step(np.ones((1, 3)), (np.zeros((1, 2)), np.zeros((1, 2))))
+        s, c = dec.step(np.ones((1, 3)), (np.zeros((1, 2)), np.zeros((1, 2))))
         assert not s.any() and not c.any()
 
     def test_purity(self):
@@ -234,8 +234,8 @@ class TestReportSteps:
         rng = np.random.default_rng(6)
         x = rng.normal(size=(1, 3))
         s0, c0 = rng.normal(size=(1, 2)), rng.normal(size=(1, 2))
-        a, _ = dec.step(x, (s0, c0))
-        b, _ = dec.step(x, (s0, c0))
+        a = dec.step(x, (s0, c0))
+        b = dec.step(x, (s0, c0))
         np.testing.assert_array_equal(a[0], b[0])
         np.testing.assert_array_equal(a[1], b[1])
 
@@ -244,7 +244,7 @@ class TestReportSteps:
         rng = np.random.default_rng(8)
         x = rng.normal(size=(1, 3))
         s0, c0 = rng.normal(size=(1, 2)), rng.normal(size=(1, 2))
-        (s, c), _ = dec.step(x, (s0, c0))
+        s, c = dec.step(x, (s0, c0))
         h_ref, c_ref = lstm_cell_step(x[0], s0[0], c0[0], dec.cell.W_x.value,
                                       dec.cell.W_h.value, dec.cell.b.value)
         np.testing.assert_allclose(s[0], h_ref, atol=1e-12)
@@ -290,7 +290,7 @@ class TestReportPathGradients:
             p.zero_grad()
         fwd = dec.forward_teacher(emb, u.value, summary.value,
                                   gold_in, targets, tmask, noise, beta)
-        du, d_summary, dX = dec.backward(fwd, targets, tmask)
+        du, d_summary, dX = dec.backward(fwd)
         emb.accumulate_grad(fwd.input_ids, dX)
         emb.freeze_pad_row()
         analytic = {p.name: p.grad for p in dec.parameters()}
@@ -347,4 +347,6 @@ class TestReportPathGradients:
         targets = np.array([[4, 2]])
         tmask = targets != PAD
         with_kl = dec.forward_teacher(emb, u, summary, gold_in, targets, tmask, noise, 1.0)
-        assert with_kl.loss >= with_kl.nll
+        pure = dec.forward_teacher(emb, u, summary, gold_in, targets, tmask, noise, 0.0)
+        assert pure.loss == sequence_nll(pure.states, dec.W_out.value, targets, tmask)[0]
+        assert with_kl.loss >= pure.loss
