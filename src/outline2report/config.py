@@ -19,12 +19,19 @@ class ConfigError(ValueError):
 
 
 # What each annotated field type accepts; a bool is accepted only as "bool".
-_FIELD_TYPES = {"int": int, "float": (int, float), "bool": bool}
-# Least values of TrainingConfig's int fields; outline_k = 0 selects the
-# default rule, and a decoder row holds at least BOS and EOS.
-_LEAST = {"d_emb": 1, "d_hid": 1, "d_z": 1, "batch_size": 1, "max_epochs": 0,
-          "kl_anneal_steps": 0, "outline_k": 0, "seed": 0, "max_news_len": 1,
-          "max_outline_len": 2, "max_report_len": 2, "checkpoint_every_epochs": 0}
+_FIELD_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str}
+
+
+def _check_fields(cfg, least):
+    """Every field of cfg has its annotated type, and each in `least` that value or more."""
+    for f in dataclasses.fields(cfg):
+        value = getattr(cfg, f.name)
+        if not isinstance(value, _FIELD_TYPES[f.type]) or (
+                isinstance(value, bool) and f.type != "bool"):
+            raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
+    for name, lo in least.items():
+        if getattr(cfg, name) < lo:
+            raise ConfigError(f"{name} must be >= {lo}, got {getattr(cfg, name)}")
 
 
 @dataclass
@@ -53,14 +60,12 @@ class TrainingConfig:
     checkpoint_every_epochs: int = 0  # 0 means final checkpoint only
 
     def __post_init__(self):
-        for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            if not isinstance(value, _FIELD_TYPES[f.type]) or (
-                    isinstance(value, bool) and f.type != "bool"):
-                raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
-        for name, least in _LEAST.items():
-            if getattr(self, name) < least:
-                raise ConfigError(f"{name} must be >= {least}, got {getattr(self, name)}")
+        # outline_k = 0 selects the default rule; a decoder row holds at
+        # least BOS and EOS
+        _check_fields(self, {
+            "d_emb": 1, "d_hid": 1, "d_z": 1, "batch_size": 1, "max_epochs": 0,
+            "kl_anneal_steps": 0, "outline_k": 0, "seed": 0, "max_news_len": 1,
+            "max_outline_len": 2, "max_report_len": 2, "checkpoint_every_epochs": 0})
         # chained comparisons against inf: NaN fails every one of them
         for name in ("learning_rate", "adam_epsilon", "gradient_clip_norm"):
             if not 0 < getattr(self, name) < math.inf:
@@ -91,14 +96,11 @@ class DecodeConfig:
     record_attention: bool = False
 
     def __post_init__(self):
+        _check_fields(self, {"beam_width": 1, "max_outline_len": 1, "max_report_len": 1, "seed": 0})
         if self.strategy not in ("greedy", "beam", "sample"):
             raise ConfigError(f"unknown decode strategy {self.strategy!r}")
-        if self.beam_width < 1:
-            raise ConfigError("beam_width must be >= 1")
         if not 0 < self.temperature < math.inf:
             raise ConfigError("temperature must be finite and > 0")
-        if self.max_outline_len < 1 or self.max_report_len < 1:
-            raise ConfigError("max decode lengths must be >= 1")
 
 
 # Keys understood by config files, --set items and CLI flags. Paths live under

@@ -69,19 +69,19 @@ class BiLSTMEncoder:
         return self.fwd.parameters() + self.bwd.parameters()
 
     def forward(self, X, mask):
-        """X [B,T,d_emb], mask [B,T] -> (H [B,T,2*d_hid], h_fwd_fin, cache).
+        """X [B,T,d_emb], mask [B,T] -> (H [B,T,2*d_hid], cache).
 
         Padded positions are carried, never computed into downstream values;
-        consumers must apply the same mask. The backward direction's final
-        state is H[:, 0, d_hid:].
+        consumers must apply the same mask. The forward direction's final
+        state is H[:, -1, :d_hid], the backward direction's H[:, 0, d_hid:].
         """
-        Hf, (hf_fin, _), fwd_run = run_lstm(self.fwd, X, mask, reverse=False)
-        Hb, _, bwd_run = run_lstm(self.bwd, X, mask, reverse=True)
-        return np.concatenate([Hf, Hb], axis=2), hf_fin, EncoderCache(fwd_run, bwd_run)
+        Hf, fwd_run = run_lstm(self.fwd, X, mask, reverse=False)
+        Hb, bwd_run = run_lstm(self.bwd, X, mask, reverse=True)
+        return np.concatenate([Hf, Hb], axis=2), EncoderCache(fwd_run, bwd_run)
 
-    def backward(self, cache: EncoderCache, dH, dh_fwd_fin):
-        """dH [B,T,2*d_hid] and the grad on the forward final state -> dX."""
+    def backward(self, cache: EncoderCache, dH):
+        """dH [B,T,2*d_hid], grads on the final states included -> dX."""
         d = self.d_hid
-        dXf, _ = run_lstm_backward(self.fwd, cache.fwd_run, dH[:, :, :d], dh_fin=dh_fwd_fin)
+        dXf, _ = run_lstm_backward(self.fwd, cache.fwd_run, dH[:, :, :d])
         dXb, _ = run_lstm_backward(self.bwd, cache.bwd_run, dH[:, :, d:])
         return dXf + dXb

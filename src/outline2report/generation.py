@@ -203,7 +203,7 @@ def generate(news_tokens, model, vocab: Vocabulary,
                    dtype=np.int64)
     mask = ids != PAD
     emb = model.embedding
-    enc_states, hf_fin, _ = model.encoder.forward(emb.lookup(ids), mask)
+    enc_states, _ = model.encoder.forward(emb.lookup(ids), mask)
 
     odec = model.outline_decoder
     rng = np.random.default_rng(np.random.SeedSequence([dcfg.seed, 3]))
@@ -223,7 +223,7 @@ def generate(news_tokens, model, vocab: Vocabulary,
         logits = attend(news, s, mask, odec.W_a, odec.W_c).combined @ odec.W_o.value.T
         return _emission_mask(logits[:, 0]), (s, c)
 
-    outline_init = odec.initial_state(hf_fin)
+    outline_init = odec.initial_state(enc_states[:, -1, :model.cfg.d_hid])
     outline = run_decode(
         dcfg.strategy, outline_step, start(outline_init),
         dcfg.max_outline_len, width=dcfg.beam_width,
@@ -233,8 +233,7 @@ def generate(news_tokens, model, vocab: Vocabulary,
     # fusion (and the attention rows, if asked for)
     fed = np.array([(BOS,) + outline.tokens[:-1]], dtype=np.int64)
     fed_mask = np.ones(fed.shape, dtype=bool)
-    states, _, _ = run_lstm(odec.cell, emb.lookup(fed), fed_mask,
-                            h0=outline_init[0], c0=outline_init[1])
+    states, _ = run_lstm(odec.cell, emb.lookup(fed), fed_mask, h0=outline_init[0])
     u, _ = fuse_news_outline(enc_states, mask, states, fed_mask)
     attention = (attend(enc_states, states, mask, odec.W_a, odec.W_c).weights[0]
                  if dcfg.record_attention else None)

@@ -69,16 +69,16 @@ class NewsToReportModel:
 
     # -- forward / backward ----------------------------------------------------
 
-    def forward(self, batch: Batch, noise, beta, sample_rng=None,
-                teacher_forcing_ratio=1.0) -> ModelForward:
+    def forward(self, batch: Batch, noise, beta, sample_rng=None) -> ModelForward:
+        """The joint pass; cfg.teacher_forcing_ratio < 1 draws its coins from sample_rng."""
+        ratio = self.cfg.teacher_forcing_ratio
         news_emb = self.embedding.lookup(batch.news_ids)
-        enc_states, hf_fin, enc_cache = self.encoder.forward(news_emb, batch.news_mask)
+        enc_states, enc_cache = self.encoder.forward(news_emb, batch.news_mask)
 
         o_in, o_tgt, o_tmask = shifted_targets(batch.outline_ids)
         out_fwd = self.outline_decoder.forward_teacher(
-            self.embedding, enc_states, batch.news_mask, hf_fin,
-            o_in, o_tgt, o_tmask,
-            sample_rng=sample_rng, teacher_forcing_ratio=teacher_forcing_ratio)
+            self.embedding, enc_states, batch.news_mask, enc_states[:, -1, :self.cfg.d_hid],
+            o_in, o_tgt, o_tmask, sample_rng=sample_rng, teacher_forcing_ratio=ratio)
 
         report_summary, summary_weights = masked_mean_pool(
             self.embedding.lookup(batch.report_ids), batch.report_mask)
@@ -88,8 +88,7 @@ class NewsToReportModel:
         r_in, r_tgt, r_tmask = shifted_targets(batch.report_ids)
         rep_fwd = self.report_decoder.forward_teacher(
             self.embedding, u, report_summary,
-            r_in, r_tgt, r_tmask, noise, beta,
-            sample_rng=sample_rng, teacher_forcing_ratio=teacher_forcing_ratio)
+            r_in, r_tgt, r_tmask, noise, beta, sample_rng=sample_rng, teacher_forcing_ratio=ratio)
 
         return ModelForward(
             batch=batch, news_emb=news_emb, enc_states=enc_states,
@@ -118,7 +117,9 @@ class NewsToReportModel:
             fwd.outline, dS_fusion, self.cfg.outline_loss_weight)
         self.embedding.accumulate_grad(fwd.outline.input_ids, dX_out)
 
-        dX_news = self.encoder.backward(fwd.enc_cache, d_enc + dH_fusion, dh_fwd_fin)
+        dH = d_enc + dH_fusion
+        dH[:, -1, :self.cfg.d_hid] += dh_fwd_fin  # the bridge read the forward final state
+        dX_news = self.encoder.backward(fwd.enc_cache, dH)
         self.embedding.accumulate_grad(batch.news_ids, dX_news)
         self.embedding.freeze_pad_row()
 

@@ -133,14 +133,15 @@ class LSTMRunCache:
     h_prev: np.ndarray  # [T, B, d_hid], the state each step read
 
 
-def run_lstm(cell: LSTMCell, X, mask, reverse=False, h0=None, c0=None):
-    """Run a cell along the time axis of X [B,T,D] with carry-through masking.
+def run_lstm(cell: LSTMCell, X, mask, reverse=False, h0=None):
+    """Run a cell along the time axis of X [B,T,D] with carry-through masking,
+    from h0 (zeros if None) and a zero cell state: (H [B,T,d_hid], cache).
 
     At masked steps the state is carried unchanged, so padding never leaks
-    into a shorter row's states. H[:, t] holds the state after step t; the
-    returned final state is the state at each row's last valid position
-    (forward) or first position (reverse). X @ W_xᵀ + b is one time-major
-    GEMM; H is a view of a [T+1,B,H] buffer that also holds each h_prev.
+    into a shorter row's states. H[:, t] holds the state after step t, so the
+    final state is H[:, -1] (forward) or H[:, 0] (reverse). X @ W_xᵀ + b is one
+    time-major GEMM; H is a view of a [T+1,B,H] buffer that also holds each
+    h_prev.
     """
     X = np.asarray(X, dtype=FLOAT)
     B, T, D = X.shape
@@ -148,7 +149,7 @@ def run_lstm(cell: LSTMCell, X, mask, reverse=False, h0=None, c0=None):
         raise ValueError(f"run_lstm over inputs {X.shape}: empty, or not {cell.d_in} wide")
     fmask = np.asarray(mask, dtype=FLOAT).reshape(B, T)
     h = np.zeros((B, cell.d_hid), dtype=FLOAT) if h0 is None else h0
-    c = np.zeros((B, cell.d_hid), dtype=FLOAT) if c0 is None else c0
+    c = np.zeros((B, cell.d_hid), dtype=FLOAT)
     inputs = np.ascontiguousarray(X.transpose(1, 0, 2))
     x_gates = cell.input_gates(inputs.reshape(T * B, D)).reshape(T, B, -1)
     W_hT = np.ascontiguousarray(cell.W_h.value.T)
@@ -165,32 +166,34 @@ def run_lstm(cell: LSTMCell, X, mask, reverse=False, h0=None, c0=None):
             h_new, c_new = m * h_new + (1.0 - m) * h, m * c_new + (1.0 - m) * c
         h, c = h_new, c_new
         states[t] = h
-    return (states.transpose(1, 0, 2), (h, c),
-            LSTMRunCache(steps, fmask, reverse, inputs, h_prev))
+    return states.transpose(1, 0, 2), LSTMRunCache(steps, fmask, reverse, inputs, h_prev)
 
 
-def scheduled_inputs(cell: LSTMCell, embed, gold_in_ids, mask, h0, c0, head, rng, ratio):
+def scheduled_inputs(step, embed, gold_in_ids, mask, state, head, rng, ratio):
     """Scheduled-sampling inputs (Bengio et al., arXiv 1506.03099): after the
     first, each is the gold token with probability `ratio`, else the argmax of
-    `head(state)` at the previous step, with one coin per row and step."""
+    `head(h)` at the previous step, with one coin per row and step. A decoder's
+    step(x_emb, (h, c)) -> (h, c) runs from state; masked rows carry theirs."""
     input_ids = gold_in_ids.copy()
-    h, c = h0, c0
+    h, c = state
     for t in range(input_ids.shape[1]):
         if t > 0:
             use_model = rng.random(len(input_ids)) >= ratio
             input_ids[:, t] = np.where(use_model, np.argmax(head(h), axis=1), gold_in_ids[:, t])
-        _, (h, c), _ = run_lstm(cell, embed(input_ids[:, t:t + 1]), mask[:, t:t + 1], h0=h, c0=c)
+        h_new, c_new = step(embed(input_ids[:, t]), (h, c))
+        m = mask[:, t:t + 1]
+        h, c = np.where(m, h_new, h), np.where(m, c_new, c)
     return input_ids
 
 
-def run_lstm_backward(cell: LSTMCell, run_cache: LSTMRunCache, dH, dh_fin=None):
-    """Backward through run_lstm. dH carries per-position state grads, dh_fin
-    the final state's; returns (dX, dh0) and accumulates the cell's weight
-    grads, each as one GEMM over all T*B rows after the steps."""
+def run_lstm_backward(cell: LSTMCell, run_cache: LSTMRunCache, dH):
+    """Backward through run_lstm. dH carries per-position state grads (a grad
+    on the final state belongs in dH at that position); returns (dX, dh0) and
+    accumulates the cell's weight grads, each as one GEMM over all T*B rows
+    after the steps."""
     fmask = run_cache.fmask
     B, T = fmask.shape
-    dh = np.zeros((B, cell.d_hid), dtype=FLOAT) if dh_fin is None else dh_fin
-    dc = np.zeros((B, cell.d_hid), dtype=FLOAT)
+    dh = dc = np.zeros((B, cell.d_hid), dtype=FLOAT)  # neither is written in place
     da = np.empty((T, B, 4 * cell.d_hid), dtype=FLOAT)
     order = range(T - 1, -1, -1) if run_cache.reverse else range(T)
     full = fmask.all(axis=0)

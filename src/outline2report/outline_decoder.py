@@ -23,11 +23,11 @@ class AttentionStep:
     """Cache of one attention application, enough to run its backward pass."""
 
     enc_states: np.ndarray  # [B, T, E]
-    state: np.ndarray       # [B, (K,) H]
-    query: np.ndarray       # [B, (K,) E]
-    weights: np.ndarray     # [B, (K,) T], exactly 0 at masked positions
-    context: np.ndarray     # [B, (K,) E]
-    combined: np.ndarray    # [B, (K,) H], tanh output
+    state: np.ndarray       # [B, K, H]
+    query: np.ndarray       # [B, K, E]
+    weights: np.ndarray     # [B, K, T], exactly 0 at masked positions
+    context: np.ndarray     # [B, K, E]
+    combined: np.ndarray    # [B, K, H], tanh output
 
 
 def attend(enc_states, state, mask, W_a: Parameter, W_c: Parameter) -> AttentionStep:
@@ -35,35 +35,29 @@ def attend(enc_states, state, mask, W_a: Parameter, W_c: Parameter) -> Attention
 
     scores_j = h_j . (W_a s); weights = softmax over unmasked positions;
     context = sum_j weights_j h_j; combined = tanh(W_c [context; s]).
-    state is one query per row [B,H] or K of them [B,K,H] (all steps of a
-    teacher-forced pass: without input feeding, attention is off the recurrence).
-    Products run per batch row, so [n,1,H] rows are each bit-equal to a lone row.
+    state holds K queries per row [B,K,H]: all steps of a teacher-forced pass
+    (without input feeding, attention is off the recurrence), or K=1 for one
+    decoding step. Products run per batch row, so [n,1,H] rows are each
+    bit-equal to a lone row.
     """
     enc_states = np.asarray(enc_states, dtype=FLOAT)
     state = np.asarray(state, dtype=FLOAT)
     if enc_states.shape[-1] != W_a.value.shape[0]:
         raise ValueError(
             f"encoder dim {enc_states.shape[-1]} != score projection rows {W_a.value.shape[0]}")
-    single = state.ndim == 2
-    S = state[:, None] if single else state
-    query = S @ W_a.value.T                                      # [B, K, E]
+    query = state @ W_a.value.T                                  # [B, K, E]
     scores = query @ enc_states.transpose(0, 2, 1)               # [B, K, T]
     weights = masked_row_softmax(scores, np.asarray(mask)[:, None])
     context = weights @ enc_states
-    combined = np.tanh(np.concatenate([context, S], axis=2) @ W_c.value.T)
-    if single:
-        query, weights, context, combined = (a[:, 0] for a in (query, weights, context, combined))
+    combined = np.tanh(np.concatenate([context, state], axis=2) @ W_c.value.T)
     return AttentionStep(enc_states, state, query, weights, context, combined)
 
 
 def attend_backward(step: AttentionStep, d_combined, W_a: Parameter, W_c: Parameter):
     """Backward through attend; accumulates W_a/W_c grads, returns
-    (d_enc_states, d_state) with d_state shaped like step.state."""
-    single = step.state.ndim == 2
-    enc = step.enc_states
-    state, query, weights, context, combined, d_combined = (
-        a[:, None] if single else a for a in (
-            step.state, step.query, step.weights, step.context, step.combined, d_combined))
+    (d_enc_states [B,T,E], d_state [B,K,H])."""
+    enc, state, query, weights, context, combined = (
+        step.enc_states, step.state, step.query, step.weights, step.context, step.combined)
     B, K, E = query.shape
     d_pre = (d_combined * (1.0 - combined * combined)).reshape(B * K, -1)  # a row per query
     W_c.grad += d_pre.T @ np.concatenate([context, state], axis=2).reshape(B * K, -1)
@@ -80,7 +74,7 @@ def attend_backward(step: AttentionStep, d_combined, W_a: Parameter, W_c: Parame
     d_state += (d_query @ W_a.value).reshape(B, K, -1)
     d_enc = weights.transpose(0, 2, 1) @ d_context
     d_enc += d_scores.transpose(0, 2, 1) @ query
-    return d_enc, (d_state[:, 0] if single else d_state)
+    return d_enc, d_state
 
 
 # Valid rows projected onto the vocabulary at once: one [XENT_CHUNK, V] block
@@ -199,12 +193,12 @@ class OutlineDecoder:
         input_ids = gold_in_ids
         if teacher_forcing_ratio < 1.0:
             def logits_at(s):
-                return attend(enc_states, s, enc_mask, self.W_a, self.W_c).combined @ self.W_o.value.T
+                attn = attend(enc_states, s[:, None], enc_mask, self.W_a, self.W_c)
+                return attn.combined[:, 0] @ self.W_o.value.T
 
-            input_ids = scheduled_inputs(self.cell, embedding.lookup, gold_in_ids, target_mask,
-                                         s0, c0, logits_at, sample_rng, teacher_forcing_ratio)
-        states, _, run_cache = run_lstm(self.cell, embedding.lookup(input_ids), target_mask,
-                                        h0=s0, c0=c0)
+            input_ids = scheduled_inputs(self.step, embedding.lookup, gold_in_ids, target_mask,
+                                         (s0, c0), logits_at, sample_rng, teacher_forcing_ratio)
+        states, run_cache = run_lstm(self.cell, embedding.lookup(input_ids), target_mask, h0=s0)
         attn = attend(enc_states, states, enc_mask, self.W_a, self.W_c)
         loss, lse = sequence_nll(attn.combined, self.W_o.value, targets, target_mask)
         return OutlineForward(

@@ -134,10 +134,9 @@ class ReportDecoder:
         input_ids = gold_in_ids
         if teacher_forcing_ratio < 1.0:
             input_ids = scheduled_inputs(
-                self.cell, embedding.lookup, gold_in_ids, target_mask, h0, c0,
+                self.step, embedding.lookup, gold_in_ids, target_mask, (h0, c0),
                 lambda h: h @ self.W_out.value.T, sample_rng, teacher_forcing_ratio)
-        states, _, run_cache = run_lstm(self.cell, embedding.lookup(input_ids), target_mask,
-                                        h0=h0, c0=c0)
+        states, run_cache = run_lstm(self.cell, embedding.lookup(input_ids), target_mask, h0=h0)
         nll, lse = sequence_nll(states, self.W_out.value, targets, target_mask)
         loss = nll + beta * float(np.mean(kl_rows))
         return ReportForward(

@@ -317,10 +317,7 @@ class Trainer:
         beta = self.cfg.kl_weight(self.step)
         self.model.zero_grad()
         noise = self.noise_rng.standard_normal((batch.size, self.cfg.d_z))
-        ratio = self.cfg.teacher_forcing_ratio
-        sample_rng = self.noise_rng if ratio < 1.0 else None
-        fwd = self.model.forward(batch, noise, beta, sample_rng=sample_rng,
-                                 teacher_forcing_ratio=ratio)
+        fwd = self.model.forward(batch, noise, beta, sample_rng=self.noise_rng)
         if not math.isfinite(fwd.loss_model):
             raise NonFiniteLossError(
                 f"step {self.step}: loss is not finite; {diagnose_forward(fwd)}")

@@ -77,25 +77,25 @@ def reference_beam_generate(news_tokens, model, vocab, dcfg):
     ids = np.array([wrap_ids(list(news_tokens), vocab, model.cfg.max_news_len)], dtype=np.int64)
     mask = ids != PAD
     emb = model.embedding
-    enc_states, hf_fin, _ = model.encoder.forward(emb.lookup(ids), mask)
+    enc_states, _ = model.encoder.forward(emb.lookup(ids), mask)
     odec = model.outline_decoder
     rdec = model.report_decoder
 
     def outline_step(state, token):
         s, c = odec.step(emb.lookup(np.array([token], dtype=np.int64)), state)
-        attn = attend(enc_states, s, mask, odec.W_a, odec.W_c)
-        return _emission_mask((attn.combined @ odec.W_o.value.T)[0]), (s, c)
+        attn = attend(enc_states, s[:, None], mask, odec.W_a, odec.W_c)
+        return _emission_mask((attn.combined[:, 0] @ odec.W_o.value.T)[0]), (s, c)
 
     def report_step(state, token):
         h, c = rdec.step(emb.lookup(np.array([token], dtype=np.int64)), state)
         return _emission_mask((h @ rdec.W_out.value.T)[0]), (h, c)
 
-    s0, c0 = odec.initial_state(hf_fin)
+    s0, c0 = odec.initial_state(enc_states[:, -1, :model.cfg.d_hid])
     outline = reference_beam_search(outline_step, (s0, c0), dcfg.beam_width,
                                     dcfg.max_outline_len)
     fed = np.array([(BOS,) + outline.tokens[:-1]], dtype=np.int64)
     fed_mask = np.ones(fed.shape, dtype=bool)
-    states, _, _ = run_lstm(odec.cell, emb.lookup(fed), fed_mask, h0=s0, c0=c0)
+    states, _ = run_lstm(odec.cell, emb.lookup(fed), fed_mask, h0=s0)
     u, _ = fuse_news_outline(enc_states, mask, states, fed_mask)
     rng = np.random.default_rng(np.random.SeedSequence([dcfg.seed, 3]))
     noise = None if dcfg.deterministic_latent else rng.standard_normal((1, model.cfg.d_z))

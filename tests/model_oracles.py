@@ -257,7 +257,7 @@ class EncoderStates:
     """Per-example view of the encoder output: one 2*d_hid state per token."""
 
     states: np.ndarray          # [m, 2*d_hid], forward half then backward half
-    final_forward: np.ndarray   # [d_hid]
+    final_forward: np.ndarray   # [d_hid], the forward half of the last state
     final_backward: np.ndarray  # [d_hid], the backward half of the first state
 
     def __len__(self):
@@ -271,6 +271,6 @@ def encode_bilstm(embedded, encoder) -> EncoderStates:
         raise ValueError("encode_bilstm expects a non-empty [m, d_emb] sequence")
     m = embedded.shape[0]
     mask = np.ones((1, m), dtype=bool)
-    H, hf_fin, _ = encoder.forward(embedded[None, :, :], mask)
-    return EncoderStates(states=H[0], final_forward=hf_fin[0],
+    H, _ = encoder.forward(embedded[None, :, :], mask)
+    return EncoderStates(states=H[0], final_forward=H[0, -1, :encoder.d_hid],
                          final_backward=H[0, 0, encoder.d_hid:])

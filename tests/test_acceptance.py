@@ -68,19 +68,18 @@ def test_criterion_2_attention_contract(capsys):
         W_a = Parameter("W_a", rng.normal(size=(enc_dim, d_state)))
         W_c = Parameter("W_c", rng.normal(size=(d_state, enc_dim + d_state)))
         states = rng.normal(size=(batch, T, enc_dim))
-        query_state = rng.normal(size=(batch, d_state))
+        query_state = rng.normal(size=(batch, 1, d_state))
         mask = (rng.random((batch, T)) < 0.7).astype(float)
         mask[np.arange(batch), rng.integers(0, T, size=batch)] = 1.0
 
-        step = attend(states, query_state, mask, W_a, W_c)
-        ok &= bool(np.all(step.weights >= 0.0))
-        worst_sum = max(worst_sum, float(np.max(np.abs(step.weights.sum(axis=1) - 1.0))))
-        ok &= bool(np.all(step.weights[mask == 0.0] == 0.0))
+        weights = attend(states, query_state, mask, W_a, W_c).weights[:, 0]
+        ok &= bool(np.all(weights >= 0.0))
+        worst_sum = max(worst_sum, float(np.max(np.abs(weights.sum(axis=1) - 1.0))))
+        ok &= bool(np.all(weights[mask == 0.0] == 0.0))
 
         perm = rng.permutation(T)
-        shuffled = attend(states[:, perm], query_state, mask[:, perm], W_a, W_c)
-        worst_perm = max(worst_perm, float(np.max(np.abs(shuffled.weights
-                                                         - step.weights[:, perm]))))
+        shuffled = attend(states[:, perm], query_state, mask[:, perm], W_a, W_c).weights[:, 0]
+        worst_perm = max(worst_perm, float(np.max(np.abs(shuffled - weights[:, perm]))))
         instances += batch
     ok &= worst_sum <= 1e-9 and worst_perm <= 1e-12
     assert report(capsys, 2, "attention contract", ok), (

@@ -324,6 +324,10 @@ class TestGenerate:
         assert run_generate(trained, b, *args) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_negative_seed_names_the_key(self, trained, capsys):
+        assert run_generate(trained, None, "--news", "storms", "--seed", "-1") == 1
+        assert_one_line_error(capsys, "seed must be >= 0, got -1")
+
     def test_mismatched_vocabulary_fails(self, trained, tmp_path, capsys):
         other_ds = write_dataset(tmp_path / "other.jsonl", [
             {"id": "q1", "news": "volcano ash grounds flights",

@@ -3,10 +3,9 @@ import pytest
 
 from outline2report.corpus import PAD
 from outline2report.encoder import BiLSTMEncoder, Embedding
-from outline2report.numerics import (
-    Parameter, finite_difference_gradient, gradient_check, run_lstm)
+from outline2report.numerics import Parameter, finite_difference_gradient, gradient_check
 
-from model_oracles import REL_TOL, encode_bilstm, relative_error
+from model_oracles import REL_TOL, encode_bilstm, reference_run_lstm, relative_error
 
 
 def make_embedding(vocab=11, d_emb=5, seed=0):
@@ -121,16 +120,25 @@ class TestEncodeBilstm:
             assert out.states.shape == (m, 10)
 
     def test_final_states_match_sequence_ends(self):
-        # the forward final state is each row's last valid state, and the
-        # backward direction's final state is the backward half at position 0
+        # the forward direction's final state is H[:, -1, :d] and the backward
+        # direction's H[:, 0, d:]: each equals the final state of a reference
+        # run one step at a time, and the forward one, on left-aligned rows,
+        # each row's last valid state
         rng = np.random.default_rng(4)
         enc = BiLSTMEncoder(3, 4, rng)
-        X = rng.normal(size=(2, 5, 3))
-        mask = np.array([[True] * 5, [True, True, True, False, False]])
-        H, hf, _ = enc.forward(X, mask)
-        _, (hb, _), _ = run_lstm(enc.bwd, X, mask, reverse=True)
-        np.testing.assert_array_equal(hf, H[[0, 1], [4, 2], :4])
-        np.testing.assert_array_equal(hb, H[:, 0, 4:])
+        X = rng.normal(size=(4, 5, 3))
+        lengths = np.array([5, 3, 1, 4])
+        masks = {"mixed": np.arange(5) < lengths[:, None], "scattered": rng.random((4, 5)) < 0.5}
+        zeros = np.zeros((4, 4))
+        for kind, mask in masks.items():
+            H, _ = enc.forward(X, mask)
+            _, (hf, _), _ = reference_run_lstm(enc.fwd, X, mask, False, zeros, zeros)
+            _, (hb, _), _ = reference_run_lstm(enc.bwd, X, mask, True, zeros, zeros)
+            assert relative_error(H[:, -1, :4], hf) <= REL_TOL, kind
+            assert relative_error(H[:, 0, 4:], hb) <= REL_TOL, kind
+            assert relative_error(H[:, 0, :4], hf) > REL_TOL, kind  # the other end is not it
+            if kind == "mixed":
+                np.testing.assert_array_equal(H[:, -1, :4], H[np.arange(4), lengths - 1, :4])
 
 
 class TestBatchIndependence:
@@ -143,7 +151,8 @@ class TestBatchIndependence:
         X[0] = x0
         X[1, :2] = x1
         mask = np.array([[True] * 5, [True, True, False, False, False]])
-        H, hf, _ = enc.forward(X, mask)
+        H, _ = enc.forward(X, mask)
+        hf = H[:, -1, :4]
         solo0 = encode_bilstm(x0, enc)
         solo1 = encode_bilstm(x1, enc)
         np.testing.assert_allclose(H[0], solo0.states, atol=1e-12)
@@ -167,7 +176,8 @@ class TestEncoderGradients:
         wb = rng.normal(size=(B, d_hid))
 
         def loss():
-            H, hf, _ = enc.forward(x_param.value, mask)
+            H, _ = enc.forward(x_param.value, mask)
+            hf = H[:, -1, :d_hid]  # the forward direction's final state
             hb = H[:, 0, d_hid:]  # the backward direction's final state
             return float((H * W).sum() + (hf * wf).sum() + (hb * wb).sum())
 
@@ -176,10 +186,11 @@ class TestEncoderGradients:
 
         for p in params:
             p.zero_grad()
-        _, _, cache = enc.forward(x_param.value, mask)
+        _, cache = enc.forward(x_param.value, mask)
         dH = W.copy()
+        dH[:, -1, :d_hid] += wf
         dH[:, 0, d_hid:] += wb
-        dX = enc.backward(cache, dH, wf.copy())
+        dX = enc.backward(cache, dH)
         analytic = {p.name: p.grad for p in enc.parameters()}
         analytic["X"] = dX
         report = gradient_check(analytic, numeric, tol=1e-6)

@@ -440,10 +440,10 @@ class TestStackedRows:
                 h1, c1, _ = cell.step(cell.input_gates(x[i:i + 1]), h[i:i + 1], c[i:i + 1],
                                       cell.W_h.value.T)
                 assert np.array_equal(hs[i], h1) and np.array_equal(cs[i], c1), trial
-                one = attend(enc, h1, mask, W_a, W_c)
+                one = attend(enc, h1[:, None], mask, W_a, W_c)
                 for name in ("weights", "combined"):
-                    assert np.array_equal(getattr(attn, name)[i], getattr(one, name)), trial
-                assert np.array_equal(logits[i], (one.combined @ W_o.T)[0]), trial
+                    assert np.array_equal(getattr(attn, name)[i], getattr(one, name)[0]), trial
+                assert np.array_equal(logits[i], (one.combined @ W_o.T)[0, 0]), trial
                 assert np.array_equal((hs @ W_o.T)[i, 0], (h1 @ W_o.T)[0]), trial
 
 

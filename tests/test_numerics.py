@@ -245,18 +245,30 @@ def lstm_masks(B, T, rng):
 MASK_KINDS = ["all-valid", "mixed", "column-0", "scattered"]
 
 
-def forward_and_backward(run, run_backward, cell, X, mask, reverse, seed):
-    """Outputs of one forward and backward pass, the weight grads included."""
+def forward_and_backward(cell, X, mask, reverse, seed, reference=False, fold_at=None):
+    """Outputs of one forward and backward pass from a random h0, with random
+    grads on every state and on the final one, the weight grads included.
+
+    The reference takes the final state's grad as its own argument; run_lstm's
+    caller folds it into dH at the final position, H[:, 0] in reverse and
+    H[:, -1] forward, or at `fold_at` to plant a fault."""
     rng = np.random.default_rng(seed)
     B, T, _ = X.shape
     H = cell.d_hid
-    h0, c0, dh_fin = (rng.normal(size=(B, H)) for _ in range(3))
+    h0, dh_fin = (rng.normal(size=(B, H)) for _ in range(2))
     dH = rng.normal(size=(B, T, H))
     for p in cell.parameters():
         p.zero_grad()
-    states, (h, c), cache = run(cell, X, mask, reverse=reverse, h0=h0, c0=c0)
-    grads = run_backward(cell, cache, dH, dh_fin)
-    return (states, h, c, *grads) + tuple(p.grad.copy() for p in cell.parameters())
+    end = 0 if reverse else T - 1
+    if reference:
+        states, (h, _), run = reference_run_lstm(cell, X, mask, reverse, h0, np.zeros_like(h0))
+        assert np.array_equal(h, states[:, end])
+        grads = reference_run_lstm_backward(cell, run, dH, dh_fin)
+    else:
+        states, cache = run_lstm(cell, X, mask, reverse=reverse, h0=h0)
+        dH[:, end if fold_at is None else fold_at] += dh_fin
+        grads = run_lstm_backward(cell, cache, dH)
+    return (states, *grads) + tuple(p.grad.copy() for p in cell.parameters())
 
 
 def runs_close(got, want):
@@ -282,11 +294,20 @@ class TestMaskedRecurrence:
     def test_matches_blend_every_step(self, kind, reverse):
         for seed in range(3):
             cell, X, masks = self.cell_inputs_masks(seed)
-            got = forward_and_backward(run_lstm, run_lstm_backward,
-                                       cell, X, masks[kind], reverse, seed)
-            want = forward_and_backward(reference_run_lstm, reference_run_lstm_backward,
-                                        cell, X, masks[kind], reverse, seed)
+            got = forward_and_backward(cell, X, masks[kind], reverse, seed)
+            want = forward_and_backward(cell, X, masks[kind], reverse, seed, reference=True)
             assert runs_close(got, want)
+
+    @pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reverse"])
+    def test_folding_the_final_grad_at_the_wrong_end_is_caught(self, reverse):
+        # The final state is H[:, -1] forward and H[:, 0] in reverse; its grad
+        # folded in at the other end must fail the comparison above.
+        cell, X, masks = self.cell_inputs_masks(2)
+        for kind in ("all-valid", "mixed"):
+            want = forward_and_backward(cell, X, masks[kind], reverse, 2, reference=True)
+            got = forward_and_backward(cell, X, masks[kind], reverse, 2,
+                                       fold_at=self.T - 1 if reverse else 0)
+            assert not runs_close(got, want), kind
 
     @pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reverse"])
     def test_skipping_the_blend_on_a_mixed_column_is_caught(self, reverse):
@@ -295,34 +316,31 @@ class TestMaskedRecurrence:
         # fail the comparison above, on each mixed column in turn.
         cell, X, masks = self.cell_inputs_masks(0)
         mask = masks["mixed"]
-        want = forward_and_backward(reference_run_lstm, reference_run_lstm_backward,
-                                    cell, X, mask, reverse, 0)
+        want = forward_and_backward(cell, X, mask, reverse, 0, reference=True)
         mixed = [t for t in range(self.T) if not mask[:, t].all()]
         assert mixed
         for t in mixed:
             planted = mask.copy()
             planted[:, t] = True
-            got = forward_and_backward(run_lstm, run_lstm_backward, cell, X, planted, reverse, 0)
+            got = forward_and_backward(cell, X, planted, reverse, 0)
             assert not runs_close(got, want), t
 
     def test_swapped_gate_weights_are_caught(self):
         # The input and forget rows of W_h swapped in the reference only: a
         # fault of the order of one gate must fail the comparison.
         cell, X, masks = self.cell_inputs_masks(1)
-        got = forward_and_backward(run_lstm, run_lstm_backward,
-                                   cell, X, masks["mixed"], False, 1)
+        got = forward_and_backward(cell, X, masks["mixed"], False, 1)
         H = self.H
         W_h = cell.W_h.value
         W_h[:2 * H] = np.concatenate([W_h[H:2 * H], W_h[:H]])
-        want = forward_and_backward(reference_run_lstm, reference_run_lstm_backward,
-                                    cell, X, masks["mixed"], False, 1)
+        want = forward_and_backward(cell, X, masks["mixed"], False, 1, reference=True)
         assert not runs_close(got, want)
 
 
 class TestRecurrenceGradients:
     """Finite differences through run_lstm for the inputs, the initial h
-    and the three weight blocks, from a random initial c, with gradients
-    arriving on every state and the final h."""
+    and the three weight blocks, with gradients arriving on every state and,
+    once more, on the final one, folded into dH at its position."""
 
     B, T, D, H = 3, 4, 3, 2
 
@@ -334,20 +352,21 @@ class TestRecurrenceGradients:
         mask = lstm_masks(self.B, self.T, rng)[kind]
         X = Parameter("X", rng.normal(size=(self.B, self.T, self.D)))
         h0 = Parameter("h0", rng.normal(size=(self.B, self.H)))
-        c0 = rng.normal(size=(self.B, self.H))
         dH = rng.normal(size=(self.B, self.T, self.H))
         dh_fin = rng.normal(size=(self.B, self.H))
+        end = 0 if reverse else -1
 
         def loss():
-            states, (h, _), _ = run_lstm(cell, X.value, mask, reverse, h0.value, c0)
-            return float((states * dH).sum() + (h * dh_fin).sum())
+            states, _ = run_lstm(cell, X.value, mask, reverse, h0.value)
+            return float((states * dH).sum() + (states[:, end] * dh_fin).sum())
 
         blocks = cell.parameters() + [X, h0]
         numeric = finite_difference_gradient(loss, blocks)
         for p in cell.parameters():
             p.zero_grad()
-        _, _, cache = run_lstm(cell, X.value, mask, reverse, h0.value, c0)
-        dX, dh0 = run_lstm_backward(cell, cache, dH, dh_fin)
+        _, cache = run_lstm(cell, X.value, mask, reverse, h0.value)
+        dH[:, end] += dh_fin
+        dX, dh0 = run_lstm_backward(cell, cache, dH)
         analytic = {p.name: p.grad.copy() for p in cell.parameters()}
         analytic.update(X=dX, h0=dh0)
         report = gradient_check(analytic, numeric, tol=1e-7)

@@ -33,9 +33,9 @@ class TestAttend:
         v = np.array([0.3, -1.2])
         H = np.tile(v, (1, 4, 1))
         W_a, W_c = mats(2, 3)
-        step = attend(H, np.ones((1, 3)), np.ones((1, 4), dtype=bool), W_a, W_c)
-        np.testing.assert_allclose(step.weights[0], 0.25, atol=1e-12)
-        np.testing.assert_allclose(step.context[0], v, atol=1e-12)
+        step = attend(H, np.ones((1, 1, 3)), np.ones((1, 4), dtype=bool), W_a, W_c)
+        np.testing.assert_allclose(step.weights[0, 0], 0.25, atol=1e-12)
+        np.testing.assert_allclose(step.context[0, 0], v, atol=1e-12)
 
     def test_single_unmasked_position(self):
         rng = np.random.default_rng(1)
@@ -43,46 +43,46 @@ class TestAttend:
         mask = np.zeros((1, 5), dtype=bool)
         mask[0, 2] = True
         W_a, W_c = mats(4, 2, rng)
-        step = attend(H, rng.normal(size=(1, 2)), mask, W_a, W_c)
-        assert step.weights[0, 2] == 1.0
+        step = attend(H, rng.normal(size=(1, 1, 2)), mask, W_a, W_c)
+        assert step.weights[0, 0, 2] == 1.0
         assert step.weights.sum() == 1.0
-        np.testing.assert_allclose(step.context[0], H[0, 2], atol=1e-12)
+        np.testing.assert_allclose(step.context[0, 0], H[0, 2], atol=1e-12)
 
     def test_hand_scores_two_thirds(self):
         # query = W_a s = [1, 0]; scores h.query = (ln 2, 0) -> softmax (2/3, 1/3)
         H = np.array([[[math.log(2.0), 0.0], [0.0, 1.0]]])
-        s = np.array([[1.0]])
+        s = np.array([[[1.0]]])
         W_a = Parameter("W_a", np.array([[1.0], [0.0]]))
         W_c = Parameter("W_c", np.zeros((1, 3)))
         step = attend(H, s, np.ones((1, 2), dtype=bool), W_a, W_c)
-        np.testing.assert_allclose(step.weights[0], [2 / 3, 1 / 3], atol=1e-12)
+        np.testing.assert_allclose(step.weights[0, 0], [2 / 3, 1 / 3], atol=1e-12)
         np.testing.assert_allclose(
-            step.context[0], [2 / 3 * math.log(2.0), 1 / 3], atol=1e-12)
+            step.context[0, 0], [2 / 3 * math.log(2.0), 1 / 3], atol=1e-12)
 
     def test_all_masked_rejected(self):
         W_a, W_c = mats(2, 2)
         with pytest.raises(ValueError, match="masked"):
-            attend(np.zeros((1, 3, 2)), np.zeros((1, 2)),
+            attend(np.zeros((1, 3, 2)), np.zeros((1, 1, 2)),
                    np.zeros((1, 3), dtype=bool), W_a, W_c)
 
     def test_masked_weights_exactly_zero(self):
         rng = np.random.default_rng(2)
         W_a, W_c = mats(4, 3, rng)
         mask = np.array([[True, False, True, False]])
-        step = attend(rng.normal(size=(1, 4, 4)), rng.normal(size=(1, 3)),
+        step = attend(rng.normal(size=(1, 4, 4)), rng.normal(size=(1, 1, 3)),
                       mask, W_a, W_c)
-        assert step.weights[0, 1] == 0.0 and step.weights[0, 3] == 0.0
+        assert step.weights[0, 0, 1] == 0.0 and step.weights[0, 0, 3] == 0.0
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(3)
         W_a, W_c = mats(4, 3, rng)
         H = rng.normal(size=(1, 5, 4))
-        s = rng.normal(size=(1, 3))
+        s = rng.normal(size=(1, 1, 3))
         mask = np.array([[True, True, True, True, False]])
         perm = np.array([3, 0, 4, 1, 2])
         base = attend(H, s, mask, W_a, W_c)
         shuffled = attend(H[:, perm], s, mask[:, perm], W_a, W_c)
-        np.testing.assert_allclose(shuffled.weights[0], base.weights[0][perm], atol=1e-12)
+        np.testing.assert_allclose(shuffled.weights[0, 0], base.weights[0, 0][perm], atol=1e-12)
         np.testing.assert_allclose(shuffled.context, base.context, atol=1e-12)
         np.testing.assert_allclose(shuffled.combined, base.combined, atol=1e-12)
 
@@ -95,29 +95,30 @@ class TestAttend:
         mask = rng.random((B, T)) < 0.7
         mask[:, 0] = True
         step = attend(rng.normal(size=(B, T, 2 * d_hid)) * 3,
-                      rng.normal(size=(B, d_hid)), mask, W_a, W_c)
-        assert (step.weights >= 0).all()
-        np.testing.assert_allclose(step.weights.sum(axis=1), 1.0, atol=1e-9)
-        assert (step.weights[~mask] == 0).all()
+                      rng.normal(size=(B, 1, d_hid)), mask, W_a, W_c)
+        weights = step.weights[:, 0]
+        assert (weights >= 0).all()
+        np.testing.assert_allclose(weights.sum(axis=1), 1.0, atol=1e-9)
+        assert (weights[~mask] == 0).all()
 
     def test_context_in_convex_hull(self):
         rng = np.random.default_rng(5)
         W_a, W_c = mats(4, 2, rng)
         H = rng.normal(size=(1, 6, 4))
-        step = attend(H, rng.normal(size=(1, 2)),
+        step = attend(H, rng.normal(size=(1, 1, 2)),
                       np.ones((1, 6), dtype=bool), W_a, W_c)
         lo, hi = H[0].min(axis=0), H[0].max(axis=0)
-        assert (step.context[0] >= lo - 1e-12).all()
-        assert (step.context[0] <= hi + 1e-12).all()
+        assert (step.context[0, 0] >= lo - 1e-12).all()
+        assert (step.context[0, 0] <= hi + 1e-12).all()
 
     def test_backward_matches_finite_differences(self):
         rng = np.random.default_rng(6)
         B, T, d_hid = 2, 4, 3
         W_a, W_c = mats(2 * d_hid, d_hid, rng)
         H = Parameter("H", rng.normal(size=(B, T, 2 * d_hid)))
-        s = Parameter("s", rng.normal(size=(B, d_hid)))
+        s = Parameter("s", rng.normal(size=(B, 1, d_hid)))
         mask = np.array([[True] * 4, [True, True, False, False]])
-        W = rng.normal(size=(B, d_hid))
+        W = rng.normal(size=(B, 1, d_hid))
 
         def loss():
             return float((attend(H.value, s.value, mask, W_a, W_c).combined * W).sum())

@@ -152,6 +152,20 @@ class TestKlAnneal:
         with pytest.raises(ConfigError, match=name):
             micro_cfg(**{name: value})
 
+    @pytest.mark.parametrize("name, value", [
+        ("seed", -1), ("beam_width", 2.5), ("beam_width", 0), ("strategy", 3),
+        ("max_outline_len", 0), ("max_report_len", 0), ("temperature", "1"),
+        ("record_attention", 1),
+    ])
+    def test_decode_values_that_do_not_fit_name_the_key(self, name, value):
+        with pytest.raises(ConfigError, match=name):
+            DecodeConfig(**{name: value})
+
+    def test_decode_length_caps_of_one_are_accepted(self):
+        # decoding emits at least one token; BOS is fed, never emitted
+        dcfg = DecodeConfig(max_outline_len=1, max_report_len=1, temperature=2)
+        assert (dcfg.max_outline_len, dcfg.max_report_len) == (1, 1)
+
     def test_ints_are_accepted_as_floats(self):
         assert micro_cfg(learning_rate=1, max_outline_len=2).learning_rate == 1
 
