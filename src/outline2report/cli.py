@@ -17,7 +17,7 @@ from pathlib import Path
 from .config import (ConfigError, DecodeConfig, TrainingConfig, load_config_file,
                      parse_config_lines, section_config)
 from .corpus import (CorpusError, Vocabulary, build_vocabulary,
-                     derive_outlines, read_dataset, read_text_lines, tokenize)
+                     derive_outlines, read_dataset, read_json_lines, tokenize)
 from .generation import evaluation_report, generate
 from .gradcheck import run_suite
 from .model import build_model
@@ -157,13 +157,7 @@ def cmd_generate(args) -> int:
 def read_generations(path) -> dict:
     """id -> report token list from a generation JSON-lines file."""
     out = {}
-    for lineno, line in enumerate(read_text_lines(path), start=1):
-        if not line.strip():
-            continue
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise CliError(f"{path}:{lineno}: malformed JSON ({exc.msg})") from None
+    for lineno, rec in read_json_lines(path):
         if not isinstance(rec, dict) or "id" not in rec or "report" not in rec:
             raise CliError(f"{path}:{lineno}: record needs 'id' and 'report'")
         report = rec["report"]

@@ -86,8 +86,9 @@ def read_text_lines(path) -> list[str]:
         raise CorpusError(f"{path}:{line}: not UTF-8 text (byte 0x{data[exc.start]:02x})") from None
 
 
-def read_dataset(path) -> list[NewsReportPair]:
-    pairs = []
+def read_json_lines(path):
+    """(line number, record) for each non-blank line of a JSON-lines file;
+    a line that is not JSON names path:line."""
     for lineno, line in enumerate(read_text_lines(path), start=1):
         if not line.strip():
             continue
@@ -95,8 +96,12 @@ def read_dataset(path) -> list[NewsReportPair]:
             record = json.loads(line)
         except json.JSONDecodeError as exc:
             raise CorpusError(f"{path}:{lineno}: malformed JSON ({exc.msg})") from None
-        pairs.append(pair_from_record(record, where=f"{path}:{lineno}"))
-    return pairs
+        yield lineno, record
+
+
+def read_dataset(path) -> list[NewsReportPair]:
+    return [pair_from_record(record, where=f"{path}:{lineno}")
+            for lineno, record in read_json_lines(path)]
 
 
 def write_dataset(path, records) -> None:

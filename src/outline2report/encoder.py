@@ -17,11 +17,10 @@ from .numerics import LSTMCell, Parameter, run_lstm, run_lstm_backward, uniform_
 class Embedding:
     """Embedding table with the PAD row pinned at zero."""
 
-    def __init__(self, vocab_size, d_emb, rng, pad_id=PAD):
+    def __init__(self, vocab_size, d_emb, rng):
         table = uniform_init(rng, (vocab_size, d_emb))
-        table[pad_id] = 0.0
+        table[PAD] = 0.0
         self.table = Parameter("embedding.table", table)
-        self.pad_id = pad_id
 
     @property
     def vocab_size(self):
@@ -48,7 +47,7 @@ class Embedding:
         self.table.grad[ids[starts]] += np.add.reduceat(dvecs, starts, axis=0)
 
     def freeze_pad_row(self):
-        self.table.grad[self.pad_id] = 0.0
+        self.table.grad[PAD] = 0.0
 
 
 @dataclass

@@ -195,7 +195,8 @@ def _emission_mask(logits):
 def generate(news_tokens, model, vocab: Vocabulary,
              dcfg: DecodeConfig) -> GenerationResult:
     """Full pipeline on one news item: encode, decode an outline, fuse it
-    with the encoding, draw the latent (zero or prior), decode the report."""
+    with the encoding, take the latent (zero, or a prior draw from the decode
+    seed's stream), decode the report."""
     news_tokens = list(news_tokens)
     if not news_tokens:
         raise ValueError("cannot generate from empty news input")
@@ -220,10 +221,9 @@ def generate(news_tokens, model, vocab: Vocabulary,
     def outline_step(state, tokens):
         s, c = odec.step(embed(tokens), state)
         news = np.broadcast_to(enc_states, (len(s),) + enc_states.shape[1:])
-        logits = attend(news, s, mask, odec.W_a, odec.W_c).combined @ odec.W_o.value.T
-        return _emission_mask(logits[:, 0]), (s, c)
+        return _emission_mask(odec.logits(news, mask, s)[:, 0]), (s, c)
 
-    outline_init = odec.initial_state(enc_states[:, -1, :model.cfg.d_hid])
+    outline_init = odec.initial_state(enc_states)
     outline = run_decode(
         dcfg.strategy, outline_step, start(outline_init),
         dcfg.max_outline_len, width=dcfg.beam_width,
@@ -239,9 +239,9 @@ def generate(news_tokens, model, vocab: Vocabulary,
                  if dcfg.record_attention else None)
 
     rdec = model.report_decoder
-    noise = None if dcfg.deterministic_latent else rng.standard_normal((1, model.cfg.d_z))
-    latent = rdec.prior_latent(1, noise)
-    h0, c0, _ = rdec.initial_state(latent.z, u)
+    z = (np.zeros((1, rdec.d_z)) if dcfg.deterministic_latent
+         else rng.standard_normal((1, rdec.d_z)))
+    h0, c0, _ = rdec.initial_state(z, u)
 
     def report_step(state, tokens):
         h, c = rdec.step(embed(tokens), state)

@@ -77,8 +77,8 @@ class NewsToReportModel:
 
         o_in, o_tgt, o_tmask = shifted_targets(batch.outline_ids)
         out_fwd = self.outline_decoder.forward_teacher(
-            self.embedding, enc_states, batch.news_mask, enc_states[:, -1, :self.cfg.d_hid],
-            o_in, o_tgt, o_tmask, sample_rng=sample_rng, teacher_forcing_ratio=ratio)
+            self.embedding, enc_states, batch.news_mask, o_in, o_tgt, o_tmask,
+            sample_rng=sample_rng, teacher_forcing_ratio=ratio)
 
         report_summary, summary_weights = masked_mean_pool(
             self.embedding.lookup(batch.report_ids), batch.report_mask)
@@ -113,12 +113,9 @@ class NewsToReportModel:
         dH_fusion = w_enc[:, :, None] * dpool_enc[:, None, :]
         dS_fusion = w_out[:, :, None] * dpool_out[:, None, :]
 
-        d_enc, dX_out, dh_fwd_fin = self.outline_decoder.backward(
-            fwd.outline, dS_fusion, self.cfg.outline_loss_weight)
+        dH, dX_out = self.outline_decoder.backward(
+            fwd.outline, dH_fusion, dS_fusion, self.cfg.outline_loss_weight)
         self.embedding.accumulate_grad(fwd.outline.input_ids, dX_out)
-
-        dH = d_enc + dH_fusion
-        dH[:, -1, :self.cfg.d_hid] += dh_fwd_fin  # the bridge read the forward final state
         dX_news = self.encoder.backward(fwd.enc_cache, dH)
         self.embedding.accumulate_grad(batch.news_ids, dX_news)
         self.embedding.freeze_pad_row()

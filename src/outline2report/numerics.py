@@ -47,10 +47,9 @@ def masked_row_softmax(scores, mask):
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def uniform_init(rng, shape, fan_in=None):
-    """uniform(-r, r) with r = 1/sqrt(fan_in); fan_in defaults to the last dim."""
-    fan = shape[-1] if fan_in is None else fan_in
-    r = 1.0 / math.sqrt(fan)
+def uniform_init(rng, shape):
+    """uniform(-r, r) with r = 1/sqrt(fan_in), fan_in the last dim."""
+    r = 1.0 / math.sqrt(shape[-1])
     return rng.uniform(-r, r, size=shape).astype(FLOAT)
 
 
@@ -73,13 +72,13 @@ class Parameter:
 class LSTMCell:
     """Batched LSTM cell owning fused gate parameters (order: i, f, o, g)."""
 
-    def __init__(self, name, d_in, d_hid, rng, forget_bias=1.0):
+    def __init__(self, name, d_in, d_hid, rng):
         self.d_in = d_in
         self.d_hid = d_hid
         self.W_x = Parameter(f"{name}.W_x", uniform_init(rng, (4 * d_hid, d_in)))
         self.W_h = Parameter(f"{name}.W_h", uniform_init(rng, (4 * d_hid, d_hid)))
         b = np.zeros(4 * d_hid, dtype=FLOAT)
-        b[d_hid:2 * d_hid] = forget_bias  # forget gate starts open
+        b[d_hid:2 * d_hid] = 1.0  # forget gate starts open
         self.b = Parameter(f"{name}.b", b)
 
     def parameters(self):
@@ -127,7 +126,7 @@ class LSTMCell:
 @dataclass
 class LSTMRunCache:
     step_caches: list
-    fmask: np.ndarray   # [B, T] float 0/1
+    mask: np.ndarray    # [B, T] bool
     reverse: bool
     inputs: np.ndarray  # [T, B, d_in], time-major
     h_prev: np.ndarray  # [T, B, d_hid], the state each step read
@@ -137,7 +136,8 @@ def run_lstm(cell: LSTMCell, X, mask, reverse=False, h0=None):
     """Run a cell along the time axis of X [B,T,D] with carry-through masking,
     from h0 (zeros if None) and a zero cell state: (H [B,T,d_hid], cache).
 
-    At masked steps the state is carried unchanged, so padding never leaks
+    At masked steps the state is carried unchanged (np.where on the mask, the
+    one carry rule of every masked recurrence here), so padding never leaks
     into a shorter row's states. H[:, t] holds the state after step t, so the
     final state is H[:, -1] (forward) or H[:, 0] (reverse). X @ W_xᵀ + b is one
     time-major GEMM; H is a view of a [T+1,B,H] buffer that also holds each
@@ -147,7 +147,7 @@ def run_lstm(cell: LSTMCell, X, mask, reverse=False, h0=None):
     B, T, D = X.shape
     if T == 0 or D != cell.d_in:
         raise ValueError(f"run_lstm over inputs {X.shape}: empty, or not {cell.d_in} wide")
-    fmask = np.asarray(mask, dtype=FLOAT).reshape(B, T)
+    mask = np.asarray(mask, dtype=bool).reshape(B, T)
     h = np.zeros((B, cell.d_hid), dtype=FLOAT) if h0 is None else h0
     c = np.zeros((B, cell.d_hid), dtype=FLOAT)
     inputs = np.ascontiguousarray(X.transpose(1, 0, 2))
@@ -158,22 +158,25 @@ def run_lstm(cell: LSTMCell, X, mask, reverse=False, h0=None):
     states, h_prev = (held[:T], held[1:]) if reverse else (held[1:], held[:T])
     steps = [None] * T
     order = range(T - 1, -1, -1) if reverse else range(T)
-    full = fmask.all(axis=0)  # on these columns the blend below is the identity
+    full = mask.all(axis=0)  # on these columns no row is carried
     for t in order:
         h_new, c_new, steps[t] = cell.step(x_gates[t], h, c, W_hT)
         if not full[t]:
-            m = fmask[:, t:t + 1]
-            h_new, c_new = m * h_new + (1.0 - m) * h, m * c_new + (1.0 - m) * c
+            m = mask[:, t:t + 1]
+            h_new, c_new = np.where(m, h_new, h), np.where(m, c_new, c)
         h, c = h_new, c_new
         states[t] = h
-    return states.transpose(1, 0, 2), LSTMRunCache(steps, fmask, reverse, inputs, h_prev)
+    return states.transpose(1, 0, 2), LSTMRunCache(steps, mask, reverse, inputs, h_prev)
 
 
 def scheduled_inputs(step, embed, gold_in_ids, mask, state, head, rng, ratio):
     """Scheduled-sampling inputs (Bengio et al., arXiv 1506.03099): after the
     first, each is the gold token with probability `ratio`, else the argmax of
     `head(h)` at the previous step, with one coin per row and step. A decoder's
-    step(x_emb, (h, c)) -> (h, c) runs from state; masked rows carry theirs."""
+    step(x_emb, (h, c)) -> (h, c) runs from state; masked rows carry theirs.
+    At ratio >= 1 the gold ids come back as they are, and nothing is drawn."""
+    if ratio >= 1.0:
+        return gold_in_ids
     input_ids = gold_in_ids.copy()
     h, c = state
     for t in range(input_ids.shape[1]):
@@ -191,21 +194,22 @@ def run_lstm_backward(cell: LSTMCell, run_cache: LSTMRunCache, dH):
     on the final state belongs in dH at that position); returns (dX, dh0) and
     accumulates the cell's weight grads, each as one GEMM over all T*B rows
     after the steps."""
-    fmask = run_cache.fmask
-    B, T = fmask.shape
+    mask = run_cache.mask
+    B, T = mask.shape
     dh = dc = np.zeros((B, cell.d_hid), dtype=FLOAT)  # neither is written in place
     da = np.empty((T, B, 4 * cell.d_hid), dtype=FLOAT)
     order = range(T - 1, -1, -1) if run_cache.reverse else range(T)
-    full = fmask.all(axis=0)
+    full = mask.all(axis=0)
     for t in reversed(order):
         dh_tot = dh + dH[:, t]
         if full[t]:
             dh, dc = cell.step_backward(run_cache.step_caches[t], dh_tot, dc, da[t])
             continue
-        m = fmask[:, t:t + 1]
-        dh_prev, dc_prev = cell.step_backward(run_cache.step_caches[t], m * dh_tot, m * dc, da[t])
-        dh = (1.0 - m) * dh_tot + dh_prev
-        dc = (1.0 - m) * dc + dc_prev
+        # a carried row took no step: it gets no gate gradient and passes its own on
+        m = mask[:, t:t + 1]
+        dh_prev, dc_prev = cell.step_backward(
+            run_cache.step_caches[t], np.where(m, dh_tot, 0.0), np.where(m, dc, 0.0), da[t])
+        dh, dc = np.where(m, dh_prev, dh_tot), np.where(m, dc_prev, dc)
     da = da.reshape(T * B, -1)
     cell.W_x.grad += (run_cache.inputs.reshape(T * B, -1).T @ da).T  # BLAS runs x.T @ da faster
     cell.W_h.grad += (run_cache.h_prev.reshape(T * B, -1).T @ da).T

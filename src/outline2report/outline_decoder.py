@@ -147,10 +147,9 @@ class OutlineForward:
     input_ids: np.ndarray     # [B, K] ids actually fed (teacher forcing or sampled)
     targets: np.ndarray       # [B, K] gold ids
     target_mask: np.ndarray   # [B, K] bool, False at padding
-    attention: AttentionStep  # all K steps, combined [B, K, H]
+    attention: AttentionStep  # all K steps, combined [B, K, H]; holds enc_states
     run_cache: object
     bridge_out: np.ndarray    # s0 [B, H], post-tanh
-    bridge_input: np.ndarray  # final forward encoder state [B, H]
 
 
 class OutlineDecoder:
@@ -169,9 +168,12 @@ class OutlineDecoder:
         return ([self.bridge_W, self.bridge_b] + self.cell.parameters()
                 + [self.W_a, self.W_c, self.W_o])
 
-    def initial_state(self, h_fwd_fin):
-        """Project the final forward encoder state into the decoder space."""
-        s0 = np.tanh(h_fwd_fin @ self.bridge_W.value.T + self.bridge_b.value)
+    def initial_state(self, enc_states):
+        """The seed (s0, c0): the encoder's forward final state, which
+        carry-through masking leaves at enc_states[:, -1, :H] (each row's state
+        at its last valid token), projected into the decoder space."""
+        H = self.bridge_W.value.shape[0]
+        s0 = np.tanh(enc_states[:, -1, :H] @ self.bridge_W.value.T + self.bridge_b.value)
         return s0, np.zeros_like(s0)
 
     def step(self, x_emb, state):
@@ -180,7 +182,12 @@ class OutlineDecoder:
         s, c = state
         return self.cell.step(self.cell.input_gates(x_emb), s, c, self.cell.W_h.value.T)[:2]
 
-    def forward_teacher(self, embedding, enc_states, enc_mask, h_fwd_fin,
+    def logits(self, enc_states, enc_mask, s):
+        """The outline head: attention over enc_states for states s [B,K,H],
+        then the vocabulary projection -> [B,K,V]."""
+        return attend(enc_states, s, enc_mask, self.W_a, self.W_c).combined @ self.W_o.value.T
+
+    def forward_teacher(self, embedding, enc_states, enc_mask,
                         gold_in_ids, targets, target_mask,
                         sample_rng=None, teacher_forcing_ratio=1.0) -> OutlineForward:
         """Teacher-forced pass over a batch (optionally scheduled-sampled).
@@ -189,29 +196,27 @@ class OutlineDecoder:
         gold token with probability ratio, else the previous argmax; the coin
         flips consume sample_rng one draw per (step, row).
         """
-        s0, c0 = self.initial_state(h_fwd_fin)
-        input_ids = gold_in_ids
-        if teacher_forcing_ratio < 1.0:
-            def logits_at(s):
-                attn = attend(enc_states, s[:, None], enc_mask, self.W_a, self.W_c)
-                return attn.combined[:, 0] @ self.W_o.value.T
-
-            input_ids = scheduled_inputs(self.step, embedding.lookup, gold_in_ids, target_mask,
-                                         (s0, c0), logits_at, sample_rng, teacher_forcing_ratio)
+        s0, c0 = self.initial_state(enc_states)
+        input_ids = scheduled_inputs(
+            self.step, embedding.lookup, gold_in_ids, target_mask, (s0, c0),
+            lambda s: self.logits(enc_states, enc_mask, s[:, None])[:, 0],
+            sample_rng, teacher_forcing_ratio)
         states, run_cache = run_lstm(self.cell, embedding.lookup(input_ids), target_mask, h0=s0)
         attn = attend(enc_states, states, enc_mask, self.W_a, self.W_c)
         loss, lse = sequence_nll(attn.combined, self.W_o.value, targets, target_mask)
         return OutlineForward(
             states=states, lse=lse, loss=loss, input_ids=input_ids,
             targets=targets, target_mask=target_mask, attention=attn, run_cache=run_cache,
-            bridge_out=s0, bridge_input=h_fwd_fin)
+            bridge_out=s0)
 
-    def backward(self, fwd: OutlineForward, d_states_extra, loss_scale):
+    def backward(self, fwd: OutlineForward, d_enc_extra, d_states_extra, loss_scale):
         """Backward through the whole teacher-forced pass, of loss_scale * loss.
 
-        d_states_extra [B,K,H] carries gradients flowing into the decoder
-        states from elsewhere (the fusion pooling). Returns (d_enc_states,
-        d_input_embeddings, d_h_fwd_fin); accumulates parameter grads.
+        d_enc_extra [B,T,E] and d_states_extra [B,K,H] carry gradients flowing
+        into the encoder and decoder states from elsewhere (the fusion
+        pooling). Returns (d_enc_states, d_input_embeddings), d_enc_states
+        with the seed's gradient added at enc_states[:, -1, :H] after
+        d_enc_extra; accumulates parameter grads.
         """
         d_combined, dW_o = sequence_nll_backward(
             fwd.attention.combined, self.W_o.value, fwd.targets, fwd.target_mask, fwd.lse,
@@ -222,8 +227,10 @@ class OutlineDecoder:
         dX, ds0 = run_lstm_backward(self.cell, fwd.run_cache, dS)
 
         s0 = fwd.bridge_out
+        H = s0.shape[1]
         d_pre = ds0 * (1.0 - s0 * s0)
-        self.bridge_W.grad += d_pre.T @ fwd.bridge_input
+        self.bridge_W.grad += d_pre.T @ fwd.attention.enc_states[:, -1, :H]
         self.bridge_b.grad += d_pre.sum(axis=0)
-        d_h_fwd_fin = d_pre @ self.bridge_W.value
-        return d_enc, dX, d_h_fwd_fin
+        d_enc += d_enc_extra
+        d_enc[:, -1, :H] += d_pre @ self.bridge_W.value
+        return d_enc, dX

@@ -109,12 +109,6 @@ class ReportDecoder:
         logvar = recog_in @ self.W_lv.value.T + self.b_lv.value
         return reparameterize(mean, logvar, noise), recog_in
 
-    def prior_latent(self, batch, noise=None) -> LatentSample:
-        """Inference-time latent: standard normal draw, or zero when noise is None."""
-        zeros = np.zeros((batch, self.d_z), dtype=FLOAT)
-        eps = zeros if noise is None else noise
-        return reparameterize(zeros, zeros.copy(), eps)
-
     def initial_state(self, z, u):
         init_in = np.concatenate([z, u], axis=1)
         h0 = np.tanh(init_in @ self.W_init.value.T + self.b_init.value)
@@ -131,11 +125,9 @@ class ReportDecoder:
         latent, recog_in = self.infer_latent(u, report_summary, noise)
         kl_rows = gaussian_kl(latent.mean, latent.logvar)
         h0, c0, init_in = self.initial_state(latent.z, u)
-        input_ids = gold_in_ids
-        if teacher_forcing_ratio < 1.0:
-            input_ids = scheduled_inputs(
-                self.step, embedding.lookup, gold_in_ids, target_mask, (h0, c0),
-                lambda h: h @ self.W_out.value.T, sample_rng, teacher_forcing_ratio)
+        input_ids = scheduled_inputs(
+            self.step, embedding.lookup, gold_in_ids, target_mask, (h0, c0),
+            lambda h: h @ self.W_out.value.T, sample_rng, teacher_forcing_ratio)
         states, run_cache = run_lstm(self.cell, embedding.lookup(input_ids), target_mask, h0=h0)
         nll, lse = sequence_nll(states, self.W_out.value, targets, target_mask)
         loss = nll + beta * float(np.mean(kl_rows))

@@ -297,10 +297,6 @@ class Trainer:
         self.step = 0
         self.history: list[StepRecord] = []
 
-    @property
-    def epoch(self) -> int:
-        return self.step // self.num_batches
-
     def _epoch_order(self, epoch: int) -> np.ndarray:
         rng = np.random.default_rng(np.random.SeedSequence([self.cfg.seed, 2, epoch]))
         return rng.permutation(len(self.pairs))

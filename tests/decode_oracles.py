@@ -90,7 +90,7 @@ def reference_beam_generate(news_tokens, model, vocab, dcfg):
         h, c = rdec.step(emb.lookup(np.array([token], dtype=np.int64)), state)
         return _emission_mask((h @ rdec.W_out.value.T)[0]), (h, c)
 
-    s0, c0 = odec.initial_state(enc_states[:, -1, :model.cfg.d_hid])
+    s0, c0 = odec.initial_state(enc_states)
     outline = reference_beam_search(outline_step, (s0, c0), dcfg.beam_width,
                                     dcfg.max_outline_len)
     fed = np.array([(BOS,) + outline.tokens[:-1]], dtype=np.int64)
@@ -98,8 +98,9 @@ def reference_beam_generate(news_tokens, model, vocab, dcfg):
     states, _ = run_lstm(odec.cell, emb.lookup(fed), fed_mask, h0=s0)
     u, _ = fuse_news_outline(enc_states, mask, states, fed_mask)
     rng = np.random.default_rng(np.random.SeedSequence([dcfg.seed, 3]))
-    noise = None if dcfg.deterministic_latent else rng.standard_normal((1, model.cfg.d_z))
-    h0, c0, _ = rdec.initial_state(rdec.prior_latent(1, noise).z, u)
+    z = (np.zeros((1, model.cfg.d_z)) if dcfg.deterministic_latent
+         else rng.standard_normal((1, model.cfg.d_z)))
+    h0, c0, _ = rdec.initial_state(z, u)
     report = reference_beam_search(report_step, (h0, c0), dcfg.beam_width,
                                    dcfg.max_report_len)
     return outline, report

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+from unittest.mock import Mock
 
 import numpy as np
 import pytest
@@ -550,6 +551,27 @@ class TestGenerate:
         b = generate(news, model, vocab, dcfg)
         assert a.report_ids == b.report_ids
         assert a.logprob == b.logprob
+
+    @staticmethod
+    def _latent(dcfg):
+        """The z that generate seeds the report decoder with."""
+        model, vocab, _ = pipeline_fixture()
+        rdec = model.report_decoder
+        rdec.initial_state = Mock(wraps=rdec.initial_state)
+        generate(["the", "port", "opened"], model, vocab, dcfg)
+        rdec.initial_state.assert_called_once()
+        return rdec.initial_state.call_args.args[0]
+
+    def test_latent_is_zero_by_default(self):
+        z = self._latent(self._dcfg())
+        assert z.shape == (1, 3) and not z.any()
+
+    def test_sample_latent_draws_from_the_decode_seed(self):
+        # greedy outline decoding draws nothing, so the latent is the first
+        # standard-normal draw of the decode seed's stream
+        z = self._latent(self._dcfg(deterministic_latent=False, seed=5))
+        stream = np.random.default_rng(np.random.SeedSequence([5, 3]))
+        np.testing.assert_array_equal(z, stream.standard_normal((1, 3)))
 
     def test_unknown_news_words_map_to_unk(self):
         model, vocab, _ = pipeline_fixture()

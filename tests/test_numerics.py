@@ -277,9 +277,10 @@ def runs_close(got, want):
 
 class TestMaskedRecurrence:
     """run_lstm forms the input product, and run_lstm_backward the weight
-    gradients and dX, once over all steps, and both skip the blend on fully
-    valid columns. They must equal the step-at-a-time references that blend
-    every step at REL_TOL: the sums run in another order."""
+    gradients and dX, once over all steps; both carry padded rows with
+    np.where and skip the carry on fully valid columns. They must equal the
+    step-at-a-time references that blend m*new + (1-m)*old at every step at
+    REL_TOL: the sums run in another order."""
 
     B, T, D, H = 6, 9, 5, 4
 
@@ -311,7 +312,7 @@ class TestMaskedRecurrence:
 
     @pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reverse"])
     def test_skipping_the_blend_on_a_mixed_column_is_caught(self, reverse):
-        # Skipping the blend on column t computes what run_lstm computes when
+        # Skipping the carry on column t computes what run_lstm computes when
         # the mask marks every row of column t valid; that planted fault must
         # fail the comparison above, on each mixed column in turn.
         cell, X, masks = self.cell_inputs_masks(0)

@@ -8,14 +8,15 @@ from hypothesis import strategies as st
 
 from outline2report import outline_decoder
 from outline2report.corpus import BOS, PAD
-from outline2report.encoder import Embedding
+from outline2report.encoder import BiLSTMEncoder, Embedding
 from outline2report.numerics import (
     Parameter, finite_difference_gradient, gradient_check, log_softmax)
 from outline2report.outline_decoder import (
     OutlineDecoder, attend, attend_backward, sequence_nll, sequence_nll_backward)
 
 from model_oracles import (REL_TOL, lstm_cell_step, outline_loss, reference_attend_steps,
-                           reference_lstm_step, reference_run_lstm_backward, reference_xent,
+                           reference_lstm_step, reference_run_lstm, reference_run_lstm_backward,
+                           reference_xent,
                            ReferenceRun, relative_error)
 
 LN20 = math.log(20.0)
@@ -398,12 +399,32 @@ class TestDecoderSteps:
 
     def test_initial_state_bridge(self):
         dec = OutlineDecoder(5, 3, 2, np.random.default_rng(2))
-        h_fin = np.random.default_rng(3).normal(size=(2, 2))
-        s0, c0 = dec.initial_state(h_fin)
+        enc_states = np.random.default_rng(3).normal(size=(2, 4, 4))
+        s0, c0 = dec.initial_state(enc_states)
         assert not c0.any()
-        ref = np.tanh(h_fin @ dec.bridge_W.value.T + dec.bridge_b.value)
+        ref = np.tanh(enc_states[:, -1, :2] @ dec.bridge_W.value.T + dec.bridge_b.value)
         np.testing.assert_allclose(s0, ref, atol=1e-12)
         assert (np.abs(s0) < 1).all()
+
+    def test_seed_is_each_rows_forward_state_at_its_last_valid_token(self):
+        # A padded batch through the real encoder: each row's seed must be the
+        # bridge applied to the forward state after its own last token, as the
+        # step-at-a-time reference computes it on that row alone.
+        rng = np.random.default_rng(4)
+        B, T, d_emb, H = 4, 6, 3, 5
+        encoder = BiLSTMEncoder(d_emb, H, rng)
+        dec = OutlineDecoder(7, d_emb, H, rng)
+        X = rng.normal(size=(B, T, d_emb))
+        lengths = np.array([T, 1, 3, 5])
+        mask = np.arange(T)[None, :] < lengths[:, None]
+        enc_states, _ = encoder.forward(X, mask)
+        s0, _ = dec.initial_state(enc_states)
+        for b, n in enumerate(lengths):
+            zeros = np.zeros((1, H))
+            _, (h_last, _), _ = reference_run_lstm(
+                encoder.fwd, X[b:b + 1, :n], np.ones((1, n), dtype=bool), False, zeros, zeros)
+            want = np.tanh(h_last @ dec.bridge_W.value.T + dec.bridge_b.value)
+            assert relative_error(s0[b:b + 1], want) <= REL_TOL, b
 
 
 class TestTeacherForcedPass:
@@ -412,69 +433,64 @@ class TestTeacherForcedPass:
         emb = Embedding(vocab, d_emb, rng)
         dec = OutlineDecoder(vocab, d_emb, d_hid, rng)
         enc_states = Parameter("enc_states", rng.normal(size=(B, T_enc, 2 * d_hid)))
-        h_fwd_fin = Parameter("h_fwd_fin", rng.normal(size=(B, d_hid)))
         enc_mask = np.array([[True] * T_enc, [True, True, False]])
         gold_in = np.array([[BOS, 4, 5], [BOS, 6, PAD]])
         targets = np.array([[4, 5, 2], [6, 2, PAD]])
         tmask = targets != PAD
-        return emb, dec, enc_states, h_fwd_fin, enc_mask, gold_in, targets, tmask
+        return emb, dec, enc_states, enc_mask, gold_in, targets, tmask
 
     def test_full_pass_gradients(self):
-        (emb, dec, enc_states, h_fwd_fin, enc_mask,
-         gold_in, targets, tmask) = self._fixture()
-        # a weight on every state stands in for the fusion pool's gradient
-        extra = np.random.default_rng(9).normal(size=(2, 3, 2))
+        # enc_states feeds attention and, through enc_states[:, -1, :H], the
+        # seed: its gradient checks both, with the bridge's where it lands.
+        emb, dec, enc_states, enc_mask, gold_in, targets, tmask = self._fixture()
+        # a weight on every encoder and decoder state stands in for the
+        # fusion pools' gradients
+        extra_rng = np.random.default_rng(9)
+        enc_extra = extra_rng.normal(size=enc_states.value.shape)
+        extra = extra_rng.normal(size=(2, 3, 2))
 
         def loss():
-            fwd = dec.forward_teacher(emb, enc_states.value, enc_mask,
-                                      h_fwd_fin.value, gold_in, targets, tmask)
-            return fwd.loss + float((fwd.states * extra).sum())
+            fwd = dec.forward_teacher(emb, enc_states.value, enc_mask, gold_in, targets, tmask)
+            return (fwd.loss + float((fwd.states * extra).sum())
+                    + float((enc_states.value * enc_extra).sum()))
 
-        params = dec.parameters() + [emb.table, enc_states, h_fwd_fin]
+        params = dec.parameters() + [emb.table, enc_states]
         numeric = finite_difference_gradient(loss, params)
 
         for p in params:
             p.zero_grad()
-        fwd = dec.forward_teacher(emb, enc_states.value, enc_mask,
-                                  h_fwd_fin.value, gold_in, targets, tmask)
-        d_enc, d_in_emb, d_h_fin = dec.backward(fwd, extra, 1.0)
+        fwd = dec.forward_teacher(emb, enc_states.value, enc_mask, gold_in, targets, tmask)
+        d_enc, d_in_emb = dec.backward(fwd, enc_extra, extra, 1.0)
         emb.accumulate_grad(fwd.input_ids, d_in_emb)
         emb.freeze_pad_row()
         analytic = {p.name: p.grad for p in dec.parameters()}
         analytic["embedding.table"] = emb.table.grad
         analytic["enc_states"] = d_enc
-        analytic["h_fwd_fin"] = d_h_fin
         report = gradient_check(analytic, numeric, tol=1e-4)
         assert report.passed, report.format_table()
 
     def test_loss_scale_multiplies_gradients(self):
-        (emb, dec, enc_states, h_fwd_fin, enc_mask,
-         gold_in, targets, tmask) = self._fixture(seed=1)
+        emb, dec, enc_states, enc_mask, gold_in, targets, tmask = self._fixture(seed=1)
         grads = {}
         for scale in (1.0, 2.0):
             for p in dec.parameters():
                 p.zero_grad()
-            fwd = dec.forward_teacher(emb, enc_states.value, enc_mask,
-                                      h_fwd_fin.value, gold_in, targets, tmask)
-            dec.backward(fwd, np.zeros_like(fwd.states), scale)
+            fwd = dec.forward_teacher(emb, enc_states.value, enc_mask, gold_in, targets, tmask)
+            dec.backward(fwd, np.zeros_like(enc_states.value), np.zeros_like(fwd.states), scale)
             grads[scale] = {p.name: p.grad.copy() for p in dec.parameters()}
         for name in grads[1.0]:
             np.testing.assert_allclose(grads[2.0][name], 2.0 * grads[1.0][name],
                                        atol=1e-12)
 
     def test_teacher_forced_inputs_are_gold(self):
-        (emb, dec, enc_states, h_fwd_fin, enc_mask,
-         gold_in, targets, tmask) = self._fixture(seed=2)
-        fwd = dec.forward_teacher(emb, enc_states.value, enc_mask,
-                                  h_fwd_fin.value, gold_in, targets, tmask)
+        emb, dec, enc_states, enc_mask, gold_in, targets, tmask = self._fixture(seed=2)
+        fwd = dec.forward_teacher(emb, enc_states.value, enc_mask, gold_in, targets, tmask)
         np.testing.assert_array_equal(fwd.input_ids, gold_in)
 
     def test_scheduled_sampling_feeds_own_argmax(self):
-        (emb, dec, enc_states, h_fwd_fin, enc_mask,
-         gold_in, targets, tmask) = self._fixture(seed=3)
+        emb, dec, enc_states, enc_mask, gold_in, targets, tmask = self._fixture(seed=3)
         rng = np.random.default_rng(0)
-        fwd = dec.forward_teacher(emb, enc_states.value, enc_mask,
-                                  h_fwd_fin.value, gold_in, targets, tmask,
+        fwd = dec.forward_teacher(emb, enc_states.value, enc_mask, gold_in, targets, tmask,
                                   sample_rng=rng, teacher_forcing_ratio=0.0)
         np.testing.assert_array_equal(fwd.input_ids[:, 0], gold_in[:, 0])
         for t in range(1, gold_in.shape[1]):
@@ -482,12 +498,10 @@ class TestTeacherForcedPass:
             np.testing.assert_array_equal(fwd.input_ids[:, t], np.argmax(logits, axis=1))
 
     def test_scheduled_sampling_is_seed_deterministic(self):
-        (emb, dec, enc_states, h_fwd_fin, enc_mask,
-         gold_in, targets, tmask) = self._fixture(seed=4)
+        emb, dec, enc_states, enc_mask, gold_in, targets, tmask = self._fixture(seed=4)
         runs = []
         for _ in range(2):
-            fwd = dec.forward_teacher(emb, enc_states.value, enc_mask,
-                                      h_fwd_fin.value, gold_in, targets, tmask,
+            fwd = dec.forward_teacher(emb, enc_states.value, enc_mask, gold_in, targets, tmask,
                                       sample_rng=np.random.default_rng(42),
                                       teacher_forcing_ratio=0.5)
             runs.append(fwd.input_ids.copy())
@@ -550,18 +564,20 @@ class TestStepBatchedAttention:
             assert relative_error(got[name], want[name]) > REL_TOL, name
 
 
-def step_at_a_time(dec, emb, enc_states, enc_mask, h_fwd_fin, gold_in, targets,
-                   tmask, d_states_extra, loss_scale, sample_rng=None, ratio=1.0):
-    """Reference teacher-forced pass: the plain LSTM step and attention once
-    per step, and their backward passes once per step on the way back.
+def step_at_a_time(dec, emb, enc_states, enc_mask, gold_in, targets, tmask,
+                   d_enc_extra, d_states_extra, loss_scale, sample_rng=None, ratio=1.0):
+    """Reference teacher-forced pass: the bridge from the forward final
+    encoder state enc_states[:, -1, :H], the plain LSTM step and attention
+    once per step, and their backward passes once per step on the way back.
     Returns the forward values and the input gradients, and leaves the
     parameter gradients in dec."""
     for p in dec.parameters():
         p.zero_grad()
     B, K = gold_in.shape
     fmask = tmask.astype(float)
-    s0, c = dec.initial_state(h_fwd_fin)
-    s = s0
+    h_fwd_fin = enc_states[:, -1, :dec.cell.d_hid]
+    s0 = np.tanh(h_fwd_fin @ dec.bridge_W.value.T + dec.bridge_b.value)
+    s, c = s0, np.zeros_like(s0)
     input_ids = gold_in.copy()
     states, steps, combined = [], [], []  # combined feeds the sampled inputs
     for t in range(K):
@@ -593,9 +609,10 @@ def step_at_a_time(dec, emb, enc_states, enc_mask, h_fwd_fin, gold_in, targets,
     d_pre = ds0 * (1.0 - s0 * s0)
     dec.bridge_W.grad += d_pre.T @ h_fwd_fin
     dec.bridge_b.grad += d_pre.sum(axis=0)
+    d_enc += d_enc_extra
+    d_enc[:, -1, :dec.cell.d_hid] += d_pre @ dec.bridge_W.value
     return {"loss": loss, "lse": lse, "states": states,
-            "input_ids": input_ids, "d_enc": d_enc, "dX": dX,
-            "d_h_fwd_fin": d_pre @ dec.bridge_W.value}
+            "input_ids": input_ids, "d_enc": d_enc, "dX": dX}
 
 
 class TestStepBatchedPass:
@@ -613,33 +630,31 @@ class TestStepBatchedPass:
         dec = OutlineDecoder(vocab, H, H, rng)
         enc_states = rng.normal(size=(B, T, 2 * H))
         enc_mask = prefix_mask(rng, B, T)
-        h_fwd_fin = rng.normal(size=(B, H))
         ids = np.full((B, K + 1), PAD)
         for b, n in enumerate(rng.integers(1, K + 1, size=B)):
             ids[b, :n + 1] = [BOS, *rng.integers(4, vocab, size=n - 1), 2]
         targets = ids[:, 1:]
-        extra = rng.normal(size=(B, K, H))
-        return emb, dec, enc_states, enc_mask, h_fwd_fin, ids[:, :-1], targets, targets != PAD, extra
+        extras = (rng.normal(size=enc_states.shape), rng.normal(size=(B, K, H)))
+        return emb, dec, enc_states, enc_mask, ids[:, :-1], targets, targets != PAD, extras
 
     @pytest.mark.parametrize("ratio", [1.0, 0.5])
     @pytest.mark.parametrize("B,K,T,H", SHAPES)
     def test_matches_step_at_a_time(self, B, K, T, H, ratio):
-        emb, dec, enc, enc_mask, h_fin, gold_in, targets, tmask, extra = self._fixture(B, K, T, H)
-        ref = step_at_a_time(dec, emb, enc, enc_mask, h_fin, gold_in, targets, tmask,
-                             extra, 0.7, np.random.default_rng(3), ratio)
+        emb, dec, enc, enc_mask, gold_in, targets, tmask, extras = self._fixture(B, K, T, H)
+        ref = step_at_a_time(dec, emb, enc, enc_mask, gold_in, targets, tmask,
+                             *extras, 0.7, np.random.default_rng(3), ratio)
         ref_grads = {p.name: p.grad.copy() for p in dec.parameters()}
 
         for p in dec.parameters():
             p.zero_grad()
-        fwd = dec.forward_teacher(emb, enc, enc_mask, h_fin, gold_in, targets, tmask,
+        fwd = dec.forward_teacher(emb, enc, enc_mask, gold_in, targets, tmask,
                                   sample_rng=np.random.default_rng(3),
                                   teacher_forcing_ratio=ratio)
-        d_enc, dX, d_h_fwd_fin = dec.backward(fwd, extra, 0.7)
+        d_enc, dX = dec.backward(fwd, *extras, 0.7)
         got = {"loss": fwd.loss, "lse": fwd.lse, "states": fwd.states,
-               "input_ids": fwd.input_ids, "d_enc": d_enc, "dX": dX,
-               "d_h_fwd_fin": d_h_fwd_fin}
+               "input_ids": fwd.input_ids, "d_enc": d_enc, "dX": dX}
         assert np.array_equal(got["input_ids"], ref["input_ids"])
-        for name in ("states", "loss", "lse", "d_enc", "dX", "d_h_fwd_fin"):
+        for name in ("states", "loss", "lse", "d_enc", "dX"):
             assert relative_error(got[name], ref[name]) <= REL_TOL, name
         for p in dec.parameters():
             assert relative_error(p.grad, ref_grads[p.name]) <= REL_TOL, p.name
@@ -647,19 +662,27 @@ class TestStepBatchedPass:
     def test_transposed_bridge_is_caught(self):
         # The bridge weight transposed in the reference only (it is square):
         # every state and gradient must move beyond REL_TOL.
-        emb, dec, enc, enc_mask, h_fin, gold_in, targets, tmask, extra = self._fixture(2, 3, 4, 3)
-        fwd = dec.forward_teacher(emb, enc, enc_mask, h_fin, gold_in, targets, tmask)
-        d_enc, dX, _ = dec.backward(fwd, extra, 0.7)
+        emb, dec, enc, enc_mask, gold_in, targets, tmask, extras = self._fixture(2, 3, 4, 3)
+        fwd = dec.forward_teacher(emb, enc, enc_mask, gold_in, targets, tmask)
+        d_enc, dX = dec.backward(fwd, *extras, 0.7)
         dec.bridge_W.value[...] = dec.bridge_W.value.T.copy()
-        ref = step_at_a_time(dec, emb, enc, enc_mask, h_fin, gold_in, targets, tmask, extra, 0.7)
+        ref = step_at_a_time(dec, emb, enc, enc_mask, gold_in, targets, tmask, *extras, 0.7)
         for name, value in (("states", fwd.states), ("d_enc", d_enc), ("dX", dX)):
             assert relative_error(value, ref[name]) > REL_TOL, name
 
     def test_scheduled_sampling_draws_a_coin_per_row_and_later_step(self):
         B, K = 3, 5
-        emb, dec, enc, enc_mask, h_fin, gold_in, targets, tmask, _ = self._fixture(B, K, 4, 3)
+        emb, dec, enc, enc_mask, gold_in, targets, tmask, _ = self._fixture(B, K, 4, 3)
         coins = Mock(wraps=np.random.default_rng(0))
-        dec.forward_teacher(emb, enc, enc_mask, h_fin, gold_in, targets, tmask,
+        dec.forward_teacher(emb, enc, enc_mask, gold_in, targets, tmask,
                             sample_rng=coins, teacher_forcing_ratio=0.5)
         assert [call.args for call in coins.random.call_args_list] == [(B,)] * (K - 1)
         assert [name for name, _, _ in coins.mock_calls] == ["random"] * (K - 1)
+
+    def test_teacher_forcing_draws_no_coins(self):
+        emb, dec, enc, enc_mask, gold_in, targets, tmask, _ = self._fixture(3, 5, 4, 3)
+        coins = Mock(wraps=np.random.default_rng(0))
+        fwd = dec.forward_teacher(emb, enc, enc_mask, gold_in, targets, tmask,
+                                  sample_rng=coins, teacher_forcing_ratio=1.0)
+        assert fwd.input_ids is gold_in
+        assert coins.mock_calls == []

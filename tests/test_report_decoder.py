@@ -197,19 +197,6 @@ class TestLatentInference:
         assert not latent.mean.any() and not latent.logvar.any()
         np.testing.assert_array_equal(latent.z, eps)
 
-    def test_prior_latent_deterministic_mode(self):
-        dec = tiny_decoder()
-        latent = dec.prior_latent(3)
-        assert not latent.mean.any() and not latent.logvar.any()
-        assert not latent.z.any()
-
-    def test_prior_latent_sampled_mode(self):
-        dec = tiny_decoder()
-        eps = np.random.default_rng(3).normal(size=(3, 2))
-        latent = dec.prior_latent(3, noise=eps)
-        np.testing.assert_array_equal(latent.z, eps)
-        assert not latent.mean.any()
-
     def test_recorded_noise_reproduces_sample(self):
         dec = tiny_decoder()
         rng = np.random.default_rng(4)
