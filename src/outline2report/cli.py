@@ -77,11 +77,11 @@ def cmd_train(args) -> int:
         state = load_checkpoint(args.resume)
         prefix = "training."
         differ = sorted(key for key, value in values.items() if key.startswith(prefix)
-                        and value != state.config[key[len(prefix):]])
+                        and value != getattr(state.config, key[len(prefix):]))
         if differ:
             raise CliError(f"--resume takes training.* from the checkpoint; "
                            f"{', '.join(differ)} differ from it")
-        cfg = TrainingConfig(**state.config)
+        cfg = state.config
     else:
         cfg = section_config(TrainingConfig, "training", values)
     epochs = cfg.max_epochs if args.epochs is None else args.epochs

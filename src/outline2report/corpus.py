@@ -129,13 +129,13 @@ class Vocabulary:
     def encode(self, tokens) -> list[int]:
         return [self.index.get(tok, UNK) for tok in tokens]
 
-    def decode(self, ids, strip_specials: bool = True) -> list[str]:
+    def decode(self, ids) -> list[str]:
         out = []
         for i in ids:
             i = int(i)
             if not 0 <= i < len(self.tokens):
                 raise CorpusError(f"token id {i} out of range for vocabulary of size {len(self.tokens)}")
-            if strip_specials and i in (PAD, BOS, EOS, UNK):
+            if i in (PAD, BOS, EOS, UNK):
                 continue
             out.append(self.tokens[i])
         return out

@@ -29,8 +29,8 @@ CHECKPOINT_VERSION = 1
 LOSS_LOG_HEADER = "epoch,step,L_outline,L_report,L_model"
 
 _HEADER_KEYS = ("config", "step", "adam_t", "rng_state", "vocab_sha256", "vocab_size", "arrays")
-# Array name prefixes of a checkpoint: parameters, then the two Adam moments.
-_ARRAY_PREFIXES = ("", "adam.m.", "adam.v.")
+# Array name prefixes of the two Adam moments; a parameter's array is its bare name.
+_MOMENT_PREFIXES = ("adam.m.", "adam.v.")
 
 
 class CheckpointError(RuntimeError):
@@ -125,7 +125,7 @@ class StepRecord:
 
 @dataclass
 class CheckpointState:
-    config: dict
+    config: TrainingConfig
     step: int
     adam_t: int
     rng_state: dict
@@ -151,7 +151,7 @@ def save_checkpoint(path, model: NewsToReportModel, optimizer: AdamOptimizer,
 
     for p in params:
         add(p.name, p.value)
-    for prefix, store in zip(_ARRAY_PREFIXES[1:], (optimizer.m, optimizer.v)):
+    for prefix, store in zip(_MOMENT_PREFIXES, (optimizer.m, optimizer.v)):
         for p in params:
             add(prefix + p.name, store[p.name])
     header = {
@@ -206,13 +206,13 @@ def load_checkpoint(path) -> CheckpointState:
         raise BadHeaderError(f"{path}: vocab_sha256 must be a string, "
                              f"got {header['vocab_sha256']!r}")
     try:
-        TrainingConfig(**header["config"])
+        config = TrainingConfig(**header["config"])
     except (TypeError, ConfigError) as exc:
         raise BadHeaderError(f"{path}: config does not fit TrainingConfig: {exc}") from None
     payload = data[header_end:]
     arrays = dict(_read_array(path, payload, entry) for entry in header["arrays"])
     return CheckpointState(
-        config=header["config"], step=header["step"], adam_t=header["adam_t"],
+        config=config, step=header["step"], adam_t=header["adam_t"],
         rng_state=header["rng_state"], vocab_sha256=header["vocab_sha256"],
         vocab_size=header["vocab_size"], arrays=arrays)
 
@@ -232,42 +232,14 @@ def _read_array(path, payload, entry):
     return name, np.frombuffer(payload[lo:lo + nbytes], dtype="<f8").reshape(shape).astype(FLOAT)
 
 
-def check_compatible(state: CheckpointState, params, prefixes=("",), vocab=None) -> None:
-    """The one compatibility check of a checkpoint: saved for `vocab` (if
-    given), with an array at the right shape per parameter and name prefix."""
-    if vocab is not None:
-        if state.vocab_sha256 != vocab.digest():
-            raise CheckpointError(
-                f"vocabulary digest mismatch (checkpoint {str(state.vocab_sha256)[:12]}..., "
-                f"supplied {vocab.digest()[:12]}...)")
-        if state.vocab_size != len(vocab):
-            raise ShapeMismatchError(
-                f"checkpoint built for vocabulary of {state.vocab_size}, got {len(vocab)}")
-    for p in params:
-        for prefix in prefixes:
-            name = prefix + p.name
-            if name not in state.arrays:
-                raise ShapeMismatchError(f"checkpoint missing array {name!r}")
-            if state.arrays[name].shape != p.value.shape:
-                raise ShapeMismatchError(f"array {name!r} has shape {state.arrays[name].shape}, "
-                                         f"model expects {p.value.shape}")
-
-
-def apply_checkpoint(state: CheckpointState, model: NewsToReportModel,
-                     optimizer: AdamOptimizer, noise_rng, vocab=None) -> None:
-    """Load arrays, moments, step-independent RNG state into live objects,
-    once check_compatible passes (with the vocabulary, when given)."""
-    params = model.parameters()
-    check_compatible(state, params, _ARRAY_PREFIXES, vocab)
-    try:
-        noise_rng.bit_generator.state = state.rng_state
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise BadHeaderError(f"rng_state does not fit the noise generator: {exc!r}") from None
-    for p in params:
-        p.value[...] = state.arrays[p.name]
-        for prefix, store in zip(_ARRAY_PREFIXES[1:], (optimizer.m, optimizer.v)):
-            store[p.name][...] = state.arrays[prefix + p.name]
-    optimizer.t = state.adam_t
+def _saved_array(state: CheckpointState, name: str, shape) -> np.ndarray:
+    """The checkpoint's array `name`, which must exist at `shape`."""
+    if name not in state.arrays:
+        raise ShapeMismatchError(f"checkpoint missing array {name!r}")
+    if state.arrays[name].shape != shape:
+        raise ShapeMismatchError(f"array {name!r} has shape {state.arrays[name].shape}, "
+                                 f"model expects {shape}")
+    return state.arrays[name]
 
 
 # -- the loop ------------------------------------------------------------------
@@ -323,10 +295,14 @@ class Trainer:
             # moments at 0, so the frozen parameters move by exactly 0.0
             for p in self.model.outline_decoder.parameters():
                 p.zero_grad()
-        norm = clip_global_norm(self.model.parameters(), self.cfg.gradient_clip_norm)
+        params = self.model.parameters()
+        norm = clip_global_norm(params, self.cfg.gradient_clip_norm)
         if not math.isfinite(norm):
-            raise NonFiniteLossError(
-                f"step {self.step}: gradient norm is {norm!r}; parameters left unchanged")
+            bad = next((p.name for p in params if not np.isfinite(p.grad).all()), None)
+            cause = (f"first non-finite gradient: {bad}" if bad is not None
+                     else "every gradient finite, so their sum of squares overflowed")
+            raise NonFiniteLossError(f"step {self.step}: gradient norm is {norm!r} ({cause}); "
+                                     f"parameters left unchanged")
         self.optimizer.step()
         record = StepRecord(epoch, self.step, fwd.loss_outline,
                             fwd.loss_report, fwd.loss_model)
@@ -352,19 +328,33 @@ class Trainer:
 
 
 def restore_model(state: CheckpointState, vocab: Vocabulary) -> NewsToReportModel:
-    """Model with parameters loaded from a checkpoint; no optimizer state."""
-    model = build_model(vocab, TrainingConfig(**state.config))
-    check_compatible(state, model.parameters(), vocab=vocab)
+    """Model with parameters loaded from a checkpoint saved for `vocab`; the
+    one check and copy of a checkpoint's parameters."""
+    if state.vocab_sha256 != vocab.digest():
+        raise CheckpointError(
+            f"vocabulary digest mismatch (checkpoint {state.vocab_sha256[:12]}..., "
+            f"supplied {vocab.digest()[:12]}...)")
+    if state.vocab_size != len(vocab):
+        raise ShapeMismatchError(
+            f"checkpoint built for vocabulary of {state.vocab_size}, got {len(vocab)}")
+    model = build_model(vocab, state.config)
     for p in model.parameters():
-        p.value[...] = state.arrays[p.name]
+        p.value[...] = _saved_array(state, p.name, p.value.shape)
     return model
 
 
 def resume_trainer(state: CheckpointState, pairs, vocab: Vocabulary) -> Trainer:
-    """Trainer continuing bit-exactly from a loaded checkpoint."""
-    cfg = TrainingConfig(**state.config)
-    model = build_model(vocab, cfg)
-    trainer = Trainer(model, pairs, vocab, cfg)
-    apply_checkpoint(state, model, trainer.optimizer, trainer.noise_rng, vocab)
+    """Trainer continuing bit-exactly from a loaded checkpoint: the restored
+    model plus what training adds, the Adam moments, noise state and step."""
+    trainer = Trainer(restore_model(state, vocab), pairs, vocab, state.config)
+    opt = trainer.optimizer
+    for prefix, store in zip(_MOMENT_PREFIXES, (opt.m, opt.v)):
+        for p in opt.params:
+            store[p.name][...] = _saved_array(state, prefix + p.name, p.value.shape)
+    try:
+        trainer.noise_rng.bit_generator.state = state.rng_state
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise BadHeaderError(f"rng_state does not fit the noise generator: {exc!r}") from None
+    opt.t = state.adam_t
     trainer.step = state.step
     return trainer

@@ -100,11 +100,6 @@ class TestVocabulary:
         toks = ["a", "c", "b"]
         assert v.decode(v.encode(toks)) == toks
 
-    def test_decode_keeps_specials_when_asked(self):
-        v = build_vocabulary([make_pair("1", ["a"], ["a"])])
-        assert v.decode([BOS, v.index["a"], EOS], strip_specials=False) == [
-            "<bos>", "a", "<eos>"]
-
     def test_save_load_digest(self, tmp_path):
         v = build_vocabulary([make_pair("1", ["a", "b"], ["c", "d"])])
         p = tmp_path / "vocab.txt"

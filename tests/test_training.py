@@ -16,8 +16,8 @@ from outline2report.numerics import NonFiniteLossError, Parameter, clip_global_n
 from outline2report.training import (
     CHECKPOINT_MAGIC, LOSS_LOG_HEADER, AdamOptimizer, BadHeaderError,
     CheckpointError, ShapeMismatchError, StepRecord, Trainer,
-    TruncatedCheckpointError, VersionMismatchError, apply_checkpoint,
-    load_checkpoint, restore_model, resume_trainer)
+    TruncatedCheckpointError, VersionMismatchError, load_checkpoint,
+    restore_model, resume_trainer)
 
 from model_oracles import joint_loss
 
@@ -292,26 +292,70 @@ class TestTrainingLoop:
         with pytest.raises(NonFiniteLossError, match="outline log-sum-exp"):
             trainer.train_one_step()
 
+    def _plant_in_backward(self, monkeypatch, model, plant):
+        """Run `plant` after every backward pass of `model`."""
+        backward = model.backward
+
+        def planted(fwd):
+            backward(fwd)
+            plant()
+
+        monkeypatch.setattr(model, "backward", planted)
+
     def test_non_finite_gradient_stops_before_the_update(self, monkeypatch):
         trainer, _, _ = make_trainer()
         trainer.train_one_step()  # so the Adam moments are not all zero
         model, opt = trainer.model, trainer.optimizer
-        backward = model.backward
 
-        def backward_with_inf(fwd):
-            backward(fwd)
+        def plant():
             model.report_decoder.W_out.grad[0, 0] = np.inf
 
-        monkeypatch.setattr(model, "backward", backward_with_inf)
+        self._plant_in_backward(monkeypatch, model, plant)
         values = {p.name: p.value.copy() for p in model.parameters()}
         moments = {name: (opt.m[name].copy(), opt.v[name].copy()) for name in values}
-        with pytest.raises(NonFiniteLossError, match="gradient norm"):
+        with pytest.raises(NonFiniteLossError, match="gradient norm") as err:
             trainer.train_one_step()
+        assert "first non-finite gradient: report.out.W" in str(err.value)
+        assert "parameters left unchanged" in str(err.value)
         for p in model.parameters():
             np.testing.assert_array_equal(p.value, values[p.name])
             np.testing.assert_array_equal(opt.m[p.name], moments[p.name][0])
             np.testing.assert_array_equal(opt.v[p.name], moments[p.name][1])
         assert opt.t == 1 and trainer.step == 1
+
+    def test_non_finite_gradient_names_the_earliest_block(self, monkeypatch):
+        trainer, _, _ = make_trainer()
+        model = trainer.model
+        first, later = model.encoder.parameters()[0], model.report_decoder.W_out
+
+        def plant():
+            later.grad[0, 0] = np.inf
+            first.grad.flat[1] = np.nan
+
+        self._plant_in_backward(monkeypatch, model, plant)
+        names = [p.name for p in model.parameters()]
+        assert names.index(first.name) < names.index(later.name)
+        with pytest.raises(NonFiniteLossError, match="step 0: gradient norm is nan") as err:
+            trainer.train_one_step()
+        assert (f"(first non-finite gradient: {first.name}); parameters left unchanged"
+                in str(err.value))
+
+    def test_overflowing_gradient_norm_says_so(self, monkeypatch):
+        trainer, _, _ = make_trainer()
+        model = trainer.model
+
+        def plant():
+            for p in model.parameters():
+                p.grad[...] = 1e200
+
+        self._plant_in_backward(monkeypatch, model, plant)
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteLossError,
+                                                       match="gradient norm is inf") as err:
+            trainer.train_one_step()
+        assert ("(every gradient finite, so their sum of squares overflowed); "
+                "parameters left unchanged" in str(err.value))
+        assert all(np.isfinite(p.grad).all() for p in model.parameters())
+        assert trainer.optimizer.t == 0 and trainer.step == 0
 
     def test_epoch_reshuffles_but_stays_seeded(self):
         trainer, _, _ = make_trainer()
@@ -412,15 +456,31 @@ class TestCheckpointing:
         with pytest.raises(TruncatedCheckpointError):
             load_checkpoint(path)
 
-    def test_shape_mismatch_on_apply(self, tmp_path):
+    def _saved_with(self, tmp_path, old, new):
+        """(path, pairs, vocab) of a micro checkpoint with `old` replaced by
+        `new`, of the same length, once in its header."""
         trainer, pairs, vocab = make_trainer()
         path = tmp_path / "ck.o2r"
         trainer.save(path)
-        other_cfg = micro_cfg(d_hid=4)
-        other = Trainer(build_model(vocab, other_cfg), pairs, vocab, other_cfg)
-        with pytest.raises(ShapeMismatchError):
-            apply_checkpoint(load_checkpoint(path), other.model,
-                             other.optimizer, other.noise_rng)
+        blob = path.read_bytes()
+        assert blob.count(old) == 1 and len(new) == len(old)
+        path.write_bytes(blob.replace(old, new))
+        return path, pairs, vocab
+
+    def test_shape_mismatch_on_restore_and_resume(self, tmp_path):
+        path, pairs, vocab = self._saved_with(tmp_path, b'"d_hid": 5', b'"d_hid": 4')
+        with pytest.raises(ShapeMismatchError, match="model expects"):
+            restore_model(load_checkpoint(path), vocab)
+        with pytest.raises(ShapeMismatchError, match="model expects"):
+            resume_trainer(load_checkpoint(path), pairs, vocab)
+
+    def test_missing_moment_fails_resume_only(self, tmp_path):
+        # generation reads only the parameters; training also needs the moments
+        path, pairs, vocab = self._saved_with(
+            tmp_path, b'"adam.v.report.out.W"', b'"adam.v.report.out.X"')
+        restore_model(load_checkpoint(path), vocab)
+        with pytest.raises(ShapeMismatchError, match="'adam.v.report.out.W'"):
+            resume_trainer(load_checkpoint(path), pairs, vocab)
 
     def test_vocab_digest_mismatch(self, tmp_path):
         trainer, pairs, _ = make_trainer()
