@@ -90,8 +90,7 @@ def cmd_train(args) -> int:
     if not pairs:
         raise CliError(f"{dataset}: no training pairs")
     vocab = Vocabulary.load(vocab_path)
-    if any(p.outline is None for p in pairs):
-        pairs = derive_outlines(pairs, k=cfg.outline_k)
+    pairs = derive_outlines(pairs, k=cfg.outline_k)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     if args.resume:

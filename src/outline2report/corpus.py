@@ -221,9 +221,9 @@ def derive_silver_outline(pair: NewsReportPair, stats: DocumentFrequencies, k: i
     return chosen
 
 
-def derive_outlines(pairs, k: int = 0, stats: DocumentFrequencies | None = None):
+def derive_outlines(pairs, k: int = 0):
     """Fill missing outlines across a corpus; k = 0 uses max(3, ceil(len/8))."""
-    stats = stats or DocumentFrequencies.from_pairs(pairs)
+    stats = DocumentFrequencies.from_pairs(pairs)
     out = []
     for pair in pairs:
         if pair.outline is not None:

@@ -20,6 +20,7 @@ import numpy as np
 
 from .config import DecodeConfig
 from .corpus import BOS, EOS, PAD, Vocabulary, wrap_ids
+from .model import shifted_targets
 from .numerics import log_softmax, run_lstm
 from .outline_decoder import attend
 from .report_decoder import fuse_news_outline
@@ -145,20 +146,6 @@ def beam_search(step_fn, init_state, width, max_len, eos_id=EOS, bos_id=BOS):
                            best_total / len(best_tokens))
 
 
-def run_decode(strategy, step_fn, init_state, max_len, *, width=1,
-               temperature=1.0, rng=None, eos_id=EOS, bos_id=BOS):
-    if strategy == "greedy":
-        return greedy_decode(step_fn, init_state, max_len, eos_id, bos_id)
-    if strategy == "beam":
-        return beam_search(step_fn, init_state, width, max_len, eos_id, bos_id)
-    if strategy == "sample":
-        if rng is None:
-            raise ValueError("sampling needs a random generator")
-        return sample_decode(step_fn, init_state, max_len, rng, temperature,
-                             eos_id, bos_id)
-    raise ValueError(f"unknown decode strategy {strategy!r}")
-
-
 # -- model-backed generation ---------------------------------------------------
 
 
@@ -206,51 +193,41 @@ def generate(news_tokens, model, vocab: Vocabulary,
     emb = model.embedding
     enc_states, _ = model.encoder.forward(emb.lookup(ids), mask)
 
-    odec = model.outline_decoder
+    odec, rdec = model.outline_decoder, model.report_decoder
     rng = np.random.default_rng(np.random.SeedSequence([dcfg.seed, 3]))
 
-    # Rows step as [n,1,H] stacks: x @ W.T on one is a [1,H] product per row,
-    # bit-equal to stepping the row alone, where an [n,H] GEMM may sum a row in
-    # another order. They attend as n batch rows over the news row broadcast.
-    def start(state):
-        return tuple(a[:, None] for a in state)
+    def search(decoder, head, init, max_len):
+        """Decode one stage with dcfg's strategy. Rows step as [n,1,H] stacks:
+        x @ W.T on one is a [1,H] product per row, bit-equal to stepping the
+        row alone, where an [n,H] GEMM may sum a row in another order."""
+        def step_fn(state, tokens):
+            state = decoder.step(emb.lookup(np.array(tokens, dtype=np.int64)[:, None]), state)
+            return _emission_mask(head(state[0])[:, 0]), state
 
-    def embed(tokens):
-        return emb.lookup(np.array(tokens, dtype=np.int64)[:, None])
-
-    def outline_step(state, tokens):
-        s, c = odec.step(embed(tokens), state)
-        news = np.broadcast_to(enc_states, (len(s),) + enc_states.shape[1:])
-        return _emission_mask(odec.logits(news, mask, s)[:, 0]), (s, c)
+        init = tuple(a[:, None] for a in init)
+        if dcfg.strategy == "beam":
+            return beam_search(step_fn, init, dcfg.beam_width, max_len)
+        if dcfg.strategy == "sample":
+            return sample_decode(step_fn, init, max_len, rng, dcfg.temperature)
+        return greedy_decode(step_fn, init, max_len)
 
     outline_init = odec.initial_state(enc_states)
-    outline = run_decode(
-        dcfg.strategy, outline_step, start(outline_init),
-        dcfg.max_outline_len, width=dcfg.beam_width,
-        temperature=dcfg.temperature, rng=rng)
+    # the n query rows attend over the one news row, which matmul broadcasts
+    outline = search(odec, lambda s: odec.logits(enc_states, mask, s), outline_init,
+                     dcfg.max_outline_len)
 
     # replay the chosen outline in one pass to collect the decoder states for
     # fusion (and the attention rows, if asked for)
-    fed = np.array([(BOS,) + outline.tokens[:-1]], dtype=np.int64)
-    fed_mask = np.ones(fed.shape, dtype=bool)
+    fed, _, fed_mask = shifted_targets(np.array([(BOS,) + outline.tokens], dtype=np.int64))
     states, _ = run_lstm(odec.cell, emb.lookup(fed), fed_mask, h0=outline_init[0])
     u, _ = fuse_news_outline(enc_states, mask, states, fed_mask)
     attention = (attend(enc_states, states, mask, odec.W_a, odec.W_c).weights[0]
                  if dcfg.record_attention else None)
 
-    rdec = model.report_decoder
     z = (np.zeros((1, rdec.d_z)) if dcfg.deterministic_latent
          else rng.standard_normal((1, rdec.d_z)))
     h0, c0, _ = rdec.initial_state(z, u)
-
-    def report_step(state, tokens):
-        h, c = rdec.step(embed(tokens), state)
-        logits = h @ rdec.W_out.value.T
-        return _emission_mask(logits[:, 0]), (h, c)
-
-    report = run_decode(
-        dcfg.strategy, report_step, start((h0, c0)), dcfg.max_report_len,
-        width=dcfg.beam_width, temperature=dcfg.temperature, rng=rng)
+    report = search(rdec, rdec.logits, (h0, c0), dcfg.max_report_len)
 
     return GenerationResult(
         outline_ids=outline.tokens, report_ids=report.tokens,

@@ -141,7 +141,7 @@ def run_comparative(pairs, base_cfg: TrainingConfig | None = None,
     Returns (rows, table text); each row carries the metrics block from
     evaluation_report plus the system name.
     """
-    outlined = derive_outlines(pairs) if any(p.outline is None for p in pairs) else list(pairs)
+    outlined = derive_outlines(pairs)
     vocab = build_vocabulary(outlined)
     if base_cfg is None:
         base_cfg = TrainingConfig(batch_size=8, max_epochs=epochs)

@@ -118,6 +118,10 @@ class ReportDecoder:
         h, c = state
         return self.cell.step(self.cell.input_gates(x_emb), h, c, self.cell.W_h.value.T)[:2]
 
+    def logits(self, h):
+        """The report head: states h [..., H] -> vocabulary logits [..., V]."""
+        return h @ self.W_out.value.T
+
     def forward_teacher(self, embedding, u, report_summary,
                         gold_in_ids, targets, target_mask, noise, beta,
                         sample_rng=None, teacher_forcing_ratio=1.0) -> ReportForward:
@@ -127,7 +131,7 @@ class ReportDecoder:
         h0, c0, init_in = self.initial_state(latent.z, u)
         input_ids = scheduled_inputs(
             self.step, embedding.lookup, gold_in_ids, target_mask, (h0, c0),
-            lambda h: h @ self.W_out.value.T, sample_rng, teacher_forcing_ratio)
+            self.logits, sample_rng, teacher_forcing_ratio)
         states, run_cache = run_lstm(self.cell, embedding.lookup(input_ids), target_mask, h0=h0)
         nll, lse = sequence_nll(states, self.W_out.value, targets, target_mask)
         loss = nll + beta * float(np.mean(kl_rows))

@@ -233,12 +233,14 @@ def _read_array(path, payload, entry):
 
 
 def _saved_array(state: CheckpointState, name: str, shape) -> np.ndarray:
-    """The checkpoint's array `name`, which must exist at `shape`."""
+    """The checkpoint's array `name`, which must exist at `shape`, finite."""
     if name not in state.arrays:
         raise ShapeMismatchError(f"checkpoint missing array {name!r}")
     if state.arrays[name].shape != shape:
         raise ShapeMismatchError(f"array {name!r} has shape {state.arrays[name].shape}, "
                                  f"model expects {shape}")
+    if not np.isfinite(state.arrays[name]).all():
+        raise CheckpointError(f"array {name!r} holds non-finite values")
     return state.arrays[name]
 
 
@@ -279,6 +281,7 @@ class Trainer:
         chunk = [self.pairs[i] for i in order[lo:lo + self.cfg.batch_size]]
         return encode_batch(chunk, self.vocab, self.caps)
 
+    @np.errstate(over="ignore", invalid="ignore")  # its own checks name the fault
     def train_one_step(self) -> StepRecord:
         epoch = self.step // self.num_batches
         batch = self._batch_at(epoch, self.step % self.num_batches)

@@ -3,6 +3,8 @@
 import argparse
 import io
 import json
+import math
+import struct
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -410,6 +412,25 @@ class TestMalformedInput:
                      "--resume", str(ckpt)])
         assert code == 1
         assert_one_line_error(capsys, fragment)
+
+    @pytest.mark.parametrize("command", ["generate", "resume"])
+    def test_checkpoint_array_that_is_not_finite(self, trained, tmp_path, capsys, command):
+        blob = trained["checkpoint"].read_bytes()
+        end = 16 + int.from_bytes(blob[8:16], "little")
+        entry = next(e for e in json.loads(blob[16:end])["arrays"]
+                     if e["name"] == "report.out.W")
+        at = end + entry["offset"]
+        ckpt = tmp_path / "ck.o2r"
+        ckpt.write_bytes(blob[:at] + struct.pack("<d", math.nan) + blob[at + 8:])
+        argv = {
+            "generate": ["generate", "--checkpoint", str(ckpt), "--vocab", str(trained["vocab"]),
+                         "--news", "storms", "--greedy"],
+            "resume": ["train", "--dataset", str(trained["dataset"]),
+                       "--vocab", str(trained["vocab"]), "--out", str(tmp_path / "run"),
+                       "--resume", str(ckpt)],
+        }[command]
+        assert main(argv) == 1
+        assert_one_line_error(capsys, "array 'report.out.W' holds non-finite values")
 
     @pytest.mark.parametrize("field,value", [("offset", -8), ("nbytes", 8)])
     def test_array_extent_that_does_not_fit_its_shape(self, trained, tmp_path, capsys,

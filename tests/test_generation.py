@@ -1,17 +1,18 @@
 import itertools
 import json
 import math
-from unittest.mock import Mock
+from unittest.mock import DEFAULT, Mock
 
 import numpy as np
 import pytest
 
+from outline2report import generation
 from outline2report.config import DecodeConfig, TrainingConfig
 from outline2report.corpus import (
     BOS, EOS, PAD, NewsReportPair, build_vocabulary, derive_outlines, tokenize)
 from outline2report.generation import (
     beam_search, bleu, corpus_bleu, evaluation_report, generate,
-    greedy_decode, length_stats, repetition_rate, run_decode, sample_decode)
+    greedy_decode, length_stats, repetition_rate, sample_decode)
 from outline2report.model import build_model
 from outline2report.numerics import LSTMCell, Parameter
 from outline2report.outline_decoder import attend
@@ -259,16 +260,6 @@ class TestSampleDecode:
             sample_decode(lambda s, t: (np.zeros(2), s), (), 3,
                           np.random.default_rng(0), temperature=0.0)
 
-    def test_run_decode_dispatch(self):
-        table = self._table()
-        step = make_step(table)
-        g = run_decode("greedy", step, ROOT, 3, eos_id=0, bos_id=None)
-        assert g.tokens == greedy_decode(step, ROOT, 3, eos_id=0, bos_id=None).tokens
-        with pytest.raises(ValueError, match="strategy"):
-            run_decode("widest", step, (), 3)
-        with pytest.raises(ValueError):
-            run_decode("sample", step, (), 3, rng=None)
-
 
 class TestBleu:
     def test_identity(self):
@@ -434,8 +425,9 @@ class TestStackedRows:
             W_a = Parameter("W_a", rng.normal(size=(2 * H, H)))
             W_c = Parameter("W_c", rng.normal(size=(H, 3 * H)))
             W_o = rng.normal(size=(V, H))
-            # as generate attends: n batch rows over the one news row broadcast
-            attn = attend(np.broadcast_to(enc, (n, T, 2 * H)), hs, mask, W_a, W_c)
+            # as generate attends: n query rows over the one news row, which
+            # matmul broadcasts
+            attn = attend(enc, hs, mask, W_a, W_c)
             logits = (attn.combined @ W_o.T)[:, 0]
             for i in range(n):
                 h1, c1, _ = cell.step(cell.input_gates(x[i:i + 1]), h[i:i + 1], c[i:i + 1],
@@ -462,6 +454,34 @@ class TestGenerate:
         assert a.report_ids == b.report_ids
         assert a.outline_ids == b.outline_ids
         assert a.logprob == b.logprob
+
+    @pytest.mark.parametrize("strategy,search", [
+        ("greedy", "greedy_decode"), ("beam", "beam_search"), ("sample", "sample_decode")])
+    def test_each_stage_runs_the_strategys_search(self, monkeypatch, strategy, search):
+        searches = {name: Mock(wraps=getattr(generation, name))
+                    for name in ("greedy_decode", "beam_search", "sample_decode")}
+        for name, mock in searches.items():
+            monkeypatch.setattr(generation, name, mock)
+        states = []
+
+        def record_rng_state(step_fn, init, max_len, rng, *rest):
+            states.append(rng.bit_generator.state)   # before the search draws
+            return DEFAULT                           # then the wrapped search runs
+
+        searches["sample_decode"].side_effect = record_rng_state
+        model, vocab, _ = pipeline_fixture()
+        dcfg = self._dcfg(strategy=strategy, beam_width=2, temperature=0.7, seed=11)
+        generate(["rain", "hit", "the", "coast"], model, vocab, dcfg)
+        for name, mock in searches.items():
+            assert mock.call_count == (2 if name == search else 0), name
+        if strategy == "beam":
+            assert [c.args[2] for c in searches[search].call_args_list] == [2, 2]
+        if strategy == "sample":
+            (outline_args, _), (report_args, _) = searches[search].call_args_list
+            assert outline_args[3] is report_args[3]
+            assert outline_args[4:] == report_args[4:] == (0.7,)
+            seeded = np.random.default_rng(np.random.SeedSequence([11, 3]))
+            assert states[0] == seeded.bit_generator.state
 
     def test_beam_width_one_matches_greedy(self):
         model, vocab, _ = pipeline_fixture()

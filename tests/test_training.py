@@ -286,6 +286,7 @@ class TestTrainingLoop:
         with pytest.raises(NonFiniteLossError, match="report"):
             trainer.train_one_step()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_non_finite_outline_projection_names_the_outline(self):
         trainer, _, _ = make_trainer()
         trainer.model.outline_decoder.W_o.value[3, 0] = np.inf
@@ -340,6 +341,7 @@ class TestTrainingLoop:
         assert (f"(first non-finite gradient: {first.name}); parameters left unchanged"
                 in str(err.value))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_gradient_norm_says_so(self, monkeypatch):
         trainer, _, _ = make_trainer()
         model = trainer.model
@@ -349,8 +351,7 @@ class TestTrainingLoop:
                 p.grad[...] = 1e200
 
         self._plant_in_backward(monkeypatch, model, plant)
-        with np.errstate(over="ignore"), pytest.raises(NonFiniteLossError,
-                                                       match="gradient norm is inf") as err:
+        with pytest.raises(NonFiniteLossError, match="gradient norm is inf") as err:
             trainer.train_one_step()
         assert ("(every gradient finite, so their sum of squares overflowed); "
                 "parameters left unchanged" in str(err.value))
@@ -480,6 +481,26 @@ class TestCheckpointing:
             tmp_path, b'"adam.v.report.out.W"', b'"adam.v.report.out.X"')
         restore_model(load_checkpoint(path), vocab)
         with pytest.raises(ShapeMismatchError, match="'adam.v.report.out.W'"):
+            resume_trainer(load_checkpoint(path), pairs, vocab)
+
+    def test_non_finite_moment_fails_resume_only(self, tmp_path):
+        trainer, pairs, vocab = make_trainer()
+        trainer.optimizer.v["report.out.W"][0, 0] = np.nan
+        path = tmp_path / "ck.o2r"
+        trainer.save(path)
+        restore_model(load_checkpoint(path), vocab)
+        with pytest.raises(CheckpointError,
+                           match="array 'adam.v.report.out.W' holds non-finite values"):
+            resume_trainer(load_checkpoint(path), pairs, vocab)
+
+    def test_non_finite_parameter_fails_restore_and_resume(self, tmp_path):
+        trainer, pairs, vocab = make_trainer()
+        trainer.model.report_decoder.W_out.value[0, 0] = np.inf
+        path = tmp_path / "ck.o2r"
+        trainer.save(path)
+        with pytest.raises(CheckpointError, match="array 'report.out.W' holds non-finite"):
+            restore_model(load_checkpoint(path), vocab)
+        with pytest.raises(CheckpointError, match="array 'report.out.W' holds non-finite"):
             resume_trainer(load_checkpoint(path), pairs, vocab)
 
     def test_vocab_digest_mismatch(self, tmp_path):
