@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
+import os
 import sys
 from collections import Counter
 from pathlib import Path
@@ -66,6 +68,33 @@ def cmd_build_vocab(args) -> int:
     return 0
 
 
+def _resumed_log(path: Path, step: int) -> str:
+    """The loss log that a run resumed at `step` appends to: the log at `path`
+    cut to its header and its rows of steps 0 to step-1, or the header alone
+    where there is no log yet."""
+    if not path.exists():
+        return LOSS_LOG_HEADER + "\n"
+    header, *rows = path.read_text(encoding="utf-8").splitlines() or [""]
+    if header != LOSS_LOG_HEADER:
+        raise CliError(f"{path}: first line is not the loss log header")
+    kept = []
+    for lineno, row in enumerate(rows, start=2):
+        fields = row.split(",")
+        try:
+            row_step = int(fields[1])
+            parsed = (len(fields) == 5 and int(fields[0]) >= 0
+                      and all(math.isfinite(float(v)) for v in fields[2:]))
+        except (IndexError, ValueError):
+            parsed = False
+        if not parsed:
+            raise CliError(f"{path}:{lineno}: not a loss log row: {row!r}")
+        if row_step < step:
+            kept.append((row_step, row))
+    if [row_step for row_step, _ in kept] != list(range(step)):
+        raise CliError(f"{path}: its rows below step {step} are not steps 0 to {step - 1} in order")
+    return "\n".join([header] + [row for _, row in kept]) + "\n"
+
+
 def cmd_train(args) -> int:
     values = _load_values(args)
     dataset = _require(values.get("data.dataset"), "dataset path")
@@ -93,19 +122,19 @@ def cmd_train(args) -> int:
     pairs = derive_outlines(pairs, k=cfg.outline_k)
 
     out_dir.mkdir(parents=True, exist_ok=True)
+    log_path = out_dir / "loss_log.csv"
     if args.resume:
         trainer = resume_trainer(state, pairs, vocab)
+        log_text = _resumed_log(log_path, trainer.step)
         print(f"resumed from {args.resume} at step {trainer.step}", file=sys.stderr)
     else:
         trainer = Trainer(build_model(vocab, cfg), pairs, vocab, cfg)
-
-    log_path = out_dir / "loss_log.csv"
-    log_mode = "a" if args.resume else "w"
+        log_text = LOSS_LOG_HEADER + "\n"
+    tmp_path = out_dir / "loss_log.csv.tmp"  # replaced into place, as checkpoints are
+    tmp_path.write_text(log_text, encoding="utf-8")
+    os.replace(tmp_path, log_path)
     final_path = out_dir / "checkpoint.o2r"
-    with open(log_path, log_mode, encoding="utf-8") as log:
-        if not args.resume:
-            log.write(LOSS_LOG_HEADER + "\n")
-
+    with open(log_path, "a", encoding="utf-8") as log:
         def on_step(rec):
             log.write(rec.csv_row() + "\n")
 

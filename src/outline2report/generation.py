@@ -100,21 +100,20 @@ def beam_search(step_fn, init_state, width, max_len, eos_id=EOS, bos_id=BOS):
     sum(logp) / length with EOS counted in both; ties break toward the
     lexicographically smaller token-id sequence.
 
-    One step_fn call per step covers every live hypothesis. All live
-    hypotheses have the same length, so an expansion's place in the order
-    (-total, tokens) is (-total, its parent's place among the live rows, its
-    token). The global top `width` lie within each row's top `width`, which
-    a stable sort on -total orders with the smaller token first.
+    One step_fn call per step covers every live hypothesis. The live rows
+    have one length and are kept in lexicographic order of their tokens, so
+    a stable sort of the flattened [rows, V] expansions on -total orders them
+    as (-total, tokens) does. Its first `width` finite entries survive; sorted
+    by flat index they are again in token order.
     """
     if width < 1:
         raise ValueError("beam width must be >= 1")
     if max_len < 1:
         return DecodedSequence((), (), -math.inf)
     state = init_state
-    tokens = np.zeros((1, 0), dtype=np.int64)   # live hypotheses, one per row
+    tokens = np.zeros((1, 0), dtype=np.int64)   # live hypotheses, one per row, in token order
     logps = np.zeros((1, 0))
     totals = np.zeros(1)
-    rank = np.zeros(1, dtype=np.int64)          # lexicographic rank of each row
     finished: list[tuple] = []
     prev = None if bos_id is None else np.full(1, bos_id)
     for _ in range(max_len):
@@ -122,19 +121,15 @@ def beam_search(step_fn, init_state, width, max_len, eos_id=EOS, bos_id=BOS):
             break
         logp, state = step_fn(state, prev)
         cand = totals[:, None] + logp
-        top = np.argsort(-cand, axis=1, kind="stable")[:, :width]
-        parent, tok = np.nonzero(np.take_along_axis(logp, top, axis=1) != -math.inf)
-        tok = top[parent, tok]
+        best = np.argsort(-cand, axis=None, kind="stable")[:width]
+        parent, tok = np.divmod(np.sort(best[logp.flat[best] != -math.inf]), logp.shape[1])
         total = cand[parent, tok]
-        keep = np.lexsort((tok, rank[parent], -total))[:width]
-        parent, tok, total = parent[keep], tok[keep], total[keep]
         tokens = np.concatenate([tokens[parent], tok[:, None]], axis=1)
         logps = np.concatenate([logps[parent], logp[parent, tok][:, None]], axis=1)
         done = tok == eos_id
         finished.extend(zip(tokens[done].tolist(), logps[done].tolist(), total[done].tolist()))
         live = ~done
         tokens, logps, totals = tokens[live], logps[live], total[live]
-        rank = np.argsort(np.lexsort((tok[live], rank[parent[live]])))  # inverse permutation
         state = _take_rows(state, parent[live])
         prev = tokens[:, -1]
     pool = finished + list(zip(tokens.tolist(), logps.tolist(), totals.tolist()))

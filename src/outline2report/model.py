@@ -38,8 +38,6 @@ class ModelForward:
     u: np.ndarray
     pool_weights: tuple             # ([B, T], [B, K]): the fusion pools' weights
     report: ReportForward
-    loss_outline: float
-    loss_report: float
     loss_model: float
 
 
@@ -83,7 +81,7 @@ class NewsToReportModel:
         report_summary, summary_weights = masked_mean_pool(
             self.embedding.lookup(batch.report_ids), batch.report_mask)
         u, pool_weights = fuse_news_outline(
-            enc_states, batch.news_mask, out_fwd.states, o_tmask)
+            enc_states, batch.news_mask, out_fwd.attention.state, o_tmask)
 
         r_in, r_tgt, r_tmask = shifted_targets(batch.report_ids)
         rep_fwd = self.report_decoder.forward_teacher(
@@ -94,7 +92,6 @@ class NewsToReportModel:
             batch=batch, news_emb=news_emb, enc_states=enc_states,
             enc_cache=enc_cache, outline=out_fwd, summary_weights=summary_weights, u=u,
             pool_weights=pool_weights, report=rep_fwd,
-            loss_outline=out_fwd.loss, loss_report=rep_fwd.loss,
             loss_model=self.cfg.outline_loss_weight * out_fwd.loss + rep_fwd.loss)
 
     def backward(self, fwd: ModelForward):

@@ -1,7 +1,7 @@
 """Dense float64 numerics shared by every model component.
 
-Activations, the four-gate LSTM cell with its hand-derived backward pass, a
-masked sequence runner for variable-length batches, and the central
+Activations, the affine backward, the four-gate LSTM cell with its backward
+pass, a masked sequence runner for variable-length batches, and the central
 finite-difference gradient oracle used to verify every analytic gradient.
 
 All arrays are 64-bit floats; verification against finite differences at
@@ -67,6 +67,14 @@ class Parameter:
 
     def zero_grad(self):
         self.grad[...] = 0.0
+
+
+def affine_backward(x, d, W: Parameter, b: Parameter):
+    """Backward through y = x @ Wᵀ + b given d = dL/dy: accumulates W's and
+    b's grads, returns dL/dx."""
+    W.grad += d.T @ x
+    b.grad += d.sum(axis=0)
+    return d @ W.value
 
 
 class LSTMCell:

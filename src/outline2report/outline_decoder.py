@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import (FLOAT, LSTMCell, Parameter, masked_row_softmax, run_lstm,
-                       run_lstm_backward, scheduled_inputs, uniform_init)
+from .numerics import (FLOAT, LSTMCell, Parameter, affine_backward, masked_row_softmax,
+                       run_lstm, run_lstm_backward, scheduled_inputs, uniform_init)
 
 
 @dataclass
@@ -141,15 +141,13 @@ def sequence_nll_backward(hidden, W, targets, mask, lse, scale=1.0):
 
 @dataclass
 class OutlineForward:
-    states: np.ndarray        # [B, K, H] decoder LSTM states
     lse: np.ndarray           # log-sum-exp of each valid step's logits
     loss: float
     input_ids: np.ndarray     # [B, K] ids actually fed (teacher forcing or sampled)
     targets: np.ndarray       # [B, K] gold ids
     target_mask: np.ndarray   # [B, K] bool, False at padding
-    attention: AttentionStep  # all K steps, combined [B, K, H]; holds enc_states
-    run_cache: object
-    bridge_out: np.ndarray    # s0 [B, H], post-tanh
+    attention: AttentionStep  # all K steps; holds enc_states and the decoder states
+    run_cache: object         # h_prev[0] is the seed s0
 
 
 class OutlineDecoder:
@@ -179,8 +177,7 @@ class OutlineDecoder:
     def step(self, x_emb, state):
         """One recurrence step from state, an (s, c) pair of [B, H] arrays, to
         the next such pair."""
-        s, c = state
-        return self.cell.step(self.cell.input_gates(x_emb), s, c, self.cell.W_h.value.T)[:2]
+        return self.cell.step(self.cell.input_gates(x_emb), *state, self.cell.W_h.value.T)[:2]
 
     def logits(self, enc_states, enc_mask, s):
         """The outline head: attention over enc_states for states s [B,K,H],
@@ -205,9 +202,8 @@ class OutlineDecoder:
         attn = attend(enc_states, states, enc_mask, self.W_a, self.W_c)
         loss, lse = sequence_nll(attn.combined, self.W_o.value, targets, target_mask)
         return OutlineForward(
-            states=states, lse=lse, loss=loss, input_ids=input_ids,
-            targets=targets, target_mask=target_mask, attention=attn, run_cache=run_cache,
-            bridge_out=s0)
+            lse=lse, loss=loss, input_ids=input_ids, targets=targets,
+            target_mask=target_mask, attention=attn, run_cache=run_cache)
 
     def backward(self, fwd: OutlineForward, d_enc_extra, d_states_extra, loss_scale):
         """Backward through the whole teacher-forced pass, of loss_scale * loss.
@@ -226,11 +222,10 @@ class OutlineDecoder:
         dS += d_states_extra
         dX, ds0 = run_lstm_backward(self.cell, fwd.run_cache, dS)
 
-        s0 = fwd.bridge_out
+        s0 = fwd.run_cache.h_prev[0]
         H = s0.shape[1]
-        d_pre = ds0 * (1.0 - s0 * s0)
-        self.bridge_W.grad += d_pre.T @ fwd.attention.enc_states[:, -1, :H]
-        self.bridge_b.grad += d_pre.sum(axis=0)
+        dx = affine_backward(fwd.attention.enc_states[:, -1, :H], ds0 * (1.0 - s0 * s0),
+                             self.bridge_W, self.bridge_b)
         d_enc += d_enc_extra
-        d_enc[:, -1, :H] += d_pre @ self.bridge_W.value
+        d_enc[:, -1, :H] += dx
         return d_enc, dX

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import (FLOAT, LSTMCell, Parameter, run_lstm, run_lstm_backward,
-                       scheduled_inputs, uniform_init)
+from .numerics import (FLOAT, LSTMCell, Parameter, affine_backward, run_lstm,
+                       run_lstm_backward, scheduled_inputs, uniform_init)
 from .outline_decoder import sequence_nll, sequence_nll_backward
 
 
@@ -32,8 +32,6 @@ def masked_mean_pool(X, mask):
 def fuse_news_outline(enc_states, enc_mask, outline_states, outline_mask):
     """u = [mean-pool(encoder states) ; mean-pool(outline states)], with the
     two pools' weights."""
-    if enc_states.shape[1] == 0 or outline_states.shape[1] == 0:
-        raise ValueError("fusion needs non-empty encoder and outline state sequences")
     pool_enc, w_enc = masked_mean_pool(enc_states, enc_mask)
     pool_out, w_out = masked_mean_pool(outline_states, outline_mask)
     return np.concatenate([pool_enc, pool_out], axis=1), (w_enc, w_out)
@@ -59,10 +57,7 @@ def gaussian_kl(mean, logvar):
     0.5 * sum(exp(logvar) + mean^2 - 1 - logvar); nonnegative, zero exactly
     at (0, 0). Returns a scalar for vectors, a per-row array for matrices.
     """
-    mean = np.asarray(mean, dtype=FLOAT)
-    logvar = np.asarray(logvar, dtype=FLOAT)
-    kl = 0.5 * np.sum(np.exp(logvar) + mean * mean - 1.0 - logvar, axis=-1)
-    return float(kl) if kl.ndim == 0 else kl
+    return 0.5 * np.sum(np.exp(logvar) + mean * mean - 1.0 - logvar, axis=-1)
 
 
 @dataclass
@@ -70,7 +65,6 @@ class ReportForward:
     recog_in: np.ndarray
     latent: LatentSample
     kl_rows: np.ndarray
-    init_out: np.ndarray      # h0 [B, H], post-tanh
     init_in: np.ndarray       # [z ; u]
     states: np.ndarray        # [B, K, H]
     lse: np.ndarray           # log-sum-exp of each valid step's logits
@@ -79,7 +73,7 @@ class ReportForward:
     input_ids: np.ndarray
     targets: np.ndarray       # [B, K] gold ids
     target_mask: np.ndarray   # [B, K] bool, False at padding
-    run_cache: object
+    run_cache: object         # h_prev[0] is the seed h0
 
 
 class ReportDecoder:
@@ -115,8 +109,7 @@ class ReportDecoder:
         return h0, np.zeros_like(h0), init_in
 
     def step(self, x_emb, state):
-        h, c = state
-        return self.cell.step(self.cell.input_gates(x_emb), h, c, self.cell.W_h.value.T)[:2]
+        return self.cell.step(self.cell.input_gates(x_emb), *state, self.cell.W_h.value.T)[:2]
 
     def logits(self, h):
         """The report head: states h [..., H] -> vocabulary logits [..., V]."""
@@ -136,10 +129,9 @@ class ReportDecoder:
         nll, lse = sequence_nll(states, self.W_out.value, targets, target_mask)
         loss = nll + beta * float(np.mean(kl_rows))
         return ReportForward(
-            recog_in=recog_in, latent=latent, kl_rows=kl_rows, init_out=h0,
-            init_in=init_in, states=states, lse=lse, loss=loss, beta=beta,
-            input_ids=input_ids, targets=targets, target_mask=target_mask,
-            run_cache=run_cache)
+            recog_in=recog_in, latent=latent, kl_rows=kl_rows, init_in=init_in,
+            states=states, lse=lse, loss=loss, beta=beta, input_ids=input_ids,
+            targets=targets, target_mask=target_mask, run_cache=run_cache)
 
     def backward(self, fwd: ReportForward):
         """Backward through NLL + beta*KL; accumulates parameter grads.
@@ -152,11 +144,8 @@ class ReportDecoder:
         self.W_out.grad += dW_out
         dX, dh0 = run_lstm_backward(self.cell, fwd.run_cache, dS)
 
-        h0 = fwd.init_out
-        d_init_pre = dh0 * (1.0 - h0 * h0)
-        self.W_init.grad += d_init_pre.T @ fwd.init_in
-        self.b_init.grad += d_init_pre.sum(axis=0)
-        d_init_in = d_init_pre @ self.W_init.value
+        h0 = fwd.run_cache.h_prev[0]
+        d_init_in = affine_backward(fwd.init_in, dh0 * (1.0 - h0 * h0), self.W_init, self.b_init)
         dz = d_init_in[:, :self.d_z]
         du = d_init_in[:, self.d_z:]
 
@@ -167,11 +156,8 @@ class ReportDecoder:
         d_mean += dz
         d_logvar += dz * latent.noise * 0.5 * np.exp(0.5 * latent.logvar)
 
-        self.W_mu.grad += d_mean.T @ fwd.recog_in
-        self.b_mu.grad += d_mean.sum(axis=0)
-        self.W_lv.grad += d_logvar.T @ fwd.recog_in
-        self.b_lv.grad += d_logvar.sum(axis=0)
-        d_recog_in = d_mean @ self.W_mu.value + d_logvar @ self.W_lv.value
+        d_recog_in = (affine_backward(fwd.recog_in, d_mean, self.W_mu, self.b_mu)
+                      + affine_backward(fwd.recog_in, d_logvar, self.W_lv, self.b_lv))
         d_u_dim = du.shape[1]
         du += d_recog_in[:, :d_u_dim]
         d_report_summary = d_recog_in[:, d_u_dim:]

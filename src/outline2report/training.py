@@ -34,23 +34,7 @@ _MOMENT_PREFIXES = ("adam.m.", "adam.v.")
 
 
 class CheckpointError(RuntimeError):
-    """Base for unreadable or inconsistent checkpoint files."""
-
-
-class BadHeaderError(CheckpointError):
-    pass
-
-
-class VersionMismatchError(CheckpointError):
-    pass
-
-
-class TruncatedCheckpointError(CheckpointError):
-    pass
-
-
-class ShapeMismatchError(CheckpointError):
-    pass
+    """An unreadable, inconsistent or unsavable checkpoint."""
 
 
 class AdamOptimizer:
@@ -91,14 +75,14 @@ def diagnose_forward(fwd: ModelForward) -> str:
         ("news embeddings", fwd.news_emb),
         ("encoder states", fwd.enc_states),
         ("outline log-sum-exp", fwd.outline.lse),
-        ("outline loss", fwd.loss_outline),
+        ("outline loss", fwd.outline.loss),
         ("fusion vector", fwd.u),
         ("latent mean", fwd.report.latent.mean),
         ("latent logvar", fwd.report.latent.logvar),
         ("latent sample", fwd.report.latent.z),
         ("KL term", fwd.report.kl_rows),
         ("report log-sum-exp", fwd.report.lse),
-        ("report loss", fwd.loss_report),
+        ("report loss", fwd.report.loss),
     ]
     for name, value in stages:
         if not np.all(np.isfinite(value)):
@@ -143,7 +127,7 @@ def save_checkpoint(path, model: NewsToReportModel, optimizer: AdamOptimizer,
 
     def add(name, array):
         nonlocal offset
-        a = np.ascontiguousarray(array, dtype="<f8")
+        a = np.ascontiguousarray(_finite(name, array), dtype="<f8")
         entries.append({"name": name, "shape": list(a.shape),
                         "offset": offset, "nbytes": a.nbytes})
         blobs.append(a.tobytes())
@@ -179,36 +163,36 @@ def load_checkpoint(path) -> CheckpointState:
     with open(path, "rb") as fh:
         data = fh.read()
     if len(data) < len(CHECKPOINT_MAGIC) + 8:
-        raise TruncatedCheckpointError(f"{path}: file shorter than fixed header")
+        raise CheckpointError(f"{path}: file shorter than fixed header")
     if data[:8] != CHECKPOINT_MAGIC:
-        raise BadHeaderError(f"{path}: bad header (magic bytes do not match)")
+        raise CheckpointError(f"{path}: bad header (magic bytes do not match)")
     (header_len,) = struct.unpack("<Q", data[8:16])
     header_end = 16 + header_len
     if len(data) < header_end:
-        raise TruncatedCheckpointError(f"{path}: truncated JSON header")
+        raise CheckpointError(f"{path}: truncated JSON header")
     try:
         header = json.loads(data[16:header_end].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise BadHeaderError(f"{path}: unparseable header: {exc}") from exc
+        raise CheckpointError(f"{path}: unparseable header: {exc}") from exc
     if not isinstance(header, dict):
-        raise BadHeaderError(f"{path}: header is not a JSON object")
+        raise CheckpointError(f"{path}: header is not a JSON object")
     version = header.get("version")
     if version != CHECKPOINT_VERSION:
-        raise VersionMismatchError(
+        raise CheckpointError(
             f"{path}: checkpoint version {version!r}, expected {CHECKPOINT_VERSION}")
     missing = [key for key in _HEADER_KEYS if key not in header]
     if missing or not isinstance(header["arrays"], list):
-        raise BadHeaderError(f"{path}: header lacks {', '.join(missing) or 'a list of arrays'}")
+        raise CheckpointError(f"{path}: header lacks {', '.join(missing) or 'a list of arrays'}")
     for key in ("step", "adam_t", "vocab_size"):
         if not (type(header[key]) is int and header[key] >= 0):
-            raise BadHeaderError(f"{path}: {key} must be a non-negative int, got {header[key]!r}")
+            raise CheckpointError(f"{path}: {key} must be a non-negative int, got {header[key]!r}")
     if not isinstance(header["vocab_sha256"], str):
-        raise BadHeaderError(f"{path}: vocab_sha256 must be a string, "
-                             f"got {header['vocab_sha256']!r}")
+        raise CheckpointError(f"{path}: vocab_sha256 must be a string, "
+                              f"got {header['vocab_sha256']!r}")
     try:
         config = TrainingConfig(**header["config"])
     except (TypeError, ConfigError) as exc:
-        raise BadHeaderError(f"{path}: config does not fit TrainingConfig: {exc}") from None
+        raise CheckpointError(f"{path}: config does not fit TrainingConfig: {exc}") from None
     payload = data[header_end:]
     arrays = dict(_read_array(path, payload, entry) for entry in header["arrays"])
     return CheckpointState(
@@ -223,25 +207,30 @@ def _read_array(path, payload, entry):
         name, shape, lo, nbytes = (entry[key] for key in ("name", "shape", "offset", "nbytes"))
         sizes = [lo, nbytes, *shape]
     except (KeyError, TypeError):
-        raise BadHeaderError(f"{path}: malformed array entry {entry!r}") from None
+        raise CheckpointError(f"{path}: malformed array entry {entry!r}") from None
     if not all(isinstance(v, int) and v >= 0 for v in sizes) or nbytes != 8 * math.prod(shape):
-        raise BadHeaderError(f"{path}: array {name!r}: offset {lo!r}, nbytes {nbytes!r} "
-                             f"do not fit shape {shape!r}")
+        raise CheckpointError(f"{path}: array {name!r}: offset {lo!r}, nbytes {nbytes!r} "
+                              f"do not fit shape {shape!r}")
     if lo + nbytes > len(payload):
-        raise TruncatedCheckpointError(f"{path}: array {name!r} extends past end of file")
+        raise CheckpointError(f"{path}: array {name!r} extends past end of file")
     return name, np.frombuffer(payload[lo:lo + nbytes], dtype="<f8").reshape(shape).astype(FLOAT)
 
 
 def _saved_array(state: CheckpointState, name: str, shape) -> np.ndarray:
     """The checkpoint's array `name`, which must exist at `shape`, finite."""
     if name not in state.arrays:
-        raise ShapeMismatchError(f"checkpoint missing array {name!r}")
+        raise CheckpointError(f"checkpoint missing array {name!r}")
     if state.arrays[name].shape != shape:
-        raise ShapeMismatchError(f"array {name!r} has shape {state.arrays[name].shape}, "
-                                 f"model expects {shape}")
-    if not np.isfinite(state.arrays[name]).all():
+        raise CheckpointError(f"array {name!r} has shape {state.arrays[name].shape}, "
+                              f"model expects {shape}")
+    return _finite(name, state.arrays[name])
+
+
+def _finite(name: str, array) -> np.ndarray:
+    """array, which must hold only finite values, as a checkpoint does."""
+    if not np.isfinite(array).all():
         raise CheckpointError(f"array {name!r} holds non-finite values")
-    return state.arrays[name]
+    return array
 
 
 # -- the loop ------------------------------------------------------------------
@@ -307,8 +296,7 @@ class Trainer:
             raise NonFiniteLossError(f"step {self.step}: gradient norm is {norm!r} ({cause}); "
                                      f"parameters left unchanged")
         self.optimizer.step()
-        record = StepRecord(epoch, self.step, fwd.loss_outline,
-                            fwd.loss_report, fwd.loss_model)
+        record = StepRecord(epoch, self.step, fwd.outline.loss, fwd.report.loss, fwd.loss_model)
         self.history.append(record)
         self.step += 1
         return record
@@ -338,7 +326,7 @@ def restore_model(state: CheckpointState, vocab: Vocabulary) -> NewsToReportMode
             f"vocabulary digest mismatch (checkpoint {state.vocab_sha256[:12]}..., "
             f"supplied {vocab.digest()[:12]}...)")
     if state.vocab_size != len(vocab):
-        raise ShapeMismatchError(
+        raise CheckpointError(
             f"checkpoint built for vocabulary of {state.vocab_size}, got {len(vocab)}")
     model = build_model(vocab, state.config)
     for p in model.parameters():
@@ -357,7 +345,7 @@ def resume_trainer(state: CheckpointState, pairs, vocab: Vocabulary) -> Trainer:
     try:
         trainer.noise_rng.bit_generator.state = state.rng_state
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise BadHeaderError(f"rng_state does not fit the noise generator: {exc!r}") from None
+        raise CheckpointError(f"rng_state does not fit the noise generator: {exc!r}") from None
     opt.t = state.adam_t
     trainer.step = state.step
     return trainer

@@ -144,6 +144,47 @@ class TestTrain:
         assert ((full / "checkpoint.o2r").read_bytes()
                 == (split / "checkpoint.o2r").read_bytes())
 
+    @pytest.mark.parametrize("epoch", [1, 2])
+    def test_resume_from_a_periodic_checkpoint(self, dataset, vocab, tmp_path, epoch):
+        # the split run's log already holds every step: the resumed run cuts
+        # it back to the checkpoint's step before it appends
+        every = ("--set", "training.checkpoint_every_epochs=1")
+        full, split = tmp_path / "full", tmp_path / "split"
+        assert run_train(dataset, vocab, full, "--epochs", "3", *every) == 0
+        assert run_train(dataset, vocab, split, "--epochs", "3", *every) == 0
+        (split / "checkpoint.o2r").unlink()
+        assert run_train(dataset, vocab, split, "--epochs", "3", *every, "--resume",
+                         str(split / f"checkpoint_epoch{epoch:04d}.o2r")) == 0
+        for name in ("loss_log.csv", "checkpoint.o2r"):
+            assert (full / name).read_bytes() == (split / name).read_bytes(), name
+
+    def test_resume_into_a_fresh_directory_writes_the_header(self, dataset, vocab, tmp_path):
+        out, fresh = tmp_path / "run", tmp_path / "fresh"
+        assert run_train(dataset, vocab, out, "--epochs", "1") == 0
+        assert run_train(dataset, vocab, fresh, "--epochs", "2",
+                         "--resume", str(out / "checkpoint.o2r")) == 0
+        log = (fresh / "loss_log.csv").read_text().splitlines()
+        assert log[0] == "epoch,step,L_outline,L_report,L_model"
+        assert [row.split(",")[1] for row in log[1:]] == ["2", "3"]
+
+    @pytest.mark.parametrize("edit,fragment", [
+        (lambda rows: ["step,epoch"] + rows[1:], "first line is not the loss log header"),
+        (lambda rows: rows + ["1,two,0.5,0.5,1.0"], "not a loss log row"),
+        (lambda rows: rows[:1] + rows[2:], "rows below step 2 are not steps 0 to 1 in order"),
+    ], ids=["header", "row", "gap"])
+    def test_resume_onto_a_malformed_log(self, dataset, vocab, tmp_path, capsys,
+                                         edit, fragment):
+        out = tmp_path / "run"
+        assert run_train(dataset, vocab, out, "--epochs", "1") == 0
+        log = out / "loss_log.csv"
+        log.write_text("".join(row + "\n" for row in edit(log.read_text().splitlines())))
+        before = log.read_bytes()
+        capsys.readouterr()
+        assert run_train(dataset, vocab, out, "--epochs", "2",
+                         "--resume", str(out / "checkpoint.o2r")) == 1
+        assert_one_line_error(capsys, fragment)
+        assert log.read_bytes() == before
+
     def test_bare_resume_takes_the_checkpoint_settings(self, dataset, vocab, tmp_path):
         settings = ("--set", "training.outline_k=2", "--set", "training.max_epochs=3")
         full, split = tmp_path / "full", tmp_path / "split"

@@ -451,7 +451,7 @@ class TestTeacherForcedPass:
 
         def loss():
             fwd = dec.forward_teacher(emb, enc_states.value, enc_mask, gold_in, targets, tmask)
-            return (fwd.loss + float((fwd.states * extra).sum())
+            return (fwd.loss + float((fwd.attention.state * extra).sum())
                     + float((enc_states.value * enc_extra).sum()))
 
         params = dec.parameters() + [emb.table, enc_states]
@@ -476,7 +476,8 @@ class TestTeacherForcedPass:
             for p in dec.parameters():
                 p.zero_grad()
             fwd = dec.forward_teacher(emb, enc_states.value, enc_mask, gold_in, targets, tmask)
-            dec.backward(fwd, np.zeros_like(enc_states.value), np.zeros_like(fwd.states), scale)
+            dec.backward(fwd, np.zeros_like(enc_states.value),
+                         np.zeros_like(fwd.attention.state), scale)
             grads[scale] = {p.name: p.grad.copy() for p in dec.parameters()}
         for name in grads[1.0]:
             np.testing.assert_allclose(grads[2.0][name], 2.0 * grads[1.0][name],
@@ -651,7 +652,7 @@ class TestStepBatchedPass:
                                   sample_rng=np.random.default_rng(3),
                                   teacher_forcing_ratio=ratio)
         d_enc, dX = dec.backward(fwd, *extras, 0.7)
-        got = {"loss": fwd.loss, "lse": fwd.lse, "states": fwd.states,
+        got = {"loss": fwd.loss, "lse": fwd.lse, "states": fwd.attention.state,
                "input_ids": fwd.input_ids, "d_enc": d_enc, "dX": dX}
         assert np.array_equal(got["input_ids"], ref["input_ids"])
         for name in ("states", "loss", "lse", "d_enc", "dX"):
@@ -667,7 +668,7 @@ class TestStepBatchedPass:
         d_enc, dX = dec.backward(fwd, *extras, 0.7)
         dec.bridge_W.value[...] = dec.bridge_W.value.T.copy()
         ref = step_at_a_time(dec, emb, enc, enc_mask, gold_in, targets, tmask, *extras, 0.7)
-        for name, value in (("states", fwd.states), ("d_enc", d_enc), ("dX", dX)):
+        for name, value in (("states", fwd.attention.state), ("d_enc", d_enc), ("dX", dX)):
             assert relative_error(value, ref[name]) > REL_TOL, name
 
     def test_scheduled_sampling_draws_a_coin_per_row_and_later_step(self):
