@@ -246,7 +246,6 @@ class Batch:
     """Padded id matrices, each row BOS ... EOS PAD..., and the non-PAD masks
     of news and report; the model masks the outline by its shifted targets."""
 
-    pair_ids: list
     news_ids: np.ndarray
     news_mask: np.ndarray
     outline_ids: np.ndarray
@@ -255,7 +254,7 @@ class Batch:
 
     @property
     def size(self) -> int:
-        return len(self.pair_ids)
+        return len(self.news_ids)
 
 
 def wrap_ids(tokens, vocab: Vocabulary, cap: int) -> list[int]:
@@ -286,8 +285,5 @@ def encode_batch(pairs, vocab: Vocabulary, caps: LengthCaps = LengthCaps()) -> B
     n_ids, n_mask = _pad_rows(news)
     o_ids, _ = _pad_rows(outline)
     r_ids, r_mask = _pad_rows(report)
-    return Batch(
-        pair_ids=[p.id for p in pairs],
-        news_ids=n_ids, news_mask=n_mask, outline_ids=o_ids,
-        report_ids=r_ids, report_mask=r_mask,
-    )
+    return Batch(news_ids=n_ids, news_mask=n_mask, outline_ids=o_ids,
+                 report_ids=r_ids, report_mask=r_mask)

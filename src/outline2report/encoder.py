@@ -6,8 +6,6 @@ backward LSTM states, so encoder states have dimension 2 * d_hid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .corpus import PAD
@@ -50,12 +48,6 @@ class Embedding:
         self.table.grad[PAD] = 0.0
 
 
-@dataclass
-class EncoderCache:
-    fwd_run: object
-    bwd_run: object
-
-
 class BiLSTMEncoder:
     """Forward pass left-to-right, backward pass right-to-left, concatenated."""
 
@@ -68,7 +60,7 @@ class BiLSTMEncoder:
         return self.fwd.parameters() + self.bwd.parameters()
 
     def forward(self, X, mask):
-        """X [B,T,d_emb], mask [B,T] -> (H [B,T,2*d_hid], cache).
+        """X [B,T,d_emb], mask [B,T] -> (H [B,T,2*d_hid], (fwd_run, bwd_run)).
 
         Padded positions are carried, never computed into downstream values;
         consumers must apply the same mask. The forward direction's final
@@ -76,11 +68,12 @@ class BiLSTMEncoder:
         """
         Hf, fwd_run = run_lstm(self.fwd, X, mask, reverse=False)
         Hb, bwd_run = run_lstm(self.bwd, X, mask, reverse=True)
-        return np.concatenate([Hf, Hb], axis=2), EncoderCache(fwd_run, bwd_run)
+        return np.concatenate([Hf, Hb], axis=2), (fwd_run, bwd_run)
 
-    def backward(self, cache: EncoderCache, dH):
+    def backward(self, cache, dH):
         """dH [B,T,2*d_hid], grads on the final states included -> dX."""
         d = self.d_hid
-        dXf, _ = run_lstm_backward(self.fwd, cache.fwd_run, dH[:, :, :d])
-        dXb, _ = run_lstm_backward(self.bwd, cache.bwd_run, dH[:, :, d:])
+        fwd_run, bwd_run = cache
+        dXf, _ = run_lstm_backward(self.fwd, fwd_run, dH[:, :, :d])
+        dXb, _ = run_lstm_backward(self.bwd, bwd_run, dH[:, :, d:])
         return dXf + dXb

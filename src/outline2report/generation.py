@@ -2,10 +2,11 @@
 plus BLEU and repetition metrics.
 
 All decoders share one step contract: step_fn(state, tokens) feeds one token
-to each of the n rows that `state` carries along axis 0 and returns
-(log-probs [n, V], new state). `tokens` is None at the first step when there is
-no BOS id. Greedy and sampling step one row; beam search steps every live
-hypothesis in one call. Model-backed step functions carry their rows as
+to each of the n rows of `state`, a tuple of arrays holding the rows along
+axis 0, and returns (log-probs [n, V], new state). The first call feeds BOS
+to every row. Greedy and sampling step one row; beam search steps every live
+hypothesis in one call. Each search returns a DecodedSequence: the emitted
+tokens and their log-probs. Model-backed step functions carry their rows as
 [n, 1, H] stacks and mask PAD and BOS out of the emission distribution.
 """
 
@@ -33,21 +34,13 @@ from .report_decoder import fuse_news_outline
 class DecodedSequence:
     tokens: tuple          # emitted ids, including the terminal EOS if reached
     logps: tuple           # model log-prob of each emitted token
-    score: float           # sum(logps) / len(tokens), the ranking used
 
 
-def _normalized(tokens, logps) -> DecodedSequence:
-    n = len(tokens)
-    total = float(sum(logps))
-    return DecodedSequence(tuple(tokens), tuple(logps),
-                           total / n if n else -math.inf)
-
-
-def _decode_row(step_fn, init_state, max_len, choose, eos_id, bos_id):
+def _decode_row(step_fn, init_state, max_len, choose, eos_id):
     """Step one row, feeding back the token `choose(logp)` picks, until EOS
     or max_len tokens."""
     state = init_state
-    prev = None if bos_id is None else [bos_id]
+    prev = [BOS]
     tokens: list[int] = []
     logps: list[float] = []
     for _ in range(max_len):
@@ -59,17 +52,15 @@ def _decode_row(step_fn, init_state, max_len, choose, eos_id, bos_id):
         if tok == eos_id:
             break
         prev = [tok]
-    return _normalized(tokens, logps)
+    return DecodedSequence(tuple(tokens), tuple(logps))
 
 
-def greedy_decode(step_fn, init_state, max_len, eos_id=EOS, bos_id=BOS):
+def greedy_decode(step_fn, init_state, max_len, eos_id=EOS):
     """Argmax at every step; ties go to the smallest token id."""
-    return _decode_row(step_fn, init_state, max_len, lambda row: int(np.argmax(row)),
-                       eos_id, bos_id)
+    return _decode_row(step_fn, init_state, max_len, lambda row: int(np.argmax(row)), eos_id)
 
 
-def sample_decode(step_fn, init_state, max_len, rng, temperature=1.0,
-                  eos_id=EOS, bos_id=BOS):
+def sample_decode(step_fn, init_state, max_len, rng, temperature=1.0, eos_id=EOS):
     """Ancestral sampling; temperature rescales logits before normalizing.
 
     Recorded logps are those of the unscaled model distribution.
@@ -81,18 +72,11 @@ def sample_decode(step_fn, init_state, max_len, rng, temperature=1.0,
         scaled = log_softmax(row / temperature, axis=-1)
         return int(rng.choice(len(row), p=np.exp(scaled)))
 
-    return _decode_row(step_fn, init_state, max_len, draw, eos_id, bos_id)
+    return _decode_row(step_fn, init_state, max_len, draw, eos_id)
 
 
-def _take_rows(state, rows):
-    """Rows `rows` (axis 0) of a state array or of each array in a tuple."""
-    if isinstance(state, tuple):
-        return tuple(part[rows] for part in state)
-    return state[rows]
-
-
-def beam_search(step_fn, init_state, width, max_len, eos_id=EOS, bos_id=BOS):
-    """Length-normalized beam search.
+def beam_search(step_fn, init_state, width, max_len, eos_id=EOS):
+    """Length-normalized beam search from a one-row state tuple.
 
     Each step keeps the `width` best expansions by cumulative log-prob; any
     of those ending in EOS retire to the finished pool (their slot is not
@@ -109,13 +93,13 @@ def beam_search(step_fn, init_state, width, max_len, eos_id=EOS, bos_id=BOS):
     if width < 1:
         raise ValueError("beam width must be >= 1")
     if max_len < 1:
-        return DecodedSequence((), (), -math.inf)
+        return DecodedSequence((), ())
     state = init_state
     tokens = np.zeros((1, 0), dtype=np.int64)   # live hypotheses, one per row, in token order
     logps = np.zeros((1, 0))
     totals = np.zeros(1)
     finished: list[tuple] = []
-    prev = None if bos_id is None else np.full(1, bos_id)
+    prev = np.full(1, BOS)
     for _ in range(max_len):
         if not len(tokens):
             break
@@ -130,15 +114,13 @@ def beam_search(step_fn, init_state, width, max_len, eos_id=EOS, bos_id=BOS):
         finished.extend(zip(tokens[done].tolist(), logps[done].tolist(), total[done].tolist()))
         live = ~done
         tokens, logps, totals = tokens[live], logps[live], total[live]
-        state = _take_rows(state, parent[live])
+        state = tuple(part[parent[live]] for part in state)
         prev = tokens[:, -1]
     pool = finished + list(zip(tokens.tolist(), logps.tolist(), totals.tolist()))
     if not pool:
-        return DecodedSequence((), (), -math.inf)
-    best_tokens, best_logps, best_total = min(
-        pool, key=lambda h: (-(h[2] / len(h[0])), h[0]))
-    return DecodedSequence(tuple(best_tokens), tuple(best_logps),
-                           best_total / len(best_tokens))
+        return DecodedSequence((), ())
+    best_tokens, best_logps, _ = min(pool, key=lambda h: (-(h[2] / len(h[0])), h[0]))
+    return DecodedSequence(tuple(best_tokens), tuple(best_logps))
 
 
 # -- model-backed generation ---------------------------------------------------
@@ -150,8 +132,6 @@ class GenerationResult:
     report_ids: tuple
     outline_tokens: list
     report_tokens: list
-    outline_logps: tuple
-    report_logps: tuple
     logprob: float                       # sum over both emitted sequences
     attention: np.ndarray | None = field(default=None, repr=False)
 
@@ -228,7 +208,6 @@ def generate(news_tokens, model, vocab: Vocabulary,
         outline_ids=outline.tokens, report_ids=report.tokens,
         outline_tokens=vocab.decode(outline.tokens),
         report_tokens=vocab.decode(report.tokens),
-        outline_logps=outline.logps, report_logps=report.logps,
         logprob=float(sum(outline.logps) + sum(report.logps)),
         attention=attention)
 

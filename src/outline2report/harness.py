@@ -156,8 +156,9 @@ def run_comparative(pairs, base_cfg: TrainingConfig | None = None,
         trainer = Trainer(model, outlined, vocab, cfg)
         trainer.run(max_epochs=epochs)
         if progress is not None:
-            progress(f"{name}: trained {trainer.step} steps, "
-                     f"final L_model {trainer.history[-1].loss_model:.3f}")
+            final = (f", final L_model {trainer.history[-1].loss_model:.3f}"
+                     if trainer.history else "")
+            progress(f"{name}: trained {trainer.step} steps{final}")
         candidates = {}
         for p in subset:
             candidates[p.id] = generate(list(p.news), model, vocab, dcfg).report_tokens

@@ -52,9 +52,9 @@ def reference_beam_search(step_fn, init_state, width, max_len, eos_id=EOS, bos_i
             (finished if hyp.tokens[-1] == eos_id else active).append(hyp)
     pool = finished + active
     if not pool:
-        return DecodedSequence((), (), -math.inf)
+        return DecodedSequence((), ())
     best = min(pool, key=lambda h: (-(h.total / len(h.tokens)), h.tokens))
-    return DecodedSequence(best.tokens, best.logps, best.total / len(best.tokens))
+    return DecodedSequence(best.tokens, best.logps)
 
 
 def prefix_step(table):

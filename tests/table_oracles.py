@@ -26,16 +26,24 @@ def random_table(seed):
     return table, V, max_len, eos
 
 
-# The search state for make_step: one row per prefix, starting from the empty one.
-ROOT = np.zeros((1, 0), dtype=np.int64)
+# The search state for make_step: a one-array tuple holding each row's fed
+# tokens, starting from one row with none.
+ROOT = (np.zeros((1, 0), dtype=np.int64),)
 
 
 def make_step(table):
-    """step_fn over a prefix table; each row of the search state is a prefix."""
+    """step_fn over a prefix table. Each row of the state's array holds the
+    tokens fed so far, BOS first, so the row's prefix skips its first column."""
     def step_fn(state, tokens):
-        prefixes = state if tokens is None else np.column_stack([state, tokens])
-        return np.stack([table[tuple(p)] for p in prefixes.tolist()]), prefixes
+        fed = np.column_stack([state[0], tokens])
+        return np.stack([table[tuple(p[1:])] for p in fed.tolist()]), (fed,)
     return step_fn
+
+
+def mean_logp(seq):
+    """sum(logp) / length of a DecodedSequence: the beam ranking, summed left
+    to right as the beam totals are."""
+    return sum(seq.logps) / len(seq.tokens)
 
 
 def exhaustive_best(table, V, max_len, eos):

@@ -19,7 +19,7 @@ from outline2report.outline_decoder import attend
 from outline2report.training import Trainer
 
 from decode_oracles import prefix_step, reference_beam_generate, reference_beam_search
-from table_oracles import ROOT, exhaustive_best, make_step, random_table
+from table_oracles import ROOT, exhaustive_best, make_step, mean_logp, random_table
 
 NEG = -math.inf
 
@@ -32,9 +32,9 @@ class TestBeamSearch:
             (1, 2): np.array([NEG, NEG, NEG, 0.0]),
         }
         for width in (1, 2, 5):
-            out = beam_search(make_step(table), ROOT, width, 3, eos_id=3, bos_id=None)
+            out = beam_search(make_step(table), ROOT, width, 3, eos_id=3)
             assert out.tokens == (1, 2, 3)
-            assert out.score == 0.0
+            assert out.logps == (0.0, 0.0, 0.0)
 
     def test_greedy_trap_beaten_by_width_two(self):
         # greedy takes token 0 (p=.6) and tops out at .6*.5 = .3 total mass;
@@ -45,12 +45,12 @@ class TestBeamSearch:
             (1,): np.log(np.array([0.01, 0.99])),
         }
         step = make_step(table)
-        greedy = beam_search(step, ROOT, 1, 2, eos_id=9, bos_id=None)
-        wide = beam_search(step, ROOT, 2, 2, eos_id=9, bos_id=None)
+        greedy = beam_search(step, ROOT, 1, 2, eos_id=9)
+        wide = beam_search(step, ROOT, 2, 2, eos_id=9)
         assert greedy.tokens == (0, 0)
         assert wide.tokens == (1, 1)
-        assert wide.score > greedy.score
-        assert abs(wide.score - math.log(0.4 * 0.99) / 2) < 1e-12
+        assert mean_logp(wide) > mean_logp(greedy)
+        assert abs(mean_logp(wide) - math.log(0.4 * 0.99) / 2) < 1e-12
 
     def test_exact_tie_breaks_lexicographically(self):
         table = {
@@ -58,26 +58,25 @@ class TestBeamSearch:
             (0,): np.array([NEG, NEG, 0.0]),
             (1,): np.array([NEG, NEG, 0.0]),
         }
-        out = beam_search(make_step(table), ROOT, 4, 2, eos_id=2, bos_id=None)
+        out = beam_search(make_step(table), ROOT, 4, 2, eos_id=2)
         assert out.tokens == (0, 2)
 
     def test_width_one_equals_greedy_on_random_instances(self):
         for seed in range(60):
             table, V, max_len, eos = random_table(seed)
             step = make_step(table)
-            g = greedy_decode(step, ROOT, max_len, eos_id=eos, bos_id=None)
-            b = beam_search(step, ROOT, 1, max_len, eos_id=eos, bos_id=None)
+            g = greedy_decode(step, ROOT, max_len, eos_id=eos)
+            b = beam_search(step, ROOT, 1, max_len, eos_id=eos)
             assert g.tokens == b.tokens, f"seed {seed}"
-            assert g.score == b.score, f"seed {seed}"
+            assert g.logps == b.logps, f"seed {seed}"
 
     def test_wide_beam_equals_exhaustive_argmax(self):
         for seed in range(120):
             table, V, max_len, eos = random_table(seed)
             want_tokens, want_score = exhaustive_best(table, V, max_len, eos)
-            got = beam_search(make_step(table), ROOT, V ** max_len + 1, max_len,
-                              eos_id=eos, bos_id=None)
+            got = beam_search(make_step(table), ROOT, V ** max_len + 1, max_len, eos_id=eos)
             assert got.tokens == tuple(want_tokens), f"seed {seed}"
-            assert abs(got.score - want_score) < 1e-12, f"seed {seed}"
+            assert abs(mean_logp(got) - want_score) < 1e-12, f"seed {seed}"
 
     def test_score_non_decreasing_in_width(self):
         for seed in range(120):
@@ -85,24 +84,23 @@ class TestBeamSearch:
             step = make_step(table)
             prev = -math.inf
             for width in range(1, 9):
-                out = beam_search(step, ROOT, width, max_len, eos_id=eos, bos_id=None)
-                assert out.score >= prev - 1e-12, f"seed {seed} width {width}"
-                prev = out.score
+                out = beam_search(step, ROOT, width, max_len, eos_id=eos)
+                assert mean_logp(out) >= prev - 1e-12, f"seed {seed} width {width}"
+                prev = mean_logp(out)
 
     def test_eos_only_terminal(self):
         for seed in range(40):
             table, V, max_len, eos = random_table(seed)
-            out = beam_search(make_step(table), ROOT, 3, max_len,
-                              eos_id=eos, bos_id=None)
+            out = beam_search(make_step(table), ROOT, 3, max_len, eos_id=eos)
             assert len(out.tokens) <= max_len
             assert eos not in out.tokens[:-1]
 
     def test_zero_length_cap_decodes_nothing(self):
         table, V, max_len, eos = random_table(1)
         step = make_step(table)
-        for out in (greedy_decode(step, ROOT, 0, eos_id=eos, bos_id=None),
-                    beam_search(step, ROOT, 3, 0, eos_id=eos, bos_id=None)):
-            assert (out.tokens, out.logps, out.score) == ((), (), -math.inf)
+        for out in (greedy_decode(step, ROOT, 0, eos_id=eos),
+                    beam_search(step, ROOT, 3, 0, eos_id=eos)):
+            assert (out.tokens, out.logps) == ((), ())
 
     def test_width_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -130,12 +128,11 @@ class TestBatchedBeam:
     """beam_search against the per-hypothesis reference in decode_oracles."""
 
     def _assert_same(self, table, max_len, eos, width, where):
-        got = beam_search(make_step(table), ROOT, width, max_len, eos_id=eos, bos_id=None)
+        got = beam_search(make_step(table), ROOT, width, max_len, eos_id=eos)
         want = reference_beam_search(prefix_step(table), (), width, max_len,
                                      eos_id=eos, bos_id=None)
         assert got.tokens == want.tokens, where
         assert got.logps == want.logps, where
-        assert got.score == want.score, where
         assert all(type(t) is int for t in got.tokens), where
         assert all(type(lp) is float for lp in got.logps), where
 
@@ -161,46 +158,62 @@ class TestBatchedBeam:
             step, ref_step = make_step(table), prefix_step(table)
 
             def counting(state, tokens):
-                rows.append(len(state))
+                rows.append(len(state[0]))
                 return step(state, tokens)
 
             def ref_counting(prefix, token):
                 ref_calls.append(prefix)
                 return ref_step(prefix, token)
 
-            beam_search(counting, ROOT, 3, max_len, eos_id=eos, bos_id=None)
+            beam_search(counting, ROOT, 3, max_len, eos_id=eos)
             reference_beam_search(ref_counting, (), 3, max_len, eos_id=eos, bos_id=None)
             assert len(rows) <= max_len and max(rows) <= 3, f"seed {seed}"
             assert sum(rows) == len(ref_calls), f"seed {seed}"
 
-    def test_generate_equals_per_hypothesis_reference(self):
+    def test_generate_equals_per_hypothesis_reference(self, monkeypatch):
         model, vocab, pairs = trained_fixture()
+        stages = record_searches(monkeypatch, "beam_search")
         for width, latent in ((2, True), (3, False), (5, True)):
             dcfg = DecodeConfig(strategy="beam", beam_width=width, max_outline_len=5,
                                 max_report_len=9, deterministic_latent=latent, seed=4)
             for pair in pairs:
+                stages.clear()
                 got = generate(pair.news, model, vocab, dcfg)
                 outline, report = reference_beam_generate(pair.news, model, vocab, dcfg)
-                assert got.outline_ids == outline.tokens
-                assert got.outline_logps == outline.logps
-                assert got.report_ids == report.tokens
-                assert got.report_logps == report.logps
+                assert stages == [outline, report]
+                assert (got.outline_ids, got.report_ids) == (outline.tokens, report.tokens)
                 assert got.logprob == float(sum(outline.logps) + sum(report.logps))
 
-    def test_greedy_generate_equals_lone_row_reference(self):
+    def test_greedy_generate_equals_lone_row_reference(self, monkeypatch):
         # width 1 keeps the argmax, smallest id on ties, as greedy does; the
         # reference steps a lone [1,H] row where generate steps a stack of one
         model, vocab, pairs = trained_fixture()
+        stages = record_searches(monkeypatch, "greedy_decode")
         for latent in (True, False):
             greedy = DecodeConfig(max_outline_len=5, max_report_len=9,
                                   deterministic_latent=latent, seed=4)
             width_one = DecodeConfig(strategy="beam", beam_width=1, max_outline_len=5,
                                      max_report_len=9, deterministic_latent=latent, seed=4)
             for pair in pairs:
+                stages.clear()
                 got = generate(pair.news, model, vocab, greedy)
                 outline, report = reference_beam_generate(pair.news, model, vocab, width_one)
-                assert (got.outline_ids, got.outline_logps) == (outline.tokens, outline.logps)
-                assert (got.report_ids, got.report_logps) == (report.tokens, report.logps)
+                assert stages == [outline, report]
+                assert (got.outline_ids, got.report_ids) == (outline.tokens, report.tokens)
+
+
+def record_searches(monkeypatch, name):
+    """Wrap generation's `name` search; the returned list collects the
+    DecodedSequence of each stage that generate runs through it."""
+    results = []
+    search = getattr(generation, name)
+
+    def recording(*args, **kwargs):
+        results.append(search(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(generation, name, recording)
+    return results
 
 
 class TestGreedyDecode:
@@ -210,17 +223,17 @@ class TestGreedyDecode:
             (1,): np.log(np.array([0.8, 0.1, 0.1])),
             (1, 0): np.log(np.array([0.05, 0.05, 0.9])),
         }
-        out = greedy_decode(make_step(table), ROOT, 10, eos_id=2, bos_id=None)
+        out = greedy_decode(make_step(table), ROOT, 10, eos_id=2)
         assert out.tokens == (1, 0, 2)
         want = (math.log(0.7), math.log(0.8), math.log(0.9))
         np.testing.assert_allclose(out.logps, want, atol=1e-12)
-        assert abs(out.score - sum(want) / 3) < 1e-12
+        assert abs(mean_logp(out) - sum(want) / 3) < 1e-12
 
     def test_max_len_caps_undecided_sequences(self):
         table = {prefix: np.log(np.array([0.9, 0.1]))
                  for length in range(4)
                  for prefix in [tuple([0] * length)]}
-        out = greedy_decode(make_step(table), ROOT, 4, eos_id=9, bos_id=None)
+        out = greedy_decode(make_step(table), ROOT, 4, eos_id=9)
         assert out.tokens == (0, 0, 0, 0)
 
 
@@ -239,17 +252,15 @@ class TestSampleDecode:
 
     def test_seeded_reproducibility(self):
         table = self._table()
-        a = sample_decode(make_step(table), ROOT, 3, np.random.default_rng(5),
-                          eos_id=0, bos_id=None)
-        b = sample_decode(make_step(table), ROOT, 3, np.random.default_rng(5),
-                          eos_id=0, bos_id=None)
+        a = sample_decode(make_step(table), ROOT, 3, np.random.default_rng(5), eos_id=0)
+        b = sample_decode(make_step(table), ROOT, 3, np.random.default_rng(5), eos_id=0)
         assert a.tokens == b.tokens
         assert a.logps == b.logps
 
     def test_recorded_logps_are_unscaled(self):
         table = self._table()
         out = sample_decode(make_step(table), ROOT, 3, np.random.default_rng(3),
-                            temperature=50.0, eos_id=0, bos_id=None)
+                            temperature=50.0, eos_id=0)
         prefix = ()
         for tok, lp in zip(out.tokens, out.logps):
             assert abs(lp - table[prefix][tok]) < 1e-12
@@ -259,6 +270,33 @@ class TestSampleDecode:
         with pytest.raises(ValueError, match="temperature"):
             sample_decode(lambda s, t: (np.zeros(2), s), (), 3,
                           np.random.default_rng(0), temperature=0.0)
+
+
+class TestStepContract:
+    """Every search feeds BOS to every row first and steps a state tuple."""
+
+    SEARCHES = {
+        "greedy": lambda step, max_len, eos: greedy_decode(step, ROOT, max_len, eos_id=eos),
+        "sample": lambda step, max_len, eos: sample_decode(
+            step, ROOT, max_len, np.random.default_rng(0), eos_id=eos),
+        "beam": lambda step, max_len, eos: beam_search(step, ROOT, 3, max_len, eos_id=eos),
+    }
+
+    @pytest.mark.parametrize("search", sorted(SEARCHES))
+    def test_first_call_feeds_bos_and_every_call_a_tuple_state(self, search):
+        for seed in range(20):
+            table, V, max_len, eos = random_table(seed)
+            step = make_step(table)
+            calls = []
+
+            def recording(state, tokens):
+                calls.append((state, np.asarray(tokens).tolist()))
+                return step(state, tokens)
+
+            self.SEARCHES[search](recording, max_len, eos)
+            (first_state, first_tokens), *_ = calls
+            assert first_tokens == [BOS] * len(first_state[0]), f"seed {seed}"
+            assert all(type(state) is tuple for state, _ in calls), f"seed {seed}"
 
 
 class TestBleu:

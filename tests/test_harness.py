@@ -92,6 +92,16 @@ class TestComparative:
         for line in table.splitlines()[2:]:
             assert line.split()[0] in ("two_stage", "outline_weight_zero")
 
+    def test_zero_epochs_reports_steps_without_a_final_loss(self):
+        pairs = make_hierarchical_corpus(num_pairs=6, seed=3)
+        cfg = TrainingConfig(d_emb=8, d_hid=8, d_z=4, batch_size=3, seed=3)
+        notes = []
+        rows, _ = run_comparative(pairs, base_cfg=cfg, epochs=0, eval_limit=2,
+                                  progress=notes.append)
+        assert [r["system"] for r in rows] == ["two_stage", "outline_weight_zero"]
+        assert notes == ["two_stage: trained 0 steps",
+                         "outline_weight_zero: trained 0 steps"]
+
     def test_table_formatting(self):
         rows = [{"system": "two_stage", "mean_sentence_bleu": 0.5,
                  "corpus_bleu": 0.25, "candidate_repetition": 0.125,
