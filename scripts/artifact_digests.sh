@@ -4,7 +4,10 @@
 # plain run, a teacher_forcing_ratio=0.5 run, a freeze_outline=true run and a
 # run resumed at epoch 15 of 30; the generations of the plain run's
 # checkpoint under greedy, beam-3, sampling with a sampled latent and
-# recorded attention; and the evaluation of the greedy generations.
+# recorded attention; beam-8 generations with a 200-token report cap from
+# the teacher_forcing_ratio=0.5 run's checkpoint, where beam search stops
+# before the cap in both stages; and the evaluation of the greedy
+# generations.
 #
 #   scripts/artifact_digests.sh WORK_DIR [SRC_DIR]
 #
@@ -41,15 +44,17 @@ o2r train --dataset "$data" --vocab vocab.txt --out resumed --epochs 30 \
     --resume resumed/checkpoint.o2r 2> /dev/null
 
 generate() {
-  out=$1
-  shift
-  o2r generate --checkpoint toy/checkpoint.o2r --vocab vocab.txt --input "$data" \
+  run=$1
+  out=$2
+  shift 2
+  o2r generate --checkpoint "$run/checkpoint.o2r" --vocab vocab.txt --input "$data" \
       --out "$out" "$@" 2> /dev/null
 }
-generate greedy.jsonl --greedy
-generate beam3.jsonl --beam 3
-generate sample.jsonl --strategy sample --sample-latent --seed 7
-generate attention.jsonl --record-attention
+generate toy greedy.jsonl --greedy
+generate toy beam3.jsonl --beam 3
+generate forcing beam8.jsonl --beam 8 --max-report-len 200
+generate toy sample.jsonl --strategy sample --sample-latent --seed 7
+generate toy attention.jsonl --record-attention
 PYTHONPATH="$src" python3 -m outline2report evaluate --generated greedy.jsonl \
     --dataset "$data" > evaluate.txt
 
@@ -58,4 +63,4 @@ sha256sum vocab.txt \
     forcing/loss_log.csv forcing/checkpoint.o2r \
     frozen/loss_log.csv frozen/checkpoint.o2r \
     resumed/loss_log.csv resumed/checkpoint.o2r \
-    greedy.jsonl beam3.jsonl sample.jsonl attention.jsonl evaluate.txt
+    greedy.jsonl beam3.jsonl beam8.jsonl sample.jsonl attention.jsonl evaluate.txt

@@ -86,37 +86,61 @@ def beam_search(step_fn, init_state, width, max_len, eos_id=EOS):
 
     One step_fn call per step covers every live hypothesis. The live rows
     have one length and are kept in lexicographic order of their tokens, so
-    a stable sort of the flattened [rows, V] expansions on -total orders them
-    as (-total, tokens) does. Its first `width` finite entries survive; sorted
-    by flat index they are again in token order.
+    ordering the flattened [rows, V] expansions stably on -total orders them
+    as (-total, tokens) does. np.argpartition picks the `width` smallest
+    -totals; when more entries than that tie with the boundary value (the
+    -inf ones included), the pick among them is arbitrary, so a stable
+    argsort takes its place. The picks with finite log-prob survive; sorted
+    by flat index they are again in token order. Token and log-prob rows are
+    [rows, max_len] buffers, gathered by parent and filled one column a step.
+
+    The search stops early, with the result it would reach at max_len, once
+    the best finished score is strictly greater than the largest live total
+    divided by max_len. Premise of the contract: every finite log-prob that
+    step_fn returns is <= 0 (log_softmax gives x - max <= 0 minus the log of
+    a sum >= exp(0) = 1). Then a live total t <= 0 only falls, as rounded
+    addition of a value <= 0 is monotone; any completion, of length at most
+    max_len, scores at most t / max_len, and correctly rounded division keeps
+    that order. So no later hypothesis can beat or tie the best finished one,
+    and the live ones at the stop, scoring t / len <= t / max_len, cannot
+    win either. The finished scores are the ranking's own divisions.
     """
     if width < 1:
         raise ValueError("beam width must be >= 1")
     if max_len < 1:
         return DecodedSequence((), ())
     state = init_state
-    tokens = np.zeros((1, 0), dtype=np.int64)   # live hypotheses, one per row, in token order
-    logps = np.zeros((1, 0))
+    tokens = np.zeros((1, max_len), dtype=np.int64)   # live hypotheses, one per row, in token order
+    logps = np.zeros((1, max_len))
     totals = np.zeros(1)
     finished: list[tuple] = []
+    best_done = -math.inf
     prev = np.full(1, BOS)
-    for _ in range(max_len):
-        if not len(tokens):
-            break
+    length = 0
+    while length < max_len and len(totals) and not best_done > totals.max() / max_len:
         logp, state = step_fn(state, prev)
         cand = totals[:, None] + logp
-        best = np.argsort(-cand, axis=None, kind="stable")[:width]
+        order = -cand.ravel()
+        k = min(width, order.size)
+        best = np.argpartition(order, k - 1)[:k]
+        if np.count_nonzero(order <= order[best[-1]]) > k:
+            best = np.argsort(order, kind="stable")[:k]
         parent, tok = np.divmod(np.sort(best[logp.flat[best] != -math.inf]), logp.shape[1])
         total = cand[parent, tok]
-        tokens = np.concatenate([tokens[parent], tok[:, None]], axis=1)
-        logps = np.concatenate([logps[parent], logp[parent, tok][:, None]], axis=1)
+        tokens, logps = tokens[parent], logps[parent]
+        tokens[:, length], logps[:, length] = tok, logp[parent, tok]
+        length += 1
         done = tok == eos_id
-        finished.extend(zip(tokens[done].tolist(), logps[done].tolist(), total[done].tolist()))
+        if done.any():
+            finished.extend(zip(tokens[done, :length].tolist(), logps[done, :length].tolist(),
+                                total[done].tolist()))
+            best_done = max(best_done, (total[done] / length).max())
         live = ~done
         tokens, logps, totals = tokens[live], logps[live], total[live]
         state = tuple(part[parent[live]] for part in state)
-        prev = tokens[:, -1]
-    pool = finished + list(zip(tokens.tolist(), logps.tolist(), totals.tolist()))
+        prev = tok[live]
+    pool = finished + list(zip(tokens[:, :length].tolist(), logps[:, :length].tolist(),
+                               totals.tolist()))
     if not pool:
         return DecodedSequence((), ())
     best_tokens, best_logps, _ = min(pool, key=lambda h: (-(h[2] / len(h[0])), h[0]))

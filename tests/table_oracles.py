@@ -23,6 +23,7 @@ def random_table(seed):
                 continue
             x = rng.normal(size=V)
             table[prefix] = x - np.log(np.exp(x).sum())
+    assert all((row <= 0).all() for row in table.values())  # beam_search's premise
     return table, V, max_len, eos
 
 

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+from collections import Counter
 from unittest.mock import DEFAULT, Mock
 
 import numpy as np
@@ -107,12 +108,13 @@ class TestBeamSearch:
             beam_search(lambda s, t: (np.zeros(2), s), (), 0, 3)
 
 
-def tied_table(seed):
+def tied_table(seed, vocab=(2, 6), lengths=(1, 5)):
     """Random prefix table whose log-probs come from a few dyadic levels, so
-    totals tie exactly; some entries and whole rows are -inf."""
+    totals tie exactly; some entries and whole rows are -inf. V and max_len
+    are drawn from the half-open ranges `vocab` and `lengths`."""
     rng = np.random.default_rng(seed)
-    V = int(rng.integers(2, 6))
-    max_len = int(rng.integers(1, 5))
+    V = int(rng.integers(*vocab))
+    max_len = int(rng.integers(*lengths))
     levels = np.array([NEG, -2.0, -1.0, -0.5, -0.25])
     table = {}
     for length in range(max_len):
@@ -121,7 +123,30 @@ def tied_table(seed):
                 continue
             row = levels[rng.integers(0, len(levels), size=V)]
             table[prefix] = np.full(V, NEG) if rng.random() < 0.1 else row
+    assert all((row <= 0).all() for row in table.values())  # beam_search's premise
     return table, V, max_len, 0
+
+
+def rows_per_step(table, max_len, eos, width):
+    """(rows of each batched step_fn call, the reference's step_fn calls per
+    prefix length). The reference steps each live hypothesis alone and runs
+    to the cap or until no hypothesis is live, with no early stop."""
+    rows, ref_steps = [], []
+    step, ref_step = make_step(table), prefix_step(table)
+
+    def counting(state, tokens):
+        rows.append(len(state[0]))
+        return step(state, tokens)
+
+    def ref_counting(prefix, token):
+        logp, fed = ref_step(prefix, token)
+        ref_steps.append(len(fed))
+        return logp, fed
+
+    beam_search(counting, ROOT, width, max_len, eos_id=eos)
+    reference_beam_search(ref_counting, (), width, max_len, eos_id=eos, bos_id=None)
+    per_step = Counter(ref_steps)
+    return rows, [per_step[t] for t in range(len(per_step))]
 
 
 class TestBatchedBeam:
@@ -152,23 +177,62 @@ class TestBatchedBeam:
         assert dead_roots  # the empty result is among the cases
 
     def test_one_step_call_per_step_covers_every_live_row(self):
+        # each step's one call covers the reference's calls at that prefix
+        # length, up to the step where the batched search stopped
         for seed in range(40):
             table, V, max_len, eos = random_table(seed)
-            rows, ref_calls = [], []
-            step, ref_step = make_step(table), prefix_step(table)
-
-            def counting(state, tokens):
-                rows.append(len(state[0]))
-                return step(state, tokens)
-
-            def ref_counting(prefix, token):
-                ref_calls.append(prefix)
-                return ref_step(prefix, token)
-
-            beam_search(counting, ROOT, 3, max_len, eos_id=eos)
-            reference_beam_search(ref_counting, (), 3, max_len, eos_id=eos, bos_id=None)
+            rows, ref_rows = rows_per_step(table, max_len, eos, 3)
             assert len(rows) <= max_len and max(rows) <= 3, f"seed {seed}"
-            assert sum(rows) == len(ref_calls), f"seed {seed}"
+            assert rows == ref_rows[:len(rows)], f"seed {seed}"
+
+    def test_early_stop_on_deep_tables_equals_reference(self):
+        # caps of 6-8 tokens give the stop room to fire; dyadic levels make
+        # finished scores tie the bound or each other exactly
+        stopped = cases = 0
+        for seed in range(100):
+            table, V, max_len, eos = tied_table(seed, vocab=(2, 5), lengths=(6, 9))
+            for width in (1, 2, 3, 5):
+                where = f"seed {seed} width {width}"
+                self._assert_same(table, max_len, eos, width, where)
+                rows, ref_rows = rows_per_step(table, max_len, eos, width)
+                assert rows == ref_rows[:len(rows)], where
+                stopped += len(rows) < len(ref_rows)
+                cases += 1
+        assert stopped >= cases // 4, f"the stop fired in {stopped} of {cases} cases"
+
+    def test_stop_waits_while_the_bound_ties_the_best_finished(self):
+        # after step 1, EOS scores -0.5 and the live total -1 bounds every
+        # completion by -1 / 2 = -0.5, equal to it: the search must go on,
+        # and (0, 1) ties EOS's score and wins as the smaller sequence
+        table = {(): np.array([-1.0, NEG, -0.5]), (0,): np.array([NEG, 0.0, NEG])}
+        rows, _ = rows_per_step(table, 2, 2, 2)
+        assert rows == [1, 1]
+        self._assert_same(table, 2, 2, 2, "bound equals the best finished score")
+        assert beam_search(make_step(table), ROOT, 2, 2, eos_id=2).tokens == (0, 1)
+
+    def test_stop_after_one_call_when_an_early_eos_wins(self):
+        # EOS scores -0.25 at step 1; the live total -2 bounds every
+        # completion by -2 / 4 = -0.5, so nothing later can win
+        table = {(): np.array([-0.25, -2.0])}
+        table.update({(1,) * n: np.array([-1.0, -1.0]) for n in range(1, 4)})
+        rows, ref_rows = rows_per_step(table, 4, 0, 2)
+        assert rows == [1] and len(ref_rows) == 4
+        self._assert_same(table, 4, 0, 2, "early EOS")
+        assert beam_search(make_step(table), ROOT, 2, 4, eos_id=0).tokens == (0,)
+
+    def test_ties_across_the_width_cut_take_the_stable_sort(self, monkeypatch):
+        # width 3 of the root's -totals [2, 2, 0, 0] cuts between tokens 0
+        # and 1, so the stable sort picks and keeps EOS 0; keeping token 1
+        # would let (1, 0) win at -1.25. Step 2's cut falls on no tie.
+        table = {(): np.array([-2.0, -2.0, 0.0, 0.0]),
+                 (1,): np.array([-0.5, NEG, NEG, NEG]),
+                 (2,): np.array([-8.0, -9.0, NEG, NEG]),
+                 (3,): np.array([-8.5, NEG, NEG, NEG])}
+        argsort = Mock(wraps=np.argsort)
+        monkeypatch.setattr(np, "argsort", argsort)
+        self._assert_same(table, 2, 0, 3, "tie across the cut")
+        assert beam_search(make_step(table), ROOT, 3, 2, eos_id=0).tokens == (0,)
+        assert argsort.call_count == 2  # once per search, at its first step
 
     def test_generate_equals_per_hypothesis_reference(self, monkeypatch):
         model, vocab, pairs = trained_fixture()

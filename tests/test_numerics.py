@@ -461,6 +461,17 @@ def test_log_softmax_agrees_with_softmax():
         np.testing.assert_allclose(np.exp(lp[row]), softmax(x[row]), atol=1e-12)
 
 
+def test_log_softmax_is_never_positive():
+    # beam_search's early stop rests on this: x - max <= 0, and the log of a
+    # sum that holds exp(0) = 1 is >= 0
+    rows = [np.array([[3.0]]), np.array([[-7.5]]), np.full((2, 5), 0.1),
+            np.array([[1e8, -1e8, 1e8 - 4.0, 0.0], [-1e8, -1e8, -1e8, 1e-8]]),
+            np.array([[-math.inf, 2.0, -math.inf, 2.0 + 1e-15], [0.0, -math.inf, 1e8, -3.0]])]
+    rows += [np.random.default_rng(3).normal(scale=s, size=(6, 9)) for s in (1e-8, 1.0, 1e8)]
+    for x in rows:
+        assert (log_softmax(x) <= 0).all(), x
+
+
 def test_sigmoid_midpoint():
     assert sigmoid(0.0) == 0.5
 
