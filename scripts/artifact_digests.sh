@@ -9,6 +9,12 @@
 # before the cap in both stages; and the evaluation of the greedy
 # generations.
 #
+# The plain run trains for 400 epochs, so that its checkpoint decodes the
+# toy items apart: greedy gives 10 distinct reports for the 10 items (beam-3
+# 10, sampling 8), where 100 epochs gave one report for all of them. A
+# fault that decodes one item from another item's encoding then changes the
+# generation digests; with one shared report it could not.
+#
 #   scripts/artifact_digests.sh WORK_DIR [SRC_DIR]
 #
 # WORK_DIR is created and must not exist yet. SRC_DIR is the package source
@@ -36,7 +42,7 @@ train() {
 }
 
 o2r build-vocab --dataset "$data" --out vocab.txt
-train toy --epochs 60
+train toy --epochs 400
 train forcing --epochs 40 --set training.teacher_forcing_ratio=0.5
 train frozen --epochs 40 --set training.freeze_outline=true --set training.gradient_clip_norm=0.5
 train resumed --epochs 15

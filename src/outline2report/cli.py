@@ -157,13 +157,13 @@ def cmd_train(args) -> int:
 
 
 def cmd_generate(args) -> int:
+    if (args.input is None) == (args.news is None):
+        raise CliError("pass exactly one of --input or --news")
     values = _load_values(args)
     dcfg = section_config(DecodeConfig, "decode", values)
     vocab = Vocabulary.load(_require(values.get("data.vocab"), "vocabulary path"))
     model = restore_model(load_checkpoint(args.checkpoint), vocab)
 
-    if (args.input is None) == (args.news is None):
-        raise CliError("pass exactly one of --input or --news")
     if args.news is not None:
         items = [("news0", tokenize(args.news))]
     else:

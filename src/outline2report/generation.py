@@ -195,38 +195,37 @@ def generate(news_tokens, model, vocab: Vocabulary,
     odec, rdec = model.outline_decoder, model.report_decoder
     rng = np.random.default_rng(np.random.SeedSequence([dcfg.seed, 3]))
 
-    def search(decoder, head, init, max_len):
-        """Decode one stage with dcfg's strategy. Rows step as [n,1,H] stacks:
-        x @ W.T on one is a [1,H] product per row, bit-equal to stepping the
-        row alone, where an [n,H] GEMM may sum a row in another order."""
+    def search(decoder, head, seed, max_len):
+        """Decode one stage with dcfg's strategy from the seed state and, as in
+        run_lstm, a zero cell state. Rows step as [n,1,H] stacks: x @ W.T on
+        one is a [1,H] product per row, bit-equal to stepping the row alone,
+        where an [n,H] GEMM may sum a row in another order."""
         def step_fn(state, tokens):
             state = decoder.step(emb.lookup(np.array(tokens, dtype=np.int64)[:, None]), state)
             return _emission_mask(head(state[0])[:, 0]), state
 
-        init = tuple(a[:, None] for a in init)
+        init = (seed[:, None], np.zeros_like(seed[:, None]))
         if dcfg.strategy == "beam":
             return beam_search(step_fn, init, dcfg.beam_width, max_len)
         if dcfg.strategy == "sample":
             return sample_decode(step_fn, init, max_len, rng, dcfg.temperature)
         return greedy_decode(step_fn, init, max_len)
 
-    outline_init = odec.initial_state(enc_states)
+    s0 = odec.initial_state(enc_states)
     # the n query rows attend over the one news row, which matmul broadcasts
-    outline = search(odec, lambda s: odec.logits(enc_states, mask, s), outline_init,
-                     dcfg.max_outline_len)
+    outline = search(odec, lambda s: odec.logits(enc_states, mask, s), s0, dcfg.max_outline_len)
 
     # replay the chosen outline in one pass to collect the decoder states for
     # fusion (and the attention rows, if asked for)
     fed, _, fed_mask = shifted_targets(np.array([(BOS,) + outline.tokens], dtype=np.int64))
-    states, _ = run_lstm(odec.cell, emb.lookup(fed), fed_mask, h0=outline_init[0])
+    states, _ = run_lstm(odec.cell, emb.lookup(fed), fed_mask, h0=s0)
     u, _ = fuse_news_outline(enc_states, mask, states, fed_mask)
     attention = (attend(enc_states, states, mask, odec.W_a, odec.W_c).weights[0]
                  if dcfg.record_attention else None)
 
     z = (np.zeros((1, rdec.d_z)) if dcfg.deterministic_latent
          else rng.standard_normal((1, rdec.d_z)))
-    h0, c0, _ = rdec.initial_state(z, u)
-    report = search(rdec, rdec.logits, (h0, c0), dcfg.max_report_len)
+    report = search(rdec, rdec.logits, rdec.initial_state(z, u)[0], dcfg.max_report_len)
 
     return GenerationResult(
         outline_ids=outline.tokens, report_ids=report.tokens,

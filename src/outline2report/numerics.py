@@ -140,7 +140,7 @@ class LSTMRunCache:
     h_prev: np.ndarray  # [T, B, d_hid], the state each step read
 
 
-def run_lstm(cell: LSTMCell, X, mask, reverse=False, h0=None):
+def run_lstm(cell: LSTMCell, X, mask, reverse=False, h0=None, feed=None):
     """Run a cell along the time axis of X [B,T,D] with carry-through masking,
     from h0 (zeros if None) and a zero cell state: (H [B,T,d_hid], cache).
 
@@ -149,7 +149,8 @@ def run_lstm(cell: LSTMCell, X, mask, reverse=False, h0=None):
     into a shorter row's states. H[:, t] holds the state after step t, so the
     final state is H[:, -1] (forward) or H[:, 0] (reverse). X @ W_xᵀ + b is one
     time-major GEMM; H is a view of a [T+1,B,H] buffer that also holds each
-    h_prev.
+    h_prev. Given feed(t, h), each step t > 0 reads the row [B,D] that feed
+    forms from h, the state after step t - 1, in place of X[:, t].
     """
     X = np.asarray(X, dtype=FLOAT)
     B, T, D = X.shape
@@ -158,7 +159,8 @@ def run_lstm(cell: LSTMCell, X, mask, reverse=False, h0=None):
     mask = np.asarray(mask, dtype=bool).reshape(B, T)
     h = np.zeros((B, cell.d_hid), dtype=FLOAT) if h0 is None else h0
     c = np.zeros((B, cell.d_hid), dtype=FLOAT)
-    inputs = np.ascontiguousarray(X.transpose(1, 0, 2))
+    # for B = 1 the contiguous transpose is a view of X, which feed must not write
+    inputs = X.transpose(1, 0, 2).copy() if feed else np.ascontiguousarray(X.transpose(1, 0, 2))
     x_gates = cell.input_gates(inputs.reshape(T * B, D)).reshape(T, B, -1)
     W_hT = np.ascontiguousarray(cell.W_h.value.T)
     held = np.empty((T + 1, B, cell.d_hid), dtype=FLOAT)
@@ -168,6 +170,9 @@ def run_lstm(cell: LSTMCell, X, mask, reverse=False, h0=None):
     order = range(T - 1, -1, -1) if reverse else range(T)
     full = mask.all(axis=0)  # on these columns no row is carried
     for t in order:
+        if feed is not None and t > 0:
+            inputs[t] = feed(t, h)
+            x_gates[t] = cell.input_gates(inputs[t])
         h_new, c_new, steps[t] = cell.step(x_gates[t], h, c, W_hT)
         if not full[t]:
             m = mask[:, t:t + 1]
@@ -177,24 +182,22 @@ def run_lstm(cell: LSTMCell, X, mask, reverse=False, h0=None):
     return states.transpose(1, 0, 2), LSTMRunCache(steps, mask, reverse, inputs, h_prev)
 
 
-def scheduled_inputs(step, embed, gold_in_ids, mask, state, head, rng, ratio):
-    """Scheduled-sampling inputs (Bengio et al., arXiv 1506.03099): after the
-    first, each is the gold token with probability `ratio`, else the argmax of
-    `head(h)` at the previous step, with one coin per row and step. A decoder's
-    step(x_emb, (h, c)) -> (h, c) runs from state; masked rows carry theirs.
-    At ratio >= 1 the gold ids come back as they are, and nothing is drawn."""
+def scheduled_inputs(embed, gold_in_ids, head, rng, ratio):
+    """Scheduled sampling (Bengio et al., arXiv 1506.03099) as a run_lstm feed:
+    after the first, each input is the gold token with probability `ratio`,
+    else the argmax of head(h) on the state before it, with one coin per row
+    and step. Returns (input_ids, feed), feed writing the ids it picks into
+    input_ids; at ratio >= 1, (gold_in_ids, None), and nothing is drawn."""
     if ratio >= 1.0:
-        return gold_in_ids
+        return gold_in_ids, None
     input_ids = gold_in_ids.copy()
-    h, c = state
-    for t in range(input_ids.shape[1]):
-        if t > 0:
-            use_model = rng.random(len(input_ids)) >= ratio
-            input_ids[:, t] = np.where(use_model, np.argmax(head(h), axis=1), gold_in_ids[:, t])
-        h_new, c_new = step(embed(input_ids[:, t]), (h, c))
-        m = mask[:, t:t + 1]
-        h, c = np.where(m, h_new, h), np.where(m, c_new, c)
-    return input_ids
+
+    def feed(t, h):
+        use_model = rng.random(len(input_ids)) >= ratio
+        input_ids[:, t] = np.where(use_model, np.argmax(head(h), axis=1), gold_in_ids[:, t])
+        return embed(input_ids[:, t])
+
+    return input_ids, feed
 
 
 def run_lstm_backward(cell: LSTMCell, run_cache: LSTMRunCache, dH):

@@ -167,12 +167,11 @@ class OutlineDecoder:
                 + [self.W_a, self.W_c, self.W_o])
 
     def initial_state(self, enc_states):
-        """The seed (s0, c0): the encoder's forward final state, which
-        carry-through masking leaves at enc_states[:, -1, :H] (each row's state
-        at its last valid token), projected into the decoder space."""
+        """The seed s0: the encoder's forward final state, which carry-through
+        masking leaves at enc_states[:, -1, :H] (each row's state at its last
+        valid token), projected into the decoder space."""
         H = self.bridge_W.value.shape[0]
-        s0 = np.tanh(enc_states[:, -1, :H] @ self.bridge_W.value.T + self.bridge_b.value)
-        return s0, np.zeros_like(s0)
+        return np.tanh(enc_states[:, -1, :H] @ self.bridge_W.value.T + self.bridge_b.value)
 
     def step(self, x_emb, state):
         """One recurrence step from state, an (s, c) pair of [B, H] arrays, to
@@ -193,12 +192,12 @@ class OutlineDecoder:
         gold token with probability ratio, else the previous argmax; the coin
         flips consume sample_rng one draw per (step, row).
         """
-        s0, c0 = self.initial_state(enc_states)
-        input_ids = scheduled_inputs(
-            self.step, embedding.lookup, gold_in_ids, target_mask, (s0, c0),
+        input_ids, feed = scheduled_inputs(
+            embedding.lookup, gold_in_ids,
             lambda s: self.logits(enc_states, enc_mask, s[:, None])[:, 0],
             sample_rng, teacher_forcing_ratio)
-        states, run_cache = run_lstm(self.cell, embedding.lookup(input_ids), target_mask, h0=s0)
+        states, run_cache = run_lstm(self.cell, embedding.lookup(input_ids), target_mask,
+                                     h0=self.initial_state(enc_states), feed=feed)
         attn = attend(enc_states, states, enc_mask, self.W_a, self.W_c)
         loss, lse = sequence_nll(attn.combined, self.W_o.value, targets, target_mask)
         return OutlineForward(

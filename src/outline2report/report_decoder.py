@@ -105,8 +105,7 @@ class ReportDecoder:
 
     def initial_state(self, z, u):
         init_in = np.concatenate([z, u], axis=1)
-        h0 = np.tanh(init_in @ self.W_init.value.T + self.b_init.value)
-        return h0, np.zeros_like(h0), init_in
+        return np.tanh(init_in @ self.W_init.value.T + self.b_init.value), init_in
 
     def step(self, x_emb, state):
         return self.cell.step(self.cell.input_gates(x_emb), *state, self.cell.W_h.value.T)[:2]
@@ -121,11 +120,11 @@ class ReportDecoder:
         """Teacher-forced report pass with a freshly sampled latent."""
         latent, recog_in = self.infer_latent(u, report_summary, noise)
         kl_rows = gaussian_kl(latent.mean, latent.logvar)
-        h0, c0, init_in = self.initial_state(latent.z, u)
-        input_ids = scheduled_inputs(
-            self.step, embedding.lookup, gold_in_ids, target_mask, (h0, c0),
-            self.logits, sample_rng, teacher_forcing_ratio)
-        states, run_cache = run_lstm(self.cell, embedding.lookup(input_ids), target_mask, h0=h0)
+        h0, init_in = self.initial_state(latent.z, u)
+        input_ids, feed = scheduled_inputs(
+            embedding.lookup, gold_in_ids, self.logits, sample_rng, teacher_forcing_ratio)
+        states, run_cache = run_lstm(self.cell, embedding.lookup(input_ids), target_mask,
+                                     h0=h0, feed=feed)
         nll, lse = sequence_nll(states, self.W_out.value, targets, target_mask)
         loss = nll + beta * float(np.mean(kl_rows))
         return ReportForward(

@@ -90,8 +90,8 @@ def reference_beam_generate(news_tokens, model, vocab, dcfg):
         h, c = rdec.step(emb.lookup(np.array([token], dtype=np.int64)), state)
         return _emission_mask((h @ rdec.W_out.value.T)[0]), (h, c)
 
-    s0, c0 = odec.initial_state(enc_states)
-    outline = reference_beam_search(outline_step, (s0, c0), dcfg.beam_width,
+    s0 = odec.initial_state(enc_states)
+    outline = reference_beam_search(outline_step, (s0, np.zeros_like(s0)), dcfg.beam_width,
                                     dcfg.max_outline_len)
     fed = np.array([(BOS,) + outline.tokens[:-1]], dtype=np.int64)
     fed_mask = np.ones(fed.shape, dtype=bool)
@@ -100,7 +100,7 @@ def reference_beam_generate(news_tokens, model, vocab, dcfg):
     rng = np.random.default_rng(np.random.SeedSequence([dcfg.seed, 3]))
     z = (np.zeros((1, model.cfg.d_z)) if dcfg.deterministic_latent
          else rng.standard_normal((1, model.cfg.d_z)))
-    h0, c0, _ = rdec.initial_state(z, u)
-    report = reference_beam_search(report_step, (h0, c0), dcfg.beam_width,
+    h0, _ = rdec.initial_state(z, u)
+    report = reference_beam_search(report_step, (h0, np.zeros_like(h0)), dcfg.beam_width,
                                    dcfg.max_report_len)
     return outline, report

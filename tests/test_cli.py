@@ -344,6 +344,14 @@ class TestGenerate:
         code = run_generate(trained, None, "--greedy")
         assert code == 1
 
+    def test_input_flags_are_checked_before_the_checkpoint_loads(self, tmp_path, capsys):
+        # neither flag and a checkpoint that does not exist: the usage error,
+        # not the missing file, since nothing is loaded before the flags pass
+        code = main(["generate", "--checkpoint", str(tmp_path / "nonexistent.o2r"),
+                     "--vocab", str(tmp_path / "vocab.txt")])
+        assert code == 1
+        assert capsys.readouterr().err == "error: pass exactly one of --input or --news\n"
+
     def test_record_attention_adds_rows(self, trained, tmp_path):
         out = tmp_path / "gen.jsonl"
         assert run_generate(trained, out, "--input", str(trained["dataset"]),

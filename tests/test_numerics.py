@@ -326,6 +326,32 @@ class TestMaskedRecurrence:
             got = forward_and_backward(cell, X, planted, reverse, 0)
             assert not runs_close(got, want), t
 
+    @pytest.mark.parametrize("B", [1, B])
+    def test_feed_replaces_later_inputs_from_the_state_before(self, B):
+        # Each row feed forms from the state after step t - 1 replaces X[:, t]
+        # for t > 0: the run equals one over those rows as plain inputs, its
+        # cache holds them, and X keeps its values (for B = 1 the time-major
+        # form of X would otherwise be a view of it).
+        cell, X, masks = self.cell_inputs_masks(3)
+        X, mask = X[:B], masks["mixed"][:B]
+        P = np.random.default_rng(4).normal(size=(self.H, self.D))
+        given, fed = [], []
+
+        def feed(t, h):
+            given.append(h.copy())
+            fed.append(np.tanh(h @ P))
+            return fed[-1]
+
+        before = X.copy()
+        states, cache = run_lstm(cell, X, mask, feed=feed)
+        assert np.array_equal(X, before)
+        assert len(fed) == self.T - 1
+        for t in range(1, self.T):
+            assert np.array_equal(given[t - 1], states[:, t - 1]), t
+        plain = np.concatenate([X[:, :1], np.stack(fed, axis=1)], axis=1)
+        assert np.array_equal(cache.inputs.transpose(1, 0, 2), plain)
+        assert relative_error(states, run_lstm(cell, plain, mask)[0]) <= REL_TOL
+
     def test_swapped_gate_weights_are_caught(self):
         # The input and forget rows of W_h swapped in the reference only: a
         # fault of the order of one gate must fail the comparison.

@@ -400,8 +400,7 @@ class TestDecoderSteps:
     def test_initial_state_bridge(self):
         dec = OutlineDecoder(5, 3, 2, np.random.default_rng(2))
         enc_states = np.random.default_rng(3).normal(size=(2, 4, 4))
-        s0, c0 = dec.initial_state(enc_states)
-        assert not c0.any()
+        s0 = dec.initial_state(enc_states)
         ref = np.tanh(enc_states[:, -1, :2] @ dec.bridge_W.value.T + dec.bridge_b.value)
         np.testing.assert_allclose(s0, ref, atol=1e-12)
         assert (np.abs(s0) < 1).all()
@@ -418,7 +417,7 @@ class TestDecoderSteps:
         lengths = np.array([T, 1, 3, 5])
         mask = np.arange(T)[None, :] < lengths[:, None]
         enc_states, _ = encoder.forward(X, mask)
-        s0, _ = dec.initial_state(enc_states)
+        s0 = dec.initial_state(enc_states)
         for b, n in enumerate(lengths):
             zeros = np.zeros((1, H))
             _, (h_last, _), _ = reference_run_lstm(
@@ -679,6 +678,14 @@ class TestStepBatchedPass:
                             sample_rng=coins, teacher_forcing_ratio=0.5)
         assert [call.args for call in coins.random.call_args_list] == [(B,)] * (K - 1)
         assert [name for name, _, _ in coins.mock_calls] == ["random"] * (K - 1)
+
+    @pytest.mark.parametrize("B,K,T,H", SHAPES)
+    def test_scheduled_sampling_steps_the_cell_once_per_column(self, B, K, T, H):
+        emb, dec, enc, enc_mask, gold_in, targets, tmask, _ = self._fixture(B, K, T, H)
+        dec.cell.step = Mock(wraps=dec.cell.step)
+        dec.forward_teacher(emb, enc, enc_mask, gold_in, targets, tmask,
+                            sample_rng=np.random.default_rng(3), teacher_forcing_ratio=0.5)
+        assert dec.cell.step.call_count == K
 
     def test_teacher_forcing_draws_no_coins(self):
         emb, dec, enc, enc_mask, gold_in, targets, tmask, _ = self._fixture(3, 5, 4, 3)

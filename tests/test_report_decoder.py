@@ -15,7 +15,9 @@ from outline2report.report_decoder import (
     ReportDecoder, fuse_news_outline, gaussian_kl, masked_mean_pool,
     reparameterize)
 
-from model_oracles import lstm_cell_step, outline_loss, report_loss
+from model_oracles import (REL_TOL, ReferenceRun, lstm_cell_step, outline_loss,
+                           reference_lstm_step, reference_run_lstm_backward, reference_xent,
+                           relative_error, report_loss)
 
 LN20 = math.log(20.0)
 
@@ -242,8 +244,7 @@ class TestReportSteps:
         rng = np.random.default_rng(10)
         z = rng.normal(size=(2, 2))
         u = rng.normal(size=(2, 4))
-        h0, c0, init_in = dec.initial_state(z, u)
-        assert not c0.any()
+        h0, init_in = dec.initial_state(z, u)
         ref = np.tanh(np.concatenate([z, u], axis=1) @ dec.W_init.value.T
                       + dec.b_init.value)
         np.testing.assert_allclose(h0, ref, atol=1e-12)
@@ -337,3 +338,121 @@ class TestReportPathGradients:
         pure = dec.forward_teacher(emb, u, summary, gold_in, targets, tmask, noise, 0.0)
         assert pure.loss == sequence_nll(pure.states, dec.W_out.value, targets, tmask)[0]
         assert with_kl.loss >= pure.loss
+
+
+def step_at_a_time(dec, emb, u, summary, gold_in, targets, tmask, noise, beta,
+                   sample_rng=None, ratio=1.0, lag=1):
+    """Reference report pass: the recognition maps, the sample and the seed as
+    plain formulas, the plain LSTM step once per step, feeding the argmax of
+    the state `lag` steps back where a coin picks the model (lag 1 is the
+    model's rule), and the backward passes once per step on the way back.
+    Returns the forward values and the input gradients, and leaves the
+    parameter gradients in dec."""
+    for p in dec.parameters():
+        p.zero_grad()
+    B, K = gold_in.shape
+    fmask = tmask.astype(float)
+    recog_in = np.concatenate([u, summary], axis=1)
+    mean = recog_in @ dec.W_mu.value.T + dec.b_mu.value
+    logvar = recog_in @ dec.W_lv.value.T + dec.b_lv.value
+    z = mean + np.exp(0.5 * logvar) * noise
+    kl_rows = 0.5 * np.sum(np.exp(logvar) + mean * mean - 1.0 - logvar, axis=1)
+    init_in = np.concatenate([z, u], axis=1)
+    h0 = np.tanh(init_in @ dec.W_init.value.T + dec.b_init.value)
+    h, c = h0, np.zeros_like(h0)
+    input_ids = gold_in.copy()
+    history, steps = [h0], []  # at step t, history[-k] is the state after step t - k
+    for t in range(K):
+        if ratio < 1.0 and t > 0:
+            use_model = sample_rng.random(B) >= ratio
+            logits = history[-lag] @ dec.W_out.value.T
+            input_ids[:, t] = np.where(use_model, np.argmax(logits, axis=1), gold_in[:, t])
+        m = fmask[:, t:t + 1]
+        x = emb.lookup(input_ids[:, t])
+        h_new, c_new, cache = reference_lstm_step(dec.cell, x, h, c)
+        steps.append((x, h, cache))
+        h = m * h_new + (1.0 - m) * h
+        c = m * c_new + (1.0 - m) * c
+        history.append(h)
+    states = np.stack(history[1:], axis=1)
+    nll, lse, dS, dW_out = reference_xent(states, dec.W_out.value, targets, tmask)
+    dec.W_out.grad += dW_out
+    dX, dh0 = reference_run_lstm_backward(dec.cell, ReferenceRun(steps, fmask, False), dS,
+                                          np.zeros_like(h0))
+    d_pre = dh0 * (1.0 - h0 * h0)
+    dec.W_init.grad += d_pre.T @ init_in
+    dec.b_init.grad += d_pre.sum(axis=0)
+    d_init_in = d_pre @ dec.W_init.value
+    dz, du = d_init_in[:, :dec.d_z], d_init_in[:, dec.d_z:]
+    d_mean = (beta / B) * mean + dz
+    d_logvar = (beta / B) * 0.5 * (np.exp(logvar) - 1.0) + dz * noise * 0.5 * np.exp(0.5 * logvar)
+    for W, b, d in ((dec.W_mu, dec.b_mu, d_mean), (dec.W_lv, dec.b_lv, d_logvar)):
+        W.grad += d.T @ recog_in
+        b.grad += d.sum(axis=0)
+    d_recog_in = d_mean @ dec.W_mu.value + d_logvar @ dec.W_lv.value
+    d_u = u.shape[1]
+    return {"loss": nll + beta * float(np.mean(kl_rows)), "lse": lse, "states": states,
+            "input_ids": input_ids, "d_u": du + d_recog_in[:, :d_u],
+            "d_report_summary": d_recog_in[:, d_u:], "dX": dX}
+
+
+class TestStepAtATimePass:
+    """The report decoder runs one recurrence, scheduled-sampled ones
+    included, then the chunked softmax cross-entropy. The fed inputs equal
+    the step-at-a-time reference exactly; the loss, lse, states and every
+    gradient equal it at REL_TOL."""
+
+    # (B, K, d_hid); the second is the train-hier benchmark's batch and width
+    SHAPES = [(2, 3, 3), (16, 11, 64)]
+
+    def _fixture(self, B, K, H, vocab=40, d_z=8):
+        rng = np.random.default_rng(B + K + H)
+        emb = Embedding(vocab, H, rng)
+        dec = ReportDecoder(vocab, H, H, 3 * H, d_z, rng)
+        ids = np.full((B, K + 1), PAD)
+        for b, n in enumerate(rng.integers(1, K + 1, size=B)):
+            ids[b, :n + 1] = [BOS, *rng.integers(4, vocab, size=n - 1), 2]
+        targets = ids[:, 1:]
+        return (dec, emb, rng.normal(size=(B, 3 * H)), rng.normal(size=(B, H)),
+                ids[:, :-1], targets, targets != PAD, rng.normal(size=(B, d_z)), 0.7)
+
+    def _batched(self, dec, emb, *case, ratio):
+        for p in dec.parameters():
+            p.zero_grad()
+        fwd = dec.forward_teacher(emb, *case, sample_rng=np.random.default_rng(3),
+                                  teacher_forcing_ratio=ratio)
+        d_u, d_summary, dX = dec.backward(fwd)
+        return {"loss": fwd.loss, "lse": fwd.lse, "states": fwd.states,
+                "input_ids": fwd.input_ids, "d_u": d_u, "d_report_summary": d_summary,
+                "dX": dX}
+
+    @pytest.mark.parametrize("ratio", [1.0, 0.5])
+    @pytest.mark.parametrize("B,K,H", SHAPES)
+    def test_matches_step_at_a_time(self, B, K, H, ratio):
+        dec, emb, *case = self._fixture(B, K, H)
+        ref = step_at_a_time(dec, emb, *case, np.random.default_rng(3), ratio)
+        ref_grads = {p.name: p.grad.copy() for p in dec.parameters()}
+        got = self._batched(dec, emb, *case, ratio=ratio)
+        assert np.array_equal(got.pop("input_ids"), ref["input_ids"])
+        for name in got:
+            assert relative_error(got[name], ref[name]) <= REL_TOL, name
+        for p in dec.parameters():
+            assert relative_error(p.grad, ref_grads[p.name]) <= REL_TOL, p.name
+
+    def test_feeding_the_state_two_steps_back_is_caught(self):
+        # A reference whose sampled inputs read the argmax of the state two
+        # steps back: the fed ids and everything after them must differ.
+        dec, emb, *case = self._fixture(16, 11, 64)
+        ref = step_at_a_time(dec, emb, *case, np.random.default_rng(3), 0.5, lag=2)
+        got = self._batched(dec, emb, *case, ratio=0.5)
+        assert not np.array_equal(got["input_ids"], ref["input_ids"])
+        for name in ("loss", "states", "d_u", "dX"):
+            assert relative_error(got[name], ref[name]) > REL_TOL, name
+
+    @pytest.mark.parametrize("B,K,H", SHAPES)
+    def test_scheduled_sampling_steps_the_cell_once_per_column(self, B, K, H):
+        dec, emb, *case = self._fixture(B, K, H)
+        dec.cell.step = Mock(wraps=dec.cell.step)
+        dec.forward_teacher(emb, *case, sample_rng=np.random.default_rng(3),
+                            teacher_forcing_ratio=0.5)
+        assert dec.cell.step.call_count == K
