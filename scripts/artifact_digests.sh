@@ -4,16 +4,19 @@
 # plain run, a teacher_forcing_ratio=0.5 run, a freeze_outline=true run and a
 # run resumed at epoch 15 of 30; the generations of the plain run's
 # checkpoint under greedy, beam-3, sampling with a sampled latent and
-# recorded attention; beam-8 generations with a 200-token report cap from
-# the teacher_forcing_ratio=0.5 run's checkpoint, where beam search stops
-# before the cap in both stages; and the evaluation of the greedy
-# generations.
+# recorded attention, and beam-8 with a 200-token report cap, where beam
+# search stops early in both stages (every outline search after 8 of 20
+# steps, every report search after 52 of 200; without the early stop, 6
+# outline searches would run to 20 and 3 report searches to 96-141); and the
+# evaluation of the greedy generations.
 #
 # The plain run trains for 400 epochs, so that its checkpoint decodes the
 # toy items apart: greedy gives 10 distinct reports for the 10 items (beam-3
-# 10, sampling 8), where 100 epochs gave one report for all of them. A
-# fault that decodes one item from another item's encoding then changes the
-# generation digests; with one shared report it could not.
+# 10, beam-8 10, sampling 8), where 100 epochs gave one report for all of
+# them. A fault that decodes one item from another item's encoding then
+# changes the generation digests; with one shared report it could not. The
+# 40-epoch teacher_forcing_ratio=0.5 run's checkpoint gives one beam-8
+# report for all 10 items, so beam-8 decodes the plain run's.
 #
 #   scripts/artifact_digests.sh WORK_DIR [SRC_DIR]
 #
@@ -58,7 +61,7 @@ generate() {
 }
 generate toy greedy.jsonl --greedy
 generate toy beam3.jsonl --beam 3
-generate forcing beam8.jsonl --beam 8 --max-report-len 200
+generate toy beam8.jsonl --beam 8 --max-report-len 200
 generate toy sample.jsonl --strategy sample --sample-latent --seed 7
 generate toy attention.jsonl --record-attention
 PYTHONPATH="$src" python3 -m outline2report evaluate --generated greedy.jsonl \

@@ -16,10 +16,10 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-from .config import (ConfigError, DecodeConfig, TrainingConfig, load_config_file,
-                     parse_config_lines, section_config)
-from .corpus import (CorpusError, Vocabulary, build_vocabulary,
-                     derive_outlines, read_dataset, read_json_lines, tokenize)
+from .config import (DecodeConfig, TrainingConfig, load_config_file, parse_config_lines,
+                     section_config)
+from .corpus import (Vocabulary, build_vocabulary, derive_outlines, read_dataset,
+                     read_json_lines, tokenize)
 from .generation import evaluation_report, generate
 from .gradcheck import run_suite
 from .model import build_model
@@ -173,7 +173,7 @@ def cmd_generate(args) -> int:
     try:
         for pair_id, news_tokens in items:
             result = generate(news_tokens, model, vocab, dcfg)
-            sink.write(json.dumps(result.to_record(pair_id), ensure_ascii=False) + "\n")
+            sink.write(json.dumps(result.to_record(pair_id, vocab), ensure_ascii=False) + "\n")
     finally:
         if sink is not sys.stdout:
             sink.close()
@@ -307,8 +307,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, ConfigError, CorpusError, CheckpointError, NonFiniteLossError,
-            ValueError, OSError) as exc:
+    except (CliError, CheckpointError, NonFiniteLossError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

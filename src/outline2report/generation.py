@@ -13,7 +13,6 @@ tokens and their log-probs. Model-backed step functions carry their rows as
 from __future__ import annotations
 
 import math
-import warnings
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -154,16 +153,15 @@ def beam_search(step_fn, init_state, width, max_len, eos_id=EOS):
 class GenerationResult:
     outline_ids: tuple
     report_ids: tuple
-    outline_tokens: list
-    report_tokens: list
     logprob: float                       # sum over both emitted sequences
     attention: np.ndarray | None = field(default=None, repr=False)
 
-    def to_record(self, pair_id) -> dict:
+    def to_record(self, pair_id, vocab: Vocabulary) -> dict:
+        """The JSON record: both sequences decoded to words, specials dropped."""
         rec = {
             "id": pair_id,
-            "outline": self.outline_tokens,
-            "report": self.report_tokens,
+            "outline": vocab.decode(self.outline_ids),
+            "report": vocab.decode(self.report_ids),
             "logprob": self.logprob,
         }
         if self.attention is not None:
@@ -225,12 +223,10 @@ def generate(news_tokens, model, vocab: Vocabulary,
 
     z = (np.zeros((1, rdec.d_z)) if dcfg.deterministic_latent
          else rng.standard_normal((1, rdec.d_z)))
-    report = search(rdec, rdec.logits, rdec.initial_state(z, u)[0], dcfg.max_report_len)
+    report = search(rdec, rdec.logits, rdec.initial_state(z, u), dcfg.max_report_len)
 
     return GenerationResult(
         outline_ids=outline.tokens, report_ids=report.tokens,
-        outline_tokens=vocab.decode(outline.tokens),
-        report_tokens=vocab.decode(report.tokens),
         logprob=float(sum(outline.logps) + sum(report.logps)),
         attention=attention)
 
@@ -253,28 +249,25 @@ def clipped_counts(candidate, reference, n):
 def bleu(candidate, reference, max_n: int = 4) -> float:
     """Sentence BLEU: geometric mean of modified n-gram precisions times the
     brevity penalty. Smoothing is add-1 on numerator and denominator for
-    n >= 2 only, so a zero unigram overlap still scores 0.
+    n >= 2 only, so a zero unigram overlap, like an empty candidate, scores 0.
     """
     candidate = list(candidate)
     reference = list(reference)
     if not reference:
         raise ValueError("reference must be non-empty")
-    if not candidate:
-        warnings.warn("empty candidate scores 0", stacklevel=2)
-        return 0.0
     return corpus_bleu([(candidate, reference)], max_n)
 
 
 def corpus_bleu(pairs, max_n: int = 4) -> float:
     """Corpus BLEU: counts pooled over all (candidate, reference) pairs, the
-    same add-1 smoothing applied once to the pooled counts for n >= 2."""
+    same add-1 smoothing applied once to the pooled counts for n >= 2; 0 when
+    every candidate is empty."""
     pairs = [(list(c), list(r)) for c, r in pairs]
     if not pairs:
         raise ValueError("corpus_bleu needs at least one pair")
     cand_len = sum(len(c) for c, _ in pairs)
     ref_len = sum(len(r) for _, r in pairs)
     if cand_len == 0:
-        warnings.warn("all candidates empty; corpus BLEU is 0", stacklevel=2)
         return 0.0
     log_sum = 0.0
     for n in range(1, max_n + 1):
@@ -294,12 +287,11 @@ def corpus_bleu(pairs, max_n: int = 4) -> float:
 
 
 def repetition_rate(tokens, n: int = 2) -> float:
-    """1 - distinct/total n-grams; the repeated-term failure measure."""
+    """1 - distinct/total n-grams, the repeated-term failure measure; 0 for
+    fewer than n tokens."""
     tokens = list(tokens)
     total = len(tokens) - n + 1
     if total <= 0:
-        warnings.warn(f"sequence shorter than n={n}; repetition rate is 0",
-                      stacklevel=2)
         return 0.0
     grams = ngrams(tokens, n)
     # (total - distinct)/total, not 1 - distinct/total: bit-exact at e.g. 2/3
@@ -326,10 +318,8 @@ def evaluation_report(candidates_by_id: dict, references_by_id: dict) -> dict:
     cands = [candidates_by_id[i] for i in ids]
     refs = [references_by_id[i] for i in ids]
     sent = [bleu(c, r) for c, r in zip(cands, refs)]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        cand_rep = [repetition_rate(c) for c in cands]
-        ref_rep = [repetition_rate(r) for r in refs]
+    cand_rep = [repetition_rate(c) for c in cands]
+    ref_rep = [repetition_rate(r) for r in refs]
     return {
         "pairs": len(ids),
         "mean_sentence_bleu": sum(sent) / len(sent) if sent else 0.0,

@@ -11,7 +11,7 @@ import numpy as np
 
 from .config import TrainingConfig
 from .corpus import SPECIAL_TOKENS, NewsReportPair, Vocabulary, encode_batch
-from .model import NewsToReportModel, build_model
+from .model import build_model
 from .numerics import GradientCheckReport, finite_difference_gradient, gradient_check
 
 _WORDS = ("alpha", "beta", "gamma", "delta", "eps", "zeta", "eta", "theta",
@@ -31,34 +31,18 @@ _PAIRS = (
 )
 
 
-def gradcheck_vocabulary() -> Vocabulary:
-    return Vocabulary(SPECIAL_TOKENS + _WORDS)
-
-
-def build_fixture(seed: int = 0):
-    """(model, batch, noise, beta) for the finite-difference suite."""
+def run_suite(seed: int = 0, epsilon: float = 1e-5,
+              tol: float = 1e-4) -> GradientCheckReport:
+    """Analytic vs central-difference gradients for every parameter block."""
     cfg = TrainingConfig(d_emb=8, d_hid=8, d_z=4, seed=seed)
-    vocab = gradcheck_vocabulary()
+    vocab = Vocabulary(SPECIAL_TOKENS + _WORDS)
     model = build_model(vocab, cfg)
     batch = encode_batch(list(_PAIRS), vocab)
     noise_rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
     noise = noise_rng.standard_normal((batch.size, cfg.d_z))
-    # partial KL weight so a dropped beta factor cannot cancel out
-    return model, batch, noise, 0.7
-
-
-def analytic_gradients(model: NewsToReportModel, batch, noise, beta) -> dict:
-    model.zero_grad()
-    fwd = model.forward(batch, noise, beta)
-    model.backward(fwd)
-    return {p.name: p.grad.copy() for p in model.parameters()}
-
-
-def run_suite(seed: int = 0, epsilon: float = 1e-5,
-              tol: float = 1e-4) -> GradientCheckReport:
-    """Analytic vs central-difference gradients for every parameter block."""
-    model, batch, noise, beta = build_fixture(seed)
-    analytic = analytic_gradients(model, batch, noise, beta)
+    beta = 0.7  # partial KL weight so a dropped beta factor cannot cancel out
+    model.backward(model.forward(batch, noise, beta))
+    analytic = {p.name: p.grad.copy() for p in model.parameters()}
 
     def loss_fn():
         return model.forward(batch, noise, beta).loss_model

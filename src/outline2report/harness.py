@@ -161,7 +161,7 @@ def run_comparative(pairs, base_cfg: TrainingConfig | None = None,
             progress(f"{name}: trained {trainer.step} steps{final}")
         candidates = {}
         for p in subset:
-            candidates[p.id] = generate(list(p.news), model, vocab, dcfg).report_tokens
+            candidates[p.id] = vocab.decode(generate(list(p.news), model, vocab, dcfg).report_ids)
         references = {p.id: list(p.report) for p in subset}
         metrics = evaluation_report(candidates, references)
         rows.append({"system": name, **metrics})

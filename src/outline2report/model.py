@@ -30,12 +30,9 @@ def shifted_targets(ids):
 @dataclass
 class ModelForward:
     batch: Batch
-    news_emb: np.ndarray
-    enc_states: np.ndarray          # [B, T, 2H]
-    enc_cache: object
-    outline: OutlineForward
+    enc_cache: object               # encoder run caches; their inputs are the news embeddings
+    outline: OutlineForward         # attention.enc_states: the encoder states [B, T, 2H]
     summary_weights: np.ndarray     # [B, T_rep], rows sum to 1
-    u: np.ndarray
     pool_weights: tuple             # ([B, T], [B, K]): the fusion pools' weights
     report: ReportForward
     loss_model: float
@@ -70,8 +67,8 @@ class NewsToReportModel:
     def forward(self, batch: Batch, noise, beta, sample_rng=None) -> ModelForward:
         """The joint pass; cfg.teacher_forcing_ratio < 1 draws its coins from sample_rng."""
         ratio = self.cfg.teacher_forcing_ratio
-        news_emb = self.embedding.lookup(batch.news_ids)
-        enc_states, enc_cache = self.encoder.forward(news_emb, batch.news_mask)
+        enc_states, enc_cache = self.encoder.forward(
+            self.embedding.lookup(batch.news_ids), batch.news_mask)
 
         o_in, o_tgt, o_tmask = shifted_targets(batch.outline_ids)
         out_fwd = self.outline_decoder.forward_teacher(
@@ -89,8 +86,7 @@ class NewsToReportModel:
             r_in, r_tgt, r_tmask, noise, beta, sample_rng=sample_rng, teacher_forcing_ratio=ratio)
 
         return ModelForward(
-            batch=batch, news_emb=news_emb, enc_states=enc_states,
-            enc_cache=enc_cache, outline=out_fwd, summary_weights=summary_weights, u=u,
+            batch=batch, enc_cache=enc_cache, outline=out_fwd, summary_weights=summary_weights,
             pool_weights=pool_weights, report=rep_fwd,
             loss_model=self.cfg.outline_loss_weight * out_fwd.loss + rep_fwd.loss)
 
@@ -103,7 +99,7 @@ class NewsToReportModel:
         d_sum_emb = fwd.summary_weights[:, :, None] * d_rep_summary[:, None, :]
         self.embedding.accumulate_grad(batch.report_ids, d_sum_emb)
 
-        d_enc_dim = fwd.enc_states.shape[2]
+        d_enc_dim = fwd.outline.attention.enc_states.shape[2]
         dpool_enc = du[:, :d_enc_dim]
         dpool_out = du[:, d_enc_dim:]
         w_enc, w_out = fwd.pool_weights

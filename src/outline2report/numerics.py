@@ -159,8 +159,7 @@ def run_lstm(cell: LSTMCell, X, mask, reverse=False, h0=None, feed=None):
     mask = np.asarray(mask, dtype=bool).reshape(B, T)
     h = np.zeros((B, cell.d_hid), dtype=FLOAT) if h0 is None else h0
     c = np.zeros((B, cell.d_hid), dtype=FLOAT)
-    # for B = 1 the contiguous transpose is a view of X, which feed must not write
-    inputs = X.transpose(1, 0, 2).copy() if feed else np.ascontiguousarray(X.transpose(1, 0, 2))
+    inputs = X.transpose(1, 0, 2).copy()
     x_gates = cell.input_gates(inputs.reshape(T * B, D)).reshape(T, B, -1)
     W_hT = np.ascontiguousarray(cell.W_h.value.T)
     held = np.empty((T + 1, B, cell.d_hid), dtype=FLOAT)
@@ -228,6 +227,7 @@ def run_lstm_backward(cell: LSTMCell, run_cache: LSTMRunCache, dH):
     return (da @ cell.W_x.value).reshape(T, B, -1).transpose(1, 0, 2), dh
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite loss raises, naming the probe
 def finite_difference_gradient(loss_fn, params, epsilon=1e-5):
     """Central-difference gradient estimate, one coordinate at a time.
 

@@ -145,9 +145,8 @@ class OutlineForward:
     loss: float
     input_ids: np.ndarray     # [B, K] ids actually fed (teacher forcing or sampled)
     targets: np.ndarray       # [B, K] gold ids
-    target_mask: np.ndarray   # [B, K] bool, False at padding
     attention: AttentionStep  # all K steps; holds enc_states and the decoder states
-    run_cache: object         # h_prev[0] is the seed s0
+    run_cache: object         # mask is the target mask; h_prev[0] is the seed s0
 
 
 class OutlineDecoder:
@@ -202,7 +201,7 @@ class OutlineDecoder:
         loss, lse = sequence_nll(attn.combined, self.W_o.value, targets, target_mask)
         return OutlineForward(
             lse=lse, loss=loss, input_ids=input_ids, targets=targets,
-            target_mask=target_mask, attention=attn, run_cache=run_cache)
+            attention=attn, run_cache=run_cache)
 
     def backward(self, fwd: OutlineForward, d_enc_extra, d_states_extra, loss_scale):
         """Backward through the whole teacher-forced pass, of loss_scale * loss.
@@ -214,7 +213,7 @@ class OutlineDecoder:
         d_enc_extra; accumulates parameter grads.
         """
         d_combined, dW_o = sequence_nll_backward(
-            fwd.attention.combined, self.W_o.value, fwd.targets, fwd.target_mask, fwd.lse,
+            fwd.attention.combined, self.W_o.value, fwd.targets, fwd.run_cache.mask, fwd.lse,
             scale=loss_scale)
         self.W_o.grad += dW_o
         d_enc, dS = attend_backward(fwd.attention, d_combined, self.W_a, self.W_c)

@@ -65,15 +65,14 @@ class ReportForward:
     recog_in: np.ndarray
     latent: LatentSample
     kl_rows: np.ndarray
-    init_in: np.ndarray       # [z ; u]
+    u: np.ndarray             # the fusion vector
     states: np.ndarray        # [B, K, H]
     lse: np.ndarray           # log-sum-exp of each valid step's logits
     loss: float               # NLL + beta * mean KL
     beta: float
     input_ids: np.ndarray
     targets: np.ndarray       # [B, K] gold ids
-    target_mask: np.ndarray   # [B, K] bool, False at padding
-    run_cache: object         # h_prev[0] is the seed h0
+    run_cache: object         # mask is the target mask; h_prev[0] is the seed h0
 
 
 class ReportDecoder:
@@ -104,8 +103,8 @@ class ReportDecoder:
         return reparameterize(mean, logvar, noise), recog_in
 
     def initial_state(self, z, u):
-        init_in = np.concatenate([z, u], axis=1)
-        return np.tanh(init_in @ self.W_init.value.T + self.b_init.value), init_in
+        """The seed h0 = tanh(W_init [z ; u] + b_init)."""
+        return np.tanh(np.concatenate([z, u], axis=1) @ self.W_init.value.T + self.b_init.value)
 
     def step(self, x_emb, state):
         return self.cell.step(self.cell.input_gates(x_emb), *state, self.cell.W_h.value.T)[:2]
@@ -120,17 +119,16 @@ class ReportDecoder:
         """Teacher-forced report pass with a freshly sampled latent."""
         latent, recog_in = self.infer_latent(u, report_summary, noise)
         kl_rows = gaussian_kl(latent.mean, latent.logvar)
-        h0, init_in = self.initial_state(latent.z, u)
         input_ids, feed = scheduled_inputs(
             embedding.lookup, gold_in_ids, self.logits, sample_rng, teacher_forcing_ratio)
         states, run_cache = run_lstm(self.cell, embedding.lookup(input_ids), target_mask,
-                                     h0=h0, feed=feed)
+                                     h0=self.initial_state(latent.z, u), feed=feed)
         nll, lse = sequence_nll(states, self.W_out.value, targets, target_mask)
         loss = nll + beta * float(np.mean(kl_rows))
         return ReportForward(
-            recog_in=recog_in, latent=latent, kl_rows=kl_rows, init_in=init_in,
+            recog_in=recog_in, latent=latent, kl_rows=kl_rows, u=u,
             states=states, lse=lse, loss=loss, beta=beta, input_ids=input_ids,
-            targets=targets, target_mask=target_mask, run_cache=run_cache)
+            targets=targets, run_cache=run_cache)
 
     def backward(self, fwd: ReportForward):
         """Backward through NLL + beta*KL; accumulates parameter grads.
@@ -139,16 +137,17 @@ class ReportDecoder:
         """
         B = fwd.states.shape[0]
         dS, dW_out = sequence_nll_backward(fwd.states, self.W_out.value, fwd.targets,
-                                           fwd.target_mask, fwd.lse)
+                                           fwd.run_cache.mask, fwd.lse)
         self.W_out.grad += dW_out
         dX, dh0 = run_lstm_backward(self.cell, fwd.run_cache, dS)
 
         h0 = fwd.run_cache.h_prev[0]
-        d_init_in = affine_backward(fwd.init_in, dh0 * (1.0 - h0 * h0), self.W_init, self.b_init)
+        latent = fwd.latent
+        d_init_in = affine_backward(np.concatenate([latent.z, fwd.u], axis=1),
+                                    dh0 * (1.0 - h0 * h0), self.W_init, self.b_init)
         dz = d_init_in[:, :self.d_z]
         du = d_init_in[:, self.d_z:]
 
-        latent = fwd.latent
         # KL term (batch mean, weighted by beta); then the sample path.
         d_mean = (fwd.beta / B) * latent.mean
         d_logvar = (fwd.beta / B) * 0.5 * (np.exp(latent.logvar) - 1.0)

@@ -72,11 +72,11 @@ class AdamOptimizer:
 def diagnose_forward(fwd: ModelForward) -> str:
     """Name the first non-finite intermediate, in pipeline order."""
     stages = [
-        ("news embeddings", fwd.news_emb),
-        ("encoder states", fwd.enc_states),
+        ("news embeddings", fwd.enc_cache[0].inputs),
+        ("encoder states", fwd.outline.attention.enc_states),
         ("outline log-sum-exp", fwd.outline.lse),
         ("outline loss", fwd.outline.loss),
-        ("fusion vector", fwd.u),
+        ("fusion vector", fwd.report.u),
         ("latent mean", fwd.report.latent.mean),
         ("latent logvar", fwd.report.latent.logvar),
         ("latent sample", fwd.report.latent.z),

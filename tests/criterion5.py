@@ -30,6 +30,6 @@ def overfit(bundled, seed, max_epochs=None):
     trainer = Trainer(build_model(vocab, cfg), pairs, vocab, cfg)
     history = trainer.run(max_epochs)
     dcfg = DecodeConfig(**SETTINGS["decode"])
-    matches = sum(generate(list(p.news), trainer.model, vocab, dcfg).report_tokens
+    matches = sum(vocab.decode(generate(list(p.news), trainer.model, vocab, dcfg).report_ids)
                   == list(p.report) for p in pairs)
     return history, matches

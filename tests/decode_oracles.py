@@ -100,7 +100,7 @@ def reference_beam_generate(news_tokens, model, vocab, dcfg):
     rng = np.random.default_rng(np.random.SeedSequence([dcfg.seed, 3]))
     z = (np.zeros((1, model.cfg.d_z)) if dcfg.deterministic_latent
          else rng.standard_normal((1, model.cfg.d_z)))
-    h0, _ = rdec.initial_state(z, u)
+    h0 = rdec.initial_state(z, u)
     report = reference_beam_search(report_step, (h0, np.zeros_like(h0)), dcfg.beam_width,
                                    dcfg.max_report_len)
     return outline, report

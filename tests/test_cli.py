@@ -4,7 +4,10 @@ import argparse
 import io
 import json
 import math
+import os
 import struct
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -13,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import outline2report
 from outline2report.cli import build_parser, main
 from outline2report.config import known_keys
 
@@ -410,6 +414,15 @@ def assert_one_line_error(capsys, *fragments):
         assert fragment in err, err
 
 
+def run_fresh(argv):
+    """Run the CLI in a new interpreter, whose default warning filters print
+    a warning and its source line to stderr: (exit code, stderr)."""
+    env = {**os.environ, "PYTHONPATH": str(Path(outline2report.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "outline2report", *argv],
+                          capture_output=True, text=True, env=env, check=False)
+    return proc.returncode, proc.stderr
+
+
 class TestMalformedInput:
     """Each malformed input ends in exit 1 and one `error:` line."""
 
@@ -552,6 +565,13 @@ class TestEvaluate:
         stdout = capsys.readouterr().out
         assert "pairs evaluated      : 4" in stdout
         assert "corpus BLEU" in stdout
+
+    def test_empty_report_evaluates_quietly(self, dataset, tmp_path):
+        # generate writes an empty report when EOS comes first; it scores 0
+        gen = tmp_path / "gen.jsonl"
+        gen.write_text(json.dumps({"id": "p1", "report": []}) + "\n")
+        argv = ["evaluate", "--generated", str(gen), "--dataset", str(dataset)]
+        assert run_fresh(argv) == (0, "")
 
     def test_unknown_candidate_id_fails(self, trained, tmp_path, capsys):
         gen = tmp_path / "gen.jsonl"
@@ -724,6 +744,11 @@ class TestGradcheck:
         # one table row per parameter block
         assert stdout.count("pass") >= 10
 
+    def test_overflowing_epsilon_fails_with_one_error_line(self):
+        code, err = run_fresh(["gradcheck", "--epsilon", "1e200"])
+        assert code == 1
+        assert err == "error: non-finite loss while probing embedding.table[8]\n", err
+
 
 # -- fuzz: malformed input never escapes as a traceback ------------------------
 
@@ -775,7 +800,6 @@ class TestCliFuzz:
     """Random generation, dataset and config files fed to evaluate and
     build-vocab: exit 0, or exit 1 with exactly one `error:` line."""
 
-    @pytest.mark.filterwarnings("ignore:.*(scores|is) 0")  # BLEU of an empty report
     @settings(max_examples=150, deadline=None)
     @given(generated=_generation_file, dataset=_dataset_file, config=_config_file,
            setting=_config_line)

@@ -384,9 +384,8 @@ class TestBleu:
         got = bleu("the cat".split(), "the cat sat".split())
         assert abs(got - math.exp(1 - 3 / 2)) < 1e-12
 
-    def test_empty_candidate_warns_and_scores_zero(self):
-        with pytest.warns(UserWarning, match="empty candidate"):
-            assert bleu([], ["a"]) == 0.0
+    def test_empty_candidate_scores_zero(self):
+        assert bleu([], ["a"]) == 0.0
 
     def test_empty_reference_rejected(self):
         with pytest.raises(ValueError):
@@ -414,9 +413,8 @@ class TestCorpusBleu:
         want = (2 / 8 * 1 / 7 * 1 / 5 * 1 / 3) ** 0.25
         assert abs(got - want) < 1e-12
 
-    def test_all_empty_warns(self):
-        with pytest.warns(UserWarning):
-            assert corpus_bleu([([], ["a"])]) == 0.0
+    def test_all_empty_scores_zero(self):
+        assert corpus_bleu([([], ["a"])]) == 0.0
 
     def test_no_pairs_rejected(self):
         with pytest.raises(ValueError):
@@ -440,9 +438,8 @@ class TestRepetitionRate:
             rates.add(repetition_rate(shuffled, n=1))
         assert len(rates) == 1
 
-    def test_too_short_warns_and_scores_zero(self):
-        with pytest.warns(UserWarning, match="shorter"):
-            assert repetition_rate(["a"], n=2) == 0.0
+    def test_too_short_scores_zero(self):
+        assert repetition_rate(["a"], n=2) == 0.0
 
     def test_range(self):
         rng = np.random.default_rng(1)
@@ -479,11 +476,10 @@ class TestEvaluationReport:
         assert report["pairs"] == 1
         assert report["mean_sentence_bleu"] == 1.0
 
-    def test_empty_candidate_warns_but_still_scores(self):
+    def test_empty_candidate_still_scores(self):
         refs = {"1": ["a", "b"], "2": ["c", "d"]}
         cands = {"1": ["a", "b"], "2": []}
-        with pytest.warns(UserWarning, match="empty candidate"):
-            report = evaluation_report(cands, refs)
+        report = evaluation_report(cands, refs)
         assert report["mean_sentence_bleu"] == 0.5
 
 
@@ -620,8 +616,8 @@ class TestGenerate:
 
     def test_decoded_tokens_strip_specials(self):
         model, vocab, _ = pipeline_fixture()
-        out = generate(["rain", "hit"], model, vocab, self._dcfg())
-        for tok in out.outline_tokens + out.report_tokens:
+        rec = generate(["rain", "hit"], model, vocab, self._dcfg()).to_record("pair-1", vocab)
+        for tok in rec["outline"] + rec["report"]:
             assert tok not in ("<pad>", "<bos>", "<eos>")
 
     def test_empty_news_rejected(self):
@@ -647,15 +643,15 @@ class TestGenerate:
         model, vocab, _ = pipeline_fixture()
         out = generate(["rain", "hit"], model, vocab,
                        self._dcfg(record_attention=True))
-        rec = out.to_record("pair-1")
+        rec = out.to_record("pair-1", vocab)
         blob = json.loads(json.dumps(rec))
         assert blob["id"] == "pair-1"
-        assert isinstance(blob["outline"], list)
-        assert isinstance(blob["report"], list)
+        assert blob["outline"] == vocab.decode(out.outline_ids)
+        assert blob["report"] == vocab.decode(out.report_ids)
         assert isinstance(blob["logprob"], float)
         assert isinstance(blob["attention"][0][0], float)
         plain = generate(["rain", "hit"], model, vocab, self._dcfg())
-        assert "attention" not in plain.to_record("pair-1")
+        assert "attention" not in plain.to_record("pair-1", vocab)
 
     def test_sampling_seeded(self):
         model, vocab, _ = pipeline_fixture()

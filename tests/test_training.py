@@ -278,6 +278,12 @@ class TestTrainingLoop:
         with pytest.raises(NonFiniteLossError, match="news embeddings"):
             trainer.train_one_step()
 
+    def test_non_finite_encoder_names_encoder_states(self):
+        trainer, _, _ = make_trainer()
+        trainer.model.encoder.fwd.b.value[0] = np.nan
+        with pytest.raises(NonFiniteLossError, match="encoder states"):
+            trainer.train_one_step()
+
     def test_non_finite_deep_in_pipeline(self):
         trainer, _, _ = make_trainer()
         trainer.model.report_decoder.W_out.value[:] = np.nan
