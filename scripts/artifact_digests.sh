@@ -3,12 +3,13 @@
 # artifact it writes: the vocabulary; the loss log and final checkpoint of a
 # plain run, a teacher_forcing_ratio=0.5 run, a freeze_outline=true run and a
 # run resumed at epoch 15 of 30; the generations of the plain run's
-# checkpoint under greedy, beam-3, sampling with a sampled latent and
-# recorded attention, and beam-8 with a 200-token report cap, where beam
-# search stops early in both stages (every outline search after 8 of 20
-# steps, every report search after 52 of 200; without the early stop, 6
-# outline searches would run to 20 and 3 report searches to 96-141); and the
-# evaluation of the greedy generations.
+# checkpoint under greedy, sampling with a sampled latent and recorded
+# attention, and beam-8 with a 200-token report cap, where beam search stops
+# early in both stages (every outline search after 8 of 20 steps, every
+# report search after 52 of 200; without the early stop, 6 outline searches
+# would run to 20 and 3 report searches to 96-141); beam-3 generations of
+# the freeze_outline run's checkpoint; and the evaluation of the greedy
+# generations.
 #
 # The plain run trains for 400 epochs, so that its checkpoint decodes the
 # toy items apart: greedy gives 10 distinct reports for the 10 items (beam-3
@@ -16,7 +17,12 @@
 # them. A fault that decodes one item from another item's encoding then
 # changes the generation digests; with one shared report it could not. The
 # 40-epoch teacher_forcing_ratio=0.5 run's checkpoint gives one beam-8
-# report for all 10 items, so beam-8 decodes the plain run's.
+# report for all 10 items, so beam-8 decodes the plain run's. On the plain
+# run's checkpoint greedy, beam-3 and beam-8 give the same file, so a beam
+# that returned the greedy path would move no digest; beam-3 decodes the
+# freeze_outline run's checkpoint, where beam-3 and greedy differ. That run
+# trains at teacher_forcing_ratio=1, so the tokens scheduled sampling may
+# feed cannot move it.
 #
 #   scripts/artifact_digests.sh WORK_DIR [SRC_DIR]
 #
@@ -60,7 +66,7 @@ generate() {
       --out "$out" "$@" 2> /dev/null
 }
 generate toy greedy.jsonl --greedy
-generate toy beam3.jsonl --beam 3
+generate frozen beam3.jsonl --beam 3
 generate toy beam8.jsonl --beam 8 --max-report-len 200
 generate toy sample.jsonl --strategy sample --sample-latent --seed 7
 generate toy attention.jsonl --record-attention

@@ -13,7 +13,7 @@ from .numerics import LSTMCell, Parameter, run_lstm, run_lstm_backward, uniform_
 
 
 class Embedding:
-    """Embedding table with the PAD row pinned at zero."""
+    """Embedding table whose PAD row starts at zero and gets no gradient."""
 
     def __init__(self, vocab_size, d_emb, rng):
         table = uniform_init(rng, (vocab_size, d_emb))
@@ -44,9 +44,6 @@ class Embedding:
         dvecs = np.asarray(dvecs).reshape(-1, self.d_emb)[order]
         self.table.grad[ids[starts]] += np.add.reduceat(dvecs, starts, axis=0)
 
-    def freeze_pad_row(self):
-        self.table.grad[PAD] = 0.0
-
 
 class BiLSTMEncoder:
     """Forward pass left-to-right, backward pass right-to-left, concatenated."""
@@ -66,6 +63,7 @@ class BiLSTMEncoder:
         consumers must apply the same mask. The forward direction's final
         state is H[:, -1, :d_hid], the backward direction's H[:, 0, d_hid:].
         """
+        X = np.swapaxes(X, 0, 1).copy().swapaxes(0, 1)  # both runs share one time-major copy
         Hf, fwd_run = run_lstm(self.fwd, X, mask, reverse=False)
         Hb, bwd_run = run_lstm(self.bwd, X, mask, reverse=True)
         return np.concatenate([Hf, Hb], axis=2), (fwd_run, bwd_run)

@@ -7,7 +7,7 @@ axis 0, and returns (log-probs [n, V], new state). The first call feeds BOS
 to every row. Greedy and sampling step one row; beam search steps every live
 hypothesis in one call. Each search returns a DecodedSequence: the emitted
 tokens and their log-probs. Model-backed step functions carry their rows as
-[n, 1, H] stacks and mask PAD and BOS out of the emission distribution.
+[n, 1, H] stacks and apply the emission rule, numerics.mask_unemittable.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 from .config import DecodeConfig
 from .corpus import BOS, EOS, PAD, Vocabulary, wrap_ids
 from .model import shifted_targets
-from .numerics import log_softmax, run_lstm
+from .numerics import log_softmax, mask_unemittable, run_lstm
 from .outline_decoder import attend
 from .report_decoder import fuse_news_outline
 
@@ -169,13 +169,6 @@ class GenerationResult:
         return rec
 
 
-def _emission_mask(logits):
-    logp = log_softmax(logits, axis=-1)
-    logp[..., PAD] = -math.inf
-    logp[..., BOS] = -math.inf
-    return logp
-
-
 def generate(news_tokens, model, vocab: Vocabulary,
              dcfg: DecodeConfig) -> GenerationResult:
     """Full pipeline on one news item: encode, decode an outline, fuse it
@@ -200,7 +193,7 @@ def generate(news_tokens, model, vocab: Vocabulary,
         where an [n,H] GEMM may sum a row in another order."""
         def step_fn(state, tokens):
             state = decoder.step(emb.lookup(np.array(tokens, dtype=np.int64)[:, None]), state)
-            return _emission_mask(head(state[0])[:, 0]), state
+            return mask_unemittable(log_softmax(head(state[0])[:, 0])), state
 
         init = (seed[:, None], np.zeros_like(seed[:, None]))
         if dcfg.strategy == "beam":

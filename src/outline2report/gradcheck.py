@@ -48,6 +48,4 @@ def run_suite(seed: int = 0, epsilon: float = 1e-5,
         return model.forward(batch, noise, beta).loss_model
 
     numeric = finite_difference_gradient(loss_fn, model.parameters(), epsilon)
-    # the PAD embedding row is frozen by construction; the numeric probe sees
-    # zero sensitivity there as well, so no special-casing is needed
     return gradient_check(analytic, numeric, tol=tol)

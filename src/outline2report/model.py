@@ -99,9 +99,7 @@ class NewsToReportModel:
         d_sum_emb = fwd.summary_weights[:, :, None] * d_rep_summary[:, None, :]
         self.embedding.accumulate_grad(batch.report_ids, d_sum_emb)
 
-        d_enc_dim = fwd.outline.attention.enc_states.shape[2]
-        dpool_enc = du[:, :d_enc_dim]
-        dpool_out = du[:, d_enc_dim:]
+        dpool_enc, dpool_out = np.split(du, [fwd.outline.attention.enc_states.shape[2]], axis=1)
         w_enc, w_out = fwd.pool_weights
         dH_fusion = w_enc[:, :, None] * dpool_enc[:, None, :]
         dS_fusion = w_out[:, :, None] * dpool_out[:, None, :]
@@ -111,7 +109,6 @@ class NewsToReportModel:
         self.embedding.accumulate_grad(fwd.outline.input_ids, dX_out)
         dX_news = self.encoder.backward(fwd.enc_cache, dH)
         self.embedding.accumulate_grad(batch.news_ids, dX_news)
-        self.embedding.freeze_pad_row()
 
 
 def build_model(vocab: Vocabulary, cfg: TrainingConfig) -> NewsToReportModel:

@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .corpus import BOS, PAD
+
 FLOAT = np.float64
 
 
@@ -29,6 +31,13 @@ def log_softmax(x, axis=-1):
     shifted = x - m
     lse = np.log(np.sum(np.exp(shifted), axis=axis, keepdims=True))
     return shifted - lse
+
+
+def mask_unemittable(x):
+    """The emission rule, in place on scores x [..., V]: no decoder emits PAD or BOS."""
+    x[..., PAD] = -math.inf
+    x[..., BOS] = -math.inf
+    return x
 
 
 def masked_row_softmax(scores, mask):
@@ -159,7 +168,8 @@ def run_lstm(cell: LSTMCell, X, mask, reverse=False, h0=None, feed=None):
     mask = np.asarray(mask, dtype=bool).reshape(B, T)
     h = np.zeros((B, cell.d_hid), dtype=FLOAT) if h0 is None else h0
     c = np.zeros((B, cell.d_hid), dtype=FLOAT)
-    inputs = X.transpose(1, 0, 2).copy()
+    inputs = X.transpose(1, 0, 2)  # kept as is if contiguous; a feed writes into a copy
+    inputs = inputs.copy() if feed is not None else np.ascontiguousarray(inputs)
     x_gates = cell.input_gates(inputs.reshape(T * B, D)).reshape(T, B, -1)
     W_hT = np.ascontiguousarray(cell.W_h.value.T)
     held = np.empty((T + 1, B, cell.d_hid), dtype=FLOAT)
@@ -184,16 +194,17 @@ def run_lstm(cell: LSTMCell, X, mask, reverse=False, h0=None, feed=None):
 def scheduled_inputs(embed, gold_in_ids, head, rng, ratio):
     """Scheduled sampling (Bengio et al., arXiv 1506.03099) as a run_lstm feed:
     after the first, each input is the gold token with probability `ratio`,
-    else the argmax of head(h) on the state before it, with one coin per row
-    and step. Returns (input_ids, feed), feed writing the ids it picks into
-    input_ids; at ratio >= 1, (gold_in_ids, None), and nothing is drawn."""
+    else the argmax of mask_unemittable(head(h)) on the state before it, a token
+    decoding can emit; one coin per row and step. Returns (input_ids, feed), feed
+    writing its picks into input_ids; at ratio >= 1, (gold_in_ids, None), no draws."""
     if ratio >= 1.0:
         return gold_in_ids, None
     input_ids = gold_in_ids.copy()
 
     def feed(t, h):
         use_model = rng.random(len(input_ids)) >= ratio
-        input_ids[:, t] = np.where(use_model, np.argmax(head(h), axis=1), gold_in_ids[:, t])
+        picked = np.argmax(mask_unemittable(head(h)), axis=1)
+        input_ids[:, t] = np.where(use_model, picked, gold_in_ids[:, t])
         return embed(input_ids[:, t])
 
     return input_ids, feed

@@ -188,8 +188,8 @@ class OutlineDecoder:
         """Teacher-forced pass over a batch (optionally scheduled-sampled).
 
         gold_in_ids[:, 0] must be BOS. With ratio < 1 each later input is the
-        gold token with probability ratio, else the previous argmax; the coin
-        flips consume sample_rng one draw per (step, row).
+        gold token with probability ratio, else the previous step's emittable
+        argmax; the coin flips consume sample_rng one draw per (step, row).
         """
         input_ids, feed = scheduled_inputs(
             embedding.lookup, gold_in_ids,

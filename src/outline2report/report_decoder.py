@@ -62,10 +62,10 @@ def gaussian_kl(mean, logvar):
 
 @dataclass
 class ReportForward:
-    recog_in: np.ndarray
     latent: LatentSample
     kl_rows: np.ndarray
     u: np.ndarray             # the fusion vector
+    summary: np.ndarray       # [B, d_emb], the pooled gold report embeddings
     states: np.ndarray        # [B, K, H]
     lse: np.ndarray           # log-sum-exp of each valid step's logits
     loss: float               # NLL + beta * mean KL
@@ -94,13 +94,13 @@ class ReportDecoder:
         return ([self.W_mu, self.b_mu, self.W_lv, self.b_lv, self.W_init, self.b_init]
                 + self.cell.parameters() + [self.W_out])
 
-    def infer_latent(self, u, report_summary, noise) -> tuple[LatentSample, np.ndarray]:
+    def infer_latent(self, u, report_summary, noise) -> LatentSample:
         """Recognition pass: affine maps from [u ; report summary] to the
         Gaussian parameters, then the reparameterized sample."""
         recog_in = np.concatenate([u, report_summary], axis=1)
         mean = recog_in @ self.W_mu.value.T + self.b_mu.value
         logvar = recog_in @ self.W_lv.value.T + self.b_lv.value
-        return reparameterize(mean, logvar, noise), recog_in
+        return reparameterize(mean, logvar, noise)
 
     def initial_state(self, z, u):
         """The seed h0 = tanh(W_init [z ; u] + b_init)."""
@@ -117,7 +117,7 @@ class ReportDecoder:
                         gold_in_ids, targets, target_mask, noise, beta,
                         sample_rng=None, teacher_forcing_ratio=1.0) -> ReportForward:
         """Teacher-forced report pass with a freshly sampled latent."""
-        latent, recog_in = self.infer_latent(u, report_summary, noise)
+        latent = self.infer_latent(u, report_summary, noise)
         kl_rows = gaussian_kl(latent.mean, latent.logvar)
         input_ids, feed = scheduled_inputs(
             embedding.lookup, gold_in_ids, self.logits, sample_rng, teacher_forcing_ratio)
@@ -126,7 +126,7 @@ class ReportDecoder:
         nll, lse = sequence_nll(states, self.W_out.value, targets, target_mask)
         loss = nll + beta * float(np.mean(kl_rows))
         return ReportForward(
-            recog_in=recog_in, latent=latent, kl_rows=kl_rows, u=u,
+            latent=latent, kl_rows=kl_rows, u=u, summary=report_summary,
             states=states, lse=lse, loss=loss, beta=beta, input_ids=input_ids,
             targets=targets, run_cache=run_cache)
 
@@ -145,18 +145,15 @@ class ReportDecoder:
         latent = fwd.latent
         d_init_in = affine_backward(np.concatenate([latent.z, fwd.u], axis=1),
                                     dh0 * (1.0 - h0 * h0), self.W_init, self.b_init)
-        dz = d_init_in[:, :self.d_z]
-        du = d_init_in[:, self.d_z:]
+        dz, du = np.split(d_init_in, [self.d_z], axis=1)
 
         # KL term (batch mean, weighted by beta); then the sample path.
-        d_mean = (fwd.beta / B) * latent.mean
-        d_logvar = (fwd.beta / B) * 0.5 * (np.exp(latent.logvar) - 1.0)
-        d_mean += dz
-        d_logvar += dz * latent.noise * 0.5 * np.exp(0.5 * latent.logvar)
+        d_mean = (fwd.beta / B) * latent.mean + dz
+        d_logvar = ((fwd.beta / B) * 0.5 * (np.exp(latent.logvar) - 1.0)
+                    + dz * latent.noise * 0.5 * np.exp(0.5 * latent.logvar))
 
-        d_recog_in = (affine_backward(fwd.recog_in, d_mean, self.W_mu, self.b_mu)
-                      + affine_backward(fwd.recog_in, d_logvar, self.W_lv, self.b_lv))
-        d_u_dim = du.shape[1]
-        du += d_recog_in[:, :d_u_dim]
-        d_report_summary = d_recog_in[:, d_u_dim:]
-        return du, d_report_summary, dX
+        recog_in = np.concatenate([fwd.u, fwd.summary], axis=1)
+        d_recog_in = (affine_backward(recog_in, d_mean, self.W_mu, self.b_mu)
+                      + affine_backward(recog_in, d_logvar, self.W_lv, self.b_lv))
+        d_u_recog, d_report_summary = np.split(d_recog_in, [du.shape[1]], axis=1)
+        return du + d_u_recog, d_report_summary, dX

@@ -6,8 +6,9 @@ a 1-D softmax, one LSTM step on vectors, the batched LSTM step as its plain
 formula, the masked recurrence one step at a time (its products and weight
 gradients formed step by step, blending every step), attention one decoder
 step at a time, the softmax cross-entropy over a full [B,T,V] logit array,
-the two stage losses as scalars, their sum, and the encoder run on one
-unpadded sequence.
+the two stage losses as scalars, their sum, the encoder run on one
+unpadded sequence, the argmax over the ids a decoder may emit, and a
+stand-in head that ranks PAD and BOS first.
 
 The step-at-a-time references sum in another order than the library, which
 forms each product once over all steps, so the tests hold the library to
@@ -19,12 +20,31 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from outline2report.corpus import BOS, PAD
 from outline2report.numerics import (FLOAT, NonFiniteLossError, log_softmax,
                                      masked_row_softmax)
 
 # Relative error allowed between the library and a reference that sums in
 # another order: a few hundred float64 ulps of an array's norm.
 REL_TOL = 1e-12
+
+
+def emittable_argmax(logits):
+    """Row-wise argmax of logits [B, V] over the ids a decoder may emit: all
+    but PAD and BOS."""
+    logits = np.array(logits, dtype=FLOAT)
+    logits[:, [PAD, BOS]] = -math.inf
+    return np.argmax(logits, axis=1)
+
+
+def ranked_head(vocab, third):
+    """A stand-in decoder head whose logits [..., V] rank PAD first, BOS
+    second and `third` third, at every row and step."""
+    def head(*args):
+        logits = np.zeros(np.shape(args[-1])[:-1] + (vocab,))
+        logits[..., [PAD, BOS, third]] = [3.0, 2.0, 1.0]
+        return logits
+    return head
 
 
 def relative_error(got, want):

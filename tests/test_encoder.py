@@ -66,13 +66,6 @@ class TestEmbedding:
         emb.accumulate_grad(np.zeros((2, 0), dtype=np.int64), np.zeros((2, 0, 2)))
         assert (emb.table.grad == 1.5).all()
 
-    def test_freeze_pad_row(self):
-        emb = make_embedding(vocab=5, d_emb=2)
-        emb.table.zero_grad()
-        emb.accumulate_grad([PAD], np.ones((1, 2)))
-        emb.freeze_pad_row()
-        assert not emb.table.grad[PAD].any()
-
 
 def zeroed_encoder(d_emb, d_hid):
     enc = BiLSTMEncoder(d_emb, d_hid, np.random.default_rng(0))
@@ -160,6 +153,18 @@ class TestBatchIndependence:
         np.testing.assert_allclose(hf[0], solo0.final_forward, atol=1e-12)
         np.testing.assert_allclose(hf[1], solo1.final_forward, atol=1e-12)
         np.testing.assert_allclose(H[1, 0, 4:], solo1.final_backward, atol=1e-12)
+
+
+class TestRunCaches:
+    @pytest.mark.parametrize("B", [1, 2])
+    def test_both_directions_share_one_copy_of_the_inputs(self, B):
+        rng = np.random.default_rng(7)
+        enc = BiLSTMEncoder(3, 4, rng)
+        X = rng.normal(size=(B, 5, 3))
+        _, (fwd_run, bwd_run) = enc.forward(X, np.ones((B, 5), dtype=bool))
+        assert np.shares_memory(fwd_run.inputs, bwd_run.inputs)
+        assert not np.shares_memory(fwd_run.inputs, X)
+        assert np.array_equal(fwd_run.inputs, X.transpose(1, 0, 2))
 
 
 class TestEncoderGradients:

@@ -330,6 +330,19 @@ class TestSampleDecode:
             assert abs(lp - table[prefix][tok]) < 1e-12
             prefix = prefix + (tok,)
 
+    def test_temperature_reshapes_the_draw(self):
+        # one seeded draw picks a different token at each temperature
+        logp = np.log([[0.5, 0.3, 0.2]])
+        tokens = []
+        for temperature in (0.2, 1.0, 20.0):
+            out = sample_decode(lambda s, t: (logp, s), (), 1, np.random.default_rng(1),
+                                temperature=temperature, eos_id=9)
+            scaled = np.exp(logp[0] / temperature)
+            want = np.random.default_rng(1).choice(3, p=scaled / scaled.sum())
+            assert out.tokens == (want,)
+            tokens.append(want)
+        assert len(set(tokens)) > 1
+
     def test_nonpositive_temperature_rejected(self):
         with pytest.raises(ValueError, match="temperature"):
             sample_decode(lambda s, t: (np.zeros(2), s), (), 3,

@@ -14,9 +14,9 @@ from outline2report.numerics import (
 from outline2report.outline_decoder import (
     OutlineDecoder, attend, attend_backward, sequence_nll, sequence_nll_backward)
 
-from model_oracles import (REL_TOL, lstm_cell_step, outline_loss, reference_attend_steps,
-                           reference_lstm_step, reference_run_lstm, reference_run_lstm_backward,
-                           reference_xent,
+from model_oracles import (REL_TOL, emittable_argmax, lstm_cell_step, outline_loss,
+                           ranked_head, reference_attend_steps, reference_lstm_step,
+                           reference_run_lstm, reference_run_lstm_backward, reference_xent,
                            ReferenceRun, relative_error)
 
 LN20 = math.log(20.0)
@@ -461,7 +461,6 @@ class TestTeacherForcedPass:
         fwd = dec.forward_teacher(emb, enc_states.value, enc_mask, gold_in, targets, tmask)
         d_enc, d_in_emb = dec.backward(fwd, enc_extra, extra, 1.0)
         emb.accumulate_grad(fwd.input_ids, d_in_emb)
-        emb.freeze_pad_row()
         analytic = {p.name: p.grad for p in dec.parameters()}
         analytic["embedding.table"] = emb.table.grad
         analytic["enc_states"] = d_enc
@@ -495,7 +494,16 @@ class TestTeacherForcedPass:
         np.testing.assert_array_equal(fwd.input_ids[:, 0], gold_in[:, 0])
         for t in range(1, gold_in.shape[1]):
             logits = fwd.attention.combined[:, t - 1] @ dec.W_o.value.T
-            np.testing.assert_array_equal(fwd.input_ids[:, t], np.argmax(logits, axis=1))
+            np.testing.assert_array_equal(fwd.input_ids[:, t], emittable_argmax(logits))
+
+    def test_scheduled_sampling_feeds_neither_pad_nor_bos(self):
+        # a head that ranks PAD first and BOS second: the feed takes the third
+        emb, dec, enc_states, enc_mask, gold_in, targets, tmask = self._fixture(seed=3)
+        dec.logits = ranked_head(emb.vocab_size, 5)
+        fwd = dec.forward_teacher(emb, enc_states.value, enc_mask, gold_in, targets, tmask,
+                                  sample_rng=np.random.default_rng(0), teacher_forcing_ratio=0.0)
+        np.testing.assert_array_equal(fwd.input_ids[:, 0], BOS)
+        np.testing.assert_array_equal(fwd.input_ids[:, 1:], 5)
 
     def test_scheduled_sampling_is_seed_deterministic(self):
         emb, dec, enc_states, enc_mask, gold_in, targets, tmask = self._fixture(seed=4)
@@ -584,7 +592,7 @@ def step_at_a_time(dec, emb, enc_states, enc_mask, gold_in, targets, tmask,
         if ratio < 1.0 and t > 0:
             use_model = sample_rng.random(B) >= ratio
             logits = combined[-1] @ dec.W_o.value.T
-            input_ids[:, t] = np.where(use_model, np.argmax(logits, axis=1), gold_in[:, t])
+            input_ids[:, t] = np.where(use_model, emittable_argmax(logits), gold_in[:, t])
         m = fmask[:, t:t + 1]
         x = emb.lookup(input_ids[:, t])
         s_new, c_new, cache = reference_lstm_step(dec.cell, x, s, c)

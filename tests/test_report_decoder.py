@@ -15,9 +15,10 @@ from outline2report.report_decoder import (
     ReportDecoder, fuse_news_outline, gaussian_kl, masked_mean_pool,
     reparameterize)
 
-from model_oracles import (REL_TOL, ReferenceRun, lstm_cell_step, outline_loss,
-                           reference_lstm_step, reference_run_lstm_backward, reference_xent,
-                           relative_error, report_loss)
+from model_oracles import (REL_TOL, ReferenceRun, emittable_argmax, lstm_cell_step,
+                           outline_loss, ranked_head, reference_lstm_step,
+                           reference_run_lstm_backward, reference_xent, relative_error,
+                           report_loss)
 
 LN20 = math.log(20.0)
 
@@ -187,7 +188,7 @@ class TestLatentInference:
         rng = np.random.default_rng(1)
         u = rng.normal(size=(2, 4))
         summary = rng.normal(size=(2, 3))
-        latent, _ = dec.infer_latent(u, summary, np.zeros((2, 2)))
+        latent = dec.infer_latent(u, summary, np.zeros((2, 2)))
         np.testing.assert_array_equal(latent.z, latent.mean)
 
     def test_zero_affines_identity_noise(self):
@@ -195,15 +196,15 @@ class TestLatentInference:
         for p in (dec.W_mu, dec.b_mu, dec.W_lv, dec.b_lv):
             p.value[:] = 0.0
         eps = np.random.default_rng(2).normal(size=(2, 2))
-        latent, _ = dec.infer_latent(np.ones((2, 4)), np.ones((2, 3)), eps)
+        latent = dec.infer_latent(np.ones((2, 4)), np.ones((2, 3)), eps)
         assert not latent.mean.any() and not latent.logvar.any()
         np.testing.assert_array_equal(latent.z, eps)
 
     def test_recorded_noise_reproduces_sample(self):
         dec = tiny_decoder()
         rng = np.random.default_rng(4)
-        latent, _ = dec.infer_latent(rng.normal(size=(1, 4)), rng.normal(size=(1, 3)),
-                                     rng.normal(size=(1, 2)))
+        latent = dec.infer_latent(rng.normal(size=(1, 4)), rng.normal(size=(1, 3)),
+                                  rng.normal(size=(1, 2)))
         np.testing.assert_allclose(
             latent.z,
             reparameterize(latent.mean, latent.logvar, latent.noise).z,
@@ -279,7 +280,6 @@ class TestReportPathGradients:
                                   gold_in, targets, tmask, noise, beta)
         du, d_summary, dX = dec.backward(fwd)
         emb.accumulate_grad(fwd.input_ids, dX)
-        emb.freeze_pad_row()
         analytic = {p.name: p.grad for p in dec.parameters()}
         analytic["embedding.table"] = emb.table.grad
         analytic["u"] = du
@@ -320,7 +320,22 @@ class TestReportPathGradients:
         # ratio 0 feeds the model's own argmax at every later step
         for t in range(1, gold_in.shape[1]):
             logits = fwd.states[:, t - 1] @ dec.W_out.value.T
-            np.testing.assert_array_equal(fwd.input_ids[:, t], np.argmax(logits, axis=1))
+            np.testing.assert_array_equal(fwd.input_ids[:, t], emittable_argmax(logits))
+
+    def test_scheduled_sampling_feeds_neither_pad_nor_bos(self):
+        # a head that ranks PAD first and BOS second: the feed takes the third
+        rng = np.random.default_rng(16)
+        emb = Embedding(7, 3, rng)
+        dec = tiny_decoder(seed=17)
+        dec.logits = ranked_head(7, 5)
+        gold_in = np.array([[BOS, 4, 5, 6], [BOS, 6, PAD, PAD]])
+        targets = np.array([[4, 5, 6, 2], [6, 2, PAD, PAD]])
+        fwd = dec.forward_teacher(emb, rng.normal(size=(2, 4)), rng.normal(size=(2, 3)),
+                                  gold_in, targets, targets != PAD, rng.normal(size=(2, 2)),
+                                  0.5, sample_rng=np.random.default_rng(0),
+                                  teacher_forcing_ratio=0.0)
+        np.testing.assert_array_equal(fwd.input_ids[:, 0], BOS)
+        np.testing.assert_array_equal(fwd.input_ids[:, 1:], 5)
 
     def test_loss_dominates_pure_nll(self):
         # NLL + beta*KL >= NLL since KL >= 0
@@ -365,7 +380,7 @@ def step_at_a_time(dec, emb, u, summary, gold_in, targets, tmask, noise, beta,
         if ratio < 1.0 and t > 0:
             use_model = sample_rng.random(B) >= ratio
             logits = history[-lag] @ dec.W_out.value.T
-            input_ids[:, t] = np.where(use_model, np.argmax(logits, axis=1), gold_in[:, t])
+            input_ids[:, t] = np.where(use_model, emittable_argmax(logits), gold_in[:, t])
         m = fmask[:, t:t + 1]
         x = emb.lookup(input_ids[:, t])
         h_new, c_new, cache = reference_lstm_step(dec.cell, x, h, c)
