@@ -6,8 +6,11 @@ to each of the n rows of `state`, a tuple of arrays holding the rows along
 axis 0, and returns (log-probs [n, V], new state). The first call feeds BOS
 to every row. Greedy and sampling step one row; beam search steps every live
 hypothesis in one call. Each search returns a DecodedSequence: the emitted
-tokens and their log-probs. Model-backed step functions carry their rows as
-[n, 1, H] stacks and apply the emission rule, numerics.mask_unemittable.
+tokens and their log-probs. A model-backed step feeds the tokens' embedding
+rows to the decoder's cell step on [n, 1, H] stacks, then runs the head, one
+log-softmax and the emission rule, numerics.mask_unemittable. The fed ids are
+BOS or ids the search took from the V columns, so they index the table
+directly; Embedding.lookup's range check runs on the news and the replay.
 """
 
 from __future__ import annotations
@@ -56,7 +59,7 @@ def _decode_row(step_fn, init_state, max_len, choose, eos_id):
 
 def greedy_decode(step_fn, init_state, max_len, eos_id=EOS):
     """Argmax at every step; ties go to the smallest token id."""
-    return _decode_row(step_fn, init_state, max_len, lambda row: int(np.argmax(row)), eos_id)
+    return _decode_row(step_fn, init_state, max_len, lambda row: int(row.argmax()), eos_id)
 
 
 def sample_decode(step_fn, init_state, max_len, rng, temperature=1.0, eos_id=EOS):
@@ -169,22 +172,21 @@ class GenerationResult:
         return rec
 
 
-def generate(news_tokens, model, vocab: Vocabulary,
-             dcfg: DecodeConfig) -> GenerationResult:
+def generate(news_tokens, model, vocab: Vocabulary, dcfg: DecodeConfig) -> GenerationResult:
     """Full pipeline on one news item: encode, decode an outline, fuse it
     with the encoding, take the latent (zero, or a prior draw from the decode
     seed's stream), decode the report."""
     news_tokens = list(news_tokens)
     if not news_tokens:
         raise ValueError("cannot generate from empty news input")
-    ids = np.array([wrap_ids(news_tokens, vocab, model.cfg.max_news_len)],
-                   dtype=np.int64)
+    ids = np.array([wrap_ids(news_tokens, vocab, model.cfg.max_news_len)], dtype=np.int64)
     mask = ids != PAD
     emb = model.embedding
     enc_states, _ = model.encoder.forward(emb.lookup(ids), mask)
 
     odec, rdec = model.outline_decoder, model.report_decoder
-    rng = np.random.default_rng(np.random.SeedSequence([dcfg.seed, 3]))
+    rng = (np.random.default_rng(np.random.SeedSequence([dcfg.seed, 3]))
+           if dcfg.strategy == "sample" or not dcfg.deterministic_latent else None)
 
     def search(decoder, head, seed, max_len):
         """Decode one stage with dcfg's strategy from the seed state and, as in
@@ -192,7 +194,7 @@ def generate(news_tokens, model, vocab: Vocabulary,
         one is a [1,H] product per row, bit-equal to stepping the row alone,
         where an [n,H] GEMM may sum a row in another order."""
         def step_fn(state, tokens):
-            state = decoder.step(emb.lookup(np.array(tokens, dtype=np.int64)[:, None]), state)
+            state = decoder.step(emb.table.value[tokens][:, None], state)
             return mask_unemittable(log_softmax(head(state[0])[:, 0])), state
 
         init = (seed[:, None], np.zeros_like(seed[:, None]))

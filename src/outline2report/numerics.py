@@ -27,10 +27,9 @@ class NonFiniteLossError(RuntimeError):
 def log_softmax(x, axis=-1):
     """Row-wise log-probabilities; never computes log of a softmax output."""
     x = np.asarray(x, dtype=FLOAT)
-    m = np.max(x, axis=axis, keepdims=True)
-    shifted = x - m
-    lse = np.log(np.sum(np.exp(shifted), axis=axis, keepdims=True))
-    return shifted - lse
+    shifted = x - x.max(axis=axis, keepdims=True)
+    shifted -= np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+    return shifted
 
 
 def mask_unemittable(x):
@@ -51,8 +50,7 @@ def masked_row_softmax(scores, mask):
     if not mask.any(axis=-1).all():
         raise ValueError("softmax over fully masked row: all positions masked")
     neg = np.where(mask, scores, -np.inf)
-    m = np.max(neg, axis=-1, keepdims=True)
-    e = np.exp(neg - m)  # exp(-inf) == 0 exactly
+    e = np.exp(neg - neg.max(axis=-1, keepdims=True))  # exp(-inf) == 0 exactly
     return e / e.sum(axis=-1, keepdims=True)
 
 

@@ -2,8 +2,9 @@
 
 None of these runs in training or generation. Each restates one piece of the
 model in its plainest form, so the tests can hold the batched code to it:
-a 1-D softmax, one LSTM step on vectors, the batched LSTM step as its plain
-formula, the masked recurrence one step at a time (its products and weight
+a 1-D softmax, the log-softmax and masked row softmax through numpy's
+module reductions, one LSTM step on vectors, the batched LSTM step as its
+plain formula, the masked recurrence one step at a time (its products and weight
 gradients formed step by step, blending every step), attention one decoder
 step at a time, the softmax cross-entropy over a full [B,T,V] logit array,
 the two stage losses as scalars, their sum, the encoder run on one
@@ -27,6 +28,24 @@ from outline2report.numerics import (FLOAT, NonFiniteLossError, log_softmax,
 # Relative error allowed between the library and a reference that sums in
 # another order: a few hundred float64 ulps of an array's norm.
 REL_TOL = 1e-12
+
+
+def reference_log_softmax(x, axis=-1):
+    """numerics.log_softmax through np.max and np.sum: the same IEEE
+    operations in the same order, so the library must match it bit for bit."""
+    x = np.asarray(x, dtype=FLOAT)
+    m = np.max(x, axis=axis, keepdims=True)
+    shifted = x - m
+    lse = np.log(np.sum(np.exp(shifted), axis=axis, keepdims=True))
+    return shifted - lse
+
+
+def reference_masked_row_softmax(scores, mask):
+    """numerics.masked_row_softmax through np.max, bit for bit as above."""
+    neg = np.where(np.asarray(mask, dtype=bool), np.asarray(scores, dtype=FLOAT), -np.inf)
+    m = np.max(neg, axis=-1, keepdims=True)
+    e = np.exp(neg - m)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def emittable_argmax(logits):

@@ -15,7 +15,7 @@ from outline2report.generation import (
     beam_search, bleu, corpus_bleu, evaluation_report, generate,
     greedy_decode, length_stats, repetition_rate, sample_decode)
 from outline2report.model import build_model
-from outline2report.numerics import LSTMCell, Parameter
+from outline2report.numerics import LSTMCell, Parameter, log_softmax
 from outline2report.outline_decoder import attend
 from outline2report.training import Trainer
 
@@ -292,6 +292,15 @@ class TestGreedyDecode:
         want = (math.log(0.7), math.log(0.8), math.log(0.9))
         np.testing.assert_allclose(out.logps, want, atol=1e-12)
         assert abs(mean_logp(out) - sum(want) / 3) < 1e-12
+
+    def test_argmax_is_taken_after_the_log_softmax(self):
+        # subtracting the log-sum-exp rounds -1e-17 and 0.0 to one log-prob,
+        # so the tie goes to id 0, where the raw logits' argmax says 1
+        raw = np.array([[-1e-17, 0.0]])
+        logp = log_softmax(raw)
+        assert logp[0, 0] == logp[0, 1] and np.argmax(raw) == 1
+        out = greedy_decode(lambda state, tokens: (log_softmax(raw), state), ROOT, 1, eos_id=9)
+        assert out.tokens == (0,)
 
     def test_max_len_caps_undecided_sequences(self):
         table = {prefix: np.log(np.array([0.9, 0.1]))
@@ -593,6 +602,45 @@ class TestGenerate:
             assert outline_args[4:] == report_args[4:] == (0.7,)
             seeded = np.random.default_rng(np.random.SeedSequence([11, 3]))
             assert states[0] == seeded.bit_generator.state
+
+    @pytest.mark.parametrize("strategy", ["greedy", "beam", "sample"])
+    def test_lookup_embeds_only_the_news_and_the_outline_replay(self, strategy):
+        # the searches' fed ids index the table directly
+        model, vocab, _ = pipeline_fixture()
+        emb = model.embedding
+        emb.lookup = Mock(wraps=emb.lookup)
+        news = ["rain", "hit", "the", "coast"]
+        out = generate(news, model, vocab, self._dcfg(strategy=strategy, beam_width=3))
+        (news_ids,), (replay_ids,) = (c.args for c in emb.lookup.call_args_list)
+        assert news_ids.shape == (1, len(news) + 2)
+        assert replay_ids.tolist() == [[BOS, *out.outline_ids[:-1]]]
+
+    @pytest.mark.parametrize("strategy,deterministic_latent,built", [
+        ("greedy", True, 0), ("beam", True, 0), ("sample", True, 1), ("greedy", False, 1)])
+    def test_generator_built_only_when_something_draws(self, monkeypatch, strategy,
+                                                         deterministic_latent, built):
+        model, vocab, _ = pipeline_fixture()
+        dcfg = self._dcfg(strategy=strategy, deterministic_latent=deterministic_latent)
+        default_rng = Mock(wraps=np.random.default_rng)
+        monkeypatch.setattr(np.random, "default_rng", default_rng)
+        generate(["rain", "hit"], model, vocab, dcfg)
+        assert default_rng.call_count == built
+
+    def test_greedy_picks_from_the_normalized_row(self):
+        # a report head whose raw argmax is id 3 while EOS ties it after the
+        # log-softmax: greedy emits EOS, the smaller id
+        model, vocab, _ = pipeline_fixture()
+        V = len(vocab)
+
+        def head(h):
+            logits = np.full(h.shape[:-1] + (V,), -math.inf)
+            logits[..., EOS], logits[..., 3] = -1e-17, 0.0
+            return logits
+
+        model.report_decoder.logits = head
+        assert EOS < 3
+        out = generate(["rain", "hit"], model, vocab, self._dcfg())
+        assert out.report_ids == (EOS,)
 
     def test_beam_width_one_matches_greedy(self):
         model, vocab, _ = pipeline_fixture()

@@ -10,7 +10,8 @@ from outline2report.numerics import (
     finite_difference_gradient, gradient_check, log_softmax,
     masked_row_softmax, run_lstm, run_lstm_backward, uniform_init)
 
-from model_oracles import (REL_TOL, lstm_cell_step, reference_gates, reference_lstm_step,
+from model_oracles import (REL_TOL, lstm_cell_step, reference_gates, reference_log_softmax,
+                           reference_lstm_step, reference_masked_row_softmax,
                            reference_run_lstm, reference_run_lstm_backward, relative_error,
                            sigmoid, softmax)
 
@@ -58,6 +59,67 @@ class TestMaskedRowSoftmax:
     def test_all_masked_rejected(self):
         with pytest.raises(ValueError, match="masked"):
             masked_row_softmax(np.zeros((1, 3)), np.zeros((1, 3), dtype=bool))
+
+
+def assert_same_bits(got, want):
+    """Equal shape, dtype and bit pattern: -0.0 differs from +0.0 here."""
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(np.ascontiguousarray(got).view(np.uint64),
+                          np.ascontiguousarray(want).view(np.uint64))
+
+
+def softmax_inputs(rng, shape):
+    """Score arrays of `shape` at scales 1, +-1e8 and subnormal, with -0.0
+    and -inf entries, and rows that mix +1e8 and -1e8."""
+    base = rng.normal(size=shape)
+    out = [base, base * 1e8, -np.abs(base) * 1e8,
+           rng.integers(-1000, 1000, size=shape) * 5e-324, base * 1e-310]
+    signed = base.copy()
+    signed[rng.random(shape) < 0.2] = -0.0
+    out.append(signed)
+    holes = base * 3.0
+    holes[rng.random(shape) < 0.3] = -math.inf
+    holes[..., 0] = 0.5         # no last-axis row all -inf
+    out.append(holes)
+    mixed = base.copy()
+    mixed[..., 0], mixed[..., -1] = 1e8, -1e8
+    out.append(mixed)
+    return out
+
+
+class TestSoftmaxBits:
+    """Both softmaxes give the bits of their np.max/np.sum references."""
+
+    SHAPES = [(1, 183), (1, 2000), (7, 183), (3, 4, 11), (2, 5, 1)]
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_log_softmax(self, shape):
+        rng = np.random.default_rng(len(shape) * 100 + shape[-1])
+        for x in softmax_inputs(rng, shape):
+            for axis in range(-1, -len(shape) - 1, -1):
+                if not (x.max(axis=axis) > -math.inf).all():
+                    continue   # a row of only -inf has no log-probabilities
+                assert_same_bits(log_softmax(x, axis=axis), reference_log_softmax(x, axis=axis))
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_masked_row_softmax(self, shape):
+        rng = np.random.default_rng(len(shape) * 100 + shape[-1] + 1)
+        T = shape[-1]
+        single = np.arange(T) == rng.integers(T, size=shape[:-1] + (1,))
+        ragged = np.arange(T) < rng.integers(1, T + 1, size=shape[:-1] + (1,))
+        for mask in (np.ones(shape, dtype=bool), single, ragged):   # each holds a finite score
+            for scores in softmax_inputs(rng, shape):
+                scores = np.where(single & (scores == -math.inf), 0.0, scores)
+                assert_same_bits(masked_row_softmax(scores, mask),
+                                 reference_masked_row_softmax(scores, mask))
+
+    def test_attention_mask_broadcast(self):
+        rng = np.random.default_rng(9)
+        mask = np.arange(6) < np.array([[1], [6], [3]])
+        for scale in (1.0, 1e8):
+            scores = rng.normal(size=(3, 4, 6)) * scale
+            assert_same_bits(masked_row_softmax(scores, mask[:, None]),
+                             reference_masked_row_softmax(scores, mask[:, None]))
 
 
 def _oracle_lstm_step(x, h_prev, c_prev, W_x, W_h, b):
