@@ -6,11 +6,12 @@ to each of the n rows of `state`, a tuple of arrays holding the rows along
 axis 0, and returns (log-probs [n, V], new state). The first call feeds BOS
 to every row. Greedy and sampling step one row; beam search steps every live
 hypothesis in one call. Each search returns a DecodedSequence: the emitted
-tokens and their log-probs. A model-backed step feeds the tokens' embedding
-rows to the decoder's cell step on [n, 1, H] stacks, then runs the head, one
-log-softmax and the emission rule, numerics.mask_unemittable. The fed ids are
-BOS or ids the search took from the V columns, so they index the table
-directly; Embedding.lookup's range check runs on the news and the replay.
+tokens and their summed log-prob, added in emission order as the tokens are
+chosen. A model-backed step feeds the tokens' embedding rows to the decoder's
+cell step on [n, 1, H] stacks, then runs the head, one log-softmax and the
+emission rule, numerics.mask_unemittable. The fed ids are BOS or ids the
+search took from the V columns, so they index the table directly;
+Embedding.lookup's range check runs on the news and the replay.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .report_decoder import fuse_news_outline
 @dataclass
 class DecodedSequence:
     tokens: tuple          # emitted ids, including the terminal EOS if reached
-    logps: tuple           # model log-prob of each emitted token
+    logprob: float         # summed model log-prob of the emitted tokens
 
 
 def _decode_row(step_fn, init_state, max_len, choose, eos_id):
@@ -44,17 +45,17 @@ def _decode_row(step_fn, init_state, max_len, choose, eos_id):
     state = init_state
     prev = [BOS]
     tokens: list[int] = []
-    logps: list[float] = []
+    total = 0.0
     for _ in range(max_len):
         logp, state = step_fn(state, prev)
         row = logp[0]
         tok = choose(row)
         tokens.append(tok)
-        logps.append(float(row[tok]))
+        total += float(row[tok])
         if tok == eos_id:
             break
         prev = [tok]
-    return DecodedSequence(tuple(tokens), tuple(logps))
+    return DecodedSequence(tuple(tokens), total)
 
 
 def greedy_decode(step_fn, init_state, max_len, eos_id=EOS):
@@ -65,7 +66,7 @@ def greedy_decode(step_fn, init_state, max_len, eos_id=EOS):
 def sample_decode(step_fn, init_state, max_len, rng, temperature=1.0, eos_id=EOS):
     """Ancestral sampling; temperature rescales logits before normalizing.
 
-    Recorded logps are those of the unscaled model distribution.
+    The summed log-prob is that of the unscaled model distribution.
     """
     if temperature <= 0:
         raise ValueError("temperature must be positive")
@@ -82,8 +83,8 @@ def beam_search(step_fn, init_state, width, max_len, eos_id=EOS):
 
     Each step keeps the `width` best expansions by cumulative log-prob; any
     of those ending in EOS retire to the finished pool (their slot is not
-    refilled) and are never pruned afterwards. Final ranking is
-    sum(logp) / length with EOS counted in both; ties break toward the
+    refilled) and are never pruned afterwards. Final ranking is the summed
+    log-prob over the length, EOS counted in both; ties break toward the
     lexicographically smaller token-id sequence.
 
     One step_fn call per step covers every live hypothesis. The live rows
@@ -93,8 +94,9 @@ def beam_search(step_fn, init_state, width, max_len, eos_id=EOS):
     -totals; when more entries than that tie with the boundary value (the
     -inf ones included), the pick among them is arbitrary, so a stable
     argsort takes its place. The picks with finite log-prob survive; sorted
-    by flat index they are again in token order. Token and log-prob rows are
-    [rows, max_len] buffers, gathered by parent and filled one column a step.
+    by flat index they are again in token order. Token rows are a
+    [rows, max_len] buffer, gathered by parent and filled one column a step;
+    each row's total is its summed log-prob, which the result returns.
 
     The search stops early, with the result it would reach at max_len, once
     the best finished score is strictly greater than the largest live total
@@ -110,10 +112,9 @@ def beam_search(step_fn, init_state, width, max_len, eos_id=EOS):
     if width < 1:
         raise ValueError("beam width must be >= 1")
     if max_len < 1:
-        return DecodedSequence((), ())
+        return DecodedSequence((), 0.0)
     state = init_state
     tokens = np.zeros((1, max_len), dtype=np.int64)   # live hypotheses, one per row, in token order
-    logps = np.zeros((1, max_len))
     totals = np.zeros(1)
     finished: list[tuple] = []
     best_done = -math.inf
@@ -129,24 +130,22 @@ def beam_search(step_fn, init_state, width, max_len, eos_id=EOS):
             best = np.argsort(order, kind="stable")[:k]
         parent, tok = np.divmod(np.sort(best[logp.flat[best] != -math.inf]), logp.shape[1])
         total = cand[parent, tok]
-        tokens, logps = tokens[parent], logps[parent]
-        tokens[:, length], logps[:, length] = tok, logp[parent, tok]
+        tokens = tokens[parent]
+        tokens[:, length] = tok
         length += 1
         done = tok == eos_id
         if done.any():
-            finished.extend(zip(tokens[done, :length].tolist(), logps[done, :length].tolist(),
-                                total[done].tolist()))
+            finished.extend(zip(tokens[done, :length].tolist(), total[done].tolist()))
             best_done = max(best_done, (total[done] / length).max())
         live = ~done
-        tokens, logps, totals = tokens[live], logps[live], total[live]
+        tokens, totals = tokens[live], total[live]
         state = tuple(part[parent[live]] for part in state)
         prev = tok[live]
-    pool = finished + list(zip(tokens[:, :length].tolist(), logps[:, :length].tolist(),
-                               totals.tolist()))
+    pool = finished + list(zip(tokens[:, :length].tolist(), totals.tolist()))
     if not pool:
-        return DecodedSequence((), ())
-    best_tokens, best_logps, _ = min(pool, key=lambda h: (-(h[2] / len(h[0])), h[0]))
-    return DecodedSequence(tuple(best_tokens), tuple(best_logps))
+        return DecodedSequence((), 0.0)
+    best_tokens, best_total = min(pool, key=lambda h: (-(h[1] / len(h[0])), h[0]))
+    return DecodedSequence(tuple(best_tokens), best_total)
 
 
 # -- model-backed generation ---------------------------------------------------
@@ -222,7 +221,7 @@ def generate(news_tokens, model, vocab: Vocabulary, dcfg: DecodeConfig) -> Gener
 
     return GenerationResult(
         outline_ids=outline.tokens, report_ids=report.tokens,
-        logprob=float(sum(outline.logps) + sum(report.logps)),
+        logprob=outline.logprob + report.logprob,
         attention=attention)
 
 

@@ -40,11 +40,6 @@ def attend(enc_states, state, mask, W_a: Parameter, W_c: Parameter) -> Attention
     decoding step. Products run per batch row, so [n,1,H] rows are each
     bit-equal to a lone row.
     """
-    enc_states = np.asarray(enc_states, dtype=FLOAT)
-    state = np.asarray(state, dtype=FLOAT)
-    if enc_states.shape[-1] != W_a.value.shape[0]:
-        raise ValueError(
-            f"encoder dim {enc_states.shape[-1]} != score projection rows {W_a.value.shape[0]}")
     query = state @ W_a.value.T                                  # [B, K, E]
     scores = query @ enc_states.transpose(0, 2, 1)               # [B, K, T]
     weights = masked_row_softmax(scores, np.asarray(mask)[:, None])

@@ -23,7 +23,6 @@ from outline2report.report_decoder import fuse_news_outline
 @dataclass
 class _Hypothesis:
     tokens: tuple
-    logps: tuple
     total: float
     state: object
 
@@ -31,7 +30,7 @@ class _Hypothesis:
 def reference_beam_search(step_fn, init_state, width, max_len, eos_id=EOS, bos_id=BOS):
     if width < 1:
         raise ValueError("beam width must be >= 1")
-    active = [_Hypothesis((), (), 0.0, init_state)]
+    active = [_Hypothesis((), 0.0, init_state)]
     finished = []
     for _ in range(max_len):
         if not active:
@@ -44,17 +43,16 @@ def reference_beam_search(step_fn, init_state, width, max_len, eos_id=EOS, bos_i
                 lp = float(logp[tok])
                 if lp == -math.inf:
                     continue
-                expansions.append(_Hypothesis(
-                    hyp.tokens + (tok,), hyp.logps + (lp,), hyp.total + lp, state))
+                expansions.append(_Hypothesis(hyp.tokens + (tok,), hyp.total + lp, state))
         expansions.sort(key=lambda h: (-h.total, h.tokens))
         active = []
         for hyp in expansions[:width]:
             (finished if hyp.tokens[-1] == eos_id else active).append(hyp)
     pool = finished + active
     if not pool:
-        return DecodedSequence((), ())
+        return DecodedSequence((), 0.0)
     best = min(pool, key=lambda h: (-(h.total / len(h.tokens)), h.tokens))
-    return DecodedSequence(best.tokens, best.logps)
+    return DecodedSequence(best.tokens, best.total)
 
 
 def prefix_step(table):

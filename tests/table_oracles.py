@@ -41,10 +41,18 @@ def make_step(table):
     return step_fn
 
 
+def path_logprob(table, tokens):
+    """The table's log-probs along `tokens`, added from 0.0 in emission order,
+    as a search adds them."""
+    total = 0.0
+    for i, tok in enumerate(tokens):
+        total += float(table[tuple(tokens[:i])][tok])
+    return total
+
+
 def mean_logp(seq):
-    """sum(logp) / length of a DecodedSequence: the beam ranking, summed left
-    to right as the beam totals are."""
-    return sum(seq.logps) / len(seq.tokens)
+    """Summed log-prob over length of a DecodedSequence: the beam ranking."""
+    return seq.logprob / len(seq.tokens)
 
 
 def exhaustive_best(table, V, max_len, eos):

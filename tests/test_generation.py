@@ -20,7 +20,8 @@ from outline2report.outline_decoder import attend
 from outline2report.training import Trainer
 
 from decode_oracles import prefix_step, reference_beam_generate, reference_beam_search
-from table_oracles import ROOT, exhaustive_best, make_step, mean_logp, random_table
+from table_oracles import (
+    ROOT, exhaustive_best, make_step, mean_logp, path_logprob, random_table)
 
 NEG = -math.inf
 
@@ -35,7 +36,7 @@ class TestBeamSearch:
         for width in (1, 2, 5):
             out = beam_search(make_step(table), ROOT, width, 3, eos_id=3)
             assert out.tokens == (1, 2, 3)
-            assert out.logps == (0.0, 0.0, 0.0)
+            assert out.logprob == 0.0 and type(out.logprob) is float
 
     def test_greedy_trap_beaten_by_width_two(self):
         # greedy takes token 0 (p=.6) and tops out at .6*.5 = .3 total mass;
@@ -69,7 +70,7 @@ class TestBeamSearch:
             g = greedy_decode(step, ROOT, max_len, eos_id=eos)
             b = beam_search(step, ROOT, 1, max_len, eos_id=eos)
             assert g.tokens == b.tokens, f"seed {seed}"
-            assert g.logps == b.logps, f"seed {seed}"
+            assert g.logprob == b.logprob, f"seed {seed}"
 
     def test_wide_beam_equals_exhaustive_argmax(self):
         for seed in range(120):
@@ -101,7 +102,8 @@ class TestBeamSearch:
         step = make_step(table)
         for out in (greedy_decode(step, ROOT, 0, eos_id=eos),
                     beam_search(step, ROOT, 3, 0, eos_id=eos)):
-            assert (out.tokens, out.logps) == ((), ())
+            assert (out.tokens, out.logprob) == ((), 0.0)
+            assert type(out.logprob) is float
 
     def test_width_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -157,9 +159,9 @@ class TestBatchedBeam:
         want = reference_beam_search(prefix_step(table), (), width, max_len,
                                      eos_id=eos, bos_id=None)
         assert got.tokens == want.tokens, where
-        assert got.logps == want.logps, where
+        assert got.logprob == want.logprob, where
         assert all(type(t) is int for t in got.tokens), where
-        assert all(type(lp) is float for lp in got.logps), where
+        assert type(got.logprob) is float, where
 
     def test_equals_reference_on_random_tables(self):
         for seed in range(80):
@@ -175,6 +177,22 @@ class TestBatchedBeam:
             for width in range(1, 9):
                 self._assert_same(table, max_len, eos, width, f"seed {seed} width {width}")
         assert dead_roots  # the empty result is among the cases
+
+    @pytest.mark.parametrize("tables", ["random", "tied"])
+    def test_logprob_is_the_reference_total_bit_for_bit(self, tables):
+        # the result reports the total the search ranked by: the reference's
+        # total and the table's log-probs added along the tokens, not the
+        # length-normalized score
+        make_table = {"random": random_table, "tied": tied_table}[tables]
+        for seed in range(80):
+            table, V, max_len, eos = make_table(seed)
+            for width in range(1, 9):
+                got = beam_search(make_step(table), ROOT, width, max_len, eos_id=eos)
+                want = reference_beam_search(prefix_step(table), (), width, max_len,
+                                             eos_id=eos, bos_id=None)
+                bits = {got.logprob.hex(), want.logprob.hex(),
+                        path_logprob(table, got.tokens).hex()}
+                assert len(bits) == 1, f"seed {seed} width {width}: {bits}"
 
     def test_one_step_call_per_step_covers_every_live_row(self):
         # each step's one call covers the reference's calls at that prefix
@@ -246,7 +264,7 @@ class TestBatchedBeam:
                 outline, report = reference_beam_generate(pair.news, model, vocab, dcfg)
                 assert stages == [outline, report]
                 assert (got.outline_ids, got.report_ids) == (outline.tokens, report.tokens)
-                assert got.logprob == float(sum(outline.logps) + sum(report.logps))
+                assert got.logprob == outline.logprob + report.logprob
 
     def test_greedy_generate_equals_lone_row_reference(self, monkeypatch):
         # width 1 keeps the argmax, smallest id on ties, as greedy does; the
@@ -289,8 +307,9 @@ class TestGreedyDecode:
         }
         out = greedy_decode(make_step(table), ROOT, 10, eos_id=2)
         assert out.tokens == (1, 0, 2)
+        assert out.logprob == path_logprob(table, out.tokens)
+        assert type(out.logprob) is float
         want = (math.log(0.7), math.log(0.8), math.log(0.9))
-        np.testing.assert_allclose(out.logps, want, atol=1e-12)
         assert abs(mean_logp(out) - sum(want) / 3) < 1e-12
 
     def test_argmax_is_taken_after_the_log_softmax(self):
@@ -328,16 +347,14 @@ class TestSampleDecode:
         a = sample_decode(make_step(table), ROOT, 3, np.random.default_rng(5), eos_id=0)
         b = sample_decode(make_step(table), ROOT, 3, np.random.default_rng(5), eos_id=0)
         assert a.tokens == b.tokens
-        assert a.logps == b.logps
+        assert a.logprob == b.logprob
 
     def test_recorded_logps_are_unscaled(self):
         table = self._table()
         out = sample_decode(make_step(table), ROOT, 3, np.random.default_rng(3),
                             temperature=50.0, eos_id=0)
-        prefix = ()
-        for tok, lp in zip(out.tokens, out.logps):
-            assert abs(lp - table[prefix][tok]) < 1e-12
-            prefix = prefix + (tok,)
+        assert out.logprob == path_logprob(table, out.tokens)
+        assert type(out.logprob) is float
 
     def test_temperature_reshapes_the_draw(self):
         # one seeded draw picks a different token at each temperature
@@ -602,6 +619,17 @@ class TestGenerate:
             assert outline_args[4:] == report_args[4:] == (0.7,)
             seeded = np.random.default_rng(np.random.SeedSequence([11, 3]))
             assert states[0] == seeded.bit_generator.state
+
+    @pytest.mark.parametrize("strategy,search", [
+        ("greedy", "greedy_decode"), ("beam", "beam_search"), ("sample", "sample_decode")])
+    def test_logprob_adds_the_two_searches_totals(self, monkeypatch, strategy, search):
+        stages = record_searches(monkeypatch, search)
+        model, vocab, _ = pipeline_fixture()
+        dcfg = self._dcfg(strategy=strategy, beam_width=3, temperature=1.3)
+        out = generate(["rain", "hit", "the", "coast"], model, vocab, dcfg)
+        outline, report = stages
+        assert out.logprob == outline.logprob + report.logprob
+        assert type(out.logprob) is float
 
     @pytest.mark.parametrize("strategy", ["greedy", "beam", "sample"])
     def test_lookup_embeds_only_the_news_and_the_outline_replay(self, strategy):
