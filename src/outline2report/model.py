@@ -73,7 +73,8 @@ class NewsToReportModel:
         o_in, o_tgt, o_tmask = shifted_targets(batch.outline_ids)
         out_fwd = self.outline_decoder.forward_teacher(
             self.embedding, enc_states, batch.news_mask, o_in, o_tgt, o_tmask,
-            sample_rng=sample_rng, teacher_forcing_ratio=ratio)
+            sample_rng=sample_rng, teacher_forcing_ratio=ratio,
+            loss_scale=self.cfg.outline_loss_weight)
 
         report_summary, summary_weights = masked_mean_pool(
             self.embedding.lookup(batch.report_ids), batch.report_mask)
@@ -104,8 +105,7 @@ class NewsToReportModel:
         dH_fusion = w_enc[:, :, None] * dpool_enc[:, None, :]
         dS_fusion = w_out[:, :, None] * dpool_out[:, None, :]
 
-        dH, dX_out = self.outline_decoder.backward(
-            fwd.outline, dH_fusion, dS_fusion, self.cfg.outline_loss_weight)
+        dH, dX_out = self.outline_decoder.backward(fwd.outline, dH_fusion, dS_fusion)
         self.embedding.accumulate_grad(fwd.outline.input_ids, dX_out)
         dX_news = self.encoder.backward(fwd.enc_cache, dH)
         self.embedding.accumulate_grad(batch.news_ids, dX_news)

@@ -114,28 +114,30 @@ class LSTMCell:
         H = self.d_hid
         s = np.negative(a[..., :3 * H])  # sigmoid of i, f, o; a copy beats in place on a view
         np.reciprocal(np.add(np.exp(s, out=s), 1.0, out=s), out=s)
-        i, f, o = s[..., :H], s[..., H:2 * H], s[..., 2 * H:]
         g = np.tanh(a[..., 3 * H:])
-        c = f * c_prev
-        c += i * g
+        c = s[..., H:2 * H] * c_prev
+        c += s[..., :H] * g
         tc = np.tanh(c)
-        h = o * tc
-        return h, c, (c_prev, i, f, o, g, tc)
+        h = s[..., 2 * H:] * tc
+        return h, c, (c_prev, s, g, tc)
 
     def step_backward(self, cache, dh, dc, da):
         """Backward through one step's gates: writes the pre-activation grad
-        into da [B,4H]; returns (dh_prev, dc_prev). No weight grads or dx."""
-        c_prev, i, f, o, g, tc = cache
-        do = dh * tc
-        dc_tot = dc + dh * o * (1.0 - tc * tc)
-        di = dc_tot * g
-        df = dc_tot * c_prev
-        dg = dc_tot * i
-        dc_prev = dc_tot * f
-        np.concatenate(
-            [di * i * (1.0 - i), df * f * (1.0 - f), do * o * (1.0 - o), dg * (1.0 - g * g)],
-            axis=1, out=da)
-        return da @ self.W_h.value, dc_prev
+        into da [B,4H]; returns (dh_prev, dc_prev). No weight grads or dx.
+        The sigmoid block s = (i, f, o) takes its derivative s(1 - s) at once."""
+        c_prev, s, g, tc = cache
+        H = self.d_hid
+        dc_tot = dh * s[:, 2 * H:]
+        dc_tot *= 1.0 - tc * tc
+        dc_tot += dc
+        np.multiply(dc_tot, g, out=da[:, :H])
+        np.multiply(dc_tot, c_prev, out=da[:, H:2 * H])
+        np.multiply(dh, tc, out=da[:, 2 * H:3 * H])
+        da[:, :3 * H] *= s
+        da[:, :3 * H] *= 1.0 - s
+        dg = np.multiply(dc_tot, s[:, :H], out=da[:, 3 * H:])
+        dg *= 1.0 - g * g
+        return da @ self.W_h.value, dc_tot * s[:, H:2 * H]
 
 
 @dataclass

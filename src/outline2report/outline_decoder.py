@@ -73,73 +73,72 @@ def attend_backward(step: AttentionStep, d_combined, W_a: Parameter, W_c: Parame
 
 
 # Valid rows projected onto the vocabulary at once: one [XENT_CHUNK, V] block
-# of logits is the only vocabulary-sized array the loss ever holds.
+# of logits is the only vocabulary-sized array the loss ever holds, beside a
+# scratch of about XENT_SCRATCH floats in which the row sums are taken.
 XENT_CHUNK = 128
+XENT_SCRATCH = 1 << 15
 
 
-def _valid_rows(hidden, W, targets, mask):
-    """(hidden as [B*T, H], flat indices of the valid rows, their gold ids)."""
-    hidden = np.asarray(hidden, dtype=FLOAT)
-    targets = np.asarray(targets)
+def sequence_nll(hidden, W, targets, mask, scale=1.0):
+    """Batch-mean of per-row summed negative log-likelihoods under
+    softmax(hidden @ W.T), with the gradients of scale times it.
+
+    hidden [B,T,H], W [V,H], targets [B,T] int, mask [B,T] bool. Only the
+    valid rows are projected, XENT_CHUNK at a time, and each chunk's logits
+    are formed once: its row sums of exp(z - peak) are taken in a scratch,
+    so z stays intact for the gradient. Returns (loss, d_hidden [B,T,H],
+    dW [V,H]); masked rows of d_hidden are 0.
+    """
+    hidden, targets = np.asarray(hidden, dtype=FLOAT), np.asarray(targets)
     V = W.shape[0]
     if targets.size and (targets.min() < 0 or targets.max() >= V):
         raise ValueError(f"target id out of range [0, {V})")
     rows = np.flatnonzero(mask)
-    return hidden.reshape(-1, hidden.shape[-1]), rows, targets.reshape(-1)[rows]
-
-
-def sequence_nll(hidden, W, targets, mask):
-    """Batch-mean of per-row summed negative log-likelihoods under
-    softmax(hidden @ W.T).
-
-    hidden [B,T,H], W [V,H], targets [B,T] int, mask [B,T] bool. Only the
-    valid rows are projected, XENT_CHUNK at a time; returns (loss, lse) with
-    lse the log-sum-exp of each valid row's logits, all that backward keeps.
-    """
-    X, rows, gold = _valid_rows(hidden, W, targets, mask)
-    peak, log_sum, gold_shifted = (np.empty(rows.size, dtype=FLOAT) for _ in range(3))
-    for lo in range(0, rows.size, XENT_CHUNK):
-        part = slice(lo, lo + XENT_CHUNK)
-        z = X[rows[part]] @ W.T
-        peak[part] = z.max(axis=1)
-        z -= peak[part, None]
-        gold_shifted[part] = z[np.arange(len(z)), gold[part]]
-        np.exp(z, out=z)
-        log_sum[part] = np.log(z.sum(axis=1))
-    # -log p(gold) = log_sum - (z_gold - peak): no cancellation against a large peak
-    loss = float((log_sum - gold_shifted).sum() / len(hidden))
-    return loss, peak + log_sum
-
-
-def sequence_nll_backward(hidden, W, targets, mask, lse, scale=1.0):
-    """Gradients of scale * sequence_nll: (d_hidden [B,T,H], dW [V,H]).
-
-    Recomputes each chunk's softmax from lse rather than keeping it from the
-    forward pass. Masked rows of d_hidden are 0.
-    """
-    X, rows, gold = _valid_rows(hidden, W, targets, mask)
-    d_hidden = np.zeros_like(X)
-    dW = np.zeros_like(W)
-    factor = scale / len(hidden)
+    X, gold = hidden.reshape(-1, hidden.shape[-1]), targets.reshape(-1)[rows]
+    d_hidden, dW = np.zeros_like(X), np.zeros_like(W)
+    log_sum, gold_shifted = np.empty(rows.size, dtype=FLOAT), np.empty(rows.size, dtype=FLOAT)
+    block = max(1, XENT_SCRATCH // V)
+    scratch = np.empty((min(block, rows.size), V), dtype=FLOAT)
     for lo in range(0, rows.size, XENT_CHUNK):
         part = slice(lo, lo + XENT_CHUNK)
         X_c = X[rows[part]]
-        p = X_c @ W.T
-        p -= lse[part, None]
-        np.exp(p, out=p)
-        p[np.arange(len(p)), gold[part]] -= 1.0
-        p *= factor
-        dW += p.T @ X_c
-        d_hidden[rows[part]] = p @ W
-    return d_hidden.reshape(np.shape(hidden)), dW
+        z = X_c @ W.T
+        peak = z.max(axis=1)
+        gold_shifted[part] = z[np.arange(len(z)), gold[part]] - peak
+        sums = log_sum[part]
+        for r in range(0, len(z), block):
+            z_r = z[r:r + block]
+            e = np.subtract(z_r, peak[r:r + block, None], out=scratch[:len(z_r)])
+            sums[r:r + block] = np.exp(e, out=e).sum(axis=1)
+        np.log(sums, out=sums)
+        dX_c, dW_c = sequence_nll_backward(
+            z, X_c, W, gold[part], peak + sums, scale / len(hidden))
+        dW += dW_c
+        d_hidden[rows[part]] = dX_c
+    # -log p(gold) = log_sum - (z_gold - peak): no cancellation against a large peak
+    loss = float((log_sum - gold_shifted).sum() / len(hidden))
+    return loss, d_hidden.reshape(hidden.shape), dW
+
+
+def sequence_nll_backward(z, X_c, W, gold, lse, factor):
+    """One chunk's gradients of factor * its summed NLL: (dX_c [n,H], dW_c [V,H]).
+
+    z [n,V] holds the chunk's logits X_c @ W.T, and is overwritten with
+    factor * (softmax(z) - onehot(gold)); lse [n] is each row's log-sum-exp.
+    """
+    z -= lse[:, None]
+    np.exp(z, out=z)
+    z[np.arange(len(z)), gold] -= 1.0
+    z *= factor
+    return z @ W, z.T @ X_c
 
 
 @dataclass
 class OutlineForward:
-    lse: np.ndarray           # log-sum-exp of each valid step's logits
-    loss: float
+    loss: float               # of the decoder's own loss, unscaled
+    d_hidden: np.ndarray      # [B, K, H], d(loss_scale * loss) / d(attention.combined)
+    dW: np.ndarray            # [V, H], d(loss_scale * loss) / d(W_o)
     input_ids: np.ndarray     # [B, K] ids actually fed (teacher forcing or sampled)
-    targets: np.ndarray       # [B, K] gold ids
     attention: AttentionStep  # all K steps; holds enc_states and the decoder states
     run_cache: object         # mask is the target mask; h_prev[0] is the seed s0
 
@@ -177,14 +176,15 @@ class OutlineDecoder:
         then the vocabulary projection -> [B,K,V]."""
         return attend(enc_states, s, enc_mask, self.W_a, self.W_c).combined @ self.W_o.value.T
 
-    def forward_teacher(self, embedding, enc_states, enc_mask,
-                        gold_in_ids, targets, target_mask,
-                        sample_rng=None, teacher_forcing_ratio=1.0) -> OutlineForward:
+    def forward_teacher(self, embedding, enc_states, enc_mask, gold_in_ids, targets,
+                        target_mask, sample_rng=None, teacher_forcing_ratio=1.0,
+                        loss_scale=1.0) -> OutlineForward:
         """Teacher-forced pass over a batch (optionally scheduled-sampled).
 
         gold_in_ids[:, 0] must be BOS. With ratio < 1 each later input is the
         gold token with probability ratio, else the previous step's emittable
         argmax; the coin flips consume sample_rng one draw per (step, row).
+        The record holds the output layer's gradients of loss_scale * loss.
         """
         input_ids, feed = scheduled_inputs(
             embedding.lookup, gold_in_ids,
@@ -193,13 +193,14 @@ class OutlineDecoder:
         states, run_cache = run_lstm(self.cell, embedding.lookup(input_ids), target_mask,
                                      h0=self.initial_state(enc_states), feed=feed)
         attn = attend(enc_states, states, enc_mask, self.W_a, self.W_c)
-        loss, lse = sequence_nll(attn.combined, self.W_o.value, targets, target_mask)
+        loss, d_hidden, dW = sequence_nll(attn.combined, self.W_o.value, targets, target_mask,
+                                          loss_scale)
         return OutlineForward(
-            lse=lse, loss=loss, input_ids=input_ids, targets=targets,
-            attention=attn, run_cache=run_cache)
+            loss=loss, d_hidden=d_hidden, dW=dW, input_ids=input_ids, attention=attn,
+            run_cache=run_cache)
 
-    def backward(self, fwd: OutlineForward, d_enc_extra, d_states_extra, loss_scale):
-        """Backward through the whole teacher-forced pass, of loss_scale * loss.
+    def backward(self, fwd: OutlineForward, d_enc_extra, d_states_extra):
+        """Backward through the whole teacher-forced pass, of forward's loss_scale * loss.
 
         d_enc_extra [B,T,E] and d_states_extra [B,K,H] carry gradients flowing
         into the encoder and decoder states from elsewhere (the fusion
@@ -207,11 +208,8 @@ class OutlineDecoder:
         with the seed's gradient added at enc_states[:, -1, :H] after
         d_enc_extra; accumulates parameter grads.
         """
-        d_combined, dW_o = sequence_nll_backward(
-            fwd.attention.combined, self.W_o.value, fwd.targets, fwd.run_cache.mask, fwd.lse,
-            scale=loss_scale)
-        self.W_o.grad += dW_o
-        d_enc, dS = attend_backward(fwd.attention, d_combined, self.W_a, self.W_c)
+        self.W_o.grad += fwd.dW
+        d_enc, dS = attend_backward(fwd.attention, fwd.d_hidden, self.W_a, self.W_c)
         dS += d_states_extra
         dX, ds0 = run_lstm_backward(self.cell, fwd.run_cache, dS)
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .numerics import (FLOAT, LSTMCell, Parameter, affine_backward, run_lstm,
                        run_lstm_backward, scheduled_inputs, uniform_init)
-from .outline_decoder import sequence_nll, sequence_nll_backward
+from .outline_decoder import sequence_nll
 
 
 def masked_mean_pool(X, mask):
@@ -67,11 +67,11 @@ class ReportForward:
     u: np.ndarray             # the fusion vector
     summary: np.ndarray       # [B, d_emb], the pooled gold report embeddings
     states: np.ndarray        # [B, K, H]
-    lse: np.ndarray           # log-sum-exp of each valid step's logits
+    d_hidden: np.ndarray      # [B, K, H], d(NLL) / d(states)
+    dW: np.ndarray            # [V, H], d(NLL) / d(W_out)
     loss: float               # NLL + beta * mean KL
     beta: float
     input_ids: np.ndarray
-    targets: np.ndarray       # [B, K] gold ids
     run_cache: object         # mask is the target mask; h_prev[0] is the seed h0
 
 
@@ -123,12 +123,12 @@ class ReportDecoder:
             embedding.lookup, gold_in_ids, self.logits, sample_rng, teacher_forcing_ratio)
         states, run_cache = run_lstm(self.cell, embedding.lookup(input_ids), target_mask,
                                      h0=self.initial_state(latent.z, u), feed=feed)
-        nll, lse = sequence_nll(states, self.W_out.value, targets, target_mask)
+        nll, d_hidden, dW = sequence_nll(states, self.W_out.value, targets, target_mask)
         loss = nll + beta * float(np.mean(kl_rows))
         return ReportForward(
-            latent=latent, kl_rows=kl_rows, u=u, summary=report_summary,
-            states=states, lse=lse, loss=loss, beta=beta, input_ids=input_ids,
-            targets=targets, run_cache=run_cache)
+            latent=latent, kl_rows=kl_rows, u=u, summary=report_summary, states=states,
+            d_hidden=d_hidden, dW=dW, loss=loss, beta=beta, input_ids=input_ids,
+            run_cache=run_cache)
 
     def backward(self, fwd: ReportForward):
         """Backward through NLL + beta*KL; accumulates parameter grads.
@@ -136,10 +136,8 @@ class ReportDecoder:
         Returns (d_u, d_report_summary, d_input_embeddings).
         """
         B = fwd.states.shape[0]
-        dS, dW_out = sequence_nll_backward(fwd.states, self.W_out.value, fwd.targets,
-                                           fwd.run_cache.mask, fwd.lse)
-        self.W_out.grad += dW_out
-        dX, dh0 = run_lstm_backward(self.cell, fwd.run_cache, dS)
+        self.W_out.grad += fwd.dW
+        dX, dh0 = run_lstm_backward(self.cell, fwd.run_cache, fwd.d_hidden)
 
         h0 = fwd.run_cache.h_prev[0]
         latent = fwd.latent

@@ -74,14 +74,14 @@ def diagnose_forward(fwd: ModelForward) -> str:
     stages = [
         ("news embeddings", fwd.enc_cache[0].inputs),
         ("encoder states", fwd.outline.attention.enc_states),
-        ("outline log-sum-exp", fwd.outline.lse),
+        ("outline loss gradient", fwd.outline.d_hidden),
         ("outline loss", fwd.outline.loss),
         ("fusion vector", fwd.report.u),
         ("latent mean", fwd.report.latent.mean),
         ("latent logvar", fwd.report.latent.logvar),
         ("latent sample", fwd.report.latent.z),
         ("KL term", fwd.report.kl_rows),
-        ("report log-sum-exp", fwd.report.lse),
+        ("report loss gradient", fwd.report.d_hidden),
         ("report loss", fwd.report.loss),
     ]
     for name, value in stages:

@@ -3,10 +3,12 @@
 None of these runs in training or generation. Each restates one piece of the
 model in its plainest form, so the tests can hold the batched code to it:
 a 1-D softmax, the log-softmax and masked row softmax through numpy's
-module reductions, one LSTM step on vectors, the batched LSTM step as its
-plain formula, the masked recurrence one step at a time (its products and weight
-gradients formed step by step, blending every step), attention one decoder
-step at a time, the softmax cross-entropy over a full [B,T,V] logit array,
+module reductions, one LSTM step on vectors, the batched LSTM step and its
+backward as their plain per-gate formulas, the masked recurrence one step
+at a time (its products and weight gradients formed step by step, blending
+every step), attention one decoder step at a time, the softmax
+cross-entropy over a full [B,T,V] logit array and as the chunked two-pass
+pair (loss, then gradients from the kept log-sum-exps),
 the two stage losses as scalars, their sum, the encoder run on one
 unpadded sequence, the argmax over the ids a decoder may emit, and a
 stand-in head that ranks PAD and BOS first.
@@ -21,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from outline2report import outline_decoder
 from outline2report.corpus import BOS, PAD
 from outline2report.numerics import (FLOAT, NonFiniteLossError, log_softmax,
                                      masked_row_softmax)
@@ -122,7 +125,8 @@ def lstm_cell_step(x, h_prev, c_prev, W_x, W_h, b):
 def reference_gates(cell, a, c_prev):
     """LSTMCell.step's gate arithmetic as the plain formula on the
     pre-activation a [..., 4H], one allocating call per gate: (h, c, cache)
-    with the cache the cell keeps, tanh(c) last."""
+    with the cache the cell keeps, (c_prev, sigmoids (i, f, o) [..., 3H],
+    g, tanh(c))."""
     H = cell.d_hid
     i = sigmoid(a[..., :H])
     f = sigmoid(a[..., H:2 * H])
@@ -130,7 +134,7 @@ def reference_gates(cell, a, c_prev):
     g = np.tanh(a[..., 3 * H:])
     c = f * c_prev + i * g
     tc = np.tanh(c)
-    return o * tc, c, (c_prev, i, f, o, g, tc)
+    return o * tc, c, (c_prev, np.concatenate([i, f, o], axis=-1), g, tc)
 
 
 def reference_lstm_step(cell, x, h_prev, c_prev):
@@ -139,18 +143,32 @@ def reference_lstm_step(cell, x, h_prev, c_prev):
     return reference_gates(cell, a, c_prev)
 
 
+def reference_step_backward(cell, cache, dh, dc):
+    """LSTMCell.step_backward as the derivative of each gate on its own:
+    (da [B,4H], dh_prev, dc_prev). The cell takes the sigmoid block's
+    derivative at once, with the same products in the same order, so it must
+    match this bit for bit."""
+    c_prev, s, g, tc = cache
+    H = cell.d_hid
+    i, f, o = s[:, :H], s[:, H:2 * H], s[:, 2 * H:]
+    do = dh * tc
+    dc_tot = dc + dh * o * (1.0 - tc * tc)
+    di = dc_tot * g
+    df = dc_tot * c_prev
+    dg = dc_tot * i
+    da = np.concatenate(
+        [di * i * (1.0 - i), df * f * (1.0 - f), do * o * (1.0 - o), dg * (1.0 - g * g)], axis=1)
+    return da, da @ cell.W_h.value, dc_tot * f
+
+
 def reference_lstm_step_backward(cell, x, h_prev, cache, dh, dc):
     """Backward through one step with its own weight-gradient products:
     (dx, dh_prev, dc_prev), adding this step's share to the cell's grads."""
-    c_prev, i, f, o, g, tc = cache
-    do = dh * tc
-    dc_tot = dc + dh * o * (1.0 - tc * tc)
-    da = np.concatenate([dc_tot * g * i * (1.0 - i), dc_tot * c_prev * f * (1.0 - f),
-                         do * o * (1.0 - o), dc_tot * i * (1.0 - g * g)], axis=1)
+    da, dh_prev, dc_prev = reference_step_backward(cell, cache, dh, dc)
     cell.W_x.grad += da.T @ x
     cell.W_h.grad += da.T @ h_prev
     cell.b.grad += da.sum(axis=0)
-    return da @ cell.W_x.value, da @ cell.W_h.value, dc_tot * f
+    return da @ cell.W_x.value, dh_prev, dc_prev
 
 
 @dataclass
@@ -258,14 +276,63 @@ def reference_sequence_nll_backward(probs, targets, mask, scale=1.0):
 
 def reference_xent(hidden, W, targets, mask, scale=1.0):
     """The softmax cross-entropy of logits hidden @ W.T with its gradients, through
-    the whole [B,T,V] logit array: (loss, lse [n_valid], d_hidden, dW)."""
+    the whole [B,T,V] logit array: (loss, d_hidden, dW)."""
     logits = np.einsum("bth,vh->btv", hidden, W)
     loss, probs = reference_sequence_nll(logits, targets, mask)
     d_logits = reference_sequence_nll_backward(probs, targets, mask, scale)
-    peak = logits.max(axis=2)
-    lse = peak + np.log(np.exp(logits - peak[:, :, None]).sum(axis=2))
-    return (loss, lse[np.asarray(mask, dtype=bool)],
-            np.einsum("btv,vh->bth", d_logits, W), np.einsum("btv,bth->vh", d_logits, hidden))
+    return (loss, np.einsum("btv,vh->bth", d_logits, W),
+            np.einsum("btv,bth->vh", d_logits, hidden))
+
+
+def _valid_rows(hidden, W, targets, mask):
+    """(hidden as [B*T, H], flat indices of the valid rows, their gold ids)."""
+    hidden = np.asarray(hidden, dtype=FLOAT)
+    targets = np.asarray(targets)
+    V = W.shape[0]
+    if targets.size and (targets.min() < 0 or targets.max() >= V):
+        raise ValueError(f"target id out of range [0, {V})")
+    rows = np.flatnonzero(mask)
+    return hidden.reshape(-1, hidden.shape[-1]), rows, targets.reshape(-1)[rows]
+
+
+def two_pass_sequence_nll(hidden, W, targets, mask):
+    """The chunked loss as a forward pass of its own: (loss, lse), lse the
+    log-sum-exp of each valid row's logits. With two_pass_sequence_nll_backward,
+    the same IEEE operations in the same order as outline_decoder.sequence_nll
+    forms in one pass, chunked by the library's XENT_CHUNK as it stands."""
+    X, rows, gold = _valid_rows(hidden, W, targets, mask)
+    peak, log_sum, gold_shifted = (np.empty(rows.size, dtype=FLOAT) for _ in range(3))
+    for lo in range(0, rows.size, outline_decoder.XENT_CHUNK):
+        part = slice(lo, lo + outline_decoder.XENT_CHUNK)
+        z = X[rows[part]] @ W.T
+        peak[part] = z.max(axis=1)
+        z -= peak[part, None]
+        gold_shifted[part] = z[np.arange(len(z)), gold[part]]
+        np.exp(z, out=z)
+        log_sum[part] = np.log(z.sum(axis=1))
+    # -log p(gold) = log_sum - (z_gold - peak): no cancellation against a large peak
+    loss = float((log_sum - gold_shifted).sum() / len(hidden))
+    return loss, peak + log_sum
+
+
+def two_pass_sequence_nll_backward(hidden, W, targets, mask, lse, scale=1.0):
+    """Gradients of scale * two_pass_sequence_nll: (d_hidden [B,T,H], dW [V,H]),
+    each chunk's logits formed again and its softmax recomputed from lse."""
+    X, rows, gold = _valid_rows(hidden, W, targets, mask)
+    d_hidden = np.zeros_like(X)
+    dW = np.zeros_like(W)
+    factor = scale / len(hidden)
+    for lo in range(0, rows.size, outline_decoder.XENT_CHUNK):
+        part = slice(lo, lo + outline_decoder.XENT_CHUNK)
+        X_c = X[rows[part]]
+        p = X_c @ W.T
+        p -= lse[part, None]
+        np.exp(p, out=p)
+        p[np.arange(len(p)), gold[part]] -= 1.0
+        p *= factor
+        dW += p.T @ X_c
+        d_hidden[rows[part]] = p @ W
+    return d_hidden.reshape(np.shape(hidden)), dW
 
 
 def outline_loss(logits, targets, mask):

@@ -12,8 +12,8 @@ from outline2report.numerics import (
 
 from model_oracles import (REL_TOL, lstm_cell_step, reference_gates, reference_log_softmax,
                            reference_lstm_step, reference_masked_row_softmax,
-                           reference_run_lstm, reference_run_lstm_backward, relative_error,
-                           sigmoid, softmax)
+                           reference_run_lstm, reference_run_lstm_backward,
+                           reference_step_backward, relative_error, sigmoid, softmax)
 
 
 finite_floats = st.floats(min_value=-50, max_value=50, allow_nan=False)
@@ -252,7 +252,7 @@ class TestInPlaceLstmStep:
         with np.errstate(over="ignore"):
             got, want = self.kernel(cell, a, c), reference_gates(cell, a, c)
         assert_same_step(got, want)
-        assert {0.0, 1.0} <= set(np.unique(got[2][1]))  # saturated input gate
+        assert {0.0, 1.0} <= set(np.unique(got[2][1][:, :8]))  # saturated input gate
 
     def test_swapped_i_and_f_are_caught(self):
         rng = np.random.default_rng(5)
@@ -289,6 +289,37 @@ class TestInPlaceLstmStep:
         x, h, c = (rng.normal(size=(4, n)) for n in (6, 5, 5))
         no_bias = cell.step(x @ cell.W_x.value.T, h, c, cell.W_h.value.T)
         assert not self.steps_close(no_bias, reference_lstm_step(cell, x, h, c))
+
+
+class TestBlockStepBackward:
+    """LSTMCell.step_backward takes the sigmoid derivative s(1 - s) of i, f
+    and o as one [B,3H] block. Each product is the same IEEE operation, in
+    the same order, as in the per-gate formula (reference_step_backward), so
+    da, dh_prev and dc_prev equal it bit for bit, one step at a time."""
+
+    @staticmethod
+    def assert_same_backward(cell, a, c, rng):
+        _, _, cache = TestInPlaceLstmStep.kernel(cell, a, c)
+        dh, dc = rng.normal(size=c.shape), rng.normal(size=c.shape)
+        da = np.empty_like(a)
+        dh_prev, dc_prev = cell.step_backward(cache, dh, dc, da)
+        for got, want in zip((da, dh_prev, dc_prev), reference_step_backward(cell, cache, dh, dc)):
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("H", [1, 3, 32, 64])
+    def test_rows(self, H):
+        rng = np.random.default_rng(500 + H)
+        for B in range(1, 18):
+            cell = random_cell(rng, 1, H)
+            a = float(rng.choice([0.1, 1.0, 4.0])) * rng.normal(size=(B, 4 * H))
+            self.assert_same_backward(cell, a, rng.normal(size=(B, H)), rng)
+
+    def test_saturated_gates(self):
+        rng = np.random.default_rng(6)
+        cell = random_cell(rng, 1, 8)
+        with np.errstate(over="ignore"):
+            self.assert_same_backward(cell, 3000.0 * rng.normal(size=(6, 32)),
+                                      rng.normal(size=(6, 8)), rng)
 
 
 def lstm_masks(B, T, rng):

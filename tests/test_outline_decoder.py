@@ -11,13 +11,13 @@ from outline2report.corpus import BOS, PAD
 from outline2report.encoder import BiLSTMEncoder, Embedding
 from outline2report.numerics import (
     Parameter, finite_difference_gradient, gradient_check, log_softmax)
-from outline2report.outline_decoder import (
-    OutlineDecoder, attend, attend_backward, sequence_nll, sequence_nll_backward)
+from outline2report.outline_decoder import OutlineDecoder, attend, attend_backward, sequence_nll
 
 from model_oracles import (REL_TOL, emittable_argmax, lstm_cell_step, outline_loss,
                            ranked_head, reference_attend_steps, reference_lstm_step,
                            reference_run_lstm, reference_run_lstm_backward, reference_xent,
-                           ReferenceRun, relative_error)
+                           ReferenceRun, relative_error, two_pass_sequence_nll,
+                           two_pass_sequence_nll_backward)
 
 LN20 = math.log(20.0)
 
@@ -191,8 +191,7 @@ def fused_loss(logits, targets, mask):
     """sequence_nll on states whose projection through W = I is exactly
     `logits` (each logit is x * 1 plus zeros), so closed forms apply."""
     logits = np.asarray(logits, dtype=float)
-    loss, _ = sequence_nll(logits, np.eye(logits.shape[-1]), targets, mask)
-    return loss
+    return sequence_nll(logits, np.eye(logits.shape[-1]), targets, mask)[0]
 
 
 class TestOutlineLoss:
@@ -273,8 +272,7 @@ class TestOutlineLoss:
             return sequence_nll(hidden.value, W.value, targets, mask)[0]
 
         numeric = finite_difference_gradient(loss, [hidden, W])
-        _, lse = sequence_nll(hidden.value, W.value, targets, mask)
-        d_hidden, dW = sequence_nll_backward(hidden.value, W.value, targets, mask, lse)
+        _, d_hidden, dW = sequence_nll(hidden.value, W.value, targets, mask)
         report = gradient_check({"hidden": d_hidden, "W": dW}, numeric, tol=1e-6)
         assert report.passed, report.format_table()
 
@@ -288,14 +286,12 @@ def xent_case(rng, B, T, n_valid, H=6, V=13):
             rng.integers(0, V, size=(B, T)), mask.reshape(B, T))
 
 
-def xent_errors(hidden, W, targets, mask, forward=sequence_nll,
-                backward=sequence_nll_backward, scale=0.7):
-    """Relative errors of the chunked pair against the full-logit reference:
-    loss, lse, d_hidden, dW."""
-    loss, lse = forward(hidden, W, targets, mask)
-    d_hidden, dW = backward(hidden, W, targets, mask, lse, scale)
-    ref_loss, ref_lse, ref_d_hidden, ref_dW = reference_xent(hidden, W, targets, mask, scale)
-    return {"loss": abs(loss - ref_loss) / abs(ref_loss), "lse": relative_error(lse, ref_lse),
+def xent_errors(hidden, W, targets, mask, scale=0.7):
+    """Relative errors of the chunked loss and gradients against the
+    full-logit reference: loss, d_hidden, dW."""
+    loss, d_hidden, dW = sequence_nll(hidden, W, targets, mask, scale)
+    ref_loss, ref_d_hidden, ref_dW = reference_xent(hidden, W, targets, mask, scale)
+    return {"loss": abs(loss - ref_loss) / abs(ref_loss),
             "d_hidden": relative_error(d_hidden, ref_d_hidden),
             "dW": relative_error(dW, ref_dW)}
 
@@ -338,9 +334,7 @@ class TestChunkedXent:
         hidden, W, targets, mask = xent_case(rng, B=4, T=5, n_valid=7)
         mask[1] = False
         mask[3] = True
-        _, lse = sequence_nll(hidden, W, targets, mask)
-        d_hidden, _ = sequence_nll_backward(hidden, W, targets, mask, lse)
-        assert lse.shape == (mask.sum(),)
+        _, d_hidden, _ = sequence_nll(hidden, W, targets, mask)
         assert not d_hidden[~mask].any()
         assert d_hidden[mask].all()
         assert max(xent_errors(hidden, W, targets, mask).values()) <= self.TOL
@@ -351,30 +345,89 @@ class TestChunkedXent:
             targets[0, 0] = bad
             with pytest.raises(ValueError, match="out of range"):
                 sequence_nll(hidden, W, targets, mask)
-            with pytest.raises(ValueError, match="out of range"):
-                sequence_nll_backward(hidden, W, targets, mask, np.zeros(mask.sum()))
 
     def test_dropped_mask_fails_the_comparison(self):
-        case = xent_case(np.random.default_rng(8), B=3, T=4, n_valid=6)
+        hidden, W, targets, mask = xent_case(np.random.default_rng(8), B=3, T=4, n_valid=6)
+        loss = sequence_nll(hidden, W, targets, np.ones_like(mask))[0]
+        ref_loss = reference_xent(hidden, W, targets, mask)[0]
+        assert abs(loss - ref_loss) / abs(ref_loss) > 1e-3
 
-        def forward(hidden, W, targets, mask):
-            return sequence_nll(hidden, W, targets, np.ones_like(mask))
-
-        def backward(hidden, W, targets, mask, lse, scale):
-            return sequence_nll_backward(hidden, W, targets, np.ones_like(mask), lse, scale)
-
-        assert xent_errors(*case, forward=forward, backward=backward)["loss"] > 1e-3
-
-    def test_stale_lse_fails_the_comparison(self):
+    def test_gradient_without_the_log_sum_fails_the_comparison(self, monkeypatch):
+        # A planted fault: the chunk kernel takes its softmax from z - peak,
+        # leaving out the log-sum; the loss is untouched, both gradients move.
         case = xent_case(np.random.default_rng(9), B=3, T=4, n_valid=6)
-        hidden, W, targets, mask = case
-        _, stale = sequence_nll(hidden, W * 1.01, targets, mask)
+        kernel = outline_decoder.sequence_nll_backward
 
-        def backward(hidden, W, targets, mask, lse, scale):
-            return sequence_nll_backward(hidden, W, targets, mask, stale, scale)
+        def planted(z, X_c, W, gold, lse, factor):
+            return kernel(z, X_c, W, gold, z.max(axis=1), factor)
 
-        errors = xent_errors(*case, backward=backward)
+        monkeypatch.setattr(outline_decoder, "sequence_nll_backward", planted)
+        errors = xent_errors(*case)
+        assert errors["loss"] <= self.TOL, errors
         assert errors["d_hidden"] > 1e-4 and errors["dW"] > 1e-4, errors
+
+
+class TestFusedXentBits:
+    """sequence_nll forms each chunk's logits once and takes the loss and the
+    gradients from them with the same IEEE operations, in the same order, as
+    the two-pass pair it replaced (a loss pass keeping each row's log-sum-exp,
+    then a gradient pass forming the logits again): loss, d_hidden and dW
+    equal the pair's bit for bit."""
+
+    @staticmethod
+    def assert_bits_equal(hidden, W, targets, mask, scale):
+        loss, d_hidden, dW = sequence_nll(hidden, W, targets, mask, scale)
+        want_loss, lse = two_pass_sequence_nll(hidden, W, targets, mask)
+        want_d_hidden, want_dW = two_pass_sequence_nll_backward(
+            hidden, W, targets, mask, lse, scale)
+        assert loss.hex() == want_loss.hex()
+        np.testing.assert_array_equal(d_hidden, want_d_hidden)
+        np.testing.assert_array_equal(dW, want_dW)
+
+    @pytest.mark.parametrize("scale", [1.0, 0.7])
+    @pytest.mark.parametrize("n_valid", [1, 3, 4, 5, 13, 16])
+    def test_small_chunks(self, monkeypatch, n_valid, scale):
+        monkeypatch.setattr(outline_decoder, "XENT_CHUNK", 4)
+        case = xent_case(np.random.default_rng(n_valid), B=4, T=6, n_valid=n_valid)
+        self.assert_bits_equal(*case, scale)
+
+    @pytest.mark.parametrize("scale", [1.0, 0.7])
+    def test_module_chunk(self, scale):
+        rng = np.random.default_rng(21)
+        hidden, W = rng.normal(size=(3, 100, 64)), rng.normal(size=(183, 64))
+        targets = rng.integers(0, 183, size=(3, 100))
+        mask = rng.random((3, 100)) < 0.7
+        assert outline_decoder.XENT_CHUNK < mask.sum() < 2 * outline_decoder.XENT_CHUNK
+        self.assert_bits_equal(hidden, W, targets, mask, scale)
+
+    @pytest.mark.parametrize("scale", [1.0, 0.7])
+    def test_scratch_block_ends_mid_chunk(self, scale):
+        # V = 6000 gives XENT_SCRATCH // V = 5-row blocks: a 128-row chunk
+        # ends 3 rows into its last block, and the second chunk is shorter
+        # than one block.
+        rng = np.random.default_rng(22)
+        hidden, W = rng.normal(size=(2, 70, 8)), rng.normal(size=(6000, 8))
+        targets = rng.integers(0, 6000, size=(2, 70))
+        mask = np.ones((2, 70), dtype=bool)
+        mask[1, -8:] = False
+        block = outline_decoder.XENT_SCRATCH // W.shape[0]
+        chunk = outline_decoder.XENT_CHUNK
+        assert chunk % block and mask.sum() % chunk < block
+        self.assert_bits_equal(hidden, W, targets, mask, scale)
+
+    @pytest.mark.parametrize("scratch", [1, 13, 3 * 13])
+    def test_small_scratch(self, monkeypatch, scratch):
+        # blocks of one row (a scratch smaller than a row), one, and three
+        # rows, inside 4-row chunks
+        monkeypatch.setattr(outline_decoder, "XENT_CHUNK", 4)
+        monkeypatch.setattr(outline_decoder, "XENT_SCRATCH", scratch)
+        case = xent_case(np.random.default_rng(23), B=3, T=5, n_valid=11)
+        self.assert_bits_equal(*case, 0.7)
+
+    def test_no_valid_rows(self):
+        hidden, W, targets, mask = xent_case(np.random.default_rng(24), B=2, T=3, n_valid=0)
+        loss, d_hidden, dW = sequence_nll(hidden, W, targets, mask)
+        assert loss == 0.0 and not d_hidden.any() and not dW.any()
 
 
 class TestDecoderSteps:
@@ -459,7 +512,7 @@ class TestTeacherForcedPass:
         for p in params:
             p.zero_grad()
         fwd = dec.forward_teacher(emb, enc_states.value, enc_mask, gold_in, targets, tmask)
-        d_enc, d_in_emb = dec.backward(fwd, enc_extra, extra, 1.0)
+        d_enc, d_in_emb = dec.backward(fwd, enc_extra, extra)
         emb.accumulate_grad(fwd.input_ids, d_in_emb)
         analytic = {p.name: p.grad for p in dec.parameters()}
         analytic["embedding.table"] = emb.table.grad
@@ -473,9 +526,9 @@ class TestTeacherForcedPass:
         for scale in (1.0, 2.0):
             for p in dec.parameters():
                 p.zero_grad()
-            fwd = dec.forward_teacher(emb, enc_states.value, enc_mask, gold_in, targets, tmask)
-            dec.backward(fwd, np.zeros_like(enc_states.value),
-                         np.zeros_like(fwd.attention.state), scale)
+            fwd = dec.forward_teacher(emb, enc_states.value, enc_mask, gold_in, targets, tmask,
+                                      loss_scale=scale)
+            dec.backward(fwd, np.zeros_like(enc_states.value), np.zeros_like(fwd.attention.state))
             grads[scale] = {p.name: p.grad.copy() for p in dec.parameters()}
         for name in grads[1.0]:
             np.testing.assert_allclose(grads[2.0][name], 2.0 * grads[1.0][name],
@@ -603,7 +656,7 @@ def step_at_a_time(dec, emb, enc_states, enc_mask, gold_in, targets, tmask,
         fields, _, _ = reference_attend_steps(enc_states, s[:, None], enc_mask, dec.W_a, dec.W_c,
                                               np.zeros((B, 1, s.shape[1])))
         combined.append(fields["combined"][:, 0])
-    loss, lse, d_combined, dW_o = reference_xent(np.stack(combined, axis=1), dec.W_o.value,
+    loss, d_combined, dW_o = reference_xent(np.stack(combined, axis=1), dec.W_o.value,
                                                  targets, tmask, loss_scale)
     dec.W_o.grad += dW_o
     dec.W_a.zero_grad()
@@ -619,14 +672,15 @@ def step_at_a_time(dec, emb, enc_states, enc_mask, gold_in, targets, tmask,
     dec.bridge_b.grad += d_pre.sum(axis=0)
     d_enc += d_enc_extra
     d_enc[:, -1, :dec.cell.d_hid] += d_pre @ dec.bridge_W.value
-    return {"loss": loss, "lse": lse, "states": states,
+    return {"loss": loss, "d_hidden": d_combined, "states": states,
             "input_ids": input_ids, "d_enc": d_enc, "dX": dX}
 
 
 class TestStepBatchedPass:
     """The decoder runs one recurrence, then one attention call over all
     steps, then the chunked softmax cross-entropy. The fed inputs equal the
-    step-at-a-time reference exactly. The states, loss, lse and every
+    step-at-a-time reference exactly. The states, loss, the loss gradient the
+    forward record holds and every
     gradient equal it at REL_TOL: the hoisted recurrence GEMMs, the batched
     attention and the chunked softmax-CE each sum in another order than the
     per-step products and the full-logit einsums, which moves each array by
@@ -657,12 +711,12 @@ class TestStepBatchedPass:
             p.zero_grad()
         fwd = dec.forward_teacher(emb, enc, enc_mask, gold_in, targets, tmask,
                                   sample_rng=np.random.default_rng(3),
-                                  teacher_forcing_ratio=ratio)
-        d_enc, dX = dec.backward(fwd, *extras, 0.7)
-        got = {"loss": fwd.loss, "lse": fwd.lse, "states": fwd.attention.state,
+                                  teacher_forcing_ratio=ratio, loss_scale=0.7)
+        d_enc, dX = dec.backward(fwd, *extras)
+        got = {"loss": fwd.loss, "d_hidden": fwd.d_hidden, "states": fwd.attention.state,
                "input_ids": fwd.input_ids, "d_enc": d_enc, "dX": dX}
         assert np.array_equal(got["input_ids"], ref["input_ids"])
-        for name in ("states", "loss", "lse", "d_enc", "dX"):
+        for name in ("states", "loss", "d_hidden", "d_enc", "dX"):
             assert relative_error(got[name], ref[name]) <= REL_TOL, name
         for p in dec.parameters():
             assert relative_error(p.grad, ref_grads[p.name]) <= REL_TOL, p.name
@@ -671,8 +725,8 @@ class TestStepBatchedPass:
         # The bridge weight transposed in the reference only (it is square):
         # every state and gradient must move beyond REL_TOL.
         emb, dec, enc, enc_mask, gold_in, targets, tmask, extras = self._fixture(2, 3, 4, 3)
-        fwd = dec.forward_teacher(emb, enc, enc_mask, gold_in, targets, tmask)
-        d_enc, dX = dec.backward(fwd, *extras, 0.7)
+        fwd = dec.forward_teacher(emb, enc, enc_mask, gold_in, targets, tmask, loss_scale=0.7)
+        d_enc, dX = dec.backward(fwd, *extras)
         dec.bridge_W.value[...] = dec.bridge_W.value.T.copy()
         ref = step_at_a_time(dec, emb, enc, enc_mask, gold_in, targets, tmask, *extras, 0.7)
         for name, value in (("states", fwd.attention.state), ("d_enc", d_enc), ("dX", dX)):

@@ -125,7 +125,7 @@ def fused_report_loss(logits, targets, mask, kl, beta):
     if beta < 0:
         raise ValueError("beta must be >= 0")
     logits = np.asarray(logits, dtype=float)
-    nll, _ = sequence_nll(logits, np.eye(logits.shape[-1]), targets, mask)
+    nll = sequence_nll(logits, np.eye(logits.shape[-1]), targets, mask)[0]
     return nll + beta * float(np.mean(kl))
 
 
@@ -300,7 +300,8 @@ class TestReportPathGradients:
         a = dec.forward_teacher(emb, u, summary, gold_in, targets, tmask, noise, 0.5)
         b = dec.forward_teacher(emb, u, summary, gold_in, targets, tmask, noise, 0.5)
         assert a.loss == b.loss
-        np.testing.assert_array_equal(a.lse, b.lse)
+        np.testing.assert_array_equal(a.d_hidden, b.d_hidden)
+        np.testing.assert_array_equal(a.dW, b.dW)
         # and it is the loss of the logits the states give, to float64 rounding
         want = report_loss(a.states @ dec.W_out.value.T, targets, tmask, a.kl_rows, 0.5)
         assert abs(a.loss - want) <= 1e-12 * abs(want)
@@ -389,7 +390,7 @@ def step_at_a_time(dec, emb, u, summary, gold_in, targets, tmask, noise, beta,
         c = m * c_new + (1.0 - m) * c
         history.append(h)
     states = np.stack(history[1:], axis=1)
-    nll, lse, dS, dW_out = reference_xent(states, dec.W_out.value, targets, tmask)
+    nll, dS, dW_out = reference_xent(states, dec.W_out.value, targets, tmask)
     dec.W_out.grad += dW_out
     dX, dh0 = reference_run_lstm_backward(dec.cell, ReferenceRun(steps, fmask, False), dS,
                                           np.zeros_like(h0))
@@ -405,7 +406,7 @@ def step_at_a_time(dec, emb, u, summary, gold_in, targets, tmask, noise, beta,
         b.grad += d.sum(axis=0)
     d_recog_in = d_mean @ dec.W_mu.value + d_logvar @ dec.W_lv.value
     d_u = u.shape[1]
-    return {"loss": nll + beta * float(np.mean(kl_rows)), "lse": lse, "states": states,
+    return {"loss": nll + beta * float(np.mean(kl_rows)), "d_hidden": dS, "states": states,
             "input_ids": input_ids, "d_u": du + d_recog_in[:, :d_u],
             "d_report_summary": d_recog_in[:, d_u:], "dX": dX}
 
@@ -413,8 +414,8 @@ def step_at_a_time(dec, emb, u, summary, gold_in, targets, tmask, noise, beta,
 class TestStepAtATimePass:
     """The report decoder runs one recurrence, scheduled-sampled ones
     included, then the chunked softmax cross-entropy. The fed inputs equal
-    the step-at-a-time reference exactly; the loss, lse, states and every
-    gradient equal it at REL_TOL."""
+    the step-at-a-time reference exactly; the loss, the NLL gradient the
+    forward record holds, the states and every gradient equal it at REL_TOL."""
 
     # (B, K, d_hid); the second is the train-hier benchmark's batch and width
     SHAPES = [(2, 3, 3), (16, 11, 64)]
@@ -436,7 +437,7 @@ class TestStepAtATimePass:
         fwd = dec.forward_teacher(emb, *case, sample_rng=np.random.default_rng(3),
                                   teacher_forcing_ratio=ratio)
         d_u, d_summary, dX = dec.backward(fwd)
-        return {"loss": fwd.loss, "lse": fwd.lse, "states": fwd.states,
+        return {"loss": fwd.loss, "d_hidden": fwd.d_hidden, "states": fwd.states,
                 "input_ids": fwd.input_ids, "d_u": d_u, "d_report_summary": d_summary,
                 "dX": dX}
 
