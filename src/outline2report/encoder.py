@@ -29,7 +29,6 @@ class Embedding:
         return self.table.value.shape[1]
 
     def lookup(self, ids):
-        ids = np.asarray(ids)
         if ids.size and (ids.min() < 0 or ids.max() >= self.vocab_size):
             raise ValueError(
                 f"token id out of range [0, {self.vocab_size}) in embedding lookup")
@@ -37,11 +36,11 @@ class Embedding:
 
     def accumulate_grad(self, ids, dvecs):
         """Segment sums of dvecs over the stably sorted ids, one per id."""
-        ids = np.asarray(ids).reshape(-1)
+        ids = ids.reshape(-1)
         order = np.argsort(ids, kind="stable")
         ids = ids[order]
         starts = np.flatnonzero(np.diff(ids, prepend=ids[:1] - 1))
-        dvecs = np.asarray(dvecs).reshape(-1, self.d_emb)[order]
+        dvecs = dvecs.reshape(-1, self.d_emb)[order]
         self.table.grad[ids[starts]] += np.add.reduceat(dvecs, starts, axis=0)
 
 

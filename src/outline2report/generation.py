@@ -4,14 +4,15 @@ plus BLEU and repetition metrics.
 All decoders share one step contract: step_fn(state, tokens) feeds one token
 to each of the n rows of `state`, a tuple of arrays holding the rows along
 axis 0, and returns (log-probs [n, V], new state). The first call feeds BOS
-to every row. Greedy and sampling step one row; beam search steps every live
-hypothesis in one call. Each search returns a DecodedSequence: the emitted
-tokens and their summed log-prob, added in emission order as the tokens are
-chosen. A model-backed step feeds the tokens' embedding rows to the decoder's
-cell step on [n, 1, H] stacks, then runs the head, one log-softmax and the
-emission rule, numerics.mask_unemittable. The fed ids are BOS or ids the
-search took from the V columns, so they index the table directly;
-Embedding.lookup's range check runs on the news and the replay.
+to every row, and a row ends when it emits EOS. Greedy and sampling step one
+row; beam search steps every live hypothesis in one call. Each search
+returns a DecodedSequence: the emitted tokens and their summed log-prob,
+added in emission order as the tokens are chosen. A model-backed step feeds
+the tokens' embedding rows to the decoder's cell step on [n, 1, H] stacks,
+then runs the head, one log-softmax and the emission rule,
+numerics.mask_unemittable. The fed ids are BOS or ids the search took from
+the V columns, so they index the table directly; Embedding.lookup's range
+check runs on the news and the replay.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ class DecodedSequence:
     logprob: float         # summed model log-prob of the emitted tokens
 
 
-def _decode_row(step_fn, init_state, max_len, choose, eos_id):
+def _decode_row(step_fn, init_state, max_len, choose):
     """Step one row, feeding back the token `choose(logp)` picks, until EOS
     or max_len tokens."""
     state = init_state
@@ -52,18 +53,18 @@ def _decode_row(step_fn, init_state, max_len, choose, eos_id):
         tok = choose(row)
         tokens.append(tok)
         total += float(row[tok])
-        if tok == eos_id:
+        if tok == EOS:
             break
         prev = [tok]
     return DecodedSequence(tuple(tokens), total)
 
 
-def greedy_decode(step_fn, init_state, max_len, eos_id=EOS):
+def greedy_decode(step_fn, init_state, max_len):
     """Argmax at every step; ties go to the smallest token id."""
-    return _decode_row(step_fn, init_state, max_len, lambda row: int(row.argmax()), eos_id)
+    return _decode_row(step_fn, init_state, max_len, lambda row: int(row.argmax()))
 
 
-def sample_decode(step_fn, init_state, max_len, rng, temperature=1.0, eos_id=EOS):
+def sample_decode(step_fn, init_state, max_len, rng, temperature=1.0):
     """Ancestral sampling; temperature rescales logits before normalizing.
 
     The summed log-prob is that of the unscaled model distribution.
@@ -72,13 +73,13 @@ def sample_decode(step_fn, init_state, max_len, rng, temperature=1.0, eos_id=EOS
         raise ValueError("temperature must be positive")
 
     def draw(row):
-        scaled = log_softmax(row / temperature, axis=-1)
+        scaled = log_softmax(row / temperature)
         return int(rng.choice(len(row), p=np.exp(scaled)))
 
-    return _decode_row(step_fn, init_state, max_len, draw, eos_id)
+    return _decode_row(step_fn, init_state, max_len, draw)
 
 
-def beam_search(step_fn, init_state, width, max_len, eos_id=EOS):
+def beam_search(step_fn, init_state, width, max_len):
     """Length-normalized beam search from a one-row state tuple.
 
     Each step keeps the `width` best expansions by cumulative log-prob; any
@@ -133,7 +134,7 @@ def beam_search(step_fn, init_state, width, max_len, eos_id=EOS):
         tokens = tokens[parent]
         tokens[:, length] = tok
         length += 1
-        done = tok == eos_id
+        done = tok == EOS
         if done.any():
             finished.extend(zip(tokens[done, :length].tolist(), total[done].tolist()))
             best_done = max(best_done, (total[done] / length).max())
@@ -240,19 +241,20 @@ def clipped_counts(candidate, reference, n):
     return clipped, sum(cand.values())
 
 
-def bleu(candidate, reference, max_n: int = 4) -> float:
-    """Sentence BLEU: geometric mean of modified n-gram precisions times the
-    brevity penalty. Smoothing is add-1 on numerator and denominator for
-    n >= 2 only, so a zero unigram overlap, like an empty candidate, scores 0.
+def bleu(candidate, reference) -> float:
+    """Sentence 4-gram BLEU: geometric mean of the modified 1- to 4-gram
+    precisions times the brevity penalty. Smoothing is add-1 on numerator and
+    denominator for n >= 2 only, so a zero unigram overlap, like an empty
+    candidate, scores 0.
     """
     candidate = list(candidate)
     reference = list(reference)
     if not reference:
         raise ValueError("reference must be non-empty")
-    return corpus_bleu([(candidate, reference)], max_n)
+    return corpus_bleu([(candidate, reference)])
 
 
-def corpus_bleu(pairs, max_n: int = 4) -> float:
+def corpus_bleu(pairs) -> float:
     """Corpus BLEU: counts pooled over all (candidate, reference) pairs, the
     same add-1 smoothing applied once to the pooled counts for n >= 2; 0 when
     every candidate is empty."""
@@ -264,7 +266,7 @@ def corpus_bleu(pairs, max_n: int = 4) -> float:
     if cand_len == 0:
         return 0.0
     log_sum = 0.0
-    for n in range(1, max_n + 1):
+    for n in (1, 2, 3, 4):
         clipped = total = 0
         for cand, ref in pairs:
             c, t = clipped_counts(cand, ref, n)
@@ -277,17 +279,17 @@ def corpus_bleu(pairs, max_n: int = 4) -> float:
             return 0.0
         log_sum += math.log(clipped / total)
     bp = 1.0 if cand_len > ref_len else math.exp(1.0 - ref_len / cand_len)
-    return bp * math.exp(log_sum / max_n)
+    return bp * math.exp(log_sum / 4)
 
 
-def repetition_rate(tokens, n: int = 2) -> float:
-    """1 - distinct/total n-grams, the repeated-term failure measure; 0 for
-    fewer than n tokens."""
+def repetition_rate(tokens) -> float:
+    """1 - distinct/total bigrams, the repeated-term failure measure; 0 for
+    fewer than 2 tokens."""
     tokens = list(tokens)
-    total = len(tokens) - n + 1
+    total = len(tokens) - 1
     if total <= 0:
         return 0.0
-    grams = ngrams(tokens, n)
+    grams = ngrams(tokens, 2)
     # (total - distinct)/total, not 1 - distinct/total: bit-exact at e.g. 2/3
     return (total - len(grams)) / total
 

@@ -24,11 +24,10 @@ class NonFiniteLossError(RuntimeError):
     pass
 
 
-def log_softmax(x, axis=-1):
-    """Row-wise log-probabilities; never computes log of a softmax output."""
-    x = np.asarray(x, dtype=FLOAT)
-    shifted = x - x.max(axis=axis, keepdims=True)
-    shifted -= np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+def log_softmax(x):
+    """Log-probabilities over the last axis; never computes log of a softmax output."""
+    shifted = x - x.max(axis=-1, keepdims=True)
+    shifted -= np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     return shifted
 
 
@@ -45,8 +44,6 @@ def masked_row_softmax(scores, mask):
     scores: [..., T] float; mask: [..., T] bool. Raises if any row is fully
     masked (there is nothing to normalize over).
     """
-    scores = np.asarray(scores, dtype=FLOAT)
-    mask = np.asarray(mask, dtype=bool)
     if not mask.any(axis=-1).all():
         raise ValueError("softmax over fully masked row: all positions masked")
     neg = np.where(mask, scores, -np.inf)
@@ -161,11 +158,9 @@ def run_lstm(cell: LSTMCell, X, mask, reverse=False, h0=None, feed=None):
     h_prev. Given feed(t, h), each step t > 0 reads the row [B,D] that feed
     forms from h, the state after step t - 1, in place of X[:, t].
     """
-    X = np.asarray(X, dtype=FLOAT)
     B, T, D = X.shape
     if T == 0 or D != cell.d_in:
         raise ValueError(f"run_lstm over inputs {X.shape}: empty, or not {cell.d_in} wide")
-    mask = np.asarray(mask, dtype=bool).reshape(B, T)
     h = np.zeros((B, cell.d_hid), dtype=FLOAT) if h0 is None else h0
     c = np.zeros((B, cell.d_hid), dtype=FLOAT)
     inputs = X.transpose(1, 0, 2)  # kept as is if contiguous; a feed writes into a copy
@@ -306,8 +301,7 @@ def gradient_check(analytic, numeric, tol=1e-4):
         raise ValueError("analytic and numeric gradient sets name different blocks")
     blocks = []
     for name in names:
-        a = np.asarray(analytic[name], dtype=FLOAT)
-        n = np.asarray(numeric[name], dtype=FLOAT)
+        a, n = analytic[name], numeric[name]
         if a.shape != n.shape:
             raise ValueError(f"{name}: shape mismatch {a.shape} vs {n.shape}")
         na = float(np.linalg.norm(a))

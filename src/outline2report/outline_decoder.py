@@ -42,7 +42,7 @@ def attend(enc_states, state, mask, W_a: Parameter, W_c: Parameter) -> Attention
     """
     query = state @ W_a.value.T                                  # [B, K, E]
     scores = query @ enc_states.transpose(0, 2, 1)               # [B, K, T]
-    weights = masked_row_softmax(scores, np.asarray(mask)[:, None])
+    weights = masked_row_softmax(scores, mask[:, None])
     context = weights @ enc_states
     combined = np.tanh(np.concatenate([context, state], axis=2) @ W_c.value.T)
     return AttentionStep(enc_states, state, query, weights, context, combined)
@@ -89,7 +89,6 @@ def sequence_nll(hidden, W, targets, mask, scale=1.0):
     so z stays intact for the gradient. Returns (loss, d_hidden [B,T,H],
     dW [V,H]); masked rows of d_hidden are 0.
     """
-    hidden, targets = np.asarray(hidden, dtype=FLOAT), np.asarray(targets)
     V = W.shape[0]
     if targets.size and (targets.min() < 0 or targets.max() >= V):
         raise ValueError(f"target id out of range [0, {V})")

@@ -27,7 +27,7 @@ class _Hypothesis:
     state: object
 
 
-def reference_beam_search(step_fn, init_state, width, max_len, eos_id=EOS, bos_id=BOS):
+def reference_beam_search(step_fn, init_state, width, max_len, bos_id=BOS):
     if width < 1:
         raise ValueError("beam width must be >= 1")
     active = [_Hypothesis((), 0.0, init_state)]
@@ -47,7 +47,7 @@ def reference_beam_search(step_fn, init_state, width, max_len, eos_id=EOS, bos_i
         expansions.sort(key=lambda h: (-h.total, h.tokens))
         active = []
         for hyp in expansions[:width]:
-            (finished if hyp.tokens[-1] == eos_id else active).append(hyp)
+            (finished if hyp.tokens[-1] == EOS else active).append(hyp)
     pool = finished + active
     if not pool:
         return DecodedSequence((), 0.0)
@@ -64,7 +64,7 @@ def prefix_step(table):
 
 
 def _emission_mask(logits):
-    logp = log_softmax(logits, axis=-1)
+    logp = log_softmax(logits)
     logp[PAD] = -math.inf
     logp[BOS] = -math.inf
     return logp

@@ -2,29 +2,30 @@
 
 Shared by the decoder unit tests and the acceptance checks. A table maps
 each non-terminal prefix to a normalized log-prob vector over V tokens;
-token `eos` terminates a sequence.
+token EOS terminates a sequence, as it does every search.
 """
 
 import itertools
 
 import numpy as np
 
+from outline2report.corpus import EOS
+
 
 def random_table(seed):
-    """Seeded random instance: (table, V, max_len, eos_id)."""
+    """Seeded random instance: (table, V, max_len), with V > EOS."""
     rng = np.random.default_rng(seed)
-    V = int(rng.integers(2, 6))
+    V = int(rng.integers(EOS + 1, 6))
     max_len = int(rng.integers(1, 4))
-    eos = 0
     table = {}
     for length in range(max_len):
         for prefix in itertools.product(range(V), repeat=length):
-            if eos in prefix:
+            if EOS in prefix:
                 continue
             x = rng.normal(size=V)
             table[prefix] = x - np.log(np.exp(x).sum())
     assert all((row <= 0).all() for row in table.values())  # beam_search's premise
-    return table, V, max_len, eos
+    return table, V, max_len
 
 
 # The search state for make_step: a one-array tuple holding each row's fed
@@ -55,7 +56,7 @@ def mean_logp(seq):
     return seq.logprob / len(seq.tokens)
 
 
-def exhaustive_best(table, V, max_len, eos):
+def exhaustive_best(table, V, max_len):
     """Brute-force argmax of sum(logp)/length over every decodable sequence.
 
     Ties break toward the lexicographically smaller token sequence, matching
@@ -65,7 +66,7 @@ def exhaustive_best(table, V, max_len, eos):
 
     def walk(prefix, total):
         nonlocal best
-        done = (prefix and prefix[-1] == eos) or len(prefix) == max_len
+        done = (prefix and prefix[-1] == EOS) or len(prefix) == max_len
         if done:
             score = total / len(prefix)
             key = (-score, prefix)

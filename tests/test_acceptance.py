@@ -174,13 +174,13 @@ def test_criterion_7_metric_oracles(capsys):
     clipping = bleu("the the the the".split(), "the cat sat".split())
     clip_ok = abs(clipping - (1.0 / 96.0) ** 0.25) <= 1e-9
 
-    rep_ok = repetition_rate(["a", "a", "a", "a"], 2) == 2.0 / 3.0
+    rep_ok = repetition_rate(["a", "a", "a", "a"]) == 2.0 / 3.0
 
     beam_ok = True
     for seed in range(250):
-        table, V, max_len, eos = random_table(seed)
-        want_tokens, want_score = exhaustive_best(table, V, max_len, eos)
-        got = beam_search(make_step(table), ROOT, V ** max_len + 1, max_len, eos_id=eos)
+        table, V, max_len = random_table(seed)
+        want_tokens, want_score = exhaustive_best(table, V, max_len)
+        got = beam_search(make_step(table), ROOT, V ** max_len + 1, max_len)
         if got.tokens != tuple(want_tokens) or abs(mean_logp(got) - want_score) > 1e-12:
             beam_ok = False
             break
@@ -188,7 +188,7 @@ def test_criterion_7_metric_oracles(capsys):
     ok = identity and clip_ok and rep_ok and beam_ok
     assert report(capsys, 7, "metric oracles", ok), (
         f"identity {identity}, clipping {clipping!r}, "
-        f"repetition {repetition_rate(['a', 'a', 'a', 'a'], 2)!r}, beam {beam_ok}")
+        f"repetition {repetition_rate(['a', 'a', 'a', 'a'])!r}, beam {beam_ok}")
 
 
 def test_criterion_8_comparative_harness(capsys):

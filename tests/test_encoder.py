@@ -15,11 +15,11 @@ def make_embedding(vocab=11, d_emb=5, seed=0):
 class TestEmbedding:
     def test_pad_row_is_zero(self):
         emb = make_embedding()
-        assert not emb.lookup([PAD]).any()
+        assert not emb.lookup(np.array([PAD])).any()
 
     def test_same_id_identical(self):
         emb = make_embedding()
-        v = emb.lookup([7, 7])
+        v = emb.lookup(np.array([7, 7]))
         assert (v[0] == v[1]).all()
 
     def test_one_hot_equivalence(self):
@@ -27,19 +27,19 @@ class TestEmbedding:
         i = 4
         one_hot = np.zeros(emb.vocab_size)
         one_hot[i] = 1.0
-        np.testing.assert_array_equal(emb.lookup([i])[0], one_hot @ emb.table.value)
+        np.testing.assert_array_equal(emb.lookup(np.array([i]))[0], one_hot @ emb.table.value)
 
     def test_out_of_range_rejected(self):
         emb = make_embedding(vocab=6)
         with pytest.raises(ValueError, match="out of range"):
-            emb.lookup([6])
+            emb.lookup(np.array([6]))
         with pytest.raises(ValueError, match="out of range"):
-            emb.lookup([-1])
+            emb.lookup(np.array([-1]))
 
     def test_accumulate_grad_sums_repeats(self):
         emb = make_embedding(vocab=5, d_emb=2)
         emb.table.zero_grad()
-        emb.accumulate_grad([3, 3, 1], np.array([[1.0, 0.0], [2.0, 0.0], [5.0, 5.0]]))
+        emb.accumulate_grad(np.array([3, 3, 1]), np.array([[1.0, 0.0], [2.0, 0.0], [5.0, 5.0]]))
         np.testing.assert_array_equal(emb.table.grad[3], [3.0, 0.0])
         np.testing.assert_array_equal(emb.table.grad[1], [5.0, 5.0])
         assert not emb.table.grad[0].any()

@@ -159,7 +159,7 @@ class TestAttend:
 
 def token_distribution(dec, combined):
     """softmax(W_o . combined) over the vocabulary, per row."""
-    return np.exp(log_softmax(combined @ dec.W_o.value.T, axis=-1))
+    return np.exp(log_softmax(combined @ dec.W_o.value.T))
 
 
 class TestTokenDistribution:
