@@ -10,7 +10,10 @@ the recurrence over all steps first, then attends for all of them in one call.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -74,9 +77,49 @@ def attend_backward(step: AttentionStep, d_combined, W_a: Parameter, W_c: Parame
 
 # Valid rows projected onto the vocabulary at once: one [XENT_CHUNK, V] block
 # of logits is the only vocabulary-sized array the loss ever holds, beside a
-# scratch of about XENT_SCRATCH floats in which the row sums are taken.
+# scratch of about XENT_SCRATCH floats in which the row sums are taken, and
+# the next chunk's block while it is formed ahead. A block of at least
+# XENT_AHEAD floats is worth handing to a second CPU; a smaller one costs
+# more in the handoff than it saves.
 XENT_CHUNK = 128
 XENT_SCRATCH = 1 << 15
+XENT_AHEAD = 1 << 17
+
+_worker = None  # the one-thread executor that forms blocks ahead, made on first use
+_worker_lock = threading.Lock()
+
+
+def _ahead_worker():
+    global _worker
+    with _worker_lock:
+        if _worker is None:
+            from concurrent.futures import ThreadPoolExecutor
+            _worker = ThreadPoolExecutor(1, thread_name_prefix="xent-ahead")
+        return _worker
+
+
+def _forget_worker():
+    """A forked child has no worker thread: it makes its own on first use."""
+    global _worker, _worker_lock
+    _worker, _worker_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_worker)
+
+
+def _under_errstate(errors, fn, *args):
+    """fn(*args) under the numpy error state errors: a worker thread starts
+    from numpy's defaults, not from its caller's state."""
+    with np.errstate(**errors):
+        return fn(*args)
+
+
+def _usable_cpus():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def sequence_nll(hidden, W, targets, mask, scale=1.0):
@@ -86,8 +129,12 @@ def sequence_nll(hidden, W, targets, mask, scale=1.0):
     hidden [B,T,H], W [V,H], targets [B,T] int, mask [B,T] bool. Only the
     valid rows are projected, XENT_CHUNK at a time, and each chunk's logits
     are formed once: its row sums of exp(z - peak) are taken in a scratch,
-    so z stays intact for the gradient. Returns (loss, d_hidden [B,T,H],
-    dW [V,H]); masked rows of d_hidden are 0.
+    so z stays intact and becomes the chunk's softmax gradient in place.
+    With two or more chunks of at least XENT_AHEAD logits and a second CPU,
+    a worker thread forms the next chunk's block while this thread runs the
+    current chunk's GEMMs; either way every IEEE operation and its order are
+    the same. Returns (loss, d_hidden [B,T,H], dW [V,H]); masked rows of
+    d_hidden are 0.
     """
     V = W.shape[0]
     if targets.size and (targets.min() < 0 or targets.max() >= V):
@@ -98,7 +145,12 @@ def sequence_nll(hidden, W, targets, mask, scale=1.0):
     log_sum, gold_shifted = np.empty(rows.size, dtype=FLOAT), np.empty(rows.size, dtype=FLOAT)
     block = max(1, XENT_SCRATCH // V)
     scratch = np.empty((min(block, rows.size), V), dtype=FLOAT)
-    for lo in range(0, rows.size, XENT_CHUNK):
+    factor = scale / len(hidden)
+
+    def softmax_block(lo):
+        """Chunk lo's rows and factor * (softmax - onehot(gold)) of their logits;
+        fills the chunk's log_sum and gold_shifted. Blocks are formed one at a
+        time, so they share the scratch."""
         part = slice(lo, lo + XENT_CHUNK)
         X_c = X[rows[part]]
         z = X_c @ W.T
@@ -110,26 +162,37 @@ def sequence_nll(hidden, W, targets, mask, scale=1.0):
             e = np.subtract(z_r, peak[r:r + block, None], out=scratch[:len(z_r)])
             sums[r:r + block] = np.exp(e, out=e).sum(axis=1)
         np.log(sums, out=sums)
-        dX_c, dW_c = sequence_nll_backward(
-            z, X_c, W, gold[part], peak + sums, scale / len(hidden))
+        z -= (peak + sums)[:, None]
+        np.exp(z, out=z)
+        z[np.arange(len(z)), gold[part]] -= 1.0
+        z *= factor
+        return z, X_c
+
+    ahead = (rows.size > XENT_CHUNK and XENT_CHUNK * V >= XENT_AHEAD
+             and _usable_cpus() > 1)
+    take = partial(softmax_block, 0)
+    for lo in range(0, rows.size, XENT_CHUNK):
+        p, X_c = take()
+        nxt = lo + XENT_CHUNK
+        if nxt < rows.size:
+            take = (_ahead_worker().submit(_under_errstate, np.geterr(), softmax_block, nxt).result
+                    if ahead else partial(softmax_block, nxt))
+        dX_c, dW_c = sequence_nll_backward(p, X_c, W)
         dW += dW_c
-        d_hidden[rows[part]] = dX_c
+        d_hidden[rows[lo:lo + XENT_CHUNK]] = dX_c
+        # dropped before the next block is made; holding it there left the
+        # heap to shrink and grow back each chunk: a train-hier step took
+        # about 1,100 page faults without this line and 1.3 with it
+        del p
     # -log p(gold) = log_sum - (z_gold - peak): no cancellation against a large peak
     loss = float((log_sum - gold_shifted).sum() / len(hidden))
     return loss, d_hidden.reshape(hidden.shape), dW
 
 
-def sequence_nll_backward(z, X_c, W, gold, lse, factor):
-    """One chunk's gradients of factor * its summed NLL: (dX_c [n,H], dW_c [V,H]).
-
-    z [n,V] holds the chunk's logits X_c @ W.T, and is overwritten with
-    factor * (softmax(z) - onehot(gold)); lse [n] is each row's log-sum-exp.
-    """
-    z -= lse[:, None]
-    np.exp(z, out=z)
-    z[np.arange(len(z)), gold] -= 1.0
-    z *= factor
-    return z @ W, z.T @ X_c
+def sequence_nll_backward(p, X_c, W):
+    """One chunk's gradients from its softmax gradient p [n,V] (the loss's
+    factor times softmax - onehot(gold)): (dX_c [n,H], dW_c [V,H])."""
+    return p @ W, p.T @ X_c
 
 
 @dataclass

@@ -1,4 +1,9 @@
 import math
+import multiprocessing
+import sys
+import threading
+import warnings
+from concurrent.futures import ThreadPoolExecutor
 from unittest.mock import Mock
 
 import numpy as np
@@ -304,8 +309,8 @@ class TestChunkedXent:
     TOL = 1e-12
 
     # with 4-row chunks: one partial chunk, exactly one, one plus a row,
-    # several with a remainder, an exact multiple
-    @pytest.mark.parametrize("n_valid", [1, 3, 4, 5, 13, 16])
+    # exactly two, several with a remainder, an exact multiple
+    @pytest.mark.parametrize("n_valid", [1, 3, 4, 5, 8, 13, 16])
     def test_matches_reference_at_small_chunks(self, monkeypatch, n_valid):
         monkeypatch.setattr(outline_decoder, "XENT_CHUNK", 4)
         case = xent_case(np.random.default_rng(n_valid), B=4, T=6, n_valid=n_valid)
@@ -352,14 +357,15 @@ class TestChunkedXent:
         ref_loss = reference_xent(hidden, W, targets, mask)[0]
         assert abs(loss - ref_loss) / abs(ref_loss) > 1e-3
 
-    def test_gradient_without_the_log_sum_fails_the_comparison(self, monkeypatch):
-        # A planted fault: the chunk kernel takes its softmax from z - peak,
-        # leaving out the log-sum; the loss is untouched, both gradients move.
+    def test_gradient_from_the_wrong_rows_fails_the_comparison(self, monkeypatch):
+        # A planted fault: the chunk kernel pairs the softmax block's rows
+        # with the chunk's rows in reverse, as a block handed back for the
+        # wrong rows would; the loss is untouched, both gradients move.
         case = xent_case(np.random.default_rng(9), B=3, T=4, n_valid=6)
         kernel = outline_decoder.sequence_nll_backward
 
-        def planted(z, X_c, W, gold, lse, factor):
-            return kernel(z, X_c, W, gold, z.max(axis=1), factor)
+        def planted(p, X_c, W):
+            return kernel(p[::-1], X_c, W)
 
         monkeypatch.setattr(outline_decoder, "sequence_nll_backward", planted)
         errors = xent_errors(*case)
@@ -385,7 +391,7 @@ class TestFusedXentBits:
         np.testing.assert_array_equal(dW, want_dW)
 
     @pytest.mark.parametrize("scale", [1.0, 0.7])
-    @pytest.mark.parametrize("n_valid", [1, 3, 4, 5, 13, 16])
+    @pytest.mark.parametrize("n_valid", [1, 3, 4, 5, 8, 13, 16])
     def test_small_chunks(self, monkeypatch, n_valid, scale):
         monkeypatch.setattr(outline_decoder, "XENT_CHUNK", 4)
         case = xent_case(np.random.default_rng(n_valid), B=4, T=6, n_valid=n_valid)
@@ -428,6 +434,121 @@ class TestFusedXentBits:
         hidden, W, targets, mask = xent_case(np.random.default_rng(24), B=2, T=3, n_valid=0)
         loss, d_hidden, dW = sequence_nll(hidden, W, targets, mask)
         assert loss == 0.0 and not d_hidden.any() and not dW.any()
+
+
+class TestChunkedXentAhead(TestChunkedXent):
+    """Every TestChunkedXent case with each multi-chunk call forming its next
+    softmax block on the worker thread."""
+
+    @pytest.fixture(autouse=True)
+    def _ahead(self, xent_ahead):
+        pass
+
+
+class TestFusedXentBitsAhead(TestFusedXentBits):
+    """Every TestFusedXentBits case with each multi-chunk call forming its
+    next softmax block on the worker thread: the same bits."""
+
+    @pytest.fixture(autouse=True)
+    def _ahead(self, xent_ahead):
+        pass
+
+
+def nll_bits(case):
+    loss, d_hidden, dW = sequence_nll(*case)
+    return loss.hex(), d_hidden.tobytes(), dW.tobytes()
+
+
+def _nll_bits_to(queue, case):
+    queue.put(nll_bits(case))
+
+
+class TestXentHandoff:
+    """The worker thread forms softmax blocks only: under the caller's numpy
+    error state, in a forked child too, and never the traced kernel."""
+
+    @staticmethod
+    def four_chunks(monkeypatch, seed=13):
+        monkeypatch.setattr(outline_decoder, "XENT_CHUNK", 4)
+        return xent_case(np.random.default_rng(seed), B=4, T=6, n_valid=13)
+
+    def test_handoff_starts_at_the_block_size(self, xent_handoffs):
+        # two 128-row chunks hand one block off from 1024 words on
+        # (XENT_AHEAD floats); 1023 words stay on the calling thread
+        rng = np.random.default_rng(30)
+        hidden, mask = rng.normal(size=(2, 70, 4)), np.ones((2, 70), dtype=bool)
+        for V, handoffs in ((1023, 0), (1024, 1)):
+            sequence_nll(hidden, rng.normal(size=(V, 4)), rng.integers(0, V, size=(2, 70)), mask)
+            assert len(xent_handoffs) == handoffs
+
+    def test_kernel_runs_on_the_calling_thread(self, monkeypatch, xent_ahead):
+        case = self.four_chunks(monkeypatch)
+        kernel, threads = outline_decoder.sequence_nll_backward, []
+
+        def recorded(p, X_c, W):
+            threads.append(threading.get_ident())
+            return kernel(p, X_c, W)
+
+        monkeypatch.setattr(outline_decoder, "sequence_nll_backward", recorded)
+        sequence_nll(*case)
+        assert threads == [threading.get_ident()] * 4 and len(xent_ahead) == 3
+
+    def test_worker_warns_as_the_caller_does(self, monkeypatch, xent_ahead):
+        # an inf in the last chunk's row: its block, formed on the worker,
+        # subtracts inf from inf
+        hidden, W, targets, mask = case = self.four_chunks(monkeypatch)
+        hidden.reshape(-1, hidden.shape[-1])[np.flatnonzero(mask)[-1], 0] = np.inf
+        warned = []
+        for ahead in (1 << 30, 1):
+            monkeypatch.setattr(outline_decoder, "XENT_AHEAD", ahead)
+            with pytest.warns(RuntimeWarning) as got:
+                assert math.isnan(sequence_nll(*case)[0])
+            warned.append(sorted(str(w.message) for w in got))
+        assert warned[0] == warned[1] == ["invalid value encountered in subtract"]
+        assert len(xent_ahead) == 3
+        with np.errstate(all="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not math.isfinite(sequence_nll(*case)[0])
+        assert len(xent_ahead) == 6
+
+    def test_concurrent_callers_share_the_worker(self, monkeypatch, xent_ahead):
+        # more calling threads than cores, switching often, all handing
+        # blocks to the one worker: each call still gets its own bits
+        cases = [self.four_chunks(monkeypatch, seed) for seed in range(4)]
+        monkeypatch.setattr(outline_decoder, "XENT_AHEAD", 1 << 30)
+        want = [[nll_bits(case)] * 5 for case in cases]
+        monkeypatch.setattr(outline_decoder, "XENT_AHEAD", 1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(len(cases)) as pool:
+                calls = [pool.submit(lambda c: [nll_bits(c) for _ in range(5)], case)
+                         for case in cases]
+                got = [call.result(timeout=60) for call in calls]
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == want and len(xent_ahead) == 3 * 5 * len(cases)
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="no fork start method")
+    def test_forked_child_makes_its_own_worker(self, monkeypatch, xent_ahead):
+        case = self.four_chunks(monkeypatch)
+        want = nll_bits(case)
+        assert xent_ahead
+        ctx = multiprocessing.get_context("fork")
+        queue = ctx.Queue()
+        child = ctx.Process(target=_nll_bits_to, args=(queue, case))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)  # forking with threads
+            child.start()
+        try:
+            got = queue.get(timeout=60)
+        finally:
+            child.join(timeout=10)
+            if child.is_alive():
+                child.kill()
+        assert not child.is_alive() and child.exitcode == 0
+        assert got == want
 
 
 class TestDecoderSteps:
