@@ -26,7 +26,7 @@ import numpy as np
 from .config import DecodeConfig
 from .corpus import BOS, EOS, PAD, Vocabulary, wrap_ids
 from .model import shifted_targets
-from .numerics import log_softmax, mask_unemittable, run_lstm
+from .numerics import left_sum, log_softmax, mask_unemittable, run_lstm
 from .outline_decoder import attend
 from .report_decoder import fuse_news_outline
 
@@ -88,16 +88,16 @@ def beam_search(step_fn, init_state, width, max_len):
     log-prob over the length, EOS counted in both; ties break toward the
     lexicographically smaller token-id sequence.
 
-    One step_fn call per step covers every live hypothesis. The live rows
-    have one length and are kept in lexicographic order of their tokens, so
-    ordering the flattened [rows, V] expansions stably on -total orders them
-    as (-total, tokens) does. np.argpartition picks the `width` smallest
-    -totals; when more entries than that tie with the boundary value (the
-    -inf ones included), the pick among them is arbitrary, so a stable
-    argsort takes its place. The picks with finite log-prob survive; sorted
-    by flat index they are again in token order. Token rows are a
-    [rows, max_len] buffer, gathered by parent and filled one column a step;
-    each row's total is its summed log-prob, which the result returns.
+    One step_fn call per step covers every live hypothesis, one state row
+    each. The live rows have one length and are kept in lexicographic order
+    of their tokens, so ordering the flattened [rows, V] expansions stably on
+    -total orders them as (-total, tokens) does. np.argpartition picks the
+    `width` smallest -totals; when more entries than that tie with the
+    boundary value (the -inf ones included), the pick among them is
+    arbitrary, so a stable argsort takes its place. Sorted by flat index, the
+    picks with finite log-prob extend their parents' token tuples and totals
+    in token order; those that end in EOS retire. State rows are gathered by
+    parent unless all live on in place; no array handed in is written to.
 
     The search stops early, with the result it would reach at max_len, once
     the best finished score is strictly greater than the largest live total
@@ -115,38 +115,40 @@ def beam_search(step_fn, init_state, width, max_len):
     if max_len < 1:
         return DecodedSequence((), 0.0)
     state = init_state
-    tokens = np.zeros((1, max_len), dtype=np.int64)   # live hypotheses, one per row, in token order
-    totals = np.zeros(1)
-    finished: list[tuple] = []
-    best_done = -math.inf
-    prev = np.full(1, BOS)
+    hyps, totals, prev = [()], [0.0], [BOS]   # live hypotheses, in token order
+    finished, best_done = [], -math.inf
     length = 0
-    while length < max_len and len(totals) and not best_done > totals.max() / max_len:
+    while length < max_len and hyps and not (finished and best_done > max(totals) / max_len):
         logp, state = step_fn(state, prev)
-        cand = totals[:, None] + logp
+        cand = np.array(totals)[:, None] + logp
         order = -cand.ravel()
         k = min(width, order.size)
         best = np.argpartition(order, k - 1)[:k]
         if np.count_nonzero(order <= order[best[-1]]) > k:
             best = np.argsort(order, kind="stable")[:k]
-        parent, tok = np.divmod(np.sort(best[logp.flat[best] != -math.inf]), logp.shape[1])
-        total = cand[parent, tok]
-        tokens = tokens[parent]
-        tokens[:, length] = tok
         length += 1
-        done = tok == EOS
-        if done.any():
-            finished.extend(zip(tokens[done, :length].tolist(), total[done].tolist()))
-            best_done = max(best_done, (total[done] / length).max())
-        live = ~done
-        tokens, totals = tokens[live], total[live]
-        state = tuple(part[parent[live]] for part in state)
-        prev = tok[live]
-    pool = finished + list(zip(tokens[:, :length].tolist(), totals.tolist()))
+        parents, live, sums = [], [], []
+        for i in sorted(best.tolist()):
+            lp = logp.item(i)
+            if lp == -math.inf:
+                continue
+            parent, tok = divmod(i, logp.shape[1])
+            hyp, total = hyps[parent] + (tok,), totals[parent] + lp
+            if tok == EOS:
+                finished.append((hyp, total))
+                best_done = max(best_done, total / length)
+            else:
+                parents.append(parent)
+                live.append(hyp)
+                sums.append(total)
+        if parents != list(range(len(hyps))):
+            state = tuple(part.take(parents, axis=0) for part in state)
+        hyps, totals, prev = live, sums, [h[-1] for h in live]
+    pool = finished + list(zip(hyps, totals))
     if not pool:
         return DecodedSequence((), 0.0)
     best_tokens, best_total = min(pool, key=lambda h: (-(h[1] / len(h[0])), h[0]))
-    return DecodedSequence(tuple(best_tokens), best_total)
+    return DecodedSequence(best_tokens, best_total)
 
 
 # -- model-backed generation ---------------------------------------------------
@@ -318,10 +320,10 @@ def evaluation_report(candidates_by_id: dict, references_by_id: dict) -> dict:
     ref_rep = [repetition_rate(r) for r in refs]
     return {
         "pairs": len(ids),
-        "mean_sentence_bleu": sum(sent) / len(sent) if sent else 0.0,
+        "mean_sentence_bleu": left_sum(sent) / len(sent) if sent else 0.0,
         "corpus_bleu": corpus_bleu(zip(cands, refs)) if ids else 0.0,
-        "candidate_repetition": sum(cand_rep) / len(cand_rep) if cand_rep else 0.0,
-        "reference_repetition": sum(ref_rep) / len(ref_rep) if ref_rep else 0.0,
+        "candidate_repetition": left_sum(cand_rep) / len(cand_rep) if cand_rep else 0.0,
+        "reference_repetition": left_sum(ref_rep) / len(ref_rep) if ref_rep else 0.0,
         "candidate_lengths": length_stats(cands),
         "reference_lengths": length_stats(refs),
     }

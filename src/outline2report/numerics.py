@@ -311,10 +311,18 @@ def gradient_check(analytic, numeric, tol=1e-4):
     return GradientCheckReport(tol=tol, blocks=blocks)
 
 
+def left_sum(values) -> float:
+    """Floats added left to right, as sum() did before CPython 3.12."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def clip_global_norm(params, max_norm):
     """Scale all gradients jointly so the global norm is at most max_norm;
     returns the norm before clipping. A non-finite norm scales nothing."""
-    total = math.sqrt(sum(float(np.sum(p.grad * p.grad)) for p in params))
+    total = math.sqrt(left_sum(float(np.sum(p.grad * p.grad)) for p in params))
     if math.inf > total > max_norm > 0:
         scale = max_norm / total
         for p in params:

@@ -151,6 +151,58 @@ def rows_per_step(table, max_len, width):
     return rows, [per_step[t] for t in range(len(per_step))]
 
 
+def reference_feeds(table, width, max_len):
+    """The hypotheses the per-hypothesis reference feeds, by length: each
+    prefix whose last token it feeds, the empty one at the first step."""
+    feeds, step = {}, prefix_step(table)
+
+    def recording(prefix, token):
+        logp, fed = step(prefix, token)
+        feeds.setdefault(len(fed), []).append(fed)
+        return logp, fed
+
+    reference_beam_search(recording, (), width, max_len, bos_id=None)
+    return feeds
+
+
+def routing_step(table, feeds, moves):
+    """make_step that checks the search's routing of its state rows. Each row
+    carries the tokens fed to it, BOS first. On every call the rows' prefixes,
+    each extended by the token fed to it, must be the hypotheses that the
+    reference fed at this length, in token order. `moves` counts the calls
+    whose rows are the previous call's rows in place ("kept") and those
+    whose rows were reordered, duplicated or dropped ("moved")."""
+    step, last = make_step(table), []
+
+    def step_fn(state, tokens):
+        rows = state[0].tolist()
+        hyps = [tuple(row[1:]) + (tok,) for row, tok in zip(rows, np.asarray(tokens).tolist())]
+        if not last:
+            hyps = [()]   # the first call feeds BOS to the root
+        assert hyps == sorted(hyps) == sorted(feeds[len(hyps[0])]), hyps
+        if last:
+            parents = [last.index(row) for row in rows]
+            moves["kept" if parents == list(range(len(last))) else "moved"] += 1
+        logp, state = step(state, tokens)
+        last[:] = state[0].tolist()
+        return logp, state
+
+    return step_fn
+
+
+def read_only_step(table):
+    """make_step whose log-probs and state arrays cannot be written."""
+    step = make_step(table)
+
+    def step_fn(state, tokens):
+        logp, state = step(state, tokens)
+        for array in (logp, *state):
+            array.flags.writeable = False
+        return logp, state
+
+    return step_fn
+
+
 class TestBatchedBeam:
     """beam_search against the per-hypothesis reference in decode_oracles."""
 
@@ -215,6 +267,31 @@ class TestBatchedBeam:
                 stopped += len(rows) < len(ref_rows)
                 cases += 1
         assert stopped >= cases // 4, f"the stop fired in {stopped} of {cases} cases"
+
+    def test_state_rows_follow_their_hypotheses(self):
+        # rows stay in place when every hypothesis lives on with one token;
+        # otherwise the survivors' parents are gathered, duplicated or not
+        moves = Counter()
+        cases = [(tied_table(seed, vocab=(EOS + 1, 5), lengths=(6, 9)), "tied")
+                 for seed in range(40)]
+        cases += [(random_table(seed), "random") for seed in range(40)]
+        for (table, V, max_len), kind in cases:
+            for width in range(1, 9):
+                feeds = reference_feeds(table, width, max_len)
+                got = beam_search(routing_step(table, feeds, moves), ROOT, width, max_len)
+                want = reference_beam_search(prefix_step(table), (), width, max_len, bos_id=None)
+                assert (got.tokens, got.logprob) == (want.tokens, want.logprob), (kind, width)
+        assert moves["kept"] and moves["moved"], moves
+
+    def test_search_writes_nothing_it_is_handed(self):
+        root = (ROOT[0].copy(),)
+        root[0].flags.writeable = False
+        for seed in range(60):
+            table, V, max_len = tied_table(seed, lengths=(1, 8))
+            for width in (1, 2, 4, 8):
+                got = beam_search(read_only_step(table), root, width, max_len)
+                want = reference_beam_search(prefix_step(table), (), width, max_len, bos_id=None)
+                assert (got.tokens, got.logprob) == (want.tokens, want.logprob), (seed, width)
 
     def test_stop_waits_while_the_bound_ties_the_best_finished(self):
         # after step 1, EOS scores -0.5 and the live total -1 bounds every
@@ -502,6 +579,20 @@ class TestEvaluationReport:
         report = evaluation_report({"1": ["a"]}, {"1": ["a"], "2": ["b"]})
         assert report["pairs"] == 1
         assert report["mean_sentence_bleu"] == 1.0
+
+    def test_means_add_left_to_right(self, monkeypatch):
+        # 1 + 2^-53 rounds back to 1 at each addition; a compensated sum
+        # (the builtin sum() on CPython 3.12+) keeps 4 * 2^-53 and moves the
+        # mean by one ulp
+        scores = [1.0] + [2.0 ** -53] * 4
+        assert math.fsum(scores) / 5 != 0.2
+        score = {f"w{i}": x for i, x in enumerate(scores)}
+        monkeypatch.setattr(generation, "bleu", lambda c, r: score[c[0]])
+        monkeypatch.setattr(generation, "repetition_rate", lambda tokens: score[tokens[0]])
+        pairs = {str(i): [f"w{i}"] for i in range(5)}
+        report = evaluation_report(pairs, pairs)
+        assert report["mean_sentence_bleu"] == 0.2
+        assert report["candidate_repetition"] == report["reference_repetition"] == 0.2
 
     def test_empty_candidate_still_scores(self):
         refs = {"1": ["a", "b"], "2": ["c", "d"]}

@@ -559,6 +559,19 @@ class TestClipGlobalNorm:
         clip_global_norm([p], 1.0)
         assert abs(math.sqrt(float(np.sum(p.grad ** 2))) - 1.0) < 1e-12
 
+    def test_squares_add_left_to_right(self):
+        # each parameter's squares sum to 2^-53, which 1 + 2^-53 rounds away
+        # at every addition; a compensated sum (the builtin sum() on CPython
+        # 3.12+, math.fsum) keeps all four and returns 1.0000000000000002
+        params = [Parameter("one", np.zeros(1))]
+        params[0].grad[:] = 1.0
+        for i in range(4):
+            params.append(Parameter(f"tiny{i}", np.zeros(2)))
+            params[-1].grad[:] = 2.0 ** -27
+        squares = [float(np.sum(p.grad * p.grad)) for p in params]
+        assert math.sqrt(math.fsum(squares)) == 1.0000000000000002
+        assert clip_global_norm(params, 5.0) == 1.0
+
     def test_joint_scaling_preserves_direction(self):
         p1 = Parameter("a", np.zeros(1))
         p2 = Parameter("b", np.zeros(1))

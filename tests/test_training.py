@@ -257,7 +257,10 @@ class TestTrainingLoop:
         trainer.train_one_step()
         (_, grads, norm), = calls
         others = [g for name, g in grads.items() if name not in outline]
-        assert norm == math.sqrt(sum(float(np.sum(g * g)) for g in others))
+        squares = 0.0   # added left to right, as the clip adds them
+        for g in others:
+            squares += float(np.sum(g * g))
+        assert norm == math.sqrt(squares)
         assert norm > 1e-3  # the clip binds
         for p in trainer.model.parameters():
             if p.name in outline:
