@@ -10,8 +10,8 @@ the recurrence over all steps first, then attends for all of them in one call.
 
 from __future__ import annotations
 
+import contextlib
 import os
-import threading
 from dataclasses import dataclass
 from functools import partial
 
@@ -79,33 +79,12 @@ def attend_backward(step: AttentionStep, d_combined, W_a: Parameter, W_c: Parame
 # of logits is the only vocabulary-sized array the loss ever holds, beside a
 # scratch of about XENT_SCRATCH floats in which the row sums are taken, and
 # the next chunk's block while it is formed ahead. A block of at least
-# XENT_AHEAD floats is worth handing to a second CPU; a smaller one costs
-# more in the handoff than it saves.
+# XENT_AHEAD floats is worth handing to a second CPU, on a one-thread pool
+# that lives for one call; a smaller one costs more in the handoff than it
+# saves.
 XENT_CHUNK = 128
 XENT_SCRATCH = 1 << 15
 XENT_AHEAD = 1 << 17
-
-_worker = None  # the one-thread executor that forms blocks ahead, made on first use
-_worker_lock = threading.Lock()
-
-
-def _ahead_worker():
-    global _worker
-    with _worker_lock:
-        if _worker is None:
-            from concurrent.futures import ThreadPoolExecutor
-            _worker = ThreadPoolExecutor(1, thread_name_prefix="xent-ahead")
-        return _worker
-
-
-def _forget_worker():
-    """A forked child has no worker thread: it makes its own on first use."""
-    global _worker, _worker_lock
-    _worker, _worker_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_worker)
 
 
 def _under_errstate(errors, fn, *args):
@@ -131,9 +110,10 @@ def sequence_nll(hidden, W, targets, mask, scale=1.0):
     are formed once: its row sums of exp(z - peak) are taken in a scratch,
     so z stays intact and becomes the chunk's softmax gradient in place.
     With two or more chunks of at least XENT_AHEAD logits and a second CPU,
-    a worker thread forms the next chunk's block while this thread runs the
-    current chunk's GEMMs; either way every IEEE operation and its order are
-    the same. Returns (loss, d_hidden [B,T,H], dW [V,H]); masked rows of
+    a one-thread pool made for this call forms the next chunk's block while
+    this thread runs the current chunk's GEMMs, and its thread is joined
+    before the call returns; either way every IEEE operation and its order
+    are the same. Returns (loss, d_hidden [B,T,H], dW [V,H]); masked rows of
     d_hidden are 0.
     """
     V = W.shape[0]
@@ -170,20 +150,23 @@ def sequence_nll(hidden, W, targets, mask, scale=1.0):
 
     ahead = (rows.size > XENT_CHUNK and XENT_CHUNK * V >= XENT_AHEAD
              and _usable_cpus() > 1)
+    if ahead:
+        from concurrent.futures import ThreadPoolExecutor
     take = partial(softmax_block, 0)
-    for lo in range(0, rows.size, XENT_CHUNK):
-        p, X_c = take()
-        nxt = lo + XENT_CHUNK
-        if nxt < rows.size:
-            take = (_ahead_worker().submit(_under_errstate, np.geterr(), softmax_block, nxt).result
-                    if ahead else partial(softmax_block, nxt))
-        dX_c, dW_c = sequence_nll_backward(p, X_c, W)
-        dW += dW_c
-        d_hidden[rows[lo:lo + XENT_CHUNK]] = dX_c
-        # dropped before the next block is made; holding it there left the
-        # heap to shrink and grow back each chunk: a train-hier step took
-        # about 1,100 page faults without this line and 1.3 with it
-        del p
+    with ThreadPoolExecutor(1) if ahead else contextlib.nullcontext() as pool:
+        for lo in range(0, rows.size, XENT_CHUNK):
+            p, X_c = take()
+            nxt = lo + XENT_CHUNK
+            if nxt < rows.size:
+                take = (pool.submit(_under_errstate, np.geterr(), softmax_block, nxt).result
+                        if ahead else partial(softmax_block, nxt))
+            dX_c, dW_c = sequence_nll_backward(p, X_c, W)
+            dW += dW_c
+            d_hidden[rows[lo:lo + XENT_CHUNK]] = dX_c
+            # dropped before the next block is made; holding it there left the
+            # heap to shrink and grow back each chunk: a train-hier step took
+            # about 1,100 page faults without this line and 1.3 with it
+            del p
     # -log p(gold) = log_sum - (z_gold - peak): no cancellation against a large peak
     loss = float((log_sum - gold_shifted).sum() / len(hidden))
     return loss, d_hidden.reshape(hidden.shape), dW

@@ -194,7 +194,12 @@ def load_checkpoint(path) -> CheckpointState:
     except (TypeError, ConfigError) as exc:
         raise CheckpointError(f"{path}: config does not fit TrainingConfig: {exc}") from None
     payload = data[header_end:]
-    arrays = dict(_read_array(path, payload, entry) for entry in header["arrays"])
+    arrays = {}
+    for entry in header["arrays"]:
+        name, array = _read_array(path, payload, entry)
+        if name in arrays:
+            raise CheckpointError(f"{path}: array {name!r} listed twice")
+        arrays[name] = array
     return CheckpointState(
         config=config, step=header["step"], adam_t=header["adam_t"],
         rng_state=header["rng_state"], vocab_sha256=header["vocab_sha256"],
@@ -208,6 +213,8 @@ def _read_array(path, payload, entry):
         sizes = [lo, nbytes, *shape]
     except (KeyError, TypeError):
         raise CheckpointError(f"{path}: malformed array entry {entry!r}") from None
+    if not isinstance(name, str):
+        raise CheckpointError(f"{path}: array name {name!r} is not a string")
     if not all(isinstance(v, int) and v >= 0 for v in sizes) or nbytes != 8 * math.prod(shape):
         raise CheckpointError(f"{path}: array {name!r}: offset {lo!r}, nbytes {nbytes!r} "
                               f"do not fit shape {shape!r}")

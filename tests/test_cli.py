@@ -414,6 +414,17 @@ def assert_one_line_error(capsys, *fragments):
         assert fragment in err, err
 
 
+def loading_argv(command, ckpt, trained, tmp_path):
+    """The argv of a command that loads ckpt: generate, or train --resume."""
+    return {
+        "generate": ["generate", "--checkpoint", str(ckpt), "--vocab", str(trained["vocab"]),
+                     "--news", "storms", "--greedy"],
+        "resume": ["train", "--dataset", str(trained["dataset"]),
+                   "--vocab", str(trained["vocab"]), "--out", str(tmp_path / "run"),
+                   "--resume", str(ckpt)],
+    }[command]
+
+
 def run_fresh(argv):
     """Run the CLI in a new interpreter, whose default warning filters print
     a warning and its source line to stderr: (exit code, stderr)."""
@@ -484,15 +495,19 @@ class TestMalformedInput:
         at = end + entry["offset"]
         ckpt = tmp_path / "ck.o2r"
         ckpt.write_bytes(blob[:at] + struct.pack("<d", math.nan) + blob[at + 8:])
-        argv = {
-            "generate": ["generate", "--checkpoint", str(ckpt), "--vocab", str(trained["vocab"]),
-                         "--news", "storms", "--greedy"],
-            "resume": ["train", "--dataset", str(trained["dataset"]),
-                       "--vocab", str(trained["vocab"]), "--out", str(tmp_path / "run"),
-                       "--resume", str(ckpt)],
-        }[command]
-        assert main(argv) == 1
+        assert main(loading_argv(command, ckpt, trained, tmp_path)) == 1
         assert_one_line_error(capsys, "array 'report.out.W' holds non-finite values")
+
+    @pytest.mark.parametrize("command", ["generate", "resume"])
+    @pytest.mark.parametrize("edit,fragment", [
+        (lambda h: h["arrays"][0].update(name=["x"]), "array name ['x'] is not a string"),
+        (lambda h: h["arrays"].append(h["arrays"][0]), "array 'embedding.table' listed twice"),
+    ], ids=["list-name", "duplicate"])
+    def test_array_name_in_the_manifest(self, trained, tmp_path, capsys, command, edit,
+                                        fragment):
+        ckpt = rewrite_header(trained["checkpoint"], tmp_path / "ck.o2r", edit)
+        assert main(loading_argv(command, ckpt, trained, tmp_path)) == 1
+        assert_one_line_error(capsys, fragment)
 
     @pytest.mark.parametrize("field,value", [("offset", -8), ("nbytes", 8)])
     def test_array_extent_that_does_not_fit_its_shape(self, trained, tmp_path, capsys,

@@ -438,7 +438,7 @@ class TestFusedXentBits:
 
 class TestChunkedXentAhead(TestChunkedXent):
     """Every TestChunkedXent case with each multi-chunk call forming its next
-    softmax block on the worker thread."""
+    softmax block on a pool thread."""
 
     @pytest.fixture(autouse=True)
     def _ahead(self, xent_ahead):
@@ -447,7 +447,7 @@ class TestChunkedXentAhead(TestChunkedXent):
 
 class TestFusedXentBitsAhead(TestFusedXentBits):
     """Every TestFusedXentBits case with each multi-chunk call forming its
-    next softmax block on the worker thread: the same bits."""
+    next softmax block on a pool thread: the same bits."""
 
     @pytest.fixture(autouse=True)
     def _ahead(self, xent_ahead):
@@ -464,8 +464,10 @@ def _nll_bits_to(queue, case):
 
 
 class TestXentHandoff:
-    """The worker thread forms softmax blocks only: under the caller's numpy
-    error state, in a forked child too, and never the traced kernel."""
+    """Each handing-off call makes a one-thread pool and joins its thread
+    before it returns. The pool's thread forms softmax blocks only: under
+    the caller's numpy error state, in a forked child too, and never the
+    traced kernel."""
 
     @staticmethod
     def four_chunks(monkeypatch, seed=13):
@@ -493,6 +495,14 @@ class TestXentHandoff:
         sequence_nll(*case)
         assert threads == [threading.get_ident()] * 4 and len(xent_ahead) == 3
 
+    def test_no_pool_thread_outlives_the_call(self, monkeypatch, xent_ahead):
+        case = self.four_chunks(monkeypatch)
+        for calls in (1, 2):
+            sequence_nll(*case)
+            assert len(xent_ahead) == 3 * calls
+            assert threading.current_thread() not in xent_ahead
+            assert not any(thread.is_alive() for thread in xent_ahead)
+
     def test_worker_warns_as_the_caller_does(self, monkeypatch, xent_ahead):
         # an inf in the last chunk's row: its block, formed on the worker,
         # subtracts inf from inf
@@ -511,9 +521,9 @@ class TestXentHandoff:
             assert not math.isfinite(sequence_nll(*case)[0])
         assert len(xent_ahead) == 6
 
-    def test_concurrent_callers_share_the_worker(self, monkeypatch, xent_ahead):
-        # more calling threads than cores, switching often, all handing
-        # blocks to the one worker: each call still gets its own bits
+    def test_concurrent_callers_each_use_their_own_pool(self, monkeypatch, xent_ahead):
+        # more calling threads than cores, switching often, each call handing
+        # blocks to a pool of its own: each call still gets its own bits
         cases = [self.four_chunks(monkeypatch, seed) for seed in range(4)]
         monkeypatch.setattr(outline_decoder, "XENT_AHEAD", 1 << 30)
         want = [[nll_bits(case)] * 5 for case in cases]
@@ -538,9 +548,7 @@ class TestXentHandoff:
         ctx = multiprocessing.get_context("fork")
         queue = ctx.Queue()
         child = ctx.Process(target=_nll_bits_to, args=(queue, case))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)  # forking with threads
-            child.start()
+        child.start()
         try:
             got = queue.get(timeout=60)
         finally:

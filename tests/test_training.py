@@ -368,7 +368,7 @@ class TestTrainingLoop:
     def test_blocks_formed_ahead_train_bit_for_bit(self, monkeypatch, xent_handoffs):
         # 4-row chunks split every batch's outline and report rows into
         # several chunks; the second run forms each next softmax block on
-        # the worker thread
+        # a pool thread
         monkeypatch.setattr(outline_decoder, "XENT_CHUNK", 4)
         runs = []
         for ahead in (1 << 30, 1):
