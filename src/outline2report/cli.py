@@ -90,7 +90,7 @@ def _resumed_log(path: Path, step: int) -> str:
             raise CliError(f"{path}:{lineno}: not a loss log row: {row!r}")
         if row_step < step:
             kept.append((row_step, row))
-    if [row_step for row_step, _ in kept] != list(range(step)):
+    if len(kept) != step or any(row_step != i for i, (row_step, _) in enumerate(kept)):
         raise CliError(f"{path}: its rows below step {step} are not steps 0 to {step - 1} in order")
     return "\n".join([header] + [row for _, row in kept]) + "\n"
 
@@ -125,6 +125,7 @@ def cmd_train(args) -> int:
     log_path = out_dir / "loss_log.csv"
     if args.resume:
         trainer = resume_trainer(state, pairs, vocab)
+        del state  # its arrays view the whole file, which the trainer has copied
         log_text = _resumed_log(log_path, trainer.step)
         print(f"resumed from {args.resume} at step {trainer.step}", file=sys.stderr)
     else:

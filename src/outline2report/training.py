@@ -130,7 +130,7 @@ def save_checkpoint(path, model: NewsToReportModel, optimizer: AdamOptimizer,
         a = np.ascontiguousarray(_finite(name, array), dtype="<f8")
         entries.append({"name": name, "shape": list(a.shape),
                         "offset": offset, "nbytes": a.nbytes})
-        blobs.append(a.tobytes())
+        blobs.append(a)  # written through the buffer protocol, not copied
         offset += a.nbytes
 
     for p in params:
@@ -193,13 +193,18 @@ def load_checkpoint(path) -> CheckpointState:
         config = TrainingConfig(**header["config"])
     except (TypeError, ConfigError) as exc:
         raise CheckpointError(f"{path}: config does not fit TrainingConfig: {exc}") from None
-    payload = data[header_end:]
+    payload = memoryview(data)[header_end:]  # the arrays below are views of it
     arrays = {}
+    start = 0  # saving writes each array where the one before it ends
     for entry in header["arrays"]:
         name, array = _read_array(path, payload, entry)
         if name in arrays:
             raise CheckpointError(f"{path}: array {name!r} listed twice")
+        if entry["offset"] != start:
+            raise CheckpointError(f"{path}: array {name!r} begins at byte {entry['offset']} "
+                                  f"of the payload, not at {start}, where the one before it ends")
         arrays[name] = array
+        start += array.nbytes
     return CheckpointState(
         config=config, step=header["step"], adam_t=header["adam_t"],
         rng_state=header["rng_state"], vocab_sha256=header["vocab_sha256"],
@@ -220,7 +225,8 @@ def _read_array(path, payload, entry):
                               f"do not fit shape {shape!r}")
     if lo + nbytes > len(payload):
         raise CheckpointError(f"{path}: array {name!r} extends past end of file")
-    return name, np.frombuffer(payload[lo:lo + nbytes], dtype="<f8").reshape(shape).astype(FLOAT)
+    array = np.frombuffer(payload, dtype="<f8", count=nbytes // 8, offset=lo)
+    return name, array.reshape(shape).astype(FLOAT, copy=False)
 
 
 def _saved_array(state: CheckpointState, name: str, shape) -> np.ndarray:
@@ -335,7 +341,13 @@ def restore_model(state: CheckpointState, vocab: Vocabulary) -> NewsToReportMode
     if state.vocab_size != len(vocab):
         raise CheckpointError(
             f"checkpoint built for vocabulary of {state.vocab_size}, got {len(vocab)}")
-    model = build_model(vocab, state.config)
+    cfg = state.config
+    # (V, d_emb, d_hid, d_z) fix every parameter's shape, so these three
+    # checks bound what build_model allocates by the file's own payload
+    _saved_array(state, "embedding.table", (state.vocab_size, cfg.d_emb))
+    _saved_array(state, "encoder.fwd.W_h", (4 * cfg.d_hid, cfg.d_hid))
+    _saved_array(state, "report.recog.W_mu", (cfg.d_z, 3 * cfg.d_hid + cfg.d_emb))
+    model = build_model(vocab, cfg)
     for p in model.parameters():
         p.value[...] = _saved_array(state, p.name, p.value.shape)
     return model

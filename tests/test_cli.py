@@ -171,15 +171,19 @@ class TestTrain:
         assert log[0] == "epoch,step,L_outline,L_report,L_model"
         assert [row.split(",")[1] for row in log[1:]] == ["2", "3"]
 
-    @pytest.mark.parametrize("edit,fragment", [
-        (lambda rows: ["step,epoch"] + rows[1:], "first line is not the loss log header"),
-        (lambda rows: rows + ["1,two,0.5,0.5,1.0"], "not a loss log row"),
-        (lambda rows: rows[:1] + rows[2:], "rows below step 2 are not steps 0 to 1 in order"),
-    ], ids=["header", "row", "gap"])
+    @pytest.mark.parametrize("edit,fragment,step", [
+        (lambda rows: ["step,epoch"] + rows[1:], "first line is not the loss log header", 2),
+        (lambda rows: rows + ["1,two,0.5,0.5,1.0"], "not a loss log row", 2),
+        (lambda rows: rows[:1] + rows[2:], "rows below step 2 are not steps 0 to 1 in order", 2),
+        # a log of 2 rows must not be matched against a list of 10**30 steps
+        (lambda rows: rows, f"rows below step {10 ** 30} are not steps 0 to", 10 ** 30),
+    ], ids=["header", "row", "gap", "huge-step"])
     def test_resume_onto_a_malformed_log(self, dataset, vocab, tmp_path, capsys,
-                                         edit, fragment):
+                                         edit, fragment, step):
         out = tmp_path / "run"
         assert run_train(dataset, vocab, out, "--epochs", "1") == 0
+        ckpt = out / "checkpoint.o2r"
+        rewrite_header(ckpt, ckpt, lambda h: h.update(step=step))
         log = out / "loss_log.csv"
         log.write_text("".join(row + "\n" for row in edit(log.read_text().splitlines())))
         before = log.read_bytes()
@@ -509,6 +513,22 @@ class TestMalformedInput:
         assert main(loading_argv(command, ckpt, trained, tmp_path)) == 1
         assert_one_line_error(capsys, fragment)
 
+    # a model built from the first config would ask for 29 TiB; read from
+    # byte 1, the table would hold shifted bit patterns, finite but hundreds
+    # of orders of magnitude off, which decoding overflows on
+    @pytest.mark.parametrize("command", ["generate", "resume"])
+    @pytest.mark.parametrize("edit,fragment", [
+        (lambda h: h["config"].update(d_hid=1000000),
+         "array 'encoder.fwd.W_h' has shape (20, 5), model expects (4000000, 1000000)"),
+        (lambda h: h["arrays"][0].update(offset=1),
+         "array 'embedding.table' begins at byte 1 of the payload, not at 0"),
+    ], ids=["config", "offset"])
+    def test_header_that_does_not_fit_the_saved_arrays(self, trained, tmp_path, capsys,
+                                                       command, edit, fragment):
+        ckpt = rewrite_header(trained["checkpoint"], tmp_path / "ck.o2r", edit)
+        assert main(loading_argv(command, ckpt, trained, tmp_path)) == 1
+        assert_one_line_error(capsys, fragment)
+
     @pytest.mark.parametrize("field,value", [("offset", -8), ("nbytes", 8)])
     def test_array_extent_that_does_not_fit_its_shape(self, trained, tmp_path, capsys,
                                                       field, value):
@@ -827,6 +847,61 @@ class TestCliFuzz:
             for argv in (["evaluate", "--generated", str(gen), "--dataset", str(ds)],
                          ["build-vocab", "--dataset", str(ds), "--config", str(cfg),
                           f"--set={setting}", "--out", str(out)]):
+                code, err = run_quietly(argv)
+                assert code in (0, 1), argv
+                if code == 1:
+                    assert err.startswith("error: ") and len(err.splitlines()) == 1, err
+
+
+
+def _leaf_paths(node, path=()):
+    """The key path of every scalar in a parsed JSON value."""
+    if isinstance(node, (dict, list)):
+        keys = node if isinstance(node, dict) else range(len(node))
+        return [leaf for key in keys for leaf in _leaf_paths(node[key], path + (key,))]
+    return [path]
+
+
+def _header_leaf(header):
+    """The key path of one leaf of `header`. Half the draws take a leaf of the
+    array manifest, which outnumbers all the others."""
+    paths = _leaf_paths(header)
+    return (st.sampled_from([p for p in paths if p[0] != "arrays"])
+            | st.sampled_from([p for p in paths if p[0] == "arrays"]))
+
+
+# any JSON value; an int stays within 2**16 either way, so that a size or
+# count drawn from it allocates little
+_leaf_value = _json | st.integers(-2 ** 16, 2 ** 16)
+
+
+def _replace_leaf(path, value):
+    """An edit for rewrite_header that sets the leaf at `path` to `value`."""
+    *parents, last = path
+
+    def edit(node):
+        for key in parents:
+            node = node[key]
+        node[last] = value
+    return edit
+
+
+class TestCheckpointHeaderFuzz:
+    """The trained checkpoint with one header leaf replaced, fed to generate
+    and to train --resume: exit 0, or exit 1 with exactly one `error:` line.
+    `--epochs 0` keeps a fuzzed max_epochs from training anything."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_no_traceback(self, trained, data):
+        blob = trained["checkpoint"].read_bytes()
+        header = json.loads(blob[16:16 + int.from_bytes(blob[8:16], "little")])
+        edit = _replace_leaf(data.draw(_header_leaf(header), label="leaf"),
+                             data.draw(_leaf_value, label="value"))
+        with tempfile.TemporaryDirectory() as tmp:
+            ckpt = rewrite_header(trained["checkpoint"], Path(tmp) / "ck.o2r", edit)
+            for argv in (loading_argv("generate", ckpt, trained, Path(tmp)),
+                         loading_argv("resume", ckpt, trained, Path(tmp)) + ["--epochs", "0"]):
                 code, err = run_quietly(argv)
                 assert code in (0, 1), argv
                 if code == 1:

@@ -1,6 +1,7 @@
 import json
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -44,6 +45,18 @@ def make_trainer(**kw):
     pairs, vocab = micro_corpus()
     cfg = micro_cfg(**kw)
     return Trainer(build_model(vocab, cfg), pairs, vocab, cfg), pairs, vocab
+
+
+def traced_peak(fn):
+    """(fn(), the most bytes traced during the call above those traced before it)."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
 
 
 class TestJointLoss:
@@ -449,6 +462,41 @@ class TestCheckpointing:
         for p, q in zip(model.parameters(), trainer.model.parameters()):
             assert p.name == q.name
             np.testing.assert_array_equal(p.value, q.value)
+
+    # Allocation bounds, in bytes as tracemalloc counts them (numpy reports
+    # its buffers to it). The JSON header is the one thing a save or load
+    # encodes or parses object by object; JSON-encoding its 7 KiB alone
+    # peaks near 62 KiB, so each bound allows that step's own cost.
+    def _wide_checkpoint(self, tmp_path):
+        """(trainer, path, payload bytes, header) of a 1.1 MiB checkpoint."""
+        trainer, _, _ = make_trainer(d_emb=32, d_hid=32, d_z=8)
+        path = tmp_path / "ck.o2r"
+        trainer.save(path)
+        blob = path.read_bytes()
+        end = 16 + struct.unpack("<Q", blob[8:16])[0]
+        return trainer, path, len(blob) - end, blob[16:end]
+
+    def test_load_holds_one_copy_of_the_payload(self, tmp_path):
+        _, path, payload, header = self._wide_checkpoint(tmp_path)
+        assert payload > 1 << 20
+        _, parsing = traced_peak(lambda: json.loads(header.decode("utf-8")))
+        state, peak = traced_peak(lambda: load_checkpoint(path))
+        assert peak <= payload + len(header) + parsing + (64 << 10), (peak, payload)
+        assert state.arrays
+
+    def test_save_copies_no_array(self, tmp_path):
+        trainer, path, payload, header = self._wide_checkpoint(tmp_path)
+        before = path.read_bytes()
+        _, encoding = traced_peak(
+            lambda: json.dumps(json.loads(header), sort_keys=True).encode("utf-8"))
+        _, peak = traced_peak(lambda: trainer.save(path))
+        assert peak <= encoding + (64 << 10), (peak, payload)
+        assert path.read_bytes() == before
+
+    def test_loaded_arrays_are_views_of_the_file(self, tmp_path):
+        _, path, _, _ = self._wide_checkpoint(tmp_path)
+        state = load_checkpoint(path)
+        assert not any(a.flags.owndata for a in state.arrays.values())
 
     def test_corrupt_magic(self, tmp_path):
         trainer, _, _ = make_trainer()
