@@ -174,6 +174,7 @@ class GenerationResult:
         return rec
 
 
+@np.errstate(over="ignore")  # a sigmoid gate whose exp overflows is exactly 0
 def generate(news_tokens, model, vocab: Vocabulary, dcfg: DecodeConfig) -> GenerationResult:
     """Full pipeline on one news item: encode, decode an outline, fuse it
     with the encoding, take the latent (zero, or a prior draw from the decode

@@ -40,7 +40,7 @@ def run_suite(seed: int = 0, epsilon: float = 1e-5,
     batch = encode_batch(list(_PAIRS), vocab)
     noise_rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
     noise = noise_rng.standard_normal((batch.size, cfg.d_z))
-    beta = 0.7  # partial KL weight so a dropped beta factor cannot cancel out
+    beta = 0.7  # a KL weight below 1, so a dropped beta factor cannot cancel out
     model.backward(model.forward(batch, noise, beta))
     analytic = {p.name: p.grad.copy() for p in model.parameters()}
 

@@ -10,10 +10,7 @@ the recurrence over all steps first, then attends for all of them in one call.
 
 from __future__ import annotations
 
-import contextlib
-import os
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -77,28 +74,9 @@ def attend_backward(step: AttentionStep, d_combined, W_a: Parameter, W_c: Parame
 
 # Valid rows projected onto the vocabulary at once: one [XENT_CHUNK, V] block
 # of logits is the only vocabulary-sized array the loss ever holds, beside a
-# scratch of about XENT_SCRATCH floats in which the row sums are taken, and
-# the next chunk's block while it is formed ahead. A block of at least
-# XENT_AHEAD floats is worth handing to a second CPU, on a one-thread pool
-# that lives for one call; a smaller one costs more in the handoff than it
-# saves.
+# scratch of about XENT_SCRATCH floats in which the row sums are taken.
 XENT_CHUNK = 128
 XENT_SCRATCH = 1 << 15
-XENT_AHEAD = 1 << 17
-
-
-def _under_errstate(errors, fn, *args):
-    """fn(*args) under the numpy error state errors: a worker thread starts
-    from numpy's defaults, not from its caller's state."""
-    with np.errstate(**errors):
-        return fn(*args)
-
-
-def _usable_cpus():
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
 
 
 def sequence_nll(hidden, W, targets, mask, scale=1.0):
@@ -108,13 +86,9 @@ def sequence_nll(hidden, W, targets, mask, scale=1.0):
     hidden [B,T,H], W [V,H], targets [B,T] int, mask [B,T] bool. Only the
     valid rows are projected, XENT_CHUNK at a time, and each chunk's logits
     are formed once: its row sums of exp(z - peak) are taken in a scratch,
-    so z stays intact and becomes the chunk's softmax gradient in place.
-    With two or more chunks of at least XENT_AHEAD logits and a second CPU,
-    a one-thread pool made for this call forms the next chunk's block while
-    this thread runs the current chunk's GEMMs, and its thread is joined
-    before the call returns; either way every IEEE operation and its order
-    are the same. Returns (loss, d_hidden [B,T,H], dW [V,H]); masked rows of
-    d_hidden are 0.
+    so z stays intact and becomes the chunk's softmax gradient
+    factor * (softmax - onehot(gold)) in place. Returns (loss,
+    d_hidden [B,T,H], dW [V,H]); masked rows of d_hidden are 0.
     """
     V = W.shape[0]
     if targets.size and (targets.min() < 0 or targets.max() >= V):
@@ -126,11 +100,7 @@ def sequence_nll(hidden, W, targets, mask, scale=1.0):
     block = max(1, XENT_SCRATCH // V)
     scratch = np.empty((min(block, rows.size), V), dtype=FLOAT)
     factor = scale / len(hidden)
-
-    def softmax_block(lo):
-        """Chunk lo's rows and factor * (softmax - onehot(gold)) of their logits;
-        fills the chunk's log_sum and gold_shifted. Blocks are formed one at a
-        time, so they share the scratch."""
+    for lo in range(0, rows.size, XENT_CHUNK):
         part = slice(lo, lo + XENT_CHUNK)
         X_c = X[rows[part]]
         z = X_c @ W.T
@@ -146,27 +116,15 @@ def sequence_nll(hidden, W, targets, mask, scale=1.0):
         np.exp(z, out=z)
         z[np.arange(len(z)), gold[part]] -= 1.0
         z *= factor
-        return z, X_c
-
-    ahead = (rows.size > XENT_CHUNK and XENT_CHUNK * V >= XENT_AHEAD
-             and _usable_cpus() > 1)
-    if ahead:
-        from concurrent.futures import ThreadPoolExecutor
-    take = partial(softmax_block, 0)
-    with ThreadPoolExecutor(1) if ahead else contextlib.nullcontext() as pool:
-        for lo in range(0, rows.size, XENT_CHUNK):
-            p, X_c = take()
-            nxt = lo + XENT_CHUNK
-            if nxt < rows.size:
-                take = (pool.submit(_under_errstate, np.geterr(), softmax_block, nxt).result
-                        if ahead else partial(softmax_block, nxt))
-            dX_c, dW_c = sequence_nll_backward(p, X_c, W)
-            dW += dW_c
-            d_hidden[rows[lo:lo + XENT_CHUNK]] = dX_c
-            # dropped before the next block is made; holding it there left the
-            # heap to shrink and grow back each chunk: a train-hier step took
-            # about 1,100 page faults without this line and 1.3 with it
-            del p
+        dX_c, dW_c = sequence_nll_backward(z, X_c, W)
+        dW += dW_c
+        d_hidden[rows[part]] = dX_c
+        # drop the block, and the row view that would keep it alive, before
+        # the next block is made: one block is held at a time. Minor faults
+        # per step (40 steps after 5 warm-up ones) read 660-1,060 on
+        # train-hier and about 3,290 on train-vocab; the count follows the
+        # heap's layout, which edits to the measuring script alone moved
+        del z, z_r
     # -log p(gold) = log_sum - (z_gold - peak): no cancellation against a large peak
     loss = float((log_sum - gold_shifted).sum() / len(hidden))
     return loss, d_hidden.reshape(hidden.shape), dW

@@ -387,6 +387,14 @@ class TestGenerate:
         assert run_generate(trained, None, "--news", "storms", "--seed", "-1") == 1
         assert_one_line_error(capsys, "seed must be >= 0, got -1")
 
+    def test_huge_finite_weight_decodes_without_a_warning(self, trained, tmp_path, capsys):
+        # a gate whose pre-activation overflows exp saturates to exactly 0 or
+        # 1; RuntimeWarnings are errors under this suite's filters
+        ckpt = plant_value(trained["checkpoint"], tmp_path / "ck.o2r", "encoder.fwd.W_h", 1e300)
+        assert main(["generate", "--checkpoint", str(ckpt), "--vocab", str(trained["vocab"]),
+                     "--input", str(trained["dataset"]), "--greedy"]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_mismatched_vocabulary_fails(self, trained, tmp_path, capsys):
         other_ds = write_dataset(tmp_path / "other.jsonl", [
             {"id": "q1", "news": "volcano ash grounds flights",
@@ -408,6 +416,16 @@ def rewrite_header(src, dst, edit):
     edit(header)
     raw = json.dumps(header, sort_keys=True).encode("utf-8")
     dst.write_bytes(blob[:8] + len(raw).to_bytes(8, "little") + raw + blob[end:])
+    return dst
+
+
+def plant_value(src, dst, name, value):
+    """Copy a checkpoint with the first element of array name set to value."""
+    blob = src.read_bytes()
+    end = 16 + int.from_bytes(blob[8:16], "little")
+    entry = next(e for e in json.loads(blob[16:end])["arrays"] if e["name"] == name)
+    at = end + entry["offset"]
+    dst.write_bytes(blob[:at] + struct.pack("<d", value) + blob[at + 8:])
     return dst
 
 
@@ -492,13 +510,7 @@ class TestMalformedInput:
 
     @pytest.mark.parametrize("command", ["generate", "resume"])
     def test_checkpoint_array_that_is_not_finite(self, trained, tmp_path, capsys, command):
-        blob = trained["checkpoint"].read_bytes()
-        end = 16 + int.from_bytes(blob[8:16], "little")
-        entry = next(e for e in json.loads(blob[16:end])["arrays"]
-                     if e["name"] == "report.out.W")
-        at = end + entry["offset"]
-        ckpt = tmp_path / "ck.o2r"
-        ckpt.write_bytes(blob[:at] + struct.pack("<d", math.nan) + blob[at + 8:])
+        ckpt = plant_value(trained["checkpoint"], tmp_path / "ck.o2r", "report.out.W", math.nan)
         assert main(loading_argv(command, ckpt, trained, tmp_path)) == 1
         assert_one_line_error(capsys, "array 'report.out.W' holds non-finite values")
 

@@ -1,9 +1,6 @@
 import math
-import multiprocessing
-import sys
 import threading
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from unittest.mock import Mock
 
 import numpy as np
@@ -359,8 +356,8 @@ class TestChunkedXent:
 
     def test_gradient_from_the_wrong_rows_fails_the_comparison(self, monkeypatch):
         # A planted fault: the chunk kernel pairs the softmax block's rows
-        # with the chunk's rows in reverse, as a block handed back for the
-        # wrong rows would; the loss is untouched, both gradients move.
+        # with the chunk's rows in reverse; the loss is untouched, both
+        # gradients move.
         case = xent_case(np.random.default_rng(9), B=3, T=4, n_valid=6)
         kernel = outline_decoder.sequence_nll_backward
 
@@ -371,6 +368,20 @@ class TestChunkedXent:
         errors = xent_errors(*case)
         assert errors["loss"] <= self.TOL, errors
         assert errors["d_hidden"] > 1e-4 and errors["dW"] > 1e-4, errors
+
+    def test_nonfinite_row_warns_as_numpy_does(self, monkeypatch):
+        # an inf in the last chunk's row: its block subtracts inf from inf,
+        # which warns once, and not at all under the caller's errstate
+        monkeypatch.setattr(outline_decoder, "XENT_CHUNK", 4)
+        hidden, W, targets, mask = case = xent_case(
+            np.random.default_rng(13), B=4, T=6, n_valid=13)
+        hidden.reshape(-1, hidden.shape[-1])[np.flatnonzero(mask)[-1], 0] = np.inf
+        with pytest.warns(RuntimeWarning) as got:
+            assert math.isnan(sequence_nll(*case)[0])
+        assert [str(w.message) for w in got] == ["invalid value encountered in subtract"]
+        with np.errstate(all="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not math.isfinite(sequence_nll(*case)[0])
 
 
 class TestFusedXentBits:
@@ -435,128 +446,19 @@ class TestFusedXentBits:
         loss, d_hidden, dW = sequence_nll(hidden, W, targets, mask)
         assert loss == 0.0 and not d_hidden.any() and not dW.any()
 
+    def test_large_vocabulary_starts_no_thread(self, monkeypatch):
+        # V = 2000 over three 128-row chunks: every block is formed on the
+        # calling thread, with the same bits
+        def refused(thread):
+            raise AssertionError(f"sequence_nll started thread {thread.name}")
 
-class TestChunkedXentAhead(TestChunkedXent):
-    """Every TestChunkedXent case with each multi-chunk call forming its next
-    softmax block on a pool thread."""
-
-    @pytest.fixture(autouse=True)
-    def _ahead(self, xent_ahead):
-        pass
-
-
-class TestFusedXentBitsAhead(TestFusedXentBits):
-    """Every TestFusedXentBits case with each multi-chunk call forming its
-    next softmax block on a pool thread: the same bits."""
-
-    @pytest.fixture(autouse=True)
-    def _ahead(self, xent_ahead):
-        pass
-
-
-def nll_bits(case):
-    loss, d_hidden, dW = sequence_nll(*case)
-    return loss.hex(), d_hidden.tobytes(), dW.tobytes()
-
-
-def _nll_bits_to(queue, case):
-    queue.put(nll_bits(case))
-
-
-class TestXentHandoff:
-    """Each handing-off call makes a one-thread pool and joins its thread
-    before it returns. The pool's thread forms softmax blocks only: under
-    the caller's numpy error state, in a forked child too, and never the
-    traced kernel."""
-
-    @staticmethod
-    def four_chunks(monkeypatch, seed=13):
-        monkeypatch.setattr(outline_decoder, "XENT_CHUNK", 4)
-        return xent_case(np.random.default_rng(seed), B=4, T=6, n_valid=13)
-
-    def test_handoff_starts_at_the_block_size(self, xent_handoffs):
-        # two 128-row chunks hand one block off from 1024 words on
-        # (XENT_AHEAD floats); 1023 words stay on the calling thread
-        rng = np.random.default_rng(30)
-        hidden, mask = rng.normal(size=(2, 70, 4)), np.ones((2, 70), dtype=bool)
-        for V, handoffs in ((1023, 0), (1024, 1)):
-            sequence_nll(hidden, rng.normal(size=(V, 4)), rng.integers(0, V, size=(2, 70)), mask)
-            assert len(xent_handoffs) == handoffs
-
-    def test_kernel_runs_on_the_calling_thread(self, monkeypatch, xent_ahead):
-        case = self.four_chunks(monkeypatch)
-        kernel, threads = outline_decoder.sequence_nll_backward, []
-
-        def recorded(p, X_c, W):
-            threads.append(threading.get_ident())
-            return kernel(p, X_c, W)
-
-        monkeypatch.setattr(outline_decoder, "sequence_nll_backward", recorded)
-        sequence_nll(*case)
-        assert threads == [threading.get_ident()] * 4 and len(xent_ahead) == 3
-
-    def test_no_pool_thread_outlives_the_call(self, monkeypatch, xent_ahead):
-        case = self.four_chunks(monkeypatch)
-        for calls in (1, 2):
-            sequence_nll(*case)
-            assert len(xent_ahead) == 3 * calls
-            assert threading.current_thread() not in xent_ahead
-            assert not any(thread.is_alive() for thread in xent_ahead)
-
-    def test_worker_warns_as_the_caller_does(self, monkeypatch, xent_ahead):
-        # an inf in the last chunk's row: its block, formed on the worker,
-        # subtracts inf from inf
-        hidden, W, targets, mask = case = self.four_chunks(monkeypatch)
-        hidden.reshape(-1, hidden.shape[-1])[np.flatnonzero(mask)[-1], 0] = np.inf
-        warned = []
-        for ahead in (1 << 30, 1):
-            monkeypatch.setattr(outline_decoder, "XENT_AHEAD", ahead)
-            with pytest.warns(RuntimeWarning) as got:
-                assert math.isnan(sequence_nll(*case)[0])
-            warned.append(sorted(str(w.message) for w in got))
-        assert warned[0] == warned[1] == ["invalid value encountered in subtract"]
-        assert len(xent_ahead) == 3
-        with np.errstate(all="ignore"), warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert not math.isfinite(sequence_nll(*case)[0])
-        assert len(xent_ahead) == 6
-
-    def test_concurrent_callers_each_use_their_own_pool(self, monkeypatch, xent_ahead):
-        # more calling threads than cores, switching often, each call handing
-        # blocks to a pool of its own: each call still gets its own bits
-        cases = [self.four_chunks(monkeypatch, seed) for seed in range(4)]
-        monkeypatch.setattr(outline_decoder, "XENT_AHEAD", 1 << 30)
-        want = [[nll_bits(case)] * 5 for case in cases]
-        monkeypatch.setattr(outline_decoder, "XENT_AHEAD", 1)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(len(cases)) as pool:
-                calls = [pool.submit(lambda c: [nll_bits(c) for _ in range(5)], case)
-                         for case in cases]
-                got = [call.result(timeout=60) for call in calls]
-        finally:
-            sys.setswitchinterval(interval)
-        assert got == want and len(xent_ahead) == 3 * 5 * len(cases)
-
-    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
-                        reason="no fork start method")
-    def test_forked_child_makes_its_own_worker(self, monkeypatch, xent_ahead):
-        case = self.four_chunks(monkeypatch)
-        want = nll_bits(case)
-        assert xent_ahead
-        ctx = multiprocessing.get_context("fork")
-        queue = ctx.Queue()
-        child = ctx.Process(target=_nll_bits_to, args=(queue, case))
-        child.start()
-        try:
-            got = queue.get(timeout=60)
-        finally:
-            child.join(timeout=10)
-            if child.is_alive():
-                child.kill()
-        assert not child.is_alive() and child.exitcode == 0
-        assert got == want
+        monkeypatch.setattr(threading.Thread, "start", refused)
+        rng = np.random.default_rng(25)
+        hidden, W = rng.normal(size=(3, 100, 8)), rng.normal(size=(2000, 8))
+        targets = rng.integers(0, 2000, size=(3, 100))
+        mask = np.ones((3, 100), dtype=bool)
+        assert mask.sum() > 2 * outline_decoder.XENT_CHUNK
+        self.assert_bits_equal(hidden, W, targets, mask, 0.7)
 
 
 class TestDecoderSteps:

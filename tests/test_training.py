@@ -12,7 +12,7 @@ from outline2report.config import ConfigError, DecodeConfig, TrainingConfig
 from outline2report.corpus import (
     NewsReportPair, build_vocabulary, derive_outlines)
 from outline2report.model import build_model
-from outline2report import outline_decoder, training
+from outline2report import training
 from outline2report.numerics import NonFiniteLossError, Parameter, clip_global_norm
 from outline2report.training import (
     CHECKPOINT_MAGIC, LOSS_LOG_HEADER, AdamOptimizer, CheckpointError,
@@ -377,21 +377,6 @@ class TestTrainingLoop:
                 "parameters left unchanged" in str(err.value))
         assert all(np.isfinite(p.grad).all() for p in model.parameters())
         assert trainer.optimizer.t == 0 and trainer.step == 0
-
-    def test_blocks_formed_ahead_train_bit_for_bit(self, monkeypatch, xent_handoffs):
-        # 4-row chunks split every batch's outline and report rows into
-        # several chunks; the second run forms each next softmax block on
-        # a pool thread
-        monkeypatch.setattr(outline_decoder, "XENT_CHUNK", 4)
-        runs = []
-        for ahead in (1 << 30, 1):
-            monkeypatch.setattr(outline_decoder, "XENT_AHEAD", ahead)
-            trainer, _, _ = make_trainer()
-            records = [trainer.train_one_step() for _ in range(4)]
-            runs.append(([r.csv_row() for r in records],
-                         [p.value.tobytes() for p in trainer.model.parameters()]))
-        assert len(xent_handoffs) >= 8
-        assert runs[0] == runs[1]
 
     def test_epoch_reshuffles_but_stays_seeded(self):
         trainer, _, _ = make_trainer()
