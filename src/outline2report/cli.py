@@ -170,15 +170,19 @@ def cmd_generate(args) -> int:
     else:
         items = [(p.id, list(p.news)) for p in read_dataset(args.input)]
 
-    sink = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
+    sink = open(f"{args.out}.tmp", "w", encoding="utf-8") if args.out else sys.stdout
     try:
         for pair_id, news_tokens in items:
             result = generate(news_tokens, model, vocab, dcfg)
             sink.write(json.dumps(result.to_record(pair_id, vocab), ensure_ascii=False) + "\n")
-    finally:
-        if sink is not sys.stdout:
+    except BaseException:
+        if args.out:
             sink.close()
+            os.remove(sink.name)  # a previous output stays as it was
+        raise
     if args.out:
+        sink.close()
+        os.replace(sink.name, args.out)
         print(f"wrote {len(items)} generations to {args.out}", file=sys.stderr)
     return 0
 

@@ -65,7 +65,8 @@ class NewsToReportModel:
     # -- forward / backward ----------------------------------------------------
 
     def forward(self, batch: Batch, noise, beta, sample_rng=None) -> ModelForward:
-        """The joint pass; cfg.teacher_forcing_ratio < 1 draws its coins from sample_rng."""
+        """The joint pass; cfg.teacher_forcing_ratio < 1 draws its coins from sample_rng.
+        It adds the output layers' weight gradients into .grad: call zero_grad first."""
         ratio = self.cfg.teacher_forcing_ratio
         enc_states, enc_cache = self.encoder.forward(
             self.embedding.lookup(batch.news_ids), batch.news_mask)

@@ -72,38 +72,40 @@ def attend_backward(step: AttentionStep, d_combined, W_a: Parameter, W_c: Parame
     return d_enc, d_state
 
 
-# Valid rows projected onto the vocabulary at once: one [XENT_CHUNK, V] block
-# of logits is the only vocabulary-sized array the loss ever holds, beside a
-# scratch of about XENT_SCRATCH floats in which the row sums are taken.
+# Valid rows projected onto the vocabulary at once: one [XENT_CHUNK, V] logits
+# block and one [V, H] chunk gradient are the only vocabulary-sized arrays the
+# loss ever holds, beside a scratch of about XENT_SCRATCH floats for row sums.
 XENT_CHUNK = 128
 XENT_SCRATCH = 1 << 15
 
 
 def sequence_nll(hidden, W, targets, mask, scale=1.0):
     """Batch-mean of per-row summed negative log-likelihoods under
-    softmax(hidden @ W.T), with the gradients of scale times it.
+    softmax(hidden @ W.value.T). Adds the gradient of scale times it in W into
+    W.grad, as affine_backward does (a caller that reads W.grad zeroes it
+    first), and returns (loss, d_hidden [B,T,H]), 0 at masked rows.
 
-    hidden [B,T,H], W [V,H], targets [B,T] int, mask [B,T] bool. Only the
-    valid rows are projected, XENT_CHUNK at a time, and each chunk's logits
-    are formed once: its row sums of exp(z - peak) are taken in a scratch,
-    so z stays intact and becomes the chunk's softmax gradient
-    factor * (softmax - onehot(gold)) in place. Returns (loss,
-    d_hidden [B,T,H], dW [V,H]); masked rows of d_hidden are 0.
+    hidden [B,T,H], W the output layer's Parameter [V,H], targets [B,T] int,
+    mask [B,T] bool. The valid rows are projected XENT_CHUNK at a time into
+    one logits block that every chunk reuses: its row sums of exp(z - peak)
+    are taken in a scratch, so z stays intact and becomes the chunk's softmax
+    gradient factor * (softmax - onehot(gold)) in place.
     """
-    V = W.shape[0]
+    V = W.value.shape[0]
     if targets.size and (targets.min() < 0 or targets.max() >= V):
         raise ValueError(f"target id out of range [0, {V})")
     rows = np.flatnonzero(mask)
     X, gold = hidden.reshape(-1, hidden.shape[-1]), targets.reshape(-1)[rows]
-    d_hidden, dW = np.zeros_like(X), np.zeros_like(W)
+    d_hidden = np.zeros_like(X)
     log_sum, gold_shifted = np.empty(rows.size, dtype=FLOAT), np.empty(rows.size, dtype=FLOAT)
     block = max(1, XENT_SCRATCH // V)
     scratch = np.empty((min(block, rows.size), V), dtype=FLOAT)
+    logits, dW_c = np.empty((min(XENT_CHUNK, rows.size), V), dtype=FLOAT), np.empty_like(W.value)
     factor = scale / len(hidden)
     for lo in range(0, rows.size, XENT_CHUNK):
         part = slice(lo, lo + XENT_CHUNK)
         X_c = X[rows[part]]
-        z = X_c @ W.T
+        z = np.matmul(X_c, W.value.T, out=logits[:len(X_c)])
         peak = z.max(axis=1)
         gold_shifted[part] = z[np.arange(len(z)), gold[part]] - peak
         sums = log_sum[part]
@@ -116,31 +118,25 @@ def sequence_nll(hidden, W, targets, mask, scale=1.0):
         np.exp(z, out=z)
         z[np.arange(len(z)), gold[part]] -= 1.0
         z *= factor
-        dX_c, dW_c = sequence_nll_backward(z, X_c, W)
-        dW += dW_c
-        d_hidden[rows[part]] = dX_c
-        # drop the block, and the row view that would keep it alive, before
-        # the next block is made: one block is held at a time. Minor faults
-        # per step (40 steps after 5 warm-up ones) read 660-1,060 on
-        # train-hier and about 3,290 on train-vocab; the count follows the
-        # heap's layout, which edits to the measuring script alone moved
-        del z, z_r
+        d_hidden[rows[part]] = sequence_nll_backward(z, X_c, W.value, dW_c)
+        W.grad += dW_c
     # -log p(gold) = log_sum - (z_gold - peak): no cancellation against a large peak
     loss = float((log_sum - gold_shifted).sum() / len(hidden))
-    return loss, d_hidden.reshape(hidden.shape), dW
+    return loss, d_hidden.reshape(hidden.shape)
 
 
-def sequence_nll_backward(p, X_c, W):
+def sequence_nll_backward(p, X_c, W, dW_c):
     """One chunk's gradients from its softmax gradient p [n,V] (the loss's
-    factor times softmax - onehot(gold)): (dX_c [n,H], dW_c [V,H])."""
-    return p @ W, p.T @ X_c
+    factor times softmax - onehot(gold)): writes dW_c [V,H] = p.T @ X_c in
+    place and returns dX_c [n,H] = p @ W."""
+    np.matmul(p.T, X_c, out=dW_c)
+    return p @ W
 
 
 @dataclass
 class OutlineForward:
     loss: float               # of the decoder's own loss, unscaled
     d_hidden: np.ndarray      # [B, K, H], d(loss_scale * loss) / d(attention.combined)
-    dW: np.ndarray            # [V, H], d(loss_scale * loss) / d(W_o)
     input_ids: np.ndarray     # [B, K] ids actually fed (teacher forcing or sampled)
     attention: AttentionStep  # all K steps; holds enc_states and the decoder states
     run_cache: object         # mask is the target mask; h_prev[0] is the seed s0
@@ -187,7 +183,8 @@ class OutlineDecoder:
         gold_in_ids[:, 0] must be BOS. With ratio < 1 each later input is the
         gold token with probability ratio, else the previous step's emittable
         argmax; the coin flips consume sample_rng one draw per (step, row).
-        The record holds the output layer's gradients of loss_scale * loss.
+        W_o's gradient of loss_scale * loss is added into W_o.grad here (zero it
+        first to read it), the rest by backward.
         """
         input_ids, feed = scheduled_inputs(
             embedding.lookup, gold_in_ids,
@@ -196,11 +193,9 @@ class OutlineDecoder:
         states, run_cache = run_lstm(self.cell, embedding.lookup(input_ids), target_mask,
                                      h0=self.initial_state(enc_states), feed=feed)
         attn = attend(enc_states, states, enc_mask, self.W_a, self.W_c)
-        loss, d_hidden, dW = sequence_nll(attn.combined, self.W_o.value, targets, target_mask,
-                                          loss_scale)
-        return OutlineForward(
-            loss=loss, d_hidden=d_hidden, dW=dW, input_ids=input_ids, attention=attn,
-            run_cache=run_cache)
+        loss, d_hidden = sequence_nll(attn.combined, self.W_o, targets, target_mask, loss_scale)
+        return OutlineForward(loss=loss, d_hidden=d_hidden, input_ids=input_ids,
+                              attention=attn, run_cache=run_cache)
 
     def backward(self, fwd: OutlineForward, d_enc_extra, d_states_extra):
         """Backward through the whole teacher-forced pass, of forward's loss_scale * loss.
@@ -211,7 +206,6 @@ class OutlineDecoder:
         with the seed's gradient added at enc_states[:, -1, :H] after
         d_enc_extra; accumulates parameter grads.
         """
-        self.W_o.grad += fwd.dW
         d_enc, dS = attend_backward(fwd.attention, fwd.d_hidden, self.W_a, self.W_c)
         dS += d_states_extra
         dX, ds0 = run_lstm_backward(self.cell, fwd.run_cache, dS)

@@ -68,7 +68,6 @@ class ReportForward:
     summary: np.ndarray       # [B, d_emb], the pooled gold report embeddings
     states: np.ndarray        # [B, K, H]
     d_hidden: np.ndarray      # [B, K, H], d(NLL) / d(states)
-    dW: np.ndarray            # [V, H], d(NLL) / d(W_out)
     loss: float               # NLL + beta * mean KL
     beta: float
     input_ids: np.ndarray
@@ -116,18 +115,20 @@ class ReportDecoder:
     def forward_teacher(self, embedding, u, report_summary,
                         gold_in_ids, targets, target_mask, noise, beta,
                         sample_rng=None, teacher_forcing_ratio=1.0) -> ReportForward:
-        """Teacher-forced report pass with a freshly sampled latent."""
+        """Teacher-forced report pass with a freshly sampled latent. W_out's NLL
+        gradient is added into W_out.grad here (zero it first to read it), the
+        rest by backward."""
         latent = self.infer_latent(u, report_summary, noise)
         kl_rows = gaussian_kl(latent.mean, latent.logvar)
         input_ids, feed = scheduled_inputs(
             embedding.lookup, gold_in_ids, self.logits, sample_rng, teacher_forcing_ratio)
         states, run_cache = run_lstm(self.cell, embedding.lookup(input_ids), target_mask,
                                      h0=self.initial_state(latent.z, u), feed=feed)
-        nll, d_hidden, dW = sequence_nll(states, self.W_out.value, targets, target_mask)
+        nll, d_hidden = sequence_nll(states, self.W_out, targets, target_mask)
         loss = nll + beta * float(np.mean(kl_rows))
         return ReportForward(
             latent=latent, kl_rows=kl_rows, u=u, summary=report_summary, states=states,
-            d_hidden=d_hidden, dW=dW, loss=loss, beta=beta, input_ids=input_ids,
+            d_hidden=d_hidden, loss=loss, beta=beta, input_ids=input_ids,
             run_cache=run_cache)
 
     def backward(self, fwd: ReportForward):
@@ -136,7 +137,6 @@ class ReportDecoder:
         Returns (d_u, d_report_summary, d_input_embeddings).
         """
         B = fwd.states.shape[0]
-        self.W_out.grad += fwd.dW
         dX, dh0 = run_lstm_backward(self.cell, fwd.run_cache, fwd.d_hidden)
 
         h0 = fwd.run_cache.h_prev[0]

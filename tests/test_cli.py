@@ -375,6 +375,18 @@ class TestGenerate:
         assert run_generate(trained, out, "--input", str(empty), "--greedy") == 0
         assert out.read_text() == ""
 
+    def test_failed_run_leaves_the_previous_output(self, trained, tmp_path, capsys):
+        # the empty news item fails only once decoding starts, after --out
+        # would have been opened
+        out = tmp_path / "gen.jsonl"
+        assert run_generate(trained, out, "--input", str(trained["dataset"]), "--greedy") == 0
+        before = out.read_bytes()
+        capsys.readouterr()
+        assert run_generate(trained, out, "--news", "   ", "--greedy") == 1
+        assert_one_line_error(capsys, "cannot generate from empty news input")
+        assert out.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["gen.jsonl"]
+
     def test_sampling_is_seed_reproducible(self, trained, tmp_path):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         args = ("--input", str(trained["dataset"]), "--strategy", "sample",

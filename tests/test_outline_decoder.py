@@ -1,5 +1,6 @@
 import math
 import threading
+import tracemalloc
 import warnings
 from unittest.mock import Mock
 
@@ -189,11 +190,18 @@ class TestTokenDistribution:
         assert np.argmax(shifted) == np.argmax(base)
 
 
+def nll_and_grads(hidden, W, targets, mask, scale=1.0):
+    """sequence_nll on a weight array W [V,H]: (loss, d_hidden, dW), dW what
+    the call adds into the grad of a fresh Parameter, which starts at zero."""
+    W = Parameter("W", W)
+    return (*sequence_nll(hidden, W, targets, mask, scale), W.grad)
+
+
 def fused_loss(logits, targets, mask):
     """sequence_nll on states whose projection through W = I is exactly
     `logits` (each logit is x * 1 plus zeros), so closed forms apply."""
     logits = np.asarray(logits, dtype=float)
-    return sequence_nll(logits, np.eye(logits.shape[-1]), targets, mask)[0]
+    return nll_and_grads(logits, np.eye(logits.shape[-1]), targets, mask)[0]
 
 
 class TestOutlineLoss:
@@ -260,7 +268,7 @@ class TestOutlineLoss:
         W = rng.normal(size=(6, 4))
         targets = rng.integers(0, 6, size=(2, 3))
         mask = rng.random((2, 3)) < 0.8
-        assert sequence_nll(hidden, W, targets, mask)[0] >= 0.0
+        assert nll_and_grads(hidden, W, targets, mask)[0] >= 0.0
         assert outline_loss(hidden @ W.T, targets, mask) >= 0.0
 
     def test_backward_matches_finite_differences(self):
@@ -271,10 +279,10 @@ class TestOutlineLoss:
         mask = np.array([[True, True, True], [True, False, False]])
 
         def loss():
-            return sequence_nll(hidden.value, W.value, targets, mask)[0]
+            return nll_and_grads(hidden.value, W.value, targets, mask)[0]
 
         numeric = finite_difference_gradient(loss, [hidden, W])
-        _, d_hidden, dW = sequence_nll(hidden.value, W.value, targets, mask)
+        _, d_hidden, dW = nll_and_grads(hidden.value, W.value, targets, mask)
         report = gradient_check({"hidden": d_hidden, "W": dW}, numeric, tol=1e-6)
         assert report.passed, report.format_table()
 
@@ -291,7 +299,7 @@ def xent_case(rng, B, T, n_valid, H=6, V=13):
 def xent_errors(hidden, W, targets, mask, scale=0.7):
     """Relative errors of the chunked loss and gradients against the
     full-logit reference: loss, d_hidden, dW."""
-    loss, d_hidden, dW = sequence_nll(hidden, W, targets, mask, scale)
+    loss, d_hidden, dW = nll_and_grads(hidden, W, targets, mask, scale)
     ref_loss, ref_d_hidden, ref_dW = reference_xent(hidden, W, targets, mask, scale)
     return {"loss": abs(loss - ref_loss) / abs(ref_loss),
             "d_hidden": relative_error(d_hidden, ref_d_hidden),
@@ -336,7 +344,7 @@ class TestChunkedXent:
         hidden, W, targets, mask = xent_case(rng, B=4, T=5, n_valid=7)
         mask[1] = False
         mask[3] = True
-        _, d_hidden, _ = sequence_nll(hidden, W, targets, mask)
+        _, d_hidden, _ = nll_and_grads(hidden, W, targets, mask)
         assert not d_hidden[~mask].any()
         assert d_hidden[mask].all()
         assert max(xent_errors(hidden, W, targets, mask).values()) <= self.TOL
@@ -346,11 +354,11 @@ class TestChunkedXent:
         for bad in (W.shape[0], -1):
             targets[0, 0] = bad
             with pytest.raises(ValueError, match="out of range"):
-                sequence_nll(hidden, W, targets, mask)
+                nll_and_grads(hidden, W, targets, mask)
 
     def test_dropped_mask_fails_the_comparison(self):
         hidden, W, targets, mask = xent_case(np.random.default_rng(8), B=3, T=4, n_valid=6)
-        loss = sequence_nll(hidden, W, targets, np.ones_like(mask))[0]
+        loss = nll_and_grads(hidden, W, targets, np.ones_like(mask))[0]
         ref_loss = reference_xent(hidden, W, targets, mask)[0]
         assert abs(loss - ref_loss) / abs(ref_loss) > 1e-3
 
@@ -361,8 +369,8 @@ class TestChunkedXent:
         case = xent_case(np.random.default_rng(9), B=3, T=4, n_valid=6)
         kernel = outline_decoder.sequence_nll_backward
 
-        def planted(p, X_c, W):
-            return kernel(p[::-1], X_c, W)
+        def planted(p, X_c, W, dW_c):
+            return kernel(p[::-1], X_c, W, dW_c)
 
         monkeypatch.setattr(outline_decoder, "sequence_nll_backward", planted)
         errors = xent_errors(*case)
@@ -377,29 +385,33 @@ class TestChunkedXent:
             np.random.default_rng(13), B=4, T=6, n_valid=13)
         hidden.reshape(-1, hidden.shape[-1])[np.flatnonzero(mask)[-1], 0] = np.inf
         with pytest.warns(RuntimeWarning) as got:
-            assert math.isnan(sequence_nll(*case)[0])
+            assert math.isnan(nll_and_grads(*case)[0])
         assert [str(w.message) for w in got] == ["invalid value encountered in subtract"]
         with np.errstate(all="ignore"), warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert not math.isfinite(sequence_nll(*case)[0])
+            assert not math.isfinite(nll_and_grads(*case)[0])
 
 
 class TestFusedXentBits:
     """sequence_nll forms each chunk's logits once and takes the loss and the
     gradients from them with the same IEEE operations, in the same order, as
     the two-pass pair it replaced (a loss pass keeping each row's log-sum-exp,
-    then a gradient pass forming the logits again): loss, d_hidden and dW
-    equal the pair's bit for bit."""
+    then a gradient pass forming the logits again): loss and d_hidden equal
+    the pair's bit for bit. Each chunk's weight gradient goes straight into
+    a zeroed W.grad, which equals the pair's summed dW added into a zeroed
+    grad, the two-array form the library used before, bit for bit."""
 
     @staticmethod
     def assert_bits_equal(hidden, W, targets, mask, scale):
-        loss, d_hidden, dW = sequence_nll(hidden, W, targets, mask, scale)
+        loss, d_hidden, dW = nll_and_grads(hidden, W, targets, mask, scale)
         want_loss, lse = two_pass_sequence_nll(hidden, W, targets, mask)
         want_d_hidden, want_dW = two_pass_sequence_nll_backward(
             hidden, W, targets, mask, lse, scale)
+        grad = np.zeros_like(W)
+        grad += want_dW
         assert loss.hex() == want_loss.hex()
         np.testing.assert_array_equal(d_hidden, want_d_hidden)
-        np.testing.assert_array_equal(dW, want_dW)
+        assert dW.tobytes() == grad.tobytes()
 
     @pytest.mark.parametrize("scale", [1.0, 0.7])
     @pytest.mark.parametrize("n_valid", [1, 3, 4, 5, 8, 13, 16])
@@ -443,8 +455,59 @@ class TestFusedXentBits:
 
     def test_no_valid_rows(self):
         hidden, W, targets, mask = xent_case(np.random.default_rng(24), B=2, T=3, n_valid=0)
-        loss, d_hidden, dW = sequence_nll(hidden, W, targets, mask)
+        loss, d_hidden, dW = nll_and_grads(hidden, W, targets, mask)
         assert loss == 0.0 and not d_hidden.any() and not dW.any()
+
+    # 29 of 40 rows valid, some whole batch rows masked: 29 chunks, 10, 3 and
+    # one; and a batch with no valid row at each chunk size
+    @pytest.mark.parametrize("n_valid", [29, 0])
+    @pytest.mark.parametrize("chunk", [1, 3, 13, 128])
+    def test_grad_from_zero_at_each_chunk_size(self, monkeypatch, chunk, n_valid):
+        monkeypatch.setattr(outline_decoder, "XENT_CHUNK", chunk)
+        case = xent_case(np.random.default_rng(26), B=4, T=10, n_valid=n_valid)
+        self.assert_bits_equal(*case, 0.7)
+
+    @pytest.mark.parametrize("chunk", [4, 128])
+    def test_adds_to_the_grad_it_finds(self, monkeypatch, chunk):
+        # 17 valid rows: five chunks, then one. With one chunk the sum is a
+        # single IEEE addition; with five only its order differs.
+        monkeypatch.setattr(outline_decoder, "XENT_CHUNK", chunk)
+        hidden, W, targets, mask = xent_case(np.random.default_rng(27), B=3, T=7, n_valid=17)
+        W = Parameter("W", W)
+        before = np.random.default_rng(28).normal(size=W.value.shape)
+        W.grad += before
+        _, d_hidden = sequence_nll(hidden, W, targets, mask, 0.7)
+        _, want_d_hidden, dW = nll_and_grads(hidden, W.value, targets, mask, 0.7)
+        np.testing.assert_array_equal(d_hidden, want_d_hidden)
+        if chunk > mask.sum():
+            np.testing.assert_array_equal(W.grad, before + dW)
+        assert relative_error(W.grad, before + dW) <= 1e-13
+        assert relative_error(W.grad, dW) > 0.1
+
+    def test_holds_one_logits_block_and_one_weight_gradient(self):
+        # V = 2000, H = 128 over three chunks. A record's summed dW beside a
+        # fresh dW_c and logits block per chunk would hold two [V,H] blocks
+        # more than the budget.
+        rng = np.random.default_rng(29)
+        B, T, H, V = 3, 100, 128, 2000
+        hidden, W = rng.normal(size=(B, T, H)), Parameter("W", rng.normal(size=(V, H)))
+        targets = rng.integers(0, V, size=(B, T))
+        mask = np.ones((B, T), dtype=bool)
+        chunk = outline_decoder.XENT_CHUNK
+        assert 2 * chunk < mask.sum() < 3 * chunk
+        floats = (chunk * V                                   # the logits block
+                  + V * H                                     # the chunk gradient
+                  + outline_decoder.XENT_SCRATCH // V * V     # the scratch
+                  + B * T * H                                 # d_hidden
+                  + 2 * chunk * H)                            # X_c and dX_c
+        slack = V * H * 8 // 8                                # indices, row sums
+        tracemalloc.start()
+        try:
+            sequence_nll(hidden, W, targets, mask)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < floats * 8 + slack, (peak, floats * 8)
 
     def test_large_vocabulary_starts_no_thread(self, monkeypatch):
         # V = 2000 over three 128-row chunks: every block is formed on the
