@@ -150,6 +150,8 @@ def cmd_train(args) -> int:
         last = trainer.history[-1]
         print(f"trained {trainer.step} steps over {epochs} epochs; "
               f"final L_model {last.loss_model:.6f}")
+    elif args.resume:
+        print(f"no training steps requested; wrote the state resumed at step {trainer.step}")
     else:
         print("no training steps requested; wrote the initial checkpoint")
     print(f"checkpoint: {final_path}")

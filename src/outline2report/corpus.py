@@ -7,10 +7,12 @@ vocabulary is persisted as plain text, one token per line, line number = id.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import io
 import json
 import math
+import os
 import re
 from collections import Counter
 from dataclasses import dataclass, replace
@@ -60,10 +62,17 @@ def pair_from_record(record, where: str = "<record>") -> NewsReportPair:
         if field not in record:
             raise CorpusError(f"{where}: missing field {field!r}")
     outline = record.get("outline")
-    for field in ("news", "report") + (("outline",) if outline is not None else ()):
+    fields = ("news", "report") + (("outline",) if outline is not None else ())
+    for field in fields:
         if not isinstance(record[field], str):
             raise CorpusError(f"{where}: field {field!r} must be a string, "
                               f"got {type(record[field]).__name__}")
+    for field in ("id",) + fields:
+        try:
+            str(record[field]).encode("utf-8")
+        except UnicodeEncodeError as exc:  # a lone surrogate, which JSON can spell
+            raise CorpusError(f"{where}: field {field!r} is not UTF-8 text (lone surrogate "
+                              f"U+{ord(exc.object[exc.start]):04X})") from None
     try:
         return NewsReportPair(
             id=str(record["id"]),
@@ -141,9 +150,18 @@ class Vocabulary:
         return out
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for tok in self.tokens:
-                fh.write(tok + "\n")
+        """Writes through <path>.tmp and os.replace, so a failed write leaves
+        the file at path as it was."""
+        tmp = f"{path}.tmp"
+        try:
+            with open(tmp, "w", encoding="utf-8") as fh:
+                for tok in self.tokens:
+                    fh.write(tok + "\n")
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
+            raise
+        os.replace(tmp, path)
 
     @classmethod
     def load(cls, path) -> "Vocabulary":

@@ -1,8 +1,8 @@
 """Dense float64 numerics shared by every model component.
 
 Activations, the affine backward, the four-gate LSTM cell with its backward
-pass, a masked sequence runner for variable-length batches, and the central
-finite-difference gradient oracle used to verify every analytic gradient.
+pass, a masked sequence runner and the decoders' teacher-forced pass on it,
+and the central finite-difference gradient oracle for every analytic gradient.
 
 All arrays are 64-bit floats; verification against finite differences at
 epsilon = 1e-5 needs the extra precision.
@@ -186,23 +186,25 @@ def run_lstm(cell: LSTMCell, X, mask, reverse=False, h0=None, feed=None):
     return states.transpose(1, 0, 2), LSTMRunCache(steps, mask, reverse, inputs, h_prev)
 
 
-def scheduled_inputs(embed, gold_in_ids, head, rng, ratio):
-    """Scheduled sampling (Bengio et al., arXiv 1506.03099) as a run_lstm feed:
-    after the first, each input is the gold token with probability `ratio`,
-    else the argmax of mask_unemittable(head(h)) on the state before it, a token
-    decoding can emit; one coin per row and step. Returns (input_ids, feed), feed
-    writing its picks into input_ids; at ratio >= 1, (gold_in_ids, None), no draws."""
-    if ratio >= 1.0:
-        return gold_in_ids, None
-    input_ids = gold_in_ids.copy()
+def teacher_pass(cell: LSTMCell, embed, gold_in_ids, mask, h0, head, rng, ratio):
+    """A decoder's teacher-forced run of cell from its seed h0 over embed(gold_in_ids
+    [B,T]): (input_ids fed, states [B,T,H], run_cache), run_cache.h_prev[0] being
+    h0. Below ratio 1, scheduled sampling (Bengio et al., arXiv 1506.03099): each
+    later input is the gold token with probability ratio, else the argmax of
+    mask_unemittable(head(h)) on the state before it; one coin per row and step,
+    drawn before head runs. At ratio >= 1 nothing is drawn."""
+    input_ids, feed = gold_in_ids, None
+    if ratio < 1.0:
+        input_ids = gold_in_ids.copy()
 
-    def feed(t, h):
-        use_model = rng.random(len(input_ids)) >= ratio
-        picked = np.argmax(mask_unemittable(head(h)), axis=1)
-        input_ids[:, t] = np.where(use_model, picked, gold_in_ids[:, t])
-        return embed(input_ids[:, t])
+        def feed(t, h):
+            use_model = rng.random(len(input_ids)) >= ratio
+            picked = np.argmax(mask_unemittable(head(h)), axis=1)
+            input_ids[:, t] = np.where(use_model, picked, gold_in_ids[:, t])
+            return embed(input_ids[:, t])
 
-    return input_ids, feed
+    states, run_cache = run_lstm(cell, embed(input_ids), mask, h0=h0, feed=feed)
+    return input_ids, states, run_cache
 
 
 def run_lstm_backward(cell: LSTMCell, run_cache: LSTMRunCache, dH):
@@ -231,6 +233,14 @@ def run_lstm_backward(cell: LSTMCell, run_cache: LSTMRunCache, dH):
     cell.W_h.grad += (run_cache.h_prev.reshape(T * B, -1).T @ da).T
     cell.b.grad += da.sum(axis=0)
     return (da @ cell.W_x.value).reshape(T, B, -1).transpose(1, 0, 2), dh
+
+
+def teacher_backward(cell: LSTMCell, run_cache: LSTMRunCache, dS, seed_in, W, b):
+    """Backward through teacher_pass and its seed h0 = tanh(seed_in @ Wᵀ + b):
+    (dX, d_seed_in), accumulating the cell's, W's and b's grads."""
+    dX, dh0 = run_lstm_backward(cell, run_cache, dS)
+    h0 = run_cache.h_prev[0]
+    return dX, affine_backward(seed_in, dh0 * (1.0 - h0 * h0), W, b)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite loss raises, naming the probe

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import (FLOAT, LSTMCell, Parameter, affine_backward, masked_row_softmax,
-                       run_lstm, run_lstm_backward, scheduled_inputs, uniform_init)
+from .numerics import (FLOAT, LSTMCell, Parameter, masked_row_softmax, teacher_backward,
+                       teacher_pass, uniform_init)
 
 
 @dataclass
@@ -139,7 +139,7 @@ class OutlineForward:
     d_hidden: np.ndarray      # [B, K, H], d(loss_scale * loss) / d(attention.combined)
     input_ids: np.ndarray     # [B, K] ids actually fed (teacher forcing or sampled)
     attention: AttentionStep  # all K steps; holds enc_states and the decoder states
-    run_cache: object         # mask is the target mask; h_prev[0] is the seed s0
+    run_cache: object
 
 
 class OutlineDecoder:
@@ -178,20 +178,14 @@ class OutlineDecoder:
     def forward_teacher(self, embedding, enc_states, enc_mask, gold_in_ids, targets,
                         target_mask, sample_rng=None, teacher_forcing_ratio=1.0,
                         loss_scale=1.0) -> OutlineForward:
-        """Teacher-forced pass over a batch (optionally scheduled-sampled).
-
-        gold_in_ids[:, 0] must be BOS. With ratio < 1 each later input is the
-        gold token with probability ratio, else the previous step's emittable
-        argmax; the coin flips consume sample_rng one draw per (step, row).
-        W_o's gradient of loss_scale * loss is added into W_o.grad here (zero it
-        first to read it), the rest by backward.
-        """
-        input_ids, feed = scheduled_inputs(
-            embedding.lookup, gold_in_ids,
+        """Teacher-forced pass over a batch (teacher_pass; gold_in_ids[:, 0]
+        must be BOS). W_o's gradient of loss_scale * loss is added into W_o.grad
+        here (zero it first to read it), the rest by backward."""
+        input_ids, states, run_cache = teacher_pass(
+            self.cell, embedding.lookup, gold_in_ids, target_mask,
+            self.initial_state(enc_states),
             lambda s: self.logits(enc_states, enc_mask, s[:, None])[:, 0],
             sample_rng, teacher_forcing_ratio)
-        states, run_cache = run_lstm(self.cell, embedding.lookup(input_ids), target_mask,
-                                     h0=self.initial_state(enc_states), feed=feed)
         attn = attend(enc_states, states, enc_mask, self.W_a, self.W_c)
         loss, d_hidden = sequence_nll(attn.combined, self.W_o, targets, target_mask, loss_scale)
         return OutlineForward(loss=loss, d_hidden=d_hidden, input_ids=input_ids,
@@ -208,12 +202,9 @@ class OutlineDecoder:
         """
         d_enc, dS = attend_backward(fwd.attention, fwd.d_hidden, self.W_a, self.W_c)
         dS += d_states_extra
-        dX, ds0 = run_lstm_backward(self.cell, fwd.run_cache, dS)
-
-        s0 = fwd.run_cache.h_prev[0]
-        H = s0.shape[1]
-        dx = affine_backward(fwd.attention.enc_states[:, -1, :H], ds0 * (1.0 - s0 * s0),
-                             self.bridge_W, self.bridge_b)
+        H = dS.shape[2]
+        dX, dx = teacher_backward(self.cell, fwd.run_cache, dS,
+                                  fwd.attention.enc_states[:, -1, :H], self.bridge_W, self.bridge_b)
         d_enc += d_enc_extra
         d_enc[:, -1, :H] += dx
         return d_enc, dX

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import (FLOAT, LSTMCell, Parameter, affine_backward, run_lstm,
-                       run_lstm_backward, scheduled_inputs, uniform_init)
+from .numerics import (FLOAT, LSTMCell, Parameter, affine_backward, teacher_backward,
+                       teacher_pass, uniform_init)
 from .outline_decoder import sequence_nll
 
 
@@ -71,7 +71,7 @@ class ReportForward:
     loss: float               # NLL + beta * mean KL
     beta: float
     input_ids: np.ndarray
-    run_cache: object         # mask is the target mask; h_prev[0] is the seed h0
+    run_cache: object
 
 
 class ReportDecoder:
@@ -120,10 +120,9 @@ class ReportDecoder:
         rest by backward."""
         latent = self.infer_latent(u, report_summary, noise)
         kl_rows = gaussian_kl(latent.mean, latent.logvar)
-        input_ids, feed = scheduled_inputs(
-            embedding.lookup, gold_in_ids, self.logits, sample_rng, teacher_forcing_ratio)
-        states, run_cache = run_lstm(self.cell, embedding.lookup(input_ids), target_mask,
-                                     h0=self.initial_state(latent.z, u), feed=feed)
+        input_ids, states, run_cache = teacher_pass(
+            self.cell, embedding.lookup, gold_in_ids, target_mask,
+            self.initial_state(latent.z, u), self.logits, sample_rng, teacher_forcing_ratio)
         nll, d_hidden = sequence_nll(states, self.W_out, targets, target_mask)
         loss = nll + beta * float(np.mean(kl_rows))
         return ReportForward(
@@ -137,12 +136,10 @@ class ReportDecoder:
         Returns (d_u, d_report_summary, d_input_embeddings).
         """
         B = fwd.states.shape[0]
-        dX, dh0 = run_lstm_backward(self.cell, fwd.run_cache, fwd.d_hidden)
-
-        h0 = fwd.run_cache.h_prev[0]
         latent = fwd.latent
-        d_init_in = affine_backward(np.concatenate([latent.z, fwd.u], axis=1),
-                                    dh0 * (1.0 - h0 * h0), self.W_init, self.b_init)
+        dX, d_init_in = teacher_backward(self.cell, fwd.run_cache, fwd.d_hidden,
+                                         np.concatenate([latent.z, fwd.u], axis=1),
+                                         self.W_init, self.b_init)
         dz, du = np.split(d_init_in, [self.d_z], axis=1)
 
         # KL term (batch mean, weighted by beta); then the sample path.

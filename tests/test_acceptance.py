@@ -6,7 +6,6 @@ real stdout before asserting, so the gate's verdict survives output capture.
 
 import math
 import time
-from dataclasses import replace
 
 import numpy as np
 

@@ -1,6 +1,7 @@
 """End-to-end checks of the command line: each subcommand run in process."""
 
 import argparse
+import errno
 import io
 import json
 import math
@@ -17,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import outline2report
+from outline2report import corpus
 from outline2report.cli import build_parser, main
 from outline2report.config import known_keys
 
@@ -91,6 +93,42 @@ class TestBuildVocab:
         assert code == 1
         assert "empty vocabulary" in capsys.readouterr().err
 
+    def test_lone_surrogate_leaves_the_previous_vocabulary(self, dataset, tmp_path, capsys):
+        out = tmp_path / "vocab.txt"
+        assert main(["build-vocab", "--dataset", str(dataset), "--out", str(out)]) == 0
+        before = out.read_bytes()
+        bad = write_dataset(tmp_path / "bad.jsonl",
+                            [DATASET[0], {**DATASET[1], "report": "rally \ud800"}])
+        capsys.readouterr()
+        assert main(["build-vocab", "--dataset", str(bad), "--out", str(out)]) == 1
+        assert_one_line_error(capsys, f"{bad}:2: field 'report' is not UTF-8 text")
+        assert out.read_bytes() == before
+        assert not Path(f"{out}.tmp").exists()
+
+    def test_failed_write_leaves_the_previous_vocabulary(self, dataset, tmp_path, capsys,
+                                                         monkeypatch):
+        class FullDisk(io.FileIO):
+            """A file on a device that fills after its first 16 bytes."""
+
+            def write(self, b):
+                room = 16 - self.tell()
+                if room <= 0:
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                return super().write(bytes(b)[:room])
+
+        def open_on_full_disk(path, mode="r", **kwargs):
+            if mode != "w":
+                return open(path, mode, **kwargs)
+            return io.TextIOWrapper(io.BufferedWriter(FullDisk(path, "w")), **kwargs)
+
+        out = tmp_path / "vocab.txt"
+        out.write_text("a previous vocabulary\n")
+        monkeypatch.setattr(corpus, "open", open_on_full_disk, raising=False)
+        assert main(["build-vocab", "--dataset", str(dataset), "--out", str(out)]) == 1
+        assert_one_line_error(capsys, "No space left on device")
+        assert out.read_text() == "a previous vocabulary\n"
+        assert sorted(tmp_path.iterdir()) == sorted([dataset, out])
+
     def test_malformed_dataset_names_the_line(self, tmp_path, capsys):
         ds = tmp_path / "bad.jsonl"
         ds.write_text('{"id": "a", "news": "x", "report": "y"}\n{oops\n')
@@ -136,6 +174,16 @@ class TestTrain:
         assert (out / "loss_log.csv").read_text().splitlines() == [
             "epoch,step,L_outline,L_report,L_model"]
         assert "no training steps requested" in capsys.readouterr().out
+
+    def test_resume_without_steps_names_the_step_it_wrote(self, dataset, vocab, tmp_path,
+                                                         capsys):
+        out = tmp_path / "run"
+        assert run_train(dataset, vocab, out, "--epochs", "1") == 0
+        capsys.readouterr()
+        assert run_train(dataset, vocab, out, "--epochs", "1",
+                         "--resume", str(out / "checkpoint.o2r")) == 0
+        stdout = capsys.readouterr().out
+        assert "no training steps requested; wrote the state resumed at step 2" in stdout
 
     def test_resume_completes_the_same_trace(self, dataset, vocab, tmp_path):
         full, split = tmp_path / "full", tmp_path / "split"
@@ -930,3 +978,49 @@ class TestCheckpointHeaderFuzz:
                 assert code in (0, 1), argv
                 if code == 1:
                     assert err.startswith("error: ") and len(err.splitlines()) == 1, err
+
+
+# a lone surrogate among plain characters: JSON spells it, UTF-8 cannot encode it
+_surrogate_text = st.text(st.characters(min_codepoint=0xD800, max_codepoint=0xDFFF)
+                          | st.sampled_from("ab "), min_size=1, max_size=6)
+_record_leaf_value = _surrogate_text | _words | st.recursive(
+    _scalar | _surrogate_text,
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(_text | _surrogate_text, inner, max_size=3)),
+    max_leaves=6)
+# DATASET with an outline in one record, so that the outline field is fuzzed too
+FUZZ_DATASET = [{**DATASET[0], "outline": "storms flood the coast"}] + DATASET[1:]
+
+
+class TestDatasetRecordFuzz:
+    """FUZZ_DATASET with one record leaf replaced by any JSON value, fed to
+    build-vocab and then to train --epochs 1 on the vocabulary that leaves:
+    exit 0, or exit 1 with exactly one `error:` line, the previous
+    vocabulary, checkpoint and loss log unchanged and no temporary file."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_no_traceback(self, trained, data):
+        records = [dict(record) for record in FUZZ_DATASET]
+        edit = _replace_leaf(data.draw(st.sampled_from(_leaf_paths(records)), label="leaf"),
+                             data.draw(_record_leaf_value, label="value"))
+        edit(records)
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            ds, vocab, run = write_dataset(tmp / "ds.jsonl", records), tmp / "v.txt", tmp / "run"
+            vocab.write_bytes(trained["vocab"].read_bytes())
+            run.mkdir()
+            written = [run / "checkpoint.o2r", run / "loss_log.csv"]
+            for path in written:
+                path.write_bytes((trained["checkpoint"].parent / path.name).read_bytes())
+            for argv, outputs in (
+                    (["build-vocab", "--dataset", str(ds), "--out", str(vocab)], [vocab]),
+                    (["train", "--dataset", str(ds), "--vocab", str(vocab), "--out", str(run),
+                      *TINY, "--epochs", "1"], written)):
+                before = [path.read_bytes() for path in outputs]
+                code, err = run_quietly(argv)
+                assert code in (0, 1), argv
+                if code == 1:
+                    assert err.startswith("error: ") and len(err.splitlines()) == 1, err
+                    assert [path.read_bytes() for path in outputs] == before, argv
+                assert not list(tmp.rglob("*.tmp")), argv

@@ -1,16 +1,14 @@
 import json
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from outline2report.corpus import (
-    BOS, EOS, PAD, UNK, Batch, CorpusError, DocumentFrequencies, LengthCaps,
-    NewsReportPair, Vocabulary, build_vocabulary, derive_outlines,
-    derive_silver_outline, encode_batch, read_dataset, read_text_lines, tokenize, wrap_ids,
-    write_dataset)
+    BOS, EOS, PAD, SPECIAL_TOKENS, UNK, CorpusError, DocumentFrequencies, NewsReportPair,
+    Vocabulary, build_vocabulary, derive_outlines, derive_silver_outline, encode_batch,
+    read_dataset, read_text_lines, tokenize, wrap_ids, write_dataset)
 
 
 def make_pair(pid, news, report, outline=None):
@@ -107,6 +105,15 @@ class TestVocabulary:
         w = Vocabulary.load(p)
         assert w.tokens == v.tokens
         assert w.digest() == v.digest()
+
+    def test_failed_save_leaves_the_previous_file(self, tmp_path):
+        p = tmp_path / "vocab.txt"
+        build_vocabulary([make_pair("1", ["a"], ["b"])]).save(p)
+        before = p.read_bytes()
+        with pytest.raises(UnicodeEncodeError):
+            Vocabulary(list(SPECIAL_TOKENS) + ["c", "\ud800", "d"]).save(p)
+        assert p.read_bytes() == before
+        assert sorted(tmp_path.iterdir()) == [p]
 
     def test_duplicate_token_named(self):
         with pytest.raises(CorpusError, match=r"^vocabulary: duplicate token 'a' \(ids 4 and 8\)$"):
@@ -276,6 +283,16 @@ class TestDataset:
                 read_text_lines(path)
             return
         assert read_text_lines(path) == want
+
+    @pytest.mark.parametrize("field", ["id", "news", "report", "outline"])
+    def test_lone_surrogate_names_the_line_and_field(self, tmp_path, field):
+        record = {"id": "p2", "news": "a", "report": "b", "outline": "b"}
+        record[field] += "\ud800"  # JSON spells it, but UTF-8 cannot encode it
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"id": "p1", "news": "a", "report": "b"}\n' + json.dumps(record) + "\n")
+        with pytest.raises(CorpusError, match=rf"bad\.jsonl:2: field '{field}' is not UTF-8 "
+                                              r"text \(lone surrogate U\+D800\)$"):
+            read_dataset(path)
 
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "data.jsonl"

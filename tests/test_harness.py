@@ -1,5 +1,3 @@
-import numpy as np
-
 from outline2report.config import TrainingConfig
 from outline2report.corpus import derive_outlines, read_dataset, write_dataset
 from outline2report.harness import (
