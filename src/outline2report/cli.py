@@ -9,9 +9,9 @@ diagnostics go to stderr; exit code 0 means success.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
-import os
 import sys
 from collections import Counter
 from pathlib import Path
@@ -19,7 +19,7 @@ from pathlib import Path
 from .config import (DecodeConfig, TrainingConfig, load_config_file, parse_config_lines,
                      section_config)
 from .corpus import (Vocabulary, build_vocabulary, derive_outlines, read_dataset,
-                     read_json_lines, tokenize)
+                     read_json_lines, replaced_file, tokenize)
 from .generation import evaluation_report, generate
 from .gradcheck import run_suite
 from .model import build_model
@@ -69,7 +69,7 @@ def cmd_build_vocab(args) -> int:
 
 
 def _resumed_log(path: Path, step: int) -> str:
-    """The loss log that a run resumed at `step` appends to: the log at `path`
+    """The loss log that a run resumed at `step` continues: the log at `path`
     cut to its header and its rows of steps 0 to step-1, or the header alone
     where there is no log yet."""
     if not path.exists():
@@ -126,26 +126,28 @@ def cmd_train(args) -> int:
     if args.resume:
         trainer = resume_trainer(state, pairs, vocab)
         del state  # its arrays view the whole file, which the trainer has copied
-        log_text = _resumed_log(log_path, trainer.step)
+        log_head = _resumed_log(log_path, trainer.step)
         print(f"resumed from {args.resume} at step {trainer.step}", file=sys.stderr)
     else:
         trainer = Trainer(build_model(vocab, cfg), pairs, vocab, cfg)
-        log_text = LOSS_LOG_HEADER + "\n"
-    tmp_path = out_dir / "loss_log.csv.tmp"  # replaced into place, as checkpoints are
-    tmp_path.write_text(log_text, encoding="utf-8")
-    os.replace(tmp_path, log_path)
+        log_head = LOSS_LOG_HEADER + "\n"
+
+    def commit(path):
+        """Save the checkpoint at path with the whole loss log so far: both
+        temporary files are written, then the checkpoint replaced, then the log."""
+        with replaced_file(log_path) as log:
+            log.write(log_head + "".join(rec.csv_row() + "\n" for rec in trainer.history))
+            log.flush()
+            trainer.save(path)
+
+    def on_epoch_end(epoch):
+        every = cfg.checkpoint_every_epochs
+        if every > 0 and (epoch + 1) % every == 0:
+            commit(out_dir / f"checkpoint_epoch{epoch + 1:04d}.o2r")
+
+    trainer.run(max_epochs=epochs, on_epoch_end=on_epoch_end)
     final_path = out_dir / "checkpoint.o2r"
-    with open(log_path, "a", encoding="utf-8") as log:
-        def on_step(rec):
-            log.write(rec.csv_row() + "\n")
-
-        def on_epoch_end(epoch):
-            every = cfg.checkpoint_every_epochs
-            if every > 0 and (epoch + 1) % every == 0:
-                trainer.save(out_dir / f"checkpoint_epoch{epoch + 1:04d}.o2r")
-
-        trainer.run(max_epochs=epochs, on_step=on_step, on_epoch_end=on_epoch_end)
-    trainer.save(final_path)
+    commit(final_path)
     if trainer.history:
         last = trainer.history[-1]
         print(f"trained {trainer.step} steps over {epochs} epochs; "
@@ -172,19 +174,11 @@ def cmd_generate(args) -> int:
     else:
         items = [(p.id, list(p.news)) for p in read_dataset(args.input)]
 
-    sink = open(f"{args.out}.tmp", "w", encoding="utf-8") if args.out else sys.stdout
-    try:
+    with replaced_file(args.out) if args.out else contextlib.nullcontext(sys.stdout) as sink:
         for pair_id, news_tokens in items:
             result = generate(news_tokens, model, vocab, dcfg)
             sink.write(json.dumps(result.to_record(pair_id, vocab), ensure_ascii=False) + "\n")
-    except BaseException:
-        if args.out:
-            sink.close()
-            os.remove(sink.name)  # a previous output stays as it was
-        raise
     if args.out:
-        sink.close()
-        os.replace(sink.name, args.out)
         print(f"wrote {len(items)} generations to {args.out}", file=sys.stderr)
     return 0
 

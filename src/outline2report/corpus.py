@@ -95,6 +95,25 @@ def read_text_lines(path) -> list[str]:
         raise CorpusError(f"{path}:{line}: not UTF-8 text (byte 0x{data[exc.start]:02x})") from None
 
 
+@contextlib.contextmanager
+def replaced_file(path, mode="w"):
+    """A file open on <path>.tmp (UTF-8 in text mode) that replaces path when
+    the block ends without an exception. On any exception the temporary file
+    is removed and path stays as it was; an OSError of this file is raised
+    again naming path."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException as exc:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        if isinstance(exc, OSError) and exc.filename in (None, tmp):
+            raise OSError(exc.errno, exc.strerror or str(exc), str(path)) from exc
+        raise
+
+
 def read_json_lines(path):
     """(line number, record) for each non-blank line of a JSON-lines file;
     a line that is not JSON names path:line."""
@@ -114,7 +133,7 @@ def read_dataset(path) -> list[NewsReportPair]:
 
 
 def write_dataset(path, records) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with replaced_file(path) as fh:
         for record in records:
             fh.write(json.dumps(record, ensure_ascii=False) + "\n")
 
@@ -150,18 +169,9 @@ class Vocabulary:
         return out
 
     def save(self, path) -> None:
-        """Writes through <path>.tmp and os.replace, so a failed write leaves
-        the file at path as it was."""
-        tmp = f"{path}.tmp"
-        try:
-            with open(tmp, "w", encoding="utf-8") as fh:
-                for tok in self.tokens:
-                    fh.write(tok + "\n")
-        except BaseException:
-            with contextlib.suppress(OSError):
-                os.remove(tmp)
-            raise
-        os.replace(tmp, path)
+        with replaced_file(path) as fh:
+            for tok in self.tokens:
+                fh.write(tok + "\n")
 
     @classmethod
     def load(cls, path) -> "Vocabulary":

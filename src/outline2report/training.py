@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import struct
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .config import ConfigError, TrainingConfig
-from .corpus import LengthCaps, Vocabulary, encode_batch
+from .corpus import LengthCaps, Vocabulary, encode_batch, replaced_file
 from .model import ModelForward, NewsToReportModel, build_model
 from .numerics import FLOAT, NonFiniteLossError, clip_global_norm
 
@@ -149,14 +148,12 @@ def save_checkpoint(path, model: NewsToReportModel, optimizer: AdamOptimizer,
         "arrays": entries,
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    tmp = f"{path}.tmp"
-    with open(tmp, "wb") as fh:
+    with replaced_file(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<Q", len(header_bytes)))
         fh.write(header_bytes)
         for blob in blobs:
             fh.write(blob)
-    os.replace(tmp, path)
 
 
 def load_checkpoint(path) -> CheckpointState:
@@ -314,14 +311,12 @@ class Trainer:
         self.step += 1
         return record
 
-    def run(self, max_epochs: int | None = None, on_step=None, on_epoch_end=None):
-        """Train until the epoch limit; callbacks see each step and epoch end."""
+    def run(self, max_epochs: int | None = None, on_epoch_end=None):
+        """Train until the epoch limit; on_epoch_end sees each epoch's end."""
         limit = self.cfg.max_epochs if max_epochs is None else max_epochs
         total = limit * self.num_batches
         while self.step < total:
             record = self.train_one_step()
-            if on_step is not None:
-                on_step(record)
             if self.step % self.num_batches == 0 and on_epoch_end is not None:
                 on_epoch_end(record.epoch)
         return self.history

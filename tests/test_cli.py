@@ -107,25 +107,11 @@ class TestBuildVocab:
 
     def test_failed_write_leaves_the_previous_vocabulary(self, dataset, tmp_path, capsys,
                                                          monkeypatch):
-        class FullDisk(io.FileIO):
-            """A file on a device that fills after its first 16 bytes."""
-
-            def write(self, b):
-                room = 16 - self.tell()
-                if room <= 0:
-                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-                return super().write(bytes(b)[:room])
-
-        def open_on_full_disk(path, mode="r", **kwargs):
-            if mode != "w":
-                return open(path, mode, **kwargs)
-            return io.TextIOWrapper(io.BufferedWriter(FullDisk(path, "w")), **kwargs)
-
         out = tmp_path / "vocab.txt"
         out.write_text("a previous vocabulary\n")
-        monkeypatch.setattr(corpus, "open", open_on_full_disk, raising=False)
+        fill_disk_after(monkeypatch, 16)
         assert main(["build-vocab", "--dataset", str(dataset), "--out", str(out)]) == 1
-        assert_one_line_error(capsys, "No space left on device")
+        assert_one_line_error(capsys, f"No space left on device: '{out}'")
         assert out.read_text() == "a previous vocabulary\n"
         assert sorted(tmp_path.iterdir()) == sorted([dataset, out])
 
@@ -136,6 +122,25 @@ class TestBuildVocab:
                      "--out", str(tmp_path / "v.txt")])
         assert code == 1
         assert f"{ds}:2" in capsys.readouterr().err
+
+
+def fill_disk_after(monkeypatch, room):
+    """Every file that corpus opens for writing, which is every file a command
+    writes, sits on a device that fills after the file's first `room` bytes."""
+    class FullDisk(io.FileIO):
+        def write(self, b):
+            left = room - self.tell()
+            if left <= 0:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return super().write(bytes(b)[:left])
+
+    def open_on_full_disk(path, mode="r", **kwargs):
+        if "w" not in mode:
+            return open(path, mode, **kwargs)
+        raw = io.BufferedWriter(FullDisk(path, "w"))
+        return raw if "b" in mode else io.TextIOWrapper(raw, **kwargs)
+
+    monkeypatch.setattr(corpus, "open", open_on_full_disk, raising=False)
 
 
 def run_train(dataset, vocab, out_dir, *extra):
@@ -210,6 +215,34 @@ class TestTrain:
         for name in ("loss_log.csv", "checkpoint.o2r"):
             assert (full / name).read_bytes() == (split / name).read_bytes(), name
 
+    def test_failed_run_leaves_the_previous_checkpoint_and_log(self, dataset, vocab, tmp_path,
+                                                               capsys):
+        # the log is committed only with a checkpoint, so a run that fails
+        # before its first save leaves both files of the run before it
+        out = tmp_path / "run"
+        assert run_train(dataset, vocab, out, "--epochs", "1") == 0
+        before = {path: path.read_bytes() for path in out.iterdir()}
+        capsys.readouterr()
+        assert run_train(dataset, vocab, out, "--epochs", "3",
+                         "--set", "training.learning_rate=1e300",
+                         "--set", "training.gradient_clip_norm=1e300") == 1
+        assert_one_line_error(capsys, "step 1: loss is not finite")
+        assert {path: path.read_bytes() for path in out.iterdir()} == before
+
+    @pytest.mark.parametrize("previous", [True, False], ids=["previous-run", "fresh"])
+    def test_full_disk_leaves_the_previous_checkpoint_and_log(self, dataset, vocab, tmp_path,
+                                                              capsys, monkeypatch, previous):
+        # the header-only log fits in 4,096 bytes and the checkpoint does not
+        out = tmp_path / "run"
+        if previous:
+            assert run_train(dataset, vocab, out, "--epochs", "1") == 0
+        before = {path: path.read_bytes() for path in out.glob("*")}
+        capsys.readouterr()
+        fill_disk_after(monkeypatch, 4096)
+        assert run_train(dataset, vocab, out, "--epochs", "0") == 1
+        assert_one_line_error(capsys, f"No space left on device: '{out / 'checkpoint.o2r'}'")
+        assert {path: path.read_bytes() for path in out.iterdir()} == before
+
     def test_resume_into_a_fresh_directory_writes_the_header(self, dataset, vocab, tmp_path):
         out, fresh = tmp_path / "run", tmp_path / "fresh"
         assert run_train(dataset, vocab, out, "--epochs", "1") == 0
@@ -223,9 +256,10 @@ class TestTrain:
         (lambda rows: ["step,epoch"] + rows[1:], "first line is not the loss log header", 2),
         (lambda rows: rows + ["1,two,0.5,0.5,1.0"], "not a loss log row", 2),
         (lambda rows: rows[:1] + rows[2:], "rows below step 2 are not steps 0 to 1 in order", 2),
+        (lambda rows: rows[:1] + rows[:0:-1], "rows below step 2 are not steps 0 to 1 in order", 2),
         # a log of 2 rows must not be matched against a list of 10**30 steps
         (lambda rows: rows, f"rows below step {10 ** 30} are not steps 0 to", 10 ** 30),
-    ], ids=["header", "row", "gap", "huge-step"])
+    ], ids=["header", "row", "gap", "order", "huge-step"])
     def test_resume_onto_a_malformed_log(self, dataset, vocab, tmp_path, capsys,
                                          edit, fragment, step):
         out = tmp_path / "run"
@@ -432,6 +466,17 @@ class TestGenerate:
         capsys.readouterr()
         assert run_generate(trained, out, "--news", "   ", "--greedy") == 1
         assert_one_line_error(capsys, "cannot generate from empty news input")
+        assert out.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["gen.jsonl"]
+
+    def test_full_disk_leaves_the_previous_output(self, trained, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "gen.jsonl"
+        assert run_generate(trained, out, "--input", str(trained["dataset"]), "--greedy") == 0
+        before = out.read_bytes()
+        capsys.readouterr()
+        fill_disk_after(monkeypatch, 16)
+        assert run_generate(trained, out, "--input", str(trained["dataset"]), "--greedy") == 1
+        assert_one_line_error(capsys, f"No space left on device: '{out}'")
         assert out.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["gen.jsonl"]
 
@@ -960,8 +1005,10 @@ def _replace_leaf(path, value):
 
 class TestCheckpointHeaderFuzz:
     """The trained checkpoint with one header leaf replaced, fed to generate
-    and to train --resume: exit 0, or exit 1 with exactly one `error:` line.
-    `--epochs 0` keeps a fuzzed max_epochs from training anything."""
+    and to train --resume into a directory that holds the trained run's loss
+    log: exit 0, or exit 1 with exactly one `error:` line, the previous loss
+    log unchanged and no temporary file. `--epochs 0` keeps a fuzzed
+    max_epochs from training anything."""
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
@@ -971,13 +1018,20 @@ class TestCheckpointHeaderFuzz:
         edit = _replace_leaf(data.draw(_header_leaf(header), label="leaf"),
                              data.draw(_leaf_value, label="value"))
         with tempfile.TemporaryDirectory() as tmp:
-            ckpt = rewrite_header(trained["checkpoint"], Path(tmp) / "ck.o2r", edit)
-            for argv in (loading_argv("generate", ckpt, trained, Path(tmp)),
-                         loading_argv("resume", ckpt, trained, Path(tmp)) + ["--epochs", "0"]):
+            tmp = Path(tmp)
+            ckpt = rewrite_header(trained["checkpoint"], tmp / "ck.o2r", edit)
+            log = tmp / "run" / "loss_log.csv"
+            log.parent.mkdir()
+            log.write_bytes((trained["checkpoint"].parent / log.name).read_bytes())
+            for argv in (loading_argv("generate", ckpt, trained, tmp),
+                         loading_argv("resume", ckpt, trained, tmp) + ["--epochs", "0"]):
+                before = log.read_bytes()
                 code, err = run_quietly(argv)
                 assert code in (0, 1), argv
                 if code == 1:
                     assert err.startswith("error: ") and len(err.splitlines()) == 1, err
+                    assert log.read_bytes() == before, argv
+                assert not list(tmp.rglob("*.tmp")), argv
 
 
 # a lone surrogate among plain characters: JSON spells it, UTF-8 cannot encode it

@@ -1,3 +1,4 @@
+import errno
 import json
 import math
 
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from outline2report.corpus import (
     BOS, EOS, PAD, SPECIAL_TOKENS, UNK, CorpusError, DocumentFrequencies, NewsReportPair,
     Vocabulary, build_vocabulary, derive_outlines, derive_silver_outline, encode_batch,
-    read_dataset, read_text_lines, tokenize, wrap_ids, write_dataset)
+    read_dataset, read_text_lines, replaced_file, tokenize, wrap_ids, write_dataset)
 
 
 def make_pair(pid, news, report, outline=None):
@@ -242,6 +243,60 @@ class TestEncodeBatch:
         batch = encode_batch(pairs, v)
         assert batch.news_mask.sum(axis=1).tolist() == [3, 5]
         assert batch.news_ids[0, 3:].tolist() == [PAD] * (batch.news_ids.shape[1] - 3)
+
+
+class TestReplacedFile:
+    @pytest.mark.parametrize("mode,data", [("w", "naïve\n"), ("wb", b"\x00\xff")])
+    def test_success_replaces_the_file(self, tmp_path, mode, data):
+        path = tmp_path / "out"
+        path.write_text("previous\n")
+        with replaced_file(path, mode) as fh:
+            fh.write(data)
+            assert path.read_text() == "previous\n"
+        assert path.read_bytes() == (data if mode == "wb" else data.encode("utf-8"))
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+    @pytest.mark.parametrize("exc", [
+        ValueError("bad value"), KeyboardInterrupt(), OSError(errno.ENOSPC, "No space left")])
+    def test_exception_leaves_the_previous_file(self, tmp_path, exc):
+        path = tmp_path / "out"
+        path.write_text("previous\n")
+        with pytest.raises(type(exc)):
+            with replaced_file(path) as fh:
+                fh.write("partial")
+                fh.flush()
+                raise exc
+        assert path.read_text() == "previous\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+    def test_os_error_names_the_path(self, tmp_path):
+        path = tmp_path / "out"
+        with pytest.raises(OSError) as info:
+            with replaced_file(path):
+                raise OSError(errno.ENOSPC, "No space left on device")
+        assert info.value.errno == errno.ENOSPC
+        assert str(info.value) == f"[Errno 28] No space left on device: '{path}'"
+        assert not path.exists()
+
+    def test_os_error_of_another_file_passes_through(self, tmp_path):
+        other = OSError(errno.ENOENT, "No such file or directory", str(tmp_path / "other"))
+        with pytest.raises(OSError) as info:
+            with replaced_file(tmp_path / "out"):
+                raise other
+        assert info.value is other
+
+    def test_other_exception_passes_through_unchanged(self, tmp_path):
+        exc = ValueError("bad value")
+        with pytest.raises(ValueError) as info:
+            with replaced_file(tmp_path / "out"):
+                raise exc
+        assert info.value is exc
+
+    def test_failed_open_names_the_path(self, tmp_path):
+        path = tmp_path / "missing" / "out"
+        with pytest.raises(FileNotFoundError, match=f"'{path}'"):
+            with replaced_file(path):
+                pass
 
 
 class TestDataset:

@@ -530,6 +530,29 @@ class TestCheckpointing:
         with pytest.raises(CheckpointError, match="model expects"):
             resume_trainer(load_checkpoint(path), pairs, vocab)
 
+    @pytest.mark.parametrize("name", ["embedding.table", "encoder.fwd.W_h", "report.recog.W_mu"])
+    def test_saved_shape_is_checked_before_the_model_is_built(self, tmp_path, monkeypatch, name):
+        # the saved array's shape reversed, its size and the header's config
+        # unchanged: the one check that names it runs before build_model
+        trainer, _, vocab = make_trainer()
+        path = tmp_path / "ck.o2r"
+        trainer.save(path)
+        blob = path.read_bytes()
+        end = 16 + struct.unpack("<Q", blob[8:16])[0]
+        header = json.loads(blob[16:end])
+        shape = next(e for e in header["arrays"] if e["name"] == name)["shape"]
+        assert shape[0] != shape[1]
+        shape.reverse()
+        raw = json.dumps(header, sort_keys=True).encode("utf-8")
+        path.write_bytes(blob[:8] + struct.pack("<Q", len(raw)) + raw + blob[end:])
+
+        def build_model_too_early(*args):
+            raise AssertionError("build_model ran before the saved shapes were checked")
+
+        monkeypatch.setattr(training, "build_model", build_model_too_early)
+        with pytest.raises(CheckpointError, match=f"array '{name}' has shape"):
+            restore_model(load_checkpoint(path), vocab)
+
     def test_missing_moment_fails_resume_only(self, tmp_path):
         # generation reads only the parameters; training also needs the moments
         path, pairs, vocab = self._saved_with(
